@@ -131,20 +131,30 @@ def build_bound(
     )
 
 
-def certify_iss(
+def iss_check(
     bound: IssBound, traj: Trajectory, x0, input: InputSignal
-) -> list[ViolationReport]:
-    """Check the ISS estimate at every trajectory sample."""
+) -> tuple[list[ViolationReport], float]:
+    """Check the ISS estimate at every trajectory sample; also return the
+    largest margin ||x(t)|| - (beta(||x0||, t - t0) + gamma(||u||inf))."""
     r0 = float(np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))))
     t0 = traj.t0
     g = bound.gamma(input.sup_norm)
     out = []
+    max_margin = -math.inf
     for t, mode, x, _ in traj.rows():
         rhs = bound.beta(r0, t - t0) + g
         lhs = float(np.linalg.norm(x))
+        max_margin = max(max_margin, lhs - rhs)
         if lhs > rhs * (1 + ISS_REL_TOL) + 1e-12:
             out.append(_report("iss", t, mode, lhs, rhs))
-    return out
+    return out, max_margin
+
+
+def certify_iss(
+    bound: IssBound, traj: Trajectory, x0, input: InputSignal
+) -> list[ViolationReport]:
+    """Check the ISS estimate at every trajectory sample."""
+    return iss_check(bound, traj, x0, input)[0]
 
 
 def gain_levels(bound: IssBound, u_norm: float) -> tuple[float, float, float]:

@@ -2,9 +2,12 @@
 
 Implements the implication-form conditions (threshold-gated flow and jump
 bounds), the dissipation-form conditions (additive input term, no gating),
-the transform-based dwell-time conditions at every switching instant, mode
+the transform-based dwell-time conditions at every switching instant, the
+signal's dwell/leave slack against the declared constants, mode
 classification by rate sign, the decreasing-certificate test, and the
-linear-rate conversion from dissipation to implication form.
+linear-rate conversion from dissipation to implication form.  The jump and
+dwell tolerances and the default Dini coefficient that ``construct`` and the
+CLI share are defined here.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import (
 )
 from .rates import ComparisonFunction, PhiTransform, RateFunction, scale_cf
 from .simulate import InputSignal, Trajectory
-from .switching import DwellSpec, ModePartition, SwitchingSignal
+from .switching import DwellSpec, ModePartition, SwitchingSignal, mdadt_slack, mdalt_slack
 
 SANDWICH_TOL = 1e-9
 JUMP_TOL = 1e-9
@@ -236,6 +239,17 @@ def check_dwell_conditions(
             if first > second + DWELL_TOL:
                 out.append(_report("dwell-closed-form", t_i, q, first, second))
     return out
+
+
+def dwell_slack_verdict(
+    cert: Certificate, sig: SwitchingSignal
+) -> tuple[float, float, bool, bool]:
+    """The signal's dwell/leave slack and whether each fits the declared
+    constants: (mdadt_slack, mdalt_slack, fits T_S, fits T_U)."""
+    slack_s = mdadt_slack(sig, cert.partition, cert.dwell.tau)
+    slack_u = mdalt_slack(sig, cert.partition, cert.dwell.tau)
+    return (slack_s, slack_u, slack_s <= cert.dwell.T_S + DWELL_TOL,
+            slack_u <= cert.dwell.T_U + DWELL_TOL)
 
 
 def classify_modes(cert_or_rates) -> ModePartition:

@@ -15,15 +15,17 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .bounds import build_bound, certify_iss
+from .bounds import build_bound, iss_check
 from .certify import (
+    DEFAULT_DINI_COEFF,
     check_dissipation,
     check_dwell_conditions,
     check_flow_implication,
     check_jump_implication,
     check_sandwich,
+    dwell_slack_verdict,
 )
-from .construct import build_decreasing, certify_decrease
+from .construct import build_decreasing, decrease_check
 from .errors import (
     ConfigError,
     DegenerateGammaError,
@@ -40,7 +42,6 @@ from .lmi import (
     synthesize,
 )
 from .simulate import constant_input, reachability_bound, simulate, sinusoid_input
-from .switching import mdadt_slack, mdalt_slack
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -69,7 +70,7 @@ def _run_setup(cfg):
 
 
 def _dini(cfg) -> float:
-    return float(cfg.get("tolerances", {}).get("dini_coeff", 10.0))
+    return float(cfg.get("tolerances", {}).get("dini_coeff", DEFAULT_DINI_COEFF))
 
 
 def _a_grid(cfg):
@@ -105,19 +106,17 @@ def cmd_certify(cfg, out: Path, seed: int) -> int:
         reports += check_flow_implication(cert, traj, inp, dini_coeff=_dini(cfg))
         reports += check_jump_implication(cert, traj, inp)
     reports += check_dwell_conditions(cert, sig, _a_grid(cfg))
-    slack_s = mdadt_slack(sig, cert.partition, cert.dwell.tau)
-    slack_u = mdalt_slack(sig, cert.partition, cert.dwell.tau)
+    slack_s, slack_u, mdadt_ok, mdalt_ok = dwell_slack_verdict(cert, sig)
     violations = [r for r in reports if r.kind != "dwell-inconclusive"]
     jsonio.write_reports_csv(out / "reports.csv", reports)
     jsonio.write_json(out / "summary.json", {
         "violations": len(violations),
         "mdadt_slack": slack_s,
         "mdalt_slack": slack_u,
-        "mdadt_ok": slack_s <= cert.dwell.T_S + 1e-9,
-        "mdalt_ok": slack_u <= cert.dwell.T_U + 1e-9,
+        "mdadt_ok": mdadt_ok,
+        "mdalt_ok": mdalt_ok,
     })
-    dwell_ok = slack_s <= cert.dwell.T_S + 1e-9 and slack_u <= cert.dwell.T_U + 1e-9
-    return EXIT_OK if not violations and dwell_ok else EXIT_VIOLATIONS
+    return EXIT_OK if not violations and mdadt_ok and mdalt_ok else EXIT_VIOLATIONS
 
 
 def cmd_construct(cfg, out: Path, seed: int) -> int:
@@ -136,27 +135,7 @@ def cmd_construct(cfg, out: Path, seed: int) -> int:
     except NonFiniteError as e:
         print(f"non-finite state: {e}", file=sys.stderr)
         return EXIT_NONFINITE
-    reports = certify_decrease(dec, traj, inp, dini_coeff=_dini(cfg))
-
-    rows = []
-    for k, seg in enumerate(traj.segments):
-        start = 0
-        if k > 0:
-            jr = traj.jump_records[k - 1]
-            h_l = dec.h(jr.time, side="left")
-            v_pre = float(cert.V[jr.mode_before](jr.time, jr.pre_state))
-            rows.append((jr.time, v_pre,
-                         dec.compose(v_pre, jr.mode_before, jr.mode_before, h_l), h_l))
-            h_r = dec.h(jr.time)
-            v_post = float(cert.V[jr.mode_after](jr.time, jr.post_state))
-            rows.append((jr.time, v_post,
-                         dec.compose(v_post, jr.mode_after, jr.mode_before, h_r), h_r))
-            start = 1
-        for t, x in zip(seg.times[start:], seg.states[start:]):
-            t = float(t)
-            h_r = dec.h(t)
-            v = float(cert.V[seg.mode](t, x))
-            rows.append((t, v, dec.compose(v, seg.mode, seg.mode, h_r), h_r))
+    reports, rows = decrease_check(dec, traj, inp, dini_coeff=_dini(cfg))
     lines = ["t,V,W,h"]
     for t, v, w, h in rows:
         lines.append(",".join(jsonio.fmt(z) for z in (t, v, w, h)))
@@ -221,13 +200,9 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
             except NonFiniteError as e:
                 print(f"non-finite state: {e}", file=sys.stderr)
                 return EXIT_NONFINITE
-            reports = certify_iss(bound, traj, run_x0, run_inp)
+            reports, margin = iss_check(bound, traj, run_x0, run_inp)
             total_violations += len(reports)
-            r0 = float(np.linalg.norm(run_x0))
-            g = bound.gamma(run_inp.sup_norm)
-            for t, _, x, _ in traj.rows():
-                margin = float(np.linalg.norm(x)) - (bound.beta(r0, t - traj.t0) + g)
-                max_margin = max(max_margin, margin)
+            max_margin = max(max_margin, margin)
     except DegenerateGammaError as e:
         print(f"structural precondition failed: {e}", file=sys.stderr)
         return EXIT_STRUCTURAL

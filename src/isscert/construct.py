@@ -13,33 +13,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .certify import Certificate, ViolationReport, _report
-from .errors import ImageNotFullError
-from .rates import PhiTransform
-from .simulate import InputSignal, Trajectory
-from .switching import (
-    DwellSpec,
-    ModePartition,
-    SwitchingSignal,
-    active_time,
-    mdadt_slack,
-    mdalt_slack,
+from .certify import (
+    DEFAULT_DINI_COEFF,
+    JUMP_TOL,
+    Certificate,
+    ViolationReport,
+    _report,
+    check_dwell_conditions,
+    dwell_slack_verdict,
 )
-
-JUMP_TOL = 1e-9
-DEFAULT_DINI_COEFF = 10.0
-
-
-def _activations(sig, p, s1, s2, count_at_start, count_at_end):
-    n = 0
-    for t, mode in sig.events():
-        if mode != p:
-            continue
-        after_start = t > s1 or (count_at_start and t == s1)
-        before_end = t < s2 or (count_at_end and t == s2)
-        if after_start and before_end:
-            n += 1
-    return n
+from .errors import ImageNotFullError
+from .simulate import InputSignal, Trajectory
+from .switching import DwellSpec, ModePartition, SwitchingSignal, _count, active_time
 
 
 def correction(
@@ -48,7 +33,6 @@ def correction(
     dwell: DwellSpec,
     t: float,
     side: str = "right",
-    unstable_left_limits: bool = False,
 ) -> float:
     """Correction value h(t) <= 0.
 
@@ -59,9 +43,8 @@ def correction(
       - (sum over unstable p of T_p(t_j, t) - tau_p N_p(t_j, t)) (1 + delta).
 
     Stable activation counts include an event at the window start (the
-    left-limit endpoint); unstable ones do not, unless
-    ``unstable_left_limits`` is set.  ``side="left"`` evaluates the left
-    limit h(t-), which excludes an activation at t itself.
+    left-limit endpoint); unstable ones do not.  ``side="left"`` evaluates
+    the left limit h(t-), which excludes an activation at t itself.
     """
     sig._check_range(t)
     count_at_end = side != "left"
@@ -70,11 +53,11 @@ def correction(
     for tj in anchors:
         stable_sum = 0.0
         for p in partition.stable & sig.mode_set:
-            n = _activations(sig, p, tj, t, True, count_at_end)
+            n = _count(sig, p, tj, t, left_limit=True, include_end=count_at_end)
             stable_sum += active_time(sig, p, tj, t) - dwell.tau[p] * n
         unstable_sum = 0.0
         for p in partition.unstable & sig.mode_set:
-            n = _activations(sig, p, tj, t, unstable_left_limits, count_at_end)
+            n = _count(sig, p, tj, t, left_limit=False, include_end=count_at_end)
             unstable_sum += active_time(sig, p, tj, t) - dwell.tau[p] * n
         value = stable_sum * (1 - dwell.delta) - unstable_sum * (1 + dwell.delta)
         best = min(best, value)
@@ -87,7 +70,6 @@ class DecreasingCertificate:
 
     cert: Certificate
     sig: SwitchingSignal
-    unstable_left_limits: bool = False
     transforms: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -95,8 +77,7 @@ class DecreasingCertificate:
             object.__setattr__(self, "transforms", self.cert.transforms())
 
     def h(self, t: float, side: str = "right") -> float:
-        return correction(self.sig, self.cert.partition, self.cert.dwell, t,
-                          side=side, unstable_left_limits=self.unstable_left_limits)
+        return correction(self.sig, self.cert.partition, self.cert.dwell, t, side=side)
 
     def compose(self, v: float, mode_now: str, mode_prev: str, h_value: float) -> float:
         """Phi_inverse of the previous mode applied to Phi(v) + h."""
@@ -122,8 +103,6 @@ def build_decreasing(
     cert: Certificate,
     sig: SwitchingSignal,
     a_grid: Sequence[float] = (1.0,),
-    check_preconditions: bool = True,
-    unstable_left_limits: bool = False,
 ) -> DecreasingCertificate:
     """Assemble the decreasing certificate, enforcing the preconditions.
 
@@ -133,41 +112,41 @@ def build_decreasing(
     Values below a transform's attained image are errors here; the
     clamp-to-zero convention belongs to decay-bound assembly only.
     """
-    from .certify import check_dwell_conditions
-
-    dec = DecreasingCertificate(cert, sig, unstable_left_limits)
+    dec = DecreasingCertificate(cert, sig)
     for p, tr in dec.transforms.items():
         if not tr.image_is_full():
             raise ImageNotFullError(
                 f"transform of mode {p} does not cover R "
                 f"(image [{tr.image_inf()}, {tr.image_sup()}])"
             )
-    if check_preconditions:
-        reports = [r for r in check_dwell_conditions(cert, sig, list(a_grid))
-                   if r.kind != "dwell-inconclusive"]
-        if reports:
-            raise ValueError(
-                f"dwell conditions fail at {len(reports)} grid point(s); "
-                f"first: {reports[0]}"
-            )
-        slack_s = mdadt_slack(sig, cert.partition, cert.dwell.tau)
-        if slack_s > cert.dwell.T_S + 1e-9:
-            raise ValueError(
-                f"signal dwell slack {slack_s} exceeds declared T_S={cert.dwell.T_S}")
-        slack_u = mdalt_slack(sig, cert.partition, cert.dwell.tau)
-        if slack_u > cert.dwell.T_U + 1e-9:
-            raise ValueError(
-                f"signal leave slack {slack_u} exceeds declared T_U={cert.dwell.T_U}")
+    reports = [r for r in check_dwell_conditions(cert, sig, list(a_grid))
+               if r.kind != "dwell-inconclusive"]
+    if reports:
+        raise ValueError(
+            f"dwell conditions fail at {len(reports)} grid point(s); "
+            f"first: {reports[0]}"
+        )
+    slack_s, slack_u, fits_s, fits_u = dwell_slack_verdict(cert, sig)
+    if not fits_s:
+        raise ValueError(
+            f"signal dwell slack {slack_s} exceeds declared T_S={cert.dwell.T_S}")
+    if not fits_u:
+        raise ValueError(
+            f"signal leave slack {slack_u} exceeds declared T_U={cert.dwell.T_U}")
     return dec
 
 
-def certify_decrease(
+def decrease_check(
     dec: DecreasingCertificate,
     traj: Trajectory,
     input: InputSignal,
     dini_coeff: float = DEFAULT_DINI_COEFF,
-) -> list[ViolationReport]:
-    """Monotonicity checks for the constructed function along a trajectory.
+) -> tuple[list[ViolationReport], list[tuple[float, float, float, float]]]:
+    """Monotonicity reports for W along a trajectory and its (t, V, W, h) rows.
+
+    One pass evaluates h, V and W once per sample, in ``Trajectory.rows()``
+    order.  The last sample before a switching instant t_i takes the left
+    limit h(t_i-); the post-jump sample composes with the previous mode.
 
     Above the threshold chi(||u||inf): the forward-difference slope of W on
     each flow interval must not exceed -min{delta,1}|phi|(W), and W must not
@@ -179,34 +158,48 @@ def certify_decrease(
     u_norm = input.sup_norm
     threshold = cert.chi(u_norm)
     cap = max(cert.alpha3(u_norm), threshold)
-    out = []
-    for seg in traj.segments:
-        ts, xs = seg.times, seg.states
+    flows, jumps, rows = [], [], []
+    for k, seg in enumerate(traj.segments):
+        ts = [float(t) for t in seg.times]
+        pre_jump = len(ts) - 1 if k < len(traj.jump_records) else None
+        hs = [dec.h(t, side="left" if i == pre_jump else "right") for i, t in enumerate(ts)]
+        vs = [float(cert.V[seg.mode](t, x)) for t, x in zip(ts, seg.states)]
         # Same-mode composition throughout: on the open flow interval the
         # previous mode equals the active one, and the right limit at the
         # segment start extends the flow inequality to the first difference.
-        hs = [dec.h(float(t)) for t in ts]
-        ws = [
-            dec.compose(float(cert.V[seg.mode](float(t), x)), seg.mode, seg.mode, hv)
-            for t, x, hv in zip(ts, xs, hs)
-        ]
+        ws = [dec.compose(v, seg.mode, seg.mode, h) for v, h in zip(vs, hs)]
         for i in range(len(ts) - 1):
-            step = float(ts[i + 1] - ts[i])
+            step = ts[i + 1] - ts[i]
             if step <= 0 or ws[i] < threshold:
                 continue
             slope = (ws[i + 1] - ws[i]) / step
             rhs = -delta_eff * cert.phi[seg.mode].magnitude(ws[i]) + dini_coeff * step
             if slope > rhs:
-                out.append(_report("flow", ts[i], seg.mode, slope, rhs))
-    for jr in traj.jump_records:
-        v_pre = float(cert.V[jr.mode_before](jr.time, jr.pre_state))
-        w_pre = dec.compose(v_pre, jr.mode_before, jr.mode_before,
-                            dec.h(jr.time, side="left"))
-        v_post = float(cert.V[jr.mode_after](jr.time, jr.post_state))
-        w_post = dec.compose(v_post, jr.mode_after, jr.mode_before, dec.h(jr.time))
-        if w_pre >= threshold:
-            if w_post > w_pre + JUMP_TOL * (1 + abs(w_pre)):
-                out.append(_report("jump", jr.time, jr.mode_before, w_post, w_pre))
-        elif w_post > cap + JUMP_TOL * (1 + cap):
-            out.append(_report("small-input-jump", jr.time, jr.mode_before, w_post, cap))
-    return out
+                flows.append(_report("flow", ts[i], seg.mode, slope, rhs))
+        start = 0
+        if k > 0:
+            # Segment k starts at jump k-1's post-jump state, and segment k-1
+            # ended at its pre-jump state (W there is w_pre).
+            jr = traj.jump_records[k - 1]
+            w_post = dec.compose(vs[0], seg.mode, jr.mode_before, hs[0])
+            if w_pre >= threshold:
+                if w_post > w_pre + JUMP_TOL * (1 + abs(w_pre)):
+                    jumps.append(_report("jump", jr.time, jr.mode_before, w_post, w_pre))
+            elif w_post > cap + JUMP_TOL * (1 + cap):
+                jumps.append(_report("small-input-jump", jr.time, jr.mode_before, w_post, cap))
+            rows.append((ts[0], vs[0], w_post, hs[0]))
+            start = 1
+        rows += zip(ts[start:], vs[start:], ws[start:], hs[start:])
+        w_pre = ws[-1]
+    return flows + jumps, rows
+
+
+def certify_decrease(
+    dec: DecreasingCertificate,
+    traj: Trajectory,
+    input: InputSignal,
+    dini_coeff: float = DEFAULT_DINI_COEFF,
+) -> list[ViolationReport]:
+    """Monotonicity checks for the constructed function along a trajectory;
+    the reports of :func:`decrease_check`."""
+    return decrease_check(dec, traj, input, dini_coeff)[0]

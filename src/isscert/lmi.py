@@ -2,11 +2,10 @@
 
 The matrix inequalities for quadratic certificates (flow dissipation and
 jump contraction blocks) are decided by checking that the assembled
-symmetric block matrix has no eigenvalue above a small tolerance.  The
-eigenvalue computation is a dependency-free cyclic Jacobi iteration,
-adequate for the small dense matrices in scope.  A best-effort heuristic
-search for feasible certificates is provided; its failure does not certify
-infeasibility.
+symmetric block matrix has no eigenvalue above a small tolerance; the
+eigenvalues come from LAPACK through ``numpy.linalg.eigvalsh``.  A
+best-effort heuristic search for feasible certificates is provided; its
+failure does not certify infeasibility.
 """
 
 from __future__ import annotations
@@ -25,41 +24,16 @@ from .switching import DwellSpec, ModeChangeSet, ModePartition
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-9
-JACOBI_TOL = 1e-12
 
 
-def jacobi_eigenvalues(S, tol: float = JACOBI_TOL, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
+def jacobi_eigenvalues(S) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix (LAPACK ``eigvalsh``)."""
     A = np.asarray(S, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     if np.max(np.abs(A - A.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(A))):
         raise AsymmetricError("matrix is not symmetric within tolerance")
-    A = (A + A.T) / 2
-    n = A.shape[0]
-    if n == 1:
-        return A.diagonal().copy()
-    scale = max(1.0, float(np.max(np.abs(A))))
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.tril(A, -1) ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= tol * scale / (n * n):
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-    return np.sort(A.diagonal())
+    return np.linalg.eigvalsh((A + A.T) / 2)
 
 
 def is_negative_semidefinite(S, tol: float = PSD_TOL) -> tuple[bool, float]:

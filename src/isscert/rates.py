@@ -244,7 +244,6 @@ class ComparisonFunction:
     k: float = 1.0
     parts: tuple["ComparisonFunction", ...] = ()
     points: tuple[tuple[float, float], ...] = ()
-    class_tag: str = "Kinf"
 
     def __call__(self, s: float) -> float:
         if s < 0:
@@ -317,7 +316,3 @@ def compose_cf(outer: ComparisonFunction, inner: ComparisonFunction) -> Comparis
 def scale_cf(factor: float, f: ComparisonFunction) -> ComparisonFunction:
     return compose_cf(linear_cf(factor), f) if factor != 1.0 else f
 
-
-def zero_cf() -> ComparisonFunction:
-    """Identically-zero stand-in (class P boundary case) for unused gains."""
-    return ComparisonFunction("tabulated", points=((1.0, 0.0), (2.0, 0.0)), class_tag="P")

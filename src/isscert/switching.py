@@ -15,6 +15,7 @@ so the activation at t0 itself is not counted by the suprema.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -67,34 +68,17 @@ class SwitchingSignal:
 
     def mode_at(self, t: float) -> str:
         """sigma(t); right-continuous in the stored convention sigma(t_i) = p_i."""
-        self._check_range(t)
-        idx = 0
-        for i, ti in enumerate(self.instants):
-            if t >= ti:
-                idx = i + 1
-            else:
-                break
-        return self.modes[idx]
+        return self.modes[self.interval_index(t)]
 
     def mode_before(self, t: float) -> str:
         """sigma(t^-), with sigma(t0^-) := sigma(t0)."""
         self._check_range(t)
-        idx = 0
-        for i, ti in enumerate(self.instants):
-            if t > ti:
-                idx = i + 1
-            else:
-                break
-        return self.modes[idx]
+        return self.modes[bisect_left(self.instants, t)]
 
     def interval_index(self, t: float) -> int:
         """Index i with t in [t_i, t_{i+1}), where t_0 := t0."""
         self._check_range(t)
-        idx = 0
-        for i, ti in enumerate(self.instants):
-            if t >= ti:
-                idx = i + 1
-        return idx
+        return bisect_right(self.instants, t)
 
     def _check_range(self, t: float):
         if t < self.t0 or t > self.horizon:

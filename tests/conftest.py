@@ -9,10 +9,19 @@ Lyapunov value V = x^2 sits above it, and the alternating signal spends
 exactly the dwell time 1.0 in "s" and the leave time 0.25 in "u".
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import isscert as iss
+
+# pyproject's pytest ``pythonpath`` puts src/ on this process's path only;
+# the CLI subprocesses of acceptance 9 need it in their environment too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def make_family_signal(cycles: int = 4) -> iss.SwitchingSignal:

@@ -51,6 +51,16 @@ def base_config():
     }
 
 
+def acceptance9_config():
+    cfg = base_config()
+    cfg["signal"] = {"t0": 0.0, "instants": [1.0, 1.25, 2.25, 2.5],
+                     "modes": ["s", "u", "s", "u", "s"], "horizon": 3.5}
+    cfg["certificate"] = family_certificate_json()
+    cfg["dwell_a_grid"] = [1.0, 100.0]
+    cfg["step"] = 2e-4
+    return cfg
+
+
 def run(tmp_path, command, cfg, name="cfg.json", seed=None):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -134,6 +144,32 @@ class TestConstruct:
         lines = (out / "construct.csv").read_text().splitlines()
         assert lines[0] == "t,V,W,h"
         assert len(lines) > 5000
+
+    def test_pre_jump_left_limit(self, tmp_path):
+        # Acceptance-9 signal and certificate, zero input, fine step: a true
+        # certificate, so no report (the last sample before t = 2.25 takes
+        # the left limit of h).
+        code, out = run(tmp_path, "construct", acceptance9_config())
+        assert code == 0
+        assert (out / "reports.csv").read_text().splitlines() == [
+            "kind,time,mode,lhs,rhs,margin"]
+
+    def test_rows_match_trajectory(self, tmp_path):
+        cfg = acceptance9_config()
+        cfg["step"] = 1e-2
+        code, sim_out = run(tmp_path, "simulate", cfg)
+        assert code == 0
+        code, out = run(tmp_path, "construct", cfg)
+        assert code == 0
+        traj = (sim_out / "trajectory.csv").read_text().splitlines()[1:]
+        rows = (out / "construct.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(traj)
+        assert [r.split(",")[0] for r in rows] == [r.split(",")[0] for r in traj]
+        # Jump rows repeat the instant of the row before them.
+        jumps = [i for i, r in enumerate(traj) if r.endswith(",1")]
+        repeats = [i for i in range(1, len(rows))
+                   if rows[i].split(",")[0] == rows[i - 1].split(",")[0]]
+        assert jumps == repeats and len(jumps) == 4
 
     def test_image_not_full(self, tmp_path):
         cfg = base_config()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import isscert as iss
+from isscert.construct import decrease_check
 from isscert.errors import ImageNotFullError
 
 from conftest import make_family_certificate, make_family_model, make_family_signal
@@ -123,7 +124,45 @@ class TestBuildPreconditions:
             iss.build_decreasing(tight, family_signal, a_grid=[1.0])
 
 
+def acceptance9_case():
+    """The acceptance-9 signal and certificate (T_S = 1, T_U = 0.25) on the
+    family system, from x0 = 2 with zero input at step 2e-4."""
+    sig = iss.SwitchingSignal(0.0, (1.0, 1.25, 2.25, 2.5), ("s", "u", "s", "u", "s"), 3.5)
+    base = make_family_certificate(sig)
+    cert = iss.Certificate(
+        V=base.V, alpha1=base.alpha1, alpha2=base.alpha2, alpha3=base.alpha3,
+        chi=base.chi, phi=base.phi, psi=base.psi, partition=base.partition,
+        dwell=iss.DwellSpec(base.dwell.tau, 0.2, T_S=1.0, T_U=0.25),
+    )
+    dec = iss.build_decreasing(cert, sig, a_grid=[1.0, 100.0])
+    traj = iss.simulate(make_family_model().to_system_model(), sig, [2.0],
+                        iss.zero_input(), 2e-4)
+    return dec, traj
+
+
 class TestCertifyDecrease:
+    def test_pre_jump_sample_uses_left_limit(self):
+        # The last sample before t_i = 2.25 must carry h(2.25-) = -0.3, not
+        # h(2.25) = 0; with the right limit W jumps up by e^{0.3} over the
+        # final step and a spurious flow violation appears at t = 2.2498.
+        dec, traj = acceptance9_case()
+        assert iss.certify_decrease(dec, traj, iss.zero_input()) == []
+
+    def test_rows_follow_trajectory_rows(self):
+        dec, traj = acceptance9_case()
+        _, rows = decrease_check(dec, traj, iss.zero_input())
+        traj_rows = traj.rows()
+        assert [r[0] for r in rows] == [r[0] for r in traj_rows]
+        instants = dec.sig.instants
+        for i, (t, _, _, flag) in enumerate(traj_rows):
+            if flag:
+                assert t in instants
+                # Pre-jump row: left limit; post-jump row: right limit.
+                assert rows[i - 1][3] == dec.h(t, side="left")
+                assert rows[i][3] == dec.h(t)
+        assert dec.h(2.25, side="left") == pytest.approx(-0.3)
+        assert dec.h(2.25) == 0.0
+
     def test_family_zero_input(self, family_signal, family_certificate, family_model):
         dec = iss.build_decreasing(family_certificate, family_signal,
                                    a_grid=[1.0, 100.0, 1e4])
