@@ -80,7 +80,7 @@ def _a_grid(cfg):
 def cmd_simulate(cfg, out: Path, seed: int) -> int:
     model, sig, inp, x0, step = _run_setup(cfg)
     try:
-        traj = simulate(model.to_system_model(), sig, x0, inp, step)
+        traj = simulate(model, sig, x0, inp, step)
     except NonFiniteError as e:
         if e.partial is not None:
             jsonio.write_trajectory_csv(out / "trajectory.csv", e.partial, model.dims[0])
@@ -95,7 +95,7 @@ def cmd_certify(cfg, out: Path, seed: int) -> int:
     cert = jsonio.parse_certificate(jsonio._require(cfg, "certificate", "config"))
     form = cfg.get("certificate", {}).get("form", "implication")
     try:
-        traj = simulate(model.to_system_model(), sig, x0, inp, step)
+        traj = simulate(model, sig, x0, inp, step)
     except NonFiniteError as e:
         print(f"non-finite state: {e}", file=sys.stderr)
         return EXIT_NONFINITE
@@ -131,7 +131,7 @@ def cmd_construct(cfg, out: Path, seed: int) -> int:
         print(f"dwell precondition failed: {e}", file=sys.stderr)
         return EXIT_VIOLATIONS
     try:
-        traj = simulate(model.to_system_model(), sig, x0, inp, step)
+        traj = simulate(model, sig, x0, inp, step)
     except NonFiniteError as e:
         print(f"non-finite state: {e}", file=sys.stderr)
         return EXIT_NONFINITE
@@ -156,13 +156,12 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
     runs = int(bcfg.get("runs", 100))
     x0_range = float(bcfg.get("x0_range", 1.0))
     u_bound = float(bcfg.get("u_bound", 0.0))
-    sys_model = model.to_system_model()
 
     delta = cert.dwell.delta
     c_slack = (1 - delta) * cert.dwell.T_S + (1 + delta) * cert.dwell.T_U
     patch = None
     if c_slack > 0:
-        k_hat = reachability_bound(sys_model, sig, x0_range, u_bound,
+        k_hat = reachability_bound(model, sig, x0_range, u_bound,
                                    c_slack / delta, int(bcfg.get("patch_samples", 20)),
                                    step=step, seed=seed)
         level = cert.alpha2(k_hat)
@@ -196,7 +195,7 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
             else:
                 run_inp = jsonio.parse_input({"kind": "zero"}, m)
             try:
-                traj = simulate(sys_model, sig, run_x0, run_inp, step)
+                traj = simulate(model, sig, run_x0, run_inp, step)
             except NonFiniteError as e:
                 print(f"non-finite state: {e}", file=sys.stderr)
                 return EXIT_NONFINITE

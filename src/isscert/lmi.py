@@ -2,10 +2,10 @@
 
 The matrix inequalities for quadratic certificates (flow dissipation and
 jump contraction blocks) are decided by checking that the assembled
-symmetric block matrix has no eigenvalue above a small tolerance; the
-eigenvalues come from LAPACK through ``numpy.linalg.eigvalsh``.  A
-best-effort heuristic search for feasible certificates is provided; its
-failure does not certify infeasibility.
+symmetric block matrix has no eigenvalue above a small tolerance relative
+to the block's spectral norm; the eigenvalues come from LAPACK through
+``numpy.linalg.eigvalsh``.  A best-effort heuristic search for feasible
+certificates is provided; its failure does not certify infeasibility.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ def jacobi_eigenvalues(S) -> np.ndarray:
 
 
 def is_negative_semidefinite(S, tol: float = PSD_TOL) -> tuple[bool, float]:
-    """Largest eigenvalue test for S <= 0 with tolerated slack."""
+    """Largest eigenvalue test for S <= 0 with slack ``tol`` times S's spectral norm."""
     eigs = jacobi_eigenvalues(S)
     top = float(eigs[-1])
-    return top <= tol, top
+    scale = max(abs(float(eigs[0])), abs(top))
+    return top <= tol * scale, top
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ scheme on each inter-switch interval, with the final partial step landing
 exactly on the next switching instant; the mode's jump map is then applied.
 Solutions are right-continuous: the stored state at a switching instant is
 the post-jump state.
+
+For a LinearSystemModel one RK4 step on x' = A x + B u is a fixed affine
+map, x+ = P x + G0 u(t) + Gm u(t + h/2) + G1 u(t + h); each segment builds
+that map once and runs it as a matrix recurrence over inputs evaluated as
+arrays.  A general SystemModel is stepped through its flow callables.
 """
 
 from __future__ import annotations
@@ -62,6 +67,14 @@ class LinearSystemModel:
         p = next(iter(self.A))
         return self.A[p].shape[0], self.B[p].shape[1]
 
+    @property
+    def state_dim(self) -> int:
+        return self.dims[0]
+
+    @property
+    def input_dim(self) -> int:
+        return self.dims[1]
+
     def to_system_model(self) -> SystemModel:
         n, m = self.dims
 
@@ -78,29 +91,44 @@ class LinearSystemModel:
 
 @dataclass(frozen=True)
 class InputSignal:
-    """Bounded input u(t) with a declared sup norm over the horizon."""
+    """Bounded input u(t) with a declared sup norm over the horizon.
+
+    ``at_times``, when given, maps a 1-D array of times to the
+    ``(len(times), m)`` array of the values ``func`` takes at them; the
+    factories below supply it, so ``sample`` evaluates them as arrays.
+    """
 
     func: Callable[[float], np.ndarray]
     sup_norm: float
+    at_times: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t: float) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.func(t), dtype=float))
 
+    def sample(self, times) -> np.ndarray:
+        """Values at each of ``times``, stacked as rows of a (len(times), m) array."""
+        times = np.asarray(times, dtype=float)
+        if self.at_times is not None:
+            return self.at_times(times)
+        return np.array([self(t) for t in times])
+
 
 def zero_input(m: int = 1) -> InputSignal:
     u = np.zeros(m)
-    return InputSignal(lambda t: u, 0.0)
+    return InputSignal(lambda t: u, 0.0, lambda ts: np.zeros((len(ts), m)))
 
 
 def constant_input(value) -> InputSignal:
     u = np.atleast_1d(np.asarray(value, dtype=float))
-    return InputSignal(lambda t: u, float(np.linalg.norm(u)))
+    return InputSignal(lambda t: u, float(np.linalg.norm(u)),
+                       lambda ts: np.tile(u, (len(ts), 1)))
 
 
 def sinusoid_input(amplitude, omega: float, phase: float = 0.0) -> InputSignal:
     a = np.atleast_1d(np.asarray(amplitude, dtype=float))
     return InputSignal(
-        lambda t: a * math.sin(omega * t + phase), float(np.linalg.norm(a))
+        lambda t: a * math.sin(omega * t + phase), float(np.linalg.norm(a)),
+        lambda ts: np.sin(omega * ts + phase)[:, None] * a,
     )
 
 
@@ -109,7 +137,8 @@ def step_input(before, after, t_switch: float) -> InputSignal:
     u0 = np.atleast_1d(np.asarray(before, dtype=float))
     u1 = np.atleast_1d(np.asarray(after, dtype=float))
     bound = max(float(np.linalg.norm(u0)), float(np.linalg.norm(u1)))
-    return InputSignal(lambda t: u0 if t < t_switch else u1, bound)
+    return InputSignal(lambda t: u0 if t < t_switch else u1, bound,
+                       lambda ts: np.where((ts < t_switch)[:, None], u0, u1))
 
 
 @dataclass(frozen=True)
@@ -171,29 +200,83 @@ class Trajectory:
         return out
 
 
+def _n_steps(t_start, t_end, step):
+    return max(1, math.ceil((t_end - t_start) / step - 1e-12))
+
+
+def _rk4_step(f, t, x, h, u0, um, u1):
+    """One classical RK4 step given the inputs at t, t + h/2 and t + h."""
+    k1 = f(t, x, u0)
+    k2 = f(t + h / 2, x + h / 2 * k1, um)
+    k3 = f(t + h / 2, x + h / 2 * k2, um)
+    k4 = f(t + h, x + h * k3, u1)
+    return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def _rk4_segment(f, t_start, t_end, x0, input_sig, step):
     """Integrate one flow interval; returns (times, states) including endpoints."""
-    span = t_end - t_start
-    n_steps = max(1, math.ceil(span / step - 1e-12))
+    n_steps = _n_steps(t_start, t_end, step)
     times = np.linspace(t_start, t_end, n_steps + 1)
     states = np.empty((n_steps + 1, x0.size))
     states[0] = x0
     x = x0
     for i in range(n_steps):
         t, h = times[i], times[i + 1] - times[i]
-        k1 = f(t, x, input_sig(t))
-        k2 = f(t + h / 2, x + h / 2 * k1, input_sig(t + h / 2))
-        k3 = f(t + h / 2, x + h / 2 * k2, input_sig(t + h / 2))
-        k4 = f(t + h, x + h * k3, input_sig(t + h))
-        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = _rk4_step(f, t, x, h, input_sig(t), input_sig(t + h / 2), input_sig(t + h))
         states[i + 1] = x
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > FINITE_LIMIT:
             return times[: i + 2], states[: i + 2], False
     return times, states, True
 
 
+def _linear_segment(A, B, t_start, t_end, x0, input_sig, step):
+    """`_rk4_segment` for x' = A x + B u as the recurrence x+ = P x + c_k.
+
+    The RK4 step applied to identity columns of [x | u(t) | u(t+h/2) | u(t+h)]
+    gives [P | G0 | Gm | G1] at the segment's uniform step h.
+    """
+    n, m = B.shape
+    n_steps = _n_steps(t_start, t_end, step)
+    times = np.linspace(t_start, t_end, n_steps + 1)
+    h = (t_end - t_start) / n_steps
+    cols = np.eye(n + 3 * m)
+    step_map = _rk4_step(lambda t, x, u: A @ x + B @ u, t_start, cols[:n], h,
+                         cols[n:n + m], cols[n + m:n + 2 * m], cols[n + 2 * m:])
+    P, G0, Gm, G1 = np.split(step_map, [n, n + m, n + 2 * m], axis=1)
+    u_nodes = input_sig.sample(times)
+    u_mid = input_sig.sample(times[:-1] + np.diff(times) / 2)
+    forcing = u_nodes[:-1] @ G0.T + u_mid @ Gm.T + u_nodes[1:] @ G1.T
+    states = np.empty((n_steps + 1, n))
+    states[0] = x = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, c in enumerate(forcing, start=1):
+            x = P @ x + c
+            states[i] = x
+        # The same test as the stepwise loop, over all steps at once; the
+        # partial result ends at the first offending sample.
+        bad = ~np.all(np.isfinite(states[1:]), axis=1) \
+            | (np.linalg.norm(states[1:], axis=1) > FINITE_LIMIT)
+    if bad.any():
+        end = int(np.argmax(bad)) + 2
+        return times[:end], states[:end], False
+    return times, states, True
+
+
+def _flow(model, mode, t_start, t_end, x0, input_sig, step):
+    if isinstance(model, LinearSystemModel):
+        return _linear_segment(model.A[mode], model.B[mode], t_start, t_end, x0,
+                               input_sig, step)
+    return _rk4_segment(model.flows[mode], t_start, t_end, x0, input_sig, step)
+
+
+def _jump(model, mode, t, x, u):
+    if isinstance(model, LinearSystemModel):
+        return model.J[mode] @ x + model.H[mode] @ u
+    return np.atleast_1d(np.asarray(model.jumps[mode](t, x, u), dtype=float))
+
+
 def simulate(
-    model: SystemModel,
+    model: SystemModel | LinearSystemModel,
     sig: SwitchingSignal,
     x0,
     input: InputSignal,
@@ -227,7 +310,7 @@ def simulate(
     x = x0
     for k, (a, b, mode) in enumerate(sig.segments()):
         if b > a:
-            times, states, ok = _rk4_segment(model.flows[mode], a, b, x, input, step)
+            times, states, ok = _flow(model, mode, a, b, x, input, step)
             segments.append(Segment(mode, times, states))
             if not ok:
                 partial = Trajectory(tuple(segments), tuple(jumps), input, step,
@@ -246,8 +329,7 @@ def simulate(
             # step before the instant.
             u_pre = input(t_i - step / 2)
             new_mode = sig.modes[k + 1]
-            x_post = np.atleast_1d(np.asarray(
-                model.jumps[mode](t_i, x_pre, u_pre), dtype=float))
+            x_post = _jump(model, mode, t_i, x_pre, u_pre)
             if not np.all(np.isfinite(x_post)) or np.linalg.norm(x_post) > FINITE_LIMIT:
                 partial = Trajectory(tuple(segments), tuple(jumps), input, step,
                                      {"order": 4, "step": step})
@@ -282,7 +364,7 @@ def _restrict(sig: SwitchingSignal, tau: float) -> SwitchingSignal:
 
 
 def reachability_bound(
-    model: SystemModel,
+    model: SystemModel | LinearSystemModel,
     sig: SwitchingSignal,
     C: float,
     D: float,
@@ -318,7 +400,7 @@ def reachability_bound(
 
 
 def lipschitz_estimate(
-    model: SystemModel,
+    model: SystemModel | LinearSystemModel,
     sig: SwitchingSignal,
     C: float,
     D: float,

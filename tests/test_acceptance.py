@@ -69,7 +69,7 @@ def acceptance_certificate(sig):
 
 def family_runs(rng, n_runs, x0_range, amp_range, step=2e-3):
     sig = make_family_signal()
-    model = make_family_model().to_system_model()
+    model = make_family_model()
     runs = []
     for _ in range(n_runs):
         x0 = np.array([rng.uniform(-x0_range, x0_range)])

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from isscert import jsonio
 from isscert.cli import main
+from isscert.errors import NonFiniteError
+from isscert.simulate import simulate, zero_input
 
 
 def family_system():
@@ -109,6 +112,24 @@ class TestSimulate:
         assert code == 2
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert len(lines) > 2  # partial trajectory flushed before the failure
+
+    def test_blow_up_partial_matches_generic_loop(self, tmp_path):
+        # x' = 30 x crosses the 1e12 limit near t = 0.92; the CSV holds the
+        # same partial trajectory the generic RK4 loop stops with.
+        system = {"kind": "linear", "A": {"a": [[30.0]]}, "B": {"a": [[1.0]]},
+                  "J": {"a": [[1.0]]}, "H": {"a": [[0.0]]}}
+        cfg = {"system": system, "x0": [1.0], "step": 1e-3,
+               "signal": {"t0": 0.0, "instants": [], "modes": ["a"], "horizon": 2.0}}
+        code, out = run(tmp_path, "simulate", cfg)
+        assert code == 2
+        model = jsonio.parse_model(system).to_system_model()
+        with pytest.raises(NonFiniteError) as exc:
+            simulate(model, jsonio.parse_signal(cfg["signal"]), [1.0],
+                     zero_input(), 1e-3)
+        ref = exc.value.partial
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(ref.rows())
+        assert lines[-1].split(",")[0] == jsonio.fmt(ref.horizon)
 
 
 class TestCertify:

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import isscert as iss
 from isscert.errors import AsymmetricError
+from isscert.lmi import PSD_TOL
 
 
 def scalar_system(a=-1.0, b=1.0, j=0.5, h=0.0):
@@ -49,6 +50,34 @@ class TestJacobi:
         S = (raw + raw.T) / 2
         assert iss.jacobi_eigenvalues(S) == pytest.approx(
             np.linalg.eigvalsh(S), abs=1e-9)
+
+
+class TestSemidefiniteTolerance:
+    def test_scaled_roundoff_accepted(self):
+        # 1e8 Q diag(-1, 0) Q^T is negative semidefinite; its computed top
+        # eigenvalue is roundoff of order 1e8 * eps, above an absolute 1e-9
+        # for some rotations but tiny against the block's norm.
+        tops = []
+        for seed in range(20):
+            Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((2, 2)))
+            S = 1e8 * Q @ np.diag([-1.0, 0.0]) @ Q.T
+            ok, top = iss.is_negative_semidefinite((S + S.T) / 2)
+            assert ok
+            tops.append(top)
+        assert max(tops) > PSD_TOL
+
+    def test_exact_tiny_eigenvalue_accepted(self):
+        ok, top = iss.is_negative_semidefinite(np.diag([-1e8, 5e-9]))
+        assert ok and top == 5e-9
+
+    def test_unit_block_positive_eigenvalue_rejected(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+        S = Q @ np.diag([-1.0, -0.5, 1e-6]) @ Q.T
+        ok, top = iss.is_negative_semidefinite((S + S.T) / 2)
+        assert not ok and top == pytest.approx(1e-6, rel=1e-6)
+
+    def test_zero_block_accepted(self):
+        assert iss.is_negative_semidefinite(np.zeros((2, 2))) == (True, 0.0)
 
 
 class TestFlowBlock:

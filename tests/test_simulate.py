@@ -148,3 +148,168 @@ class TestSampling:
         hi = iss.lipschitz_estimate(scalar_model(a=1.0), single_mode(), 1.0, 0.0,
                                     1.0, 10, step=1e-2, seed=3)
         assert hi == pytest.approx(math.e, rel=1e-6)
+
+
+# --------------------------------------------------------------------------
+# The linear propagator against the generic RK4 loop (its reference).
+
+ACC9_SIGNAL = iss.SwitchingSignal(0.0, (1.0, 1.25, 2.25, 2.5), ("s", "u", "s", "u", "s"), 3.5)
+PLANAR_SIGNAL = iss.SwitchingSignal(0.0, (0.7, 1.3), ("a", "a", "a"), 2.0)
+
+
+def acc9_model():
+    return iss.LinearSystemModel(
+        A={"s": [[-1.25]], "u": [[0.4]]}, B={"s": [[0.5]], "u": [[0.5]]},
+        J={"s": [[0.1]], "u": [[0.1]]}, H={"s": [[0.0]], "u": [[0.0]]})
+
+
+def planar_model():
+    # The 2-D system of TestFlows.test_matrix_oracle.
+    return iss.LinearSystemModel(
+        A={"a": [[0.0, 1.0], [-2.0, -0.5]]}, B={"a": [[0.0], [1.0]]},
+        J={"a": np.eye(2)}, H={"a": np.zeros((2, 1))})
+
+
+def acc9_certificate(eta_s):
+    v = iss.quadratic_v([[1.0]])
+    return iss.Certificate(
+        V={"s": v, "u": v},
+        alpha1=iss.power_cf(1.0, 2.0), alpha2=iss.power_cf(1.0, 2.0),
+        alpha3=iss.power_cf(1.0, 2.0), chi=iss.power_cf(32.0, 2.0),
+        phi={"s": iss.linear_rate(eta_s), "u": iss.linear_rate(1.0)},
+        psi={"s": iss.linear_rate(0.01), "u": iss.linear_rate(0.01)},
+        partition=iss.ModePartition(frozenset({"s"}), frozenset({"u"})),
+        dwell=iss.DwellSpec({"s": 1.0, "u": 0.25}, 0.2, T_S=1.0, T_U=0.25),
+    )
+
+
+def planar_certificate():
+    # V sits below alpha1 off the x1 axis, is not a Lyapunov function of the
+    # planar flow, and the identity jump does not contract it: every check
+    # reports rows.
+    return iss.Certificate(
+        V={"a": iss.quadratic_v(np.diag([1.0, 0.5]))},
+        alpha1=iss.power_cf(1.0, 2.0), alpha2=iss.power_cf(1.0, 2.0),
+        alpha3=iss.power_cf(1.0, 2.0), chi=iss.power_cf(0.1, 2.0),
+        phi={"a": iss.linear_rate(-0.1)}, psi={"a": iss.linear_rate(0.5)},
+        partition=iss.ModePartition(frozenset({"a"}), frozenset()),
+        dwell=iss.DwellSpec({"a": 1.0}, 0.5),
+    )
+
+
+CASES = {
+    "acc9": (acc9_model, ACC9_SIGNAL, [2.0],
+             (acc9_certificate(-1.0), acc9_certificate(-10.0))),
+    "planar": (planar_model, PLANAR_SIGNAL, [1.0, -0.5], (planar_certificate(),)),
+}
+INPUTS = {
+    "zero": iss.zero_input(),
+    "constant": iss.constant_input([0.7]),
+    "sinusoid": iss.sinusoid_input([0.5], 2.0, 0.3),
+    "step": iss.step_input([1.0], [-2.0], 1.7),
+}
+
+
+def report_rows(reports):
+    return [(r.kind, r.time, r.mode) for r in reports]
+
+
+class TestLinearPropagator:
+    @pytest.mark.parametrize("input_name", sorted(INPUTS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_generic_loop(self, case, input_name):
+        make_model, sig, x0, certs = CASES[case]
+        inp = INPUTS[input_name]
+        model = make_model()
+        lin = iss.simulate(model, sig, x0, inp, 1e-3)
+        ref = iss.simulate(model.to_system_model(), sig, x0, inp, 1e-3)
+
+        assert [s.mode for s in lin.segments] == [s.mode for s in ref.segments]
+        assert [len(s.times) for s in lin.segments] == [len(s.times) for s in ref.segments]
+        for a, b in zip(lin.segments, ref.segments):
+            assert np.array_equal(a.times, b.times)
+        assert [(j.time, j.mode_before, j.mode_after) for j in lin.jump_records] == \
+            [(j.time, j.mode_before, j.mode_after) for j in ref.jump_records]
+
+        # Rounding of the fixed step map compounds with the step count, so
+        # states agree to 1e-11 of the trajectory's scale, not bit for bit.
+        scale = ref.sup_norm()
+        for a, b in zip(lin.segments, ref.segments):
+            assert np.all(np.linalg.norm(a.states - b.states, axis=1) <= 1e-11 * scale)
+        for a, b in zip(lin.jump_records, ref.jump_records):
+            assert np.linalg.norm(a.post_state - b.post_state) <= 1e-11 * scale
+
+        for cert in certs:
+            assert report_rows(iss.check_sandwich(cert, lin)) == \
+                report_rows(iss.check_sandwich(cert, ref))
+            assert report_rows(iss.check_flow_implication(cert, lin, inp)) == \
+                report_rows(iss.check_flow_implication(cert, ref, inp))
+            assert report_rows(iss.check_jump_implication(cert, lin, inp)) == \
+                report_rows(iss.check_jump_implication(cert, ref, inp))
+
+    def test_non_finite_partial_matches_generic(self):
+        # x' = 30 x from x0 = 1 crosses the 1e12 limit near t = 0.92.
+        model = iss.LinearSystemModel(A={"a": [[30.0]]}, B={"a": [[1.0]]},
+                                      J={"a": [[1.0]]}, H={"a": [[0.0]]})
+        partials = []
+        for m in (model, model.to_system_model()):
+            with pytest.raises(NonFiniteError) as exc:
+                iss.simulate(m, single_mode(2.0), [1.0], iss.zero_input(), 1e-3)
+            partials.append(exc.value.partial)
+        lin, ref = partials
+        assert len(lin.rows()) == len(ref.rows())
+        assert lin.horizon == ref.horizon
+        assert 0.9 < lin.horizon < 0.95
+        assert np.linalg.norm(lin.final_state()) > 1e12
+
+    def test_dimensions(self):
+        model = planar_model()
+        assert (model.state_dim, model.input_dim) == model.dims == (2, 1)
+
+    def test_sampling_estimators_accept_linear_model(self):
+        model = iss.LinearSystemModel(A={"a": [[1.0]]}, B={"a": [[1.0]]},
+                                      J={"a": [[1.0]]}, H={"a": [[0.0]]})
+        for estimate in (iss.reachability_bound, iss.lipschitz_estimate):
+            lin = estimate(model, single_mode(), 1.0, 0.5, 1.0, 5, step=1e-2, seed=4)
+            ref = estimate(model.to_system_model(), single_mode(), 1.0, 0.5, 1.0, 5,
+                           step=1e-2, seed=4)
+            assert lin == pytest.approx(ref, rel=1e-12)
+
+
+class TestInputArrays:
+    STEP = 1e-2
+    T_SWITCH = 0.5
+
+    def times(self):
+        grid = np.linspace(0.0, 1.0, 101)
+        # The step's switching instant, the midpoints of RK4 steps and the
+        # half-step sample u(t_i - step/2) taken before a jump at t_i.
+        return np.concatenate([grid, grid[:-1] + self.STEP / 2,
+                               [self.T_SWITCH, self.T_SWITCH - self.STEP / 2]])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_factories_match_pointwise(self, m):
+        a = np.arange(1.0, m + 1)
+        inputs = [
+            iss.zero_input(m),
+            iss.constant_input(a),
+            iss.step_input(a, -2 * a, self.T_SWITCH),
+        ]
+        ts = self.times()
+        for inp in inputs:
+            arr = inp.sample(ts)
+            assert arr.shape == (len(ts), m)
+            np.testing.assert_array_equal(arr, np.array([inp(t) for t in ts]))
+        # numpy's vectorised sin may differ from math.sin by a few ulp.
+        inp = iss.sinusoid_input(a, 3.0, 0.2)
+        np.testing.assert_array_max_ulp(inp.sample(ts), np.array([inp(t) for t in ts]),
+                                        maxulp=4)
+
+    def test_step_is_right_continuous(self):
+        inp = iss.step_input([1.0, 2.0], [3.0, 4.0], self.T_SWITCH)
+        arr = inp.sample([self.T_SWITCH - self.STEP / 2, self.T_SWITCH])
+        assert arr.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_plain_signal_is_stacked(self):
+        inp = iss.InputSignal(lambda t: [t, -t], 1.0)
+        assert inp.sample([0.0, 0.5]).tolist() == [[0.0, -0.0], [0.5, -0.5]]
