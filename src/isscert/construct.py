@@ -8,7 +8,9 @@ increases across jumps, provided the signal honors its dwell spec.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +26,47 @@ from .certify import (
 )
 from .errors import ImageNotFullError
 from .simulate import InputSignal, Trajectory
-from .switching import DwellSpec, ModePartition, SwitchingSignal, _count, active_time
+from .switching import DwellBudget, DwellSpec, ModePartition, SwitchingSignal
+
+
+class CorrectionLedger:
+    """The correction h of one signal and dwell spec, answered per query in
+    O(log K) after an O(K) build.
+
+    With the cumulative dwell budgets G_S and G_U of the stable and unstable
+    classes, the balance of the window from anchor t_j to t is L(t) - K(t_j),
+
+        L(t)   = -(1 - delta) G_S(t)    + (1 + delta) G_U(t),
+        K(t_j) = -(1 - delta) G_S(t_j-) + (1 + delta) G_U(t_j),
+
+    (the stable count includes an activation at the anchor, the unstable
+    one does not), so h(t) = min(0, L(t) - max over anchors t_j <= t of
+    K(t_j)), read off a prefix maximum of K.
+    """
+
+    def __init__(self, sig: SwitchingSignal, partition: ModePartition, dwell: DwellSpec):
+        self.sig = sig
+        self.w_stable = 1 - dwell.delta
+        self.w_unstable = 1 + dwell.delta
+        self.stable = DwellBudget(sig, partition.stable, dwell.tau)
+        self.unstable = DwellBudget(sig, partition.unstable, dwell.tau)
+        anchors = (-self.w_stable * s + self.w_unstable * u
+                   for s, u in zip(self.stable.left, self.unstable.right))
+        self.k_max = list(accumulate(anchors, max))
+
+    def h(self, t: float, side: str = "right") -> float:
+        """h(t), or the left limit h(t-) for ``side="left"``, which excludes an
+        activation at t itself (and its anchor)."""
+        self.sig._check_range(t)
+        times = self.stable.times
+        i = bisect_right(times, t) - 1
+        if side == "left" and times[i] == t:
+            if i == 0:
+                return 0.0  # the only window, [t0, t0), is empty
+            i -= 1
+        value = (-self.w_stable * self.stable.at(t, side)
+                 + self.w_unstable * self.unstable.at(t, side))
+        return min(0.0, value - self.k_max[i])
 
 
 def correction(
@@ -44,24 +86,11 @@ def correction(
 
     Stable activation counts include an event at the window start (the
     left-limit endpoint); unstable ones do not.  ``side="left"`` evaluates
-    the left limit h(t-), which excludes an activation at t itself.
+    the left limit h(t-), which excludes an activation at t itself.  Builds
+    a :class:`CorrectionLedger` per call; repeated queries on one signal
+    should keep the ledger (``DecreasingCertificate.h`` does).
     """
-    sig._check_range(t)
-    count_at_end = side != "left"
-    anchors = [sig.t0] + [ti for ti in sig.instants if ti < t or (count_at_end and ti == t)]
-    best = 0.0
-    for tj in anchors:
-        stable_sum = 0.0
-        for p in partition.stable & sig.mode_set:
-            n = _count(sig, p, tj, t, left_limit=True, include_end=count_at_end)
-            stable_sum += active_time(sig, p, tj, t) - dwell.tau[p] * n
-        unstable_sum = 0.0
-        for p in partition.unstable & sig.mode_set:
-            n = _count(sig, p, tj, t, left_limit=False, include_end=count_at_end)
-            unstable_sum += active_time(sig, p, tj, t) - dwell.tau[p] * n
-        value = stable_sum * (1 - dwell.delta) - unstable_sum * (1 + dwell.delta)
-        best = min(best, value)
-    return best
+    return CorrectionLedger(sig, partition, dwell).h(t, side)
 
 
 @dataclass(frozen=True)
@@ -71,13 +100,16 @@ class DecreasingCertificate:
     cert: Certificate
     sig: SwitchingSignal
     transforms: dict = field(default_factory=dict)
+    ledger: CorrectionLedger = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.transforms:
             object.__setattr__(self, "transforms", self.cert.transforms())
+        object.__setattr__(self, "ledger",
+                           CorrectionLedger(self.sig, self.cert.partition, self.cert.dwell))
 
     def h(self, t: float, side: str = "right") -> float:
-        return correction(self.sig, self.cert.partition, self.cert.dwell, t, side=side)
+        return self.ledger.h(t, side)
 
     def compose(self, v: float, mode_now: str, mode_prev: str, h_value: float) -> float:
         """Phi_inverse of the previous mode applied to Phi(v) + h."""

@@ -8,8 +8,10 @@ the post-jump state.
 
 For a LinearSystemModel one RK4 step on x' = A x + B u is a fixed affine
 map, x+ = P x + G0 u(t) + Gm u(t + h/2) + G1 u(t + h); each segment builds
-that map once and runs it as a matrix recurrence over inputs evaluated as
-arrays.  A general SystemModel is stepped through its flow callables.
+that map once per mode and step size (segments of a mode that repeat a
+step reuse it within one ``simulate`` call) and runs it as a matrix
+recurrence over inputs evaluated as arrays.  A general SystemModel is
+stepped through its flow callables.
 """
 
 from __future__ import annotations
@@ -229,20 +231,29 @@ def _rk4_segment(f, t_start, t_end, x0, input_sig, step):
     return times, states, True
 
 
-def _linear_segment(A, B, t_start, t_end, x0, input_sig, step):
+def _step_map(A, B, h):
+    """[P, G0, Gm, G1] of one RK4 step of size h on x' = A x + B u: the RK4
+    step applied to identity columns of [x | u(t) | u(t+h/2) | u(t+h)]."""
+    n, m = B.shape
+    cols = np.eye(n + 3 * m)
+    step_map = _rk4_step(lambda t, x, u: A @ x + B @ u, 0.0, cols[:n], h,
+                         cols[n:n + m], cols[n + m:n + 2 * m], cols[n + 2 * m:])
+    return np.split(step_map, [n, n + m, n + 2 * m], axis=1)
+
+
+def _linear_segment(A, B, t_start, t_end, x0, input_sig, step, step_maps):
     """`_rk4_segment` for x' = A x + B u as the recurrence x+ = P x + c_k.
 
-    The RK4 step applied to identity columns of [x | u(t) | u(t+h/2) | u(t+h)]
-    gives [P | G0 | Gm | G1] at the segment's uniform step h.
+    ``step_maps`` caches the step maps of (A, B) by the exact step h, so
+    segments of a mode that repeat a step size reuse one.
     """
-    n, m = B.shape
+    n = A.shape[0]
     n_steps = _n_steps(t_start, t_end, step)
     times = np.linspace(t_start, t_end, n_steps + 1)
     h = (t_end - t_start) / n_steps
-    cols = np.eye(n + 3 * m)
-    step_map = _rk4_step(lambda t, x, u: A @ x + B @ u, t_start, cols[:n], h,
-                         cols[n:n + m], cols[n + m:n + 2 * m], cols[n + 2 * m:])
-    P, G0, Gm, G1 = np.split(step_map, [n, n + m, n + 2 * m], axis=1)
+    if h not in step_maps:
+        step_maps[h] = _step_map(A, B, h)
+    P, G0, Gm, G1 = step_maps[h]
     u_nodes = input_sig.sample(times)
     u_mid = input_sig.sample(times[:-1] + np.diff(times) / 2)
     forcing = u_nodes[:-1] @ G0.T + u_mid @ Gm.T + u_nodes[1:] @ G1.T
@@ -262,10 +273,10 @@ def _linear_segment(A, B, t_start, t_end, x0, input_sig, step):
     return times, states, True
 
 
-def _flow(model, mode, t_start, t_end, x0, input_sig, step):
+def _flow(model, mode, t_start, t_end, x0, input_sig, step, step_maps):
     if isinstance(model, LinearSystemModel):
         return _linear_segment(model.A[mode], model.B[mode], t_start, t_end, x0,
-                               input_sig, step)
+                               input_sig, step, step_maps.setdefault(mode, {}))
     return _rk4_segment(model.flows[mode], t_start, t_end, x0, input_sig, step)
 
 
@@ -307,10 +318,11 @@ def simulate(
 
     segments: list[Segment] = []
     jumps: list[JumpRecord] = []
+    step_maps: dict = {}  # mode -> {h: step map}, for linear models
     x = x0
     for k, (a, b, mode) in enumerate(sig.segments()):
         if b > a:
-            times, states, ok = _flow(model, mode, a, b, x, input, step)
+            times, states, ok = _flow(model, mode, a, b, x, input, step, step_maps)
             segments.append(Segment(mode, times, states))
             if not ok:
                 partial = Trajectory(tuple(segments), tuple(jumps), input, step,

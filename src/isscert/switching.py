@@ -5,16 +5,21 @@ to mode identifiers, recorded over a finite horizon.  The counters here
 follow the half-open conventions
 
   * activation count over ``(s1, s2]``,
-  * active time over ``[s1, s2)``,
+  * active time over ``[s1, s2)``.
 
-and the dwell/leave-time slack suprema additionally evaluate the
-objective at left limits of every switching instant, where the
-piecewise-linear objective peaks.  Window starts never drop below t0,
-so the activation at t0 itself is not counted by the suprema.
+Window balances over a mode class are differences of one cumulative dwell
+budget, ``DwellBudget``: G(t) = sum over the class of tau_p N_p[t0, t] -
+T_p[t0, t), built once per signal and class in O(K) and kept at the left
+and right limit of every event.  The dwell/leave-time slack suprema are a
+single running-minimum sweep over it (O(K) instead of enumerating O(K^2)
+windows at O(K) each); window ends may sit at either limit of an event,
+where the piecewise-linear objective peaks, but window starts never drop
+below t0, so the activation at t0 itself is not counted by the suprema.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -137,7 +142,7 @@ class ModeChangeSet:
 def activation_count(sig: SwitchingSignal, p: str, s1: float, s2: float) -> int:
     """Number of activations of mode p in (s1, s2]."""
     _check_pair(sig, s1, s2)
-    return _count(sig, p, s1, s2, left_limit=False)
+    return sum(1 for t, mode in sig.events() if mode == p and s1 < t <= s2)
 
 
 def active_time(sig: SwitchingSignal, p: str, s1: float, s2: float) -> float:
@@ -162,7 +167,7 @@ def mdadt_slack(sig: SwitchingSignal, partition: ModePartition, tau: Mapping[str
 
     Exact supremum of sum_{p in stable} N_p(s1,s2) tau_p - T_p(s1,s2) over
     the event-point grid (activation counts evaluated at event left limits
-    as well, which is where the piecewise-linear objective peaks).
+    as well, which is where the piecewise-linear objective peaks); O(K).
     """
     if not partition.stable:
         return 0.0
@@ -184,44 +189,56 @@ def _check_pair(sig: SwitchingSignal, s1: float, s2: float):
         )
 
 
-def _count(
-    sig: SwitchingSignal,
-    p: str,
-    s1: float,
-    s2: float,
-    left_limit: bool,
-    include_end: bool = True,
-) -> int:
-    """Activations of p in (s1, s2]; left_limit counts an event at s1 itself,
-    include_end=False drops an event sitting exactly at s2."""
-    n = 0
-    for t, mode in sig.events():
-        if mode != p:
-            continue
-        if (t > s1 or (left_limit and t == s1)) and (t < s2 or (include_end and t == s2)):
-            n += 1
-    return n
+class DwellBudget:
+    """Cumulative dwell budget of one mode class along a signal.
+
+    G(t) = sum over p in the class of tau_p N_p[t0, t] - T_p[t0, t): each
+    activation books its dwell time, and time spent in the class draws it
+    down.  ``left[i]`` and ``right[i]`` hold G(t_i-) and G(t_i) at the i-th
+    event (t0 first); between events G falls at rate 1 while the class is
+    active and stays level otherwise.  Any window's balance is the
+    difference of G at its two ends, with an activation at either end
+    counted by taking that end's right limit.
+    """
+
+    def __init__(self, sig: SwitchingSignal, modes, tau: Mapping[str, float]):
+        self.times = (sig.t0, *sig.instants)
+        self.left: list[float] = []
+        self.right: list[float] = []
+        self.active: list[bool] = []
+        g, prev_t, prev_active = 0.0, sig.t0, False
+        for t, mode in sig.events():
+            if prev_active:
+                g -= t - prev_t
+            self.left.append(g)
+            prev_t, prev_active = t, mode in modes
+            if prev_active:
+                g += tau[mode]
+            self.right.append(g)
+            self.active.append(prev_active)
+        self.end = self.at(sig.horizon)
+
+    def at(self, t: float, side: str = "right") -> float:
+        """G(t) for t in [t0, horizon]; ``side="left"`` gives G(t-)."""
+        i = bisect_right(self.times, t) - 1
+        if side == "left" and self.times[i] == t:
+            return self.left[i]
+        return self.right[i] - (t - self.times[i]) if self.active[i] else self.right[i]
 
 
 def _slack_sup(sig, mode_set, tau, sign: int) -> float:
-    # Both window endpoints may approach a switching instant from the left
-    # (the objective is only semi-continuous there: the count jumps when an
-    # event enters at s1 or at s2), but s1 never drops below t0.
-    events = sig.events()
-    s1_cands = [(t, left) for t, _ in events for left in (True, False) if t > sig.t0 or not left]
-    s2_cands = [
-        (t, inc)
-        for t in sorted({t for t, _ in events} | {sig.horizon})
-        for inc in (True, False)
-    ]
-    best = 0.0  # attained at s1 == s2
-    for s1, left in s1_cands:
-        for s2, inc in s2_cands:
-            if s2 < s1 or (s2 == s1 and not (left and inc)):
-                continue
-            value = 0.0
-            for p in mode_set:
-                n = _count(sig, p, s1, s2, left_limit=left, include_end=inc)
-                value += sign * (n * tau[p] - active_time(sig, p, s1, s2))
-            best = max(best, value)
-    return best
+    # Max rise of sign*G over window start <= end (Bentley's running-minimum
+    # sweep).  G is linear between events, so both ends range over the left
+    # and right limits of the events, plus the horizon as an end.  A start
+    # never takes t0's left limit, and an end at the start's own instant
+    # counts only as the window from t_i- to t_i (the activation at t_i).
+    budget = DwellBudget(sig, mode_set, tau)
+    best, low = 0.0, math.inf  # best 0 is attained at s1 == s2
+    for i, (g_left, g_right) in enumerate(zip(budget.left, budget.right)):
+        g_left, g_right = sign * g_left, sign * g_right
+        best = max(best, g_left - low, g_right - low)
+        if i:
+            best = max(best, g_right - g_left)
+            low = min(low, g_left)
+        low = min(low, g_right)
+    return max(best, sign * budget.end - low)

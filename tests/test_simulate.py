@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 import isscert as iss
 from isscert.errors import NonFiniteError, StepTooLargeError
+from isscert.simulate import _linear_segment
 
 
 def single_mode(horizon=1.0):
@@ -261,6 +262,33 @@ class TestLinearPropagator:
         assert lin.horizon == ref.horizon
         assert 0.9 < lin.horizon < 0.95
         assert np.linalg.norm(lin.final_state()) > 1e12
+
+    @pytest.mark.parametrize("input_name", ["zero", "sinusoid"])
+    def test_cached_step_map_is_bit_identical(self, input_name):
+        # Eight cycles of s for 1.0 and u for 0.25 revisit each mode at the
+        # same step h = 0.01, and the last u segment (0.333 in 34 steps)
+        # needs another; every segment rebuilt without the cache must give
+        # the very same states as the cached simulate run.
+        instants, modes, t = [], ["s"], 0.0
+        for k in range(15):
+            t += 1.0 if k % 2 == 0 else 0.25
+            instants.append(t)
+            modes.append("u" if k % 2 == 0 else "s")
+        sig = iss.SwitchingSignal(0.0, tuple(instants), tuple(modes), t + 0.333)
+        model, inp = acc9_model(), INPUTS[input_name]
+        traj = iss.simulate(model, sig, [2.0], inp, 1e-2)
+        cache = {}
+        for seg in traj.segments:
+            a, b = float(seg.times[0]), float(seg.times[-1])
+            x0 = seg.states[0]
+            uncached = _linear_segment(model.A[seg.mode], model.B[seg.mode], a, b,
+                                       x0, inp, 1e-2, {})
+            cached = _linear_segment(model.A[seg.mode], model.B[seg.mode], a, b,
+                                     x0, inp, 1e-2, cache.setdefault(seg.mode, {}))
+            assert np.array_equal(uncached[1], seg.states)
+            assert np.array_equal(cached[1], seg.states)
+        # One step map per mode and step size: the cache was reused.
+        assert {p: len(maps) for p, maps in cache.items()} == {"s": 1, "u": 2}
 
     def test_dimensions(self):
         model = planar_model()
