@@ -10,6 +10,7 @@ from .certify import (
     check_flow_implication,
     check_jump_implication,
     check_sandwich,
+    check_trajectory,
     classify_modes,
     closed_form_dwell,
     dissipation_to_implication,

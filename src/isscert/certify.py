@@ -1,13 +1,13 @@
 """Candidate Lyapunov certificate checks along trajectories.
 
-Implements the implication-form conditions (threshold-gated flow and jump
-bounds), the dissipation-form conditions (additive input term, no gating),
-the transform-based dwell-time conditions at every switching instant, the
-signal's dwell/leave slack against the declared constants, mode
-classification by rate sign, the decreasing-certificate test, and the
-linear-rate conversion from dissipation to implication form.  The jump and
-dwell tolerances and the default Dini coefficient that ``construct`` and the
-CLI share are defined here.
+``check_trajectory`` evaluates V once per sample and applies one flow rule (a
+forward-difference slope against a bound, gated at a threshold) and one jump
+rule (a bound above the threshold, a cap below it, relative tolerance JUMP_TOL
+(1 + |rhs|)) in the implication or the dissipation form; ``construct`` applies
+the same two rules to W.  Also: the dwell conditions at every switching
+instant, the signal's dwell/leave slack, mode classification by rate sign, the
+decreasing-certificate test and the dissipation-to-implication conversion.
+Tolerances and the default Dini coefficient are defined here.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ SANDWICH_TOL = 1e-9
 JUMP_TOL = 1e-9
 DWELL_TOL = 1e-9
 DEFAULT_DINI_COEFF = 10.0
+FORMS = ("implication", "dissipation")
 
 
 @dataclass(frozen=True)
@@ -91,30 +92,85 @@ def _constant_sign(rate: RateFunction) -> int:
     return signs.pop()
 
 
-def check_sandwich(cert: Certificate, traj: Trajectory) -> list[ViolationReport]:
-    """Verify alpha1(||x||) <= V(t,x) <= alpha2(||x||) at every sample."""
+def _segment_values(cert: Certificate, traj: Trajectory, ends_only: bool = False):
+    """Per segment, V of its mode at each sample (first and last if ends_only)."""
+    idx = [0, -1] if ends_only else slice(None)
+    return [[float(cert.V[seg.mode](t, x))
+             for t, x in zip(seg.times[idx].tolist(), seg.states[idx])] for seg in traj.segments]
+
+
+def _flow_reports(mode, ts, vs, allowed, threshold, dini_coeff) -> list[ViolationReport]:
+    """The flow rule on one segment: where v >= threshold, the forward difference
+    (v[i+1] - v[i]) / h may exceed allowed(mode, v[i]) by at most dini_coeff h."""
     out = []
-    for t, mode, x, _ in traj.rows():
-        nx = float(np.linalg.norm(x))
-        v = float(cert.V[mode](t, x))
-        lo, hi = cert.alpha1(nx), cert.alpha2(nx)
-        if lo > v + SANDWICH_TOL:
-            out.append(_report("sandwich", t, mode, lo, v))
-        if v > hi + SANDWICH_TOL:
-            out.append(_report("sandwich", t, mode, v, hi))
+    for i in range(len(ts) - 1):
+        h = ts[i + 1] - ts[i]
+        if h <= 0 or vs[i] < threshold:
+            continue
+        slope = (vs[i + 1] - vs[i]) / h
+        rhs = allowed(mode, vs[i]) + dini_coeff * h
+        if slope > rhs:
+            out.append(_report("flow", ts[i], mode, slope, rhs))
     return out
 
 
-def _flow_samples(cert, traj):
-    """Forward-difference slope samples (t, mode, v, dv/h, h) per segment."""
-    for seg in traj.segments:
-        ts, xs = seg.times, seg.states
-        vs = np.array([cert.V[seg.mode](float(t), x) for t, x in zip(ts, xs)])
-        for i in range(len(ts) - 1):
-            h = float(ts[i + 1] - ts[i])
-            if h <= 0:
-                continue
-            yield float(ts[i]), seg.mode, float(vs[i]), float((vs[i + 1] - vs[i]) / h), h
+def _jump_report(time, mode, pre, post, threshold, bound, cap) -> list[ViolationReport]:
+    """The jump rule at a jump out of ``mode``: post <= bound(mode, pre) where
+    pre >= threshold, post <= cap below it, up to JUMP_TOL (1 + |rhs|)."""
+    kind, rhs = ("jump", bound(mode, pre)) if pre >= threshold else ("small-input-jump", cap)
+    return [_report(kind, time, mode, post, rhs)] if post > rhs + JUMP_TOL * (1 + abs(rhs)) else []
+
+
+def _reports(cert, traj, kinds, input=None, form="implication", dini_coeff=None):
+    """Reports of ``kinds`` (in the order sandwich, flow, jump) from one V per
+    sample.  The implication form gates at chi(||u||inf) and caps jumps below
+    it by alpha3; the dissipation form adds chi to both bounds, gating nothing."""
+    if input is not None:
+        if form not in FORMS:
+            raise ValueError(f"unknown certificate form {form!r}; choose one of {FORMS}")
+        chi = cert.chi(input.sup_norm)
+        # x + -0.0 == x for every float, signed zeros included: the implication
+        # bounds are phi and psi exactly.
+        threshold, cap, slack = ((chi, cert.alpha3(input.sup_norm), -0.0)
+                                 if form == "implication" else (-math.inf, math.inf, chi))
+        allowed = lambda p, v: cert.phi[p](v) + slack  # noqa: E731
+        bound = lambda p, v: cert.psi[p](v) + slack  # noqa: E731
+    values = _segment_values(cert, traj, ends_only=kinds == ("jump",))
+    sandwich, flows, jumps = [], [], []
+    for k, (seg, vs) in enumerate(zip(traj.segments, values)):
+        ts = seg.times.tolist()
+        if "sandwich" in kinds:
+            for t, x, v in zip(ts, seg.states, vs):
+                nx = float(np.linalg.norm(x))
+                lo, hi = cert.alpha1(nx), cert.alpha2(nx)
+                if lo > v + SANDWICH_TOL:
+                    sandwich.append(_report("sandwich", t, seg.mode, lo, v))
+                if v > hi + SANDWICH_TOL:
+                    sandwich.append(_report("sandwich", t, seg.mode, v, hi))
+        if "flow" in kinds:
+            flows += _flow_reports(seg.mode, ts, vs, allowed, threshold, dini_coeff)
+        if "jump" in kinds and k:
+            # Segment k starts at the post-jump state of the jump ending k - 1.
+            jumps += _jump_report(ts[0], traj.segments[k - 1].mode,
+                                  values[k - 1][-1], vs[0], threshold, bound, cap)
+    return sandwich + flows + jumps
+
+
+def check_trajectory(
+    cert: Certificate,
+    traj: Trajectory,
+    input: InputSignal,
+    form: str = "implication",
+    dini_coeff: float = DEFAULT_DINI_COEFF,
+) -> list[ViolationReport]:
+    """Sandwich, flow and jump reports of one certificate form (see
+    :data:`FORMS`), in that order, evaluating V once per sample."""
+    return _reports(cert, traj, ("sandwich", "flow", "jump"), input, form, dini_coeff)
+
+
+def check_sandwich(cert: Certificate, traj: Trajectory) -> list[ViolationReport]:
+    """Verify alpha1(||x||) <= V(t,x) <= alpha2(||x||) at every sample."""
+    return _reports(cert, traj, ("sandwich",))
 
 
 def check_flow_implication(
@@ -126,35 +182,14 @@ def check_flow_implication(
     """Threshold-gated flow decrease: above chi(||u||inf) the forward
     finite-difference slope of V must not exceed phi(V) plus a tolerance
     linear in the step."""
-    threshold = cert.chi(input.sup_norm)
-    out = []
-    for t, mode, v, slope, h in _flow_samples(cert, traj):
-        if v < threshold:
-            continue
-        rhs = cert.phi[mode](v) + dini_coeff * h
-        if slope > rhs:
-            out.append(_report("flow", t, mode, slope, rhs))
-    return out
+    return _reports(cert, traj, ("flow",), input, "implication", dini_coeff)
 
 
 def check_jump_implication(
     cert: Certificate, traj: Trajectory, input: InputSignal
 ) -> list[ViolationReport]:
     """At each jump: bounded by psi(V-) above the threshold, by alpha3 below."""
-    threshold = cert.chi(input.sup_norm)
-    out = []
-    for jr in traj.jump_records:
-        v_pre = float(cert.V[jr.mode_before](jr.time, jr.pre_state))
-        v_post = float(cert.V[jr.mode_after](jr.time, jr.post_state))
-        if v_pre >= threshold:
-            rhs = cert.psi[jr.mode_before](v_pre)
-            if v_post > rhs + JUMP_TOL:
-                out.append(_report("jump", jr.time, jr.mode_before, v_post, rhs))
-        else:
-            rhs = cert.alpha3(input.sup_norm)
-            if v_post > rhs + JUMP_TOL:
-                out.append(_report("small-input-jump", jr.time, jr.mode_before, v_post, rhs))
-    return out
+    return _reports(cert, traj, ("jump",), input, "implication")
 
 
 def check_dissipation(
@@ -164,19 +199,7 @@ def check_dissipation(
     dini_coeff: float = DEFAULT_DINI_COEFF,
 ) -> list[ViolationReport]:
     """Dissipation form: additive chi(||u||inf) slack, no threshold gating."""
-    slack = cert.chi(input.sup_norm)
-    out = []
-    for t, mode, v, slope, h in _flow_samples(cert, traj):
-        rhs = cert.phi[mode](v) + slack + dini_coeff * h
-        if slope > rhs:
-            out.append(_report("flow", t, mode, slope, rhs))
-    for jr in traj.jump_records:
-        v_pre = float(cert.V[jr.mode_before](jr.time, jr.pre_state))
-        v_post = float(cert.V[jr.mode_after](jr.time, jr.post_state))
-        rhs = cert.psi[jr.mode_before](v_pre) + slack
-        if v_post > rhs + JUMP_TOL:
-            out.append(_report("jump", jr.time, jr.mode_before, v_post, rhs))
-    return out
+    return _reports(cert, traj, ("flow", "jump"), input, "dissipation", dini_coeff)
 
 
 def closed_form_dwell(eta_before: float, eta_after: float, mu: float,

@@ -9,6 +9,7 @@ precondition failure, 5 heuristic search infeasible.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -18,11 +19,9 @@ from . import jsonio
 from .bounds import build_bound, iss_check
 from .certify import (
     DEFAULT_DINI_COEFF,
-    check_dissipation,
+    FORMS,
     check_dwell_conditions,
-    check_flow_implication,
-    check_jump_implication,
-    check_sandwich,
+    check_trajectory,
     dwell_slack_verdict,
 )
 from .construct import build_decreasing, decrease_check
@@ -51,6 +50,31 @@ EXIT_STRUCTURAL = 4
 EXIT_INFEASIBLE = 5
 
 
+def _convert(value, cast, field: str):
+    """cast(value); a value it cannot convert is a ConfigError on ``field``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"malformed value {value!r} ({e})", field=field) from e
+
+
+def _number(value, field: str, cast=float, low=0.0, strict=False):
+    """A finite number >= low (> low when ``strict``) from a config value."""
+    x = _convert(value, cast, field)
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        raise ConfigError(f"must be a finite number {'>' if strict else '>='} {low}, "
+                          f"got {value!r}", field=field)
+    return x
+
+
+def _numbers(value, field: str, strict=False) -> list[float]:
+    """A nonempty list of finite numbers >= 0 (> 0 when ``strict``)."""
+    values = _convert(value, list, field)
+    if not values:
+        raise ConfigError("must be a nonempty list", field=field)
+    return [_number(v, field, strict=strict) for v in values]
+
+
 def _run_setup(cfg):
     model = jsonio.parse_model(jsonio._require(cfg, "system", "config"))
     sig = jsonio.parse_signal(jsonio._require(cfg, "signal", "config"))
@@ -60,21 +84,30 @@ def _run_setup(cfg):
         raise ConfigError(f"signal uses modes absent from the system: {sorted(missing)}",
                           field="signal.modes")
     inp = jsonio.parse_input(cfg.get("input"), m)
-    x0 = np.array(jsonio._require(cfg, "x0", "config"), dtype=float)
-    if x0.shape != (n,):
-        raise ConfigError(f"x0 must have length {n}", field="x0")
-    step = float(cfg.get("step", 1e-3))
-    if step <= 0:
-        raise ConfigError("step must be > 0", field="step")
+    x0 = _convert(jsonio._require(cfg, "x0", "config"), lambda v: np.array(v, dtype=float), "x0")
+    if x0.shape != (n,) or not np.all(np.isfinite(x0)):
+        raise ConfigError(f"x0 must be {n} finite numbers", field="x0")
+    step = _number(cfg.get("step", 1e-3), "step", strict=True)
     return model, sig, inp, x0, step
 
 
+def _certificate(cfg):
+    """The certificate and its form ("implication" unless given)."""
+    obj = _convert(jsonio._require(cfg, "certificate", "config"), dict, "certificate")
+    form = obj.get("form", "implication")
+    if form not in FORMS:
+        raise ConfigError(f"unknown form {form!r}; choose one of {list(FORMS)}",
+                          field="certificate.form")
+    return jsonio.parse_certificate(obj), form
+
+
 def _dini(cfg) -> float:
-    return float(cfg.get("tolerances", {}).get("dini_coeff", DEFAULT_DINI_COEFF))
+    tolerances = _convert(cfg.get("tolerances", {}), dict, "tolerances")
+    return _number(tolerances.get("dini_coeff", DEFAULT_DINI_COEFF), "tolerances.dini_coeff")
 
 
 def _a_grid(cfg):
-    return [float(a) for a in cfg.get("dwell_a_grid", [1.0, 10.0, 100.0])]
+    return _numbers(cfg.get("dwell_a_grid", [1.0, 10.0, 100.0]), "dwell_a_grid", strict=True)
 
 
 def cmd_simulate(cfg, out: Path, seed: int) -> int:
@@ -92,20 +125,15 @@ def cmd_simulate(cfg, out: Path, seed: int) -> int:
 
 def cmd_certify(cfg, out: Path, seed: int) -> int:
     model, sig, inp, x0, step = _run_setup(cfg)
-    cert = jsonio.parse_certificate(jsonio._require(cfg, "certificate", "config"))
-    form = cfg.get("certificate", {}).get("form", "implication")
+    cert, form = _certificate(cfg)
+    dini_coeff, a_grid = _dini(cfg), _a_grid(cfg)
     try:
         traj = simulate(model, sig, x0, inp, step)
     except NonFiniteError as e:
         print(f"non-finite state: {e}", file=sys.stderr)
         return EXIT_NONFINITE
-    reports = list(check_sandwich(cert, traj))
-    if form == "dissipation":
-        reports += check_dissipation(cert, traj, inp, dini_coeff=_dini(cfg))
-    else:
-        reports += check_flow_implication(cert, traj, inp, dini_coeff=_dini(cfg))
-        reports += check_jump_implication(cert, traj, inp)
-    reports += check_dwell_conditions(cert, sig, _a_grid(cfg))
+    reports = check_trajectory(cert, traj, inp, form, dini_coeff=dini_coeff)
+    reports += check_dwell_conditions(cert, sig, a_grid)
     slack_s, slack_u, mdadt_ok, mdalt_ok = dwell_slack_verdict(cert, sig)
     violations = [r for r in reports if r.kind != "dwell-inconclusive"]
     jsonio.write_reports_csv(out / "reports.csv", reports)
@@ -121,9 +149,10 @@ def cmd_certify(cfg, out: Path, seed: int) -> int:
 
 def cmd_construct(cfg, out: Path, seed: int) -> int:
     model, sig, inp, x0, step = _run_setup(cfg)
-    cert = jsonio.parse_certificate(jsonio._require(cfg, "certificate", "config"))
+    cert, _ = _certificate(cfg)
+    dini_coeff, a_grid = _dini(cfg), _a_grid(cfg)
     try:
-        dec = build_decreasing(cert, sig, a_grid=_a_grid(cfg))
+        dec = build_decreasing(cert, sig, a_grid=a_grid)
     except ImageNotFullError as e:
         print(f"structural precondition failed: {e}", file=sys.stderr)
         return EXIT_STRUCTURAL
@@ -135,7 +164,7 @@ def cmd_construct(cfg, out: Path, seed: int) -> int:
     except NonFiniteError as e:
         print(f"non-finite state: {e}", file=sys.stderr)
         return EXIT_NONFINITE
-    reports, rows = decrease_check(dec, traj, inp, dini_coeff=_dini(cfg))
+    reports, rows = decrease_check(dec, traj, inp, dini_coeff=dini_coeff)
     lines = ["t,V,W,h"]
     for t, v, w, h in rows:
         lines.append(",".join(jsonio.fmt(z) for z in (t, v, w, h)))
@@ -146,31 +175,32 @@ def cmd_construct(cfg, out: Path, seed: int) -> int:
 
 def cmd_bound(cfg, out: Path, seed: int) -> int:
     model, sig, inp, x0, step = _run_setup(cfg)
-    cert = jsonio.parse_certificate(jsonio._require(cfg, "certificate", "config"))
+    cert, _ = _certificate(cfg)
     bcfg = jsonio._require(cfg, "bound", "config")
     env = jsonio._require(bcfg, "envelopes", "bound")
     lower = jsonio.parse_rate(jsonio._require(env, "lower", "bound.envelopes"),
                               "bound.envelopes.lower")
     upper = jsonio.parse_rate(jsonio._require(env, "upper", "bound.envelopes"),
                               "bound.envelopes.upper")
-    runs = int(bcfg.get("runs", 100))
-    x0_range = float(bcfg.get("x0_range", 1.0))
-    u_bound = float(bcfg.get("u_bound", 0.0))
+    runs = _number(bcfg.get("runs", 100), "bound.runs", cast=int)
+    x0_range = _number(bcfg.get("x0_range", 1.0), "bound.x0_range")
+    u_bound = _number(bcfg.get("u_bound", 0.0), "bound.u_bound")
+    patch_samples = _number(bcfg.get("patch_samples", 20), "bound.patch_samples", cast=int, low=1)
+    r_list = _numbers(bcfg.get("r_list", [1.0]), "bound.r_list")
+    s_grid = _numbers(bcfg.get("s_grid", np.linspace(0.0, sig.horizon - sig.t0, 51)),
+                      "bound.s_grid")
 
     delta = cert.dwell.delta
     c_slack = (1 - delta) * cert.dwell.T_S + (1 + delta) * cert.dwell.T_U
     patch = None
     if c_slack > 0:
         k_hat = reachability_bound(model, sig, x0_range, u_bound,
-                                   c_slack / delta, int(bcfg.get("patch_samples", 20)),
+                                   c_slack / delta, patch_samples,
                                    step=step, seed=seed)
         level = cert.alpha2(k_hat)
         patch = lambda r: level  # noqa: E731
     try:
         bound = build_bound(cert, cert.dwell, lower, upper, short_horizon_envelope=patch)
-        r_list = [float(r) for r in bcfg.get("r_list", [1.0])]
-        s_grid = [float(s) for s in bcfg.get(
-            "s_grid", np.linspace(0.0, sig.horizon - sig.t0, 51))]
         lines = ["r,s,beta(r,s)"]
         for r in r_list:
             for s in s_grid:
@@ -225,8 +255,8 @@ def cmd_lmi(cfg, out: Path, seed: int) -> int:
     mode = lcfg.get("mode", "verify")
 
     if mode == "synth":
-        result = synthesize(model, partition, q_set, dwell,
-                            budget=int(lcfg.get("budget", 40)))
+        budget = _number(lcfg.get("budget", 40), "lmi.budget", cast=int, low=1)
+        result = synthesize(model, partition, q_set, dwell, budget=budget)
         if isinstance(result, Infeasible):
             jsonio.write_json(out / "verdict.json", {
                 "infeasible": True,
@@ -306,7 +336,9 @@ def main(argv=None) -> int:
         cfg = jsonio.load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed
+        if seed is None:
+            seed = _number(cfg.get("seed", 0), "seed", cast=int)
         return _COMMANDS[args.command](cfg, out, seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -3,7 +3,8 @@
 The correction function h accumulates the dwell-budget credit/debit of the
 switching history; composing it with the per-mode transforms produces a
 function W that decreases along flows at rate min{delta, 1}|phi| and never
-increases across jumps, provided the signal honors its dwell spec.
+increases across jumps, provided the signal honors its dwell spec; W is
+checked with the flow and jump rules of ``certify``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import numpy as np
 
 from .certify import (
     DEFAULT_DINI_COEFF,
-    JUMP_TOL,
     Certificate,
     ViolationReport,
-    _report,
+    _flow_reports,
+    _jump_report,
+    _segment_values,
     check_dwell_conditions,
     dwell_slack_verdict,
 )
@@ -190,38 +192,23 @@ def decrease_check(
     u_norm = input.sup_norm
     threshold = cert.chi(u_norm)
     cap = max(cert.alpha3(u_norm), threshold)
+    decay = lambda p, w: -delta_eff * cert.phi[p].magnitude(w)  # noqa: E731
     flows, jumps, rows = [], [], []
-    for k, seg in enumerate(traj.segments):
-        ts = [float(t) for t in seg.times]
-        pre_jump = len(ts) - 1 if k < len(traj.jump_records) else None
+    for k, (seg, vs) in enumerate(zip(traj.segments, _segment_values(cert, traj))):
+        ts = seg.times.tolist()
+        pre_jump = len(ts) - 1 if k < len(traj.segments) - 1 else None
         hs = [dec.h(t, side="left" if i == pre_jump else "right") for i, t in enumerate(ts)]
-        vs = [float(cert.V[seg.mode](t, x)) for t, x in zip(ts, seg.states)]
         # Same-mode composition throughout: on the open flow interval the
         # previous mode equals the active one, and the right limit at the
         # segment start extends the flow inequality to the first difference.
         ws = [dec.compose(v, seg.mode, seg.mode, h) for v, h in zip(vs, hs)]
-        for i in range(len(ts) - 1):
-            step = ts[i + 1] - ts[i]
-            if step <= 0 or ws[i] < threshold:
-                continue
-            slope = (ws[i + 1] - ws[i]) / step
-            rhs = -delta_eff * cert.phi[seg.mode].magnitude(ws[i]) + dini_coeff * step
-            if slope > rhs:
-                flows.append(_report("flow", ts[i], seg.mode, slope, rhs))
-        start = 0
-        if k > 0:
-            # Segment k starts at jump k-1's post-jump state, and segment k-1
-            # ended at its pre-jump state (W there is w_pre).
-            jr = traj.jump_records[k - 1]
-            w_post = dec.compose(vs[0], seg.mode, jr.mode_before, hs[0])
-            if w_pre >= threshold:
-                if w_post > w_pre + JUMP_TOL * (1 + abs(w_pre)):
-                    jumps.append(_report("jump", jr.time, jr.mode_before, w_post, w_pre))
-            elif w_post > cap + JUMP_TOL * (1 + cap):
-                jumps.append(_report("small-input-jump", jr.time, jr.mode_before, w_post, cap))
-            rows.append((ts[0], vs[0], w_post, hs[0]))
-            start = 1
-        rows += zip(ts[start:], vs[start:], ws[start:], hs[start:])
+        flows += _flow_reports(seg.mode, ts, ws, decay, threshold, dini_coeff)
+        if k:
+            # The post-jump W composes with the previous mode; w_pre ended its segment.
+            mode_prev = traj.segments[k - 1].mode
+            w_post = dec.compose(vs[0], seg.mode, mode_prev, hs[0])
+            jumps += _jump_report(ts[0], mode_prev, w_pre, w_post, threshold, lambda p, w: w, cap)
+        rows += zip(ts, vs, [w_post, *ws[1:]] if k else ws, hs)
         w_pre = ws[-1]
     return flows + jumps, rows
 

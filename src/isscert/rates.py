@@ -25,6 +25,19 @@ QUAD_ABS_TOL = 1e-10
 DIVERGENCE_LIMIT = 1e12
 
 
+def _interp_table(points, s: float) -> float:
+    """A tabulated function at s >= 0: linear through the origin below the
+    first point (its value, if that point sits at 0), ``np.interp`` inside,
+    and the last segment's slope above the final point."""
+    s0, y0 = points[0]
+    if s <= s0:
+        return y0 * s / s0 if s0 > 0 else y0
+    (s1, y1), (s2, y2) = points[-2], points[-1]
+    if s >= s2:
+        return y2 + (y2 - y1) / (s2 - s1) * (s - s2)
+    return float(np.interp(s, [p[0] for p in points], [p[1] for p in points]))
+
+
 @dataclass(frozen=True)
 class RateFunction:
     """Parametric rate in P or -P: linear, power, or tabulated-monotone."""
@@ -63,7 +76,7 @@ class RateFunction:
             return self.eta * s
         if self.kind == "power":
             return self.c * s**self.k
-        return self._interp(s)
+        return _interp_table(self.points, s)
 
     def magnitude(self, s: float) -> float:
         return abs(self(s))
@@ -71,19 +84,6 @@ class RateFunction:
     def sign_at(self, s: float) -> int:
         v = self(s)
         return (v > 0) - (v < 0)
-
-    def _interp(self, s: float) -> float:
-        # Extended linearly through the origin below the first sample and
-        # with the last segment's slope above the final one.
-        pts = self.points
-        if s <= pts[0][0]:
-            return pts[0][1] * s / pts[0][0]
-        if s >= pts[-1][0]:
-            (s1, y1), (s2, y2) = pts[-2], pts[-1]
-            return y2 + (y2 - y1) / (s2 - s1) * (s - s2)
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        return float(np.interp(s, xs, ys))
 
 
 def linear_rate(eta: float) -> RateFunction:
@@ -257,14 +257,7 @@ class ComparisonFunction:
         if self.kind == "compose":
             outer, inner = self.parts
             return outer(inner(s))
-        xs = [p[0] for p in self.points]
-        ys = [p[1] for p in self.points]
-        if s <= xs[0]:
-            return ys[0] * s / xs[0] if xs[0] > 0 else ys[0]
-        if s >= xs[-1]:
-            slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-            return ys[-1] + slope * (s - xs[-1])
-        return float(np.interp(s, xs, ys))
+        return _interp_table(self.points, s)
 
     def inverse(self, y: float) -> float:
         if y < 0:

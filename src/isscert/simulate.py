@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Mapping
 
 import numpy as np
@@ -187,18 +188,12 @@ class Trajectory:
         return max(float(np.max(np.linalg.norm(seg.states, axis=1))) for seg in self.segments)
 
     def rows(self):
-        """Flat (t, mode, x, jump_flag) rows; jumps contribute two rows at t_i."""
+        """Flat (t, mode, x, jump_flag) rows over the segment samples; the first
+        sample of each later segment is the flagged post-jump row at t_i."""
         out = []
         for k, seg in enumerate(self.segments):
-            start = 0
-            if k > 0:
-                # The pre-jump row is the previous segment's final sample;
-                # only the post-jump state needs its own flagged row.
-                jr = self.jump_records[k - 1]
-                out.append((jr.time, jr.mode_after, jr.post_state, 1))
-                start = 1
-            for t, x in zip(seg.times[start:], seg.states[start:]):
-                out.append((float(t), seg.mode, x, 0))
+            flags = [int(k > 0)] + [0] * (len(seg.times) - 1)
+            out += zip(seg.times.tolist(), repeat(seg.mode), seg.states, flags)
         return out
 
 

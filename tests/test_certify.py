@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isscert as iss
+from isscert.construct import decrease_check
 from isscert.errors import DegenerateGapError, SignAmbiguousError
+from isscert.simulate import JumpRecord, Segment, Trajectory
 
 from conftest import make_family_certificate, make_family_model, make_family_signal
 
@@ -255,3 +258,130 @@ class TestLyapunovHelpers:
     def test_norm_power(self):
         v = iss.norm_power_v(2.0, 3.0)
         assert v(0.0, np.array([3.0, 4.0])) == pytest.approx(250.0)
+
+
+def every_kind_case():
+    """x' = -2x + u, V = x^2, u = 0.1: the first jump happens above chi(0.1) =
+    0.1 and the second below it, and the certificate is wrong everywhere:
+    alpha1 sits above V, phi is too fast, psi too small and alpha3 tiny."""
+    cert = iss.Certificate(
+        V={"a": iss.quadratic_v([[1.0]])},
+        alpha1=iss.power_cf(2.0, 2.0),
+        alpha2=iss.power_cf(1.0, 2.0),
+        alpha3=iss.power_cf(1e-6, 2.0),
+        chi=iss.power_cf(10.0, 2.0),
+        phi={"a": iss.linear_rate(-5.0)},
+        psi={"a": iss.linear_rate(0.5)},
+        partition=iss.ModePartition(frozenset({"a"}), frozenset()),
+        dwell=iss.DwellSpec({"a": 1.0}, 0.5),
+    )
+    traj, inp = scalar_traj(a=-2.0, x0=3.0, horizon=3.0, u=iss.constant_input([0.1]),
+                            step=1e-2, instants=(0.5, 2.5), j=0.9)
+    return cert, traj, inp
+
+
+class TestCheckTrajectory:
+    def test_implication_equals_the_separate_checks(self):
+        cert, traj, inp = every_kind_case()
+        reports = iss.check_trajectory(cert, traj, inp, dini_coeff=1.0)
+        assert {r.kind for r in reports} == {"sandwich", "flow", "jump", "small-input-jump"}
+        assert reports == (iss.check_sandwich(cert, traj)
+                           + iss.check_flow_implication(cert, traj, inp, dini_coeff=1.0)
+                           + iss.check_jump_implication(cert, traj, inp))
+
+    def test_dissipation_equals_the_separate_checks(self):
+        cert, traj, inp = every_kind_case()
+        reports = iss.check_trajectory(cert, traj, inp, form="dissipation", dini_coeff=1.0)
+        assert {r.kind for r in reports} == {"sandwich", "flow", "jump"}
+        assert reports == (iss.check_sandwich(cert, traj)
+                           + iss.check_dissipation(cert, traj, inp, dini_coeff=1.0))
+
+    def test_family_certificate(self, family_signal, family_certificate):
+        traj = iss.simulate(make_family_model(), family_signal, [3.0],
+                            iss.sinusoid_input([0.8], omega=1.3), 1e-3)
+        inp = traj.input
+        for form, parts in (("implication", (iss.check_flow_implication,
+                                             iss.check_jump_implication)),
+                            ("dissipation", (iss.check_dissipation,))):
+            expected = iss.check_sandwich(family_certificate, traj)
+            for check in parts:
+                expected += check(family_certificate, traj, inp)
+            assert iss.check_trajectory(family_certificate, traj, inp, form) == expected
+
+    def test_v_evaluated_once_per_sample(self):
+        cert, traj, inp = every_kind_case()
+        calls = []
+        quadratic = cert.V["a"]
+
+        def counted(t, x):
+            calls.append(t)
+            return quadratic(t, x)
+
+        counting = replace(cert, V={"a": counted})
+        reports = iss.check_trajectory(counting, traj, inp)
+        assert len(calls) == sum(len(seg.times) for seg in traj.segments)
+        assert reports == iss.check_trajectory(cert, traj, inp)
+        calls.clear()
+        iss.check_trajectory(counting, traj, inp, form="dissipation")
+        assert len(calls) == sum(len(seg.times) for seg in traj.segments)
+
+    def test_unknown_form(self):
+        cert, traj, inp = every_kind_case()
+        with pytest.raises(ValueError):
+            iss.check_trajectory(cert, traj, inp, form="disipation")
+
+
+def jump_trajectory(v_pre, v_post):
+    """Hand-built one-mode trajectory, V = |x|, with one jump at t = 1 taking
+    V from v_pre to v_post."""
+    pre, post = np.array([v_pre]), np.array([v_post])
+    segments = (
+        Segment("a", np.array([0.0, 0.5, 1.0]), np.array([[v_pre], [v_pre], pre])),
+        Segment("a", np.array([1.0, 1.5, 2.0]), np.array([post, [v_post], [v_post]])),
+    )
+    jump = JumpRecord(1.0, pre, post, "a", "a", np.zeros(1))
+    sig = iss.SwitchingSignal(0.0, (1.0,), ("a", "a"), 2.0)
+    return sig, Trajectory(segments, (jump,), iss.zero_input(), 0.5)
+
+
+class TestRelativeJumpTolerance:
+    """Jumps are flagged above rhs + JUMP_TOL (1 + |rhs|) in both the
+    certificate checks and the decreasing-function check: at rhs = 1e3 a
+    relative excess of 1e-10 passes and one of 1e-6 is flagged."""
+
+    RHS = 1e3
+
+    def certificate(self):
+        return iss.Certificate(
+            V={"a": iss.norm_power_v(1.0, 1.0)},
+            alpha1=iss.linear_cf(1.0),
+            alpha2=iss.linear_cf(1.0),
+            alpha3=iss.linear_cf(1.0),
+            chi=iss.linear_cf(1.0),
+            phi={"a": iss.linear_rate(-1.0)},
+            psi={"a": iss.linear_rate(1.0)},
+            partition=iss.ModePartition(frozenset({"a"}), frozenset()),
+            dwell=iss.DwellSpec({"a": 1.0}, 0.5, 1.0, 0.0),
+        )
+
+    @pytest.mark.parametrize("excess, flagged", [(1e-10, False), (1e-6, True)])
+    def test_certify(self, excess, flagged):
+        _, traj = jump_trajectory(self.RHS, self.RHS * (1 + excess))
+        reports = iss.check_jump_implication(self.certificate(), traj, iss.zero_input())
+        assert bool(reports) == flagged
+        assert all(r.kind == "jump" and r.rhs == self.RHS for r in reports)
+
+    @pytest.mark.parametrize("excess, flagged", [(1e-10, False), (1e-6, True)])
+    def test_construct(self, excess, flagged):
+        cert = self.certificate()
+        sig, traj = jump_trajectory(self.RHS, self.RHS)
+        dec = iss.DecreasingCertificate(cert, sig)
+        w_pre = dec.compose(self.RHS, "a", "a", dec.h(1.0, side="left"))
+        # The post-jump V whose W is w_pre (1 + excess).
+        tr, h_post = dec.transforms["a"], dec.h(1.0)
+        v_post = tr.inverse(tr.value(w_pre * (1 + excess)) - h_post)
+        _, traj = jump_trajectory(self.RHS, v_post)
+        reports, _ = decrease_check(dec, traj, iss.zero_input())
+        jumps = [r for r in reports if r.kind == "jump"]
+        assert bool(jumps) == flagged
+        assert all(r.rhs == pytest.approx(self.RHS, rel=1e-3) for r in jumps)

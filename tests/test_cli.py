@@ -300,6 +300,50 @@ class TestLmi:
         assert code == 1
 
 
+def malformed_config(command):
+    cfg = base_config()
+    if command == "lmi":
+        cfg = TestLmi()._base()
+        cfg["lmi"]["mode"] = "synth"
+    elif command == "bound":
+        cfg = TestBound()._cfg()
+    elif command != "simulate":
+        cfg["certificate"] = family_certificate_json()
+    return cfg
+
+
+MALFORMED = [
+    *((cmd, key, value) for cmd in ("certify", "construct")
+      for key, value in [("dwell_a_grid", [-1]), ("dwell_a_grid", []), ("dwell_a_grid", ["x"]),
+                         ("dwell_a_grid", 5), ("tolerances", {"dini_coeff": "x"})]),
+    *((cmd, key, value) for cmd in ("simulate", "certify", "construct", "bound")
+      for key, value in [("step", "abc"), ("step", float("nan")), ("x0", ["a"]),
+                         ("x0", [float("inf")])]),
+    ("certify", "certificate.form", "disipation"),
+    ("construct", "certificate.form", "disipation"),
+    ("bound", "bound.runs", "x"),
+    ("bound", "bound.r_list", [-1.0]),
+    ("bound", "bound.patch_samples", 0),
+    ("lmi", "lmi.budget", "x"),
+    ("simulate", "seed", "x"),
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command, key, value", MALFORMED)
+    def test_exit_1_without_traceback(self, tmp_path, capsys, command, key, value):
+        cfg = malformed_config(command)
+        *path, last = key.split(".")
+        target = cfg
+        for part in path:
+            target = target[part]
+        target[last] = value
+        code, _ = run(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error") and "Traceback" not in err
+
+
 class TestDeterminism:
     def test_identical_reruns(self, tmp_path):
         cfg = base_config()

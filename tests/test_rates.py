@@ -159,3 +159,31 @@ def test_linear_quadrature_matches_closed_form(eta_mag, negative, v):
     pts = [(s, eta * s) for s in np.logspace(-10, 10, 41)]
     t = iss.PhiTransform(iss.tabulated_rate(pts))
     assert t.value(v) == pytest.approx(math.log(v) / abs(eta), abs=1e-9)
+
+
+class TestTabulatedInterpolation:
+    """Tabulated rates and comparison functions share one rule: the line
+    through the origin below the first point, np.interp inside, and the last
+    segment's slope above the final point."""
+
+    POINTS = ((0.5, 0.3), (1.0, 0.7), (2.5, 1.9), (4.0, 2.2))
+
+    @pytest.mark.parametrize("s", [0.0, 0.1, 0.5, 0.75, 1.0, 1.7, 2.5, 3.99, 4.0, 7.3, 1e3])
+    def test_rate_and_comparison_agree(self, s):
+        xs = [p[0] for p in self.POINTS]
+        ys = [p[1] for p in self.POINTS]
+        if s <= xs[0]:
+            expected = ys[0] * s / xs[0]
+        elif s >= xs[-1]:
+            expected = ys[-1] + (ys[-1] - ys[-2]) / (xs[-1] - xs[-2]) * (s - xs[-1])
+        else:
+            expected = float(np.interp(s, xs, ys))
+        rate = iss.tabulated_rate(self.POINTS)
+        cf = iss.ComparisonFunction("tabulated", points=self.POINTS)
+        assert rate(s) == cf(s) == expected
+
+    def test_comparison_table_from_the_origin(self):
+        cf = iss.ComparisonFunction("tabulated", points=((0.0, 0.0), (1.0, 2.0), (2.0, 3.0)))
+        assert cf(0.0) == 0.0
+        assert cf(0.5) == 1.0
+        assert cf(3.0) == 4.0

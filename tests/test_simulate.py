@@ -82,6 +82,26 @@ class TestJumps:
         assert at_jump[0][3] == 0 and at_jump[1][3] == 1
         assert at_jump[1][2][0] == pytest.approx(0.1 * at_jump[0][2][0])
 
+    @pytest.mark.parametrize("instants, horizon", [((0.5,), 1.0), ((0.3, 0.6), 1.0),
+                                                    ((0.5, 1.0), 1.0)])
+    def test_rows_match_jump_records(self, instants, horizon):
+        # The last case ends on a switching instant: a zero-length final segment.
+        sig = iss.SwitchingSignal(0.0, instants, ("a",) * (len(instants) + 1), horizon)
+        traj = iss.simulate(scalar_model(j=0.1), sig, [1.0], iss.zero_input(), 1e-2)
+        expected = []
+        for k, seg in enumerate(traj.segments):
+            start = 0
+            if k > 0:
+                jr = traj.jump_records[k - 1]
+                expected.append((jr.time, jr.mode_after, jr.post_state, 1))
+                start = 1
+            expected += [(float(t), seg.mode, x, 0)
+                         for t, x in zip(seg.times[start:], seg.states[start:])]
+        rows = traj.rows()
+        assert [(t, p, f) for t, p, _, f in rows] == [(t, p, f) for t, p, _, f in expected]
+        assert all(np.array_equal(a[2], b[2]) for a, b in zip(rows, expected))
+        assert sum(f for *_, f in rows) == len(instants)
+
     def test_pre_jump_input_sample(self):
         # Jump x -> x + u must use u just before the switch, not after.
         model = iss.SystemModel(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isscert as iss
@@ -131,9 +131,11 @@ def signals(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(signals(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+# s1 + (horizon - s1) rounds to one ulp above the horizon here.
+@example(iss.SwitchingSignal(0.0, (0.5, 1.0, 1.375), ("a", "b", "a", "c"), 1.425), 0.2, 1.0)
 def test_total_active_time_property(sig, f1, f2):
     s1 = sig.t0 + f1 * (sig.horizon - sig.t0)
-    s2 = s1 + f2 * (sig.horizon - s1)
+    s2 = min(s1 + f2 * (sig.horizon - s1), sig.horizon)
     total = sum(iss.active_time(sig, p, s1, s2) for p in sig.mode_set)
     assert abs(total - (s2 - s1)) <= 1e-12 * max(1.0, s2 - s1)
 
