@@ -28,7 +28,6 @@ from .errors import (
     ConfigError,
     DegenerateGammaError,
     DegenerateGapError,
-    DivergentIntegralError,
     DomainError,
     ImageNotFullError,
     IsscertError,

@@ -3,7 +3,8 @@
 Commands: simulate, certify, construct, bound, lmi — each takes a single
 JSON config plus output-directory and seed flags.  Exit codes: 0 ok,
 1 config error, 2 non-finite state, 3 violations, 4 structural
-precondition failure, 5 heuristic search infeasible.
+precondition failure (including bound envelopes that do not enclose the
+certificate's flow rates), 5 heuristic search infeasible.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .lmi import (
     check_rate_conditions,
     synthesize,
 )
+from .rates import envelope_check
 from .simulate import constant_input, reachability_bound, simulate, sinusoid_input
 
 EXIT_OK = 0
@@ -182,13 +184,18 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
                               "bound.envelopes.lower")
     upper = jsonio.parse_rate(jsonio._require(env, "upper", "bound.envelopes"),
                               "bound.envelopes.upper")
-    runs = _number(bcfg.get("runs", 100), "bound.runs", cast=int)
+    runs = _number(bcfg.get("runs", 100), "bound.runs", cast=int, low=1)
     x0_range = _number(bcfg.get("x0_range", 1.0), "bound.x0_range")
     u_bound = _number(bcfg.get("u_bound", 0.0), "bound.u_bound")
     patch_samples = _number(bcfg.get("patch_samples", 20), "bound.patch_samples", cast=int, low=1)
     r_list = _numbers(bcfg.get("r_list", [1.0]), "bound.r_list")
     s_grid = _numbers(bcfg.get("s_grid", np.linspace(0.0, sig.horizon - sig.t0, 51)),
                       "bound.s_grid")
+
+    if not envelope_check(cert.phi, lower, upper):
+        print("structural precondition failed: bound.envelopes do not enclose "
+              "|phi_p| for every mode", file=sys.stderr)
+        return EXIT_STRUCTURAL
 
     delta = cert.dwell.delta
     c_slack = (1 - delta) * cert.dwell.T_S + (1 + delta) * cert.dwell.T_U

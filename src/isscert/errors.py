@@ -13,10 +13,6 @@ class DomainError(IsscertError):
     """Argument outside the valid domain of a rate or transform."""
 
 
-class DivergentIntegralError(IsscertError):
-    """Quadrature of 1/|rate| failed to converge."""
-
-
 class OutOfImageError(IsscertError):
     """Requested inverse value lies outside the attained image.
 

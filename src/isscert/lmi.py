@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import eigh, solve_continuous_lyapunov
 
 from .certify import ViolationReport, _report
 from .errors import AsymmetricError, NumericalFailureError
@@ -159,21 +158,6 @@ class Infeasible:
     details: dict = field(default_factory=dict)
 
 
-def _lyapunov_gram(A_shifted: np.ndarray) -> np.ndarray:
-    M = solve_continuous_lyapunov(A_shifted.T, -np.eye(A_shifted.shape[0]))
-    M = (M + M.T) / 2
-    if np.linalg.cond(M) > 1e12:
-        raise NumericalFailureError("ill-conditioned Lyapunov solution")
-    return M
-
-def _schur_q(M: np.ndarray, B: np.ndarray, R: np.ndarray, m: int) -> np.ndarray:
-    """Smallest diagonal Q making the flow block feasible given R < 0."""
-    S = M @ B
-    bound = S.T @ np.linalg.solve(-R, S)
-    level = max(0.0, float(eigh(bound, eigvals_only=True)[-1]))
-    return (level + 1e-6) * np.eye(m)
-
-
 def synthesize(
     model: LinearSystemModel,
     partition: ModePartition,
@@ -192,6 +176,24 @@ def synthesize(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    # The only SciPy use in the package, imported here so that no other
+    # command pays for loading it.
+    from scipy.linalg import eigh, solve_continuous_lyapunov
+
+    def lyapunov_gram(A_shifted: np.ndarray) -> np.ndarray:
+        M = solve_continuous_lyapunov(A_shifted.T, -np.eye(A_shifted.shape[0]))
+        M = (M + M.T) / 2
+        if np.linalg.cond(M) > 1e12:
+            raise NumericalFailureError("ill-conditioned Lyapunov solution")
+        return M
+
+    def schur_q(M: np.ndarray, B: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """Smallest diagonal Q making the flow block feasible given R < 0."""
+        S = M @ B
+        bound = S.T @ np.linalg.solve(-R, S)
+        level = max(0.0, float(eigh(bound, eigvals_only=True)[-1]))
+        return (level + 1e-6) * np.eye(m)
+
     modes = sorted(model.A)
     n, m = model.dims
     M, Q, eta = {}, {}, {}
@@ -202,7 +204,7 @@ def synthesize(
             if abscissa >= 0:
                 return Infeasible(f"mode {p} declared stable but not Hurwitz",
                                   {"mode": p, "spectral_abscissa": abscissa})
-            M[p] = _lyapunov_gram(A)
+            M[p] = lyapunov_gram(A)
             sym_top = float(eigh((A + A.T) / 2, eigvals_only=True)[-1])
             lam_max_M = float(eigh(M[p], eigvals_only=True)[-1])
 
@@ -232,10 +234,10 @@ def synthesize(
             if eta_p == 0.0 and abscissa >= 0:
                 return Infeasible(f"mode {p} has no usable spectral shift",
                                   {"mode": p})
-            M[p] = _lyapunov_gram(A - (eta_p / 2) * np.eye(n))
+            M[p] = lyapunov_gram(A - (eta_p / 2) * np.eye(n))
             eta[p] = eta_p
             R = -np.eye(n)
-        Q[p] = _schur_q(M[p], model.B[p], R, m)
+        Q[p] = schur_q(M[p], model.B[p], R)
 
     mu = {}
     for q in modes:

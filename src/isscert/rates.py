@@ -6,23 +6,27 @@ A rate function bounds the growth/decay of a Lyapunov value along flows
     Phi(v) = integral from 1 to v of ds / |phi(s)|
 
 maps Lyapunov values to a scale on which flow evolution is linear in
-time; it is strictly increasing with Phi(1) = 0.
+time; it is strictly increasing with Phi(1) = 0.  Every rate kind has an
+elementary transform: log(v)/|eta| for linear rates,
+(v^(1-k) - 1)/((1-k)|c|) for power rates (log(v)/|c| at k = 1), and a sum
+of log-ratio terms for tabulated rates, whose magnitude is affine between
+and beyond the breakpoints.  The transform and its inverse are evaluated
+in closed form; so are the inverses of the comparison functions.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .errors import DivergentIntegralError, DomainError, OutOfImageError
+from .errors import DomainError, OutOfImageError
 
-QUAD_ABS_TOL = 1e-10
-DIVERGENCE_LIMIT = 1e12
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _interp_table(points, s: float) -> float:
@@ -36,6 +40,18 @@ def _interp_table(points, s: float) -> float:
     if s >= s2:
         return y2 + (y2 - y1) / (s2 - s1) * (s - s2)
     return float(np.interp(s, [p[0] for p in points], [p[1] for p in points]))
+
+
+def _invert_table(points, y: float) -> float:
+    """The s with ``_interp_table(points, s) == y`` for y > 0 and a strictly
+    increasing table: the same three pieces, inverted."""
+    s0, y0 = points[0]
+    if y <= y0:
+        return s0 * y / y0
+    (s1, y1), (s2, y2) = points[-2], points[-1]
+    if y >= y2:
+        return s2 + (s2 - s1) / (y2 - y1) * (y - y2)
+    return float(np.interp(y, [p[1] for p in points], [p[0] for p in points]))
 
 
 @dataclass(frozen=True)
@@ -99,7 +115,15 @@ def tabulated_rate(points) -> RateFunction:
 
 
 class PhiTransform:
-    """Strictly increasing map Phi(v) = int_1^v ds/|rate(s)| on a bracket."""
+    """Strictly increasing map Phi(v) = int_1^v ds/|rate(s)| on a bracket.
+
+    Every rate kind has a closed form.  A tabulated magnitude is affine on
+    each of the n + 1 pieces its n breakpoints s_j cut: piece 0 is the line
+    through the origin below s_0, piece j the segment [s_{j-1}, s_j], and
+    piece n carries the last slope beyond s_{n-1}.  Phi is then a sum of
+    log-ratio terms; Phi at every breakpoint is kept, summed outwards from
+    v = 1 so that no sum cancels.
+    """
 
     def __init__(self, rate: RateFunction, v_min: float = 1e-9, v_max: float = 1e9):
         if not (0 < v_min < 1 < v_max):
@@ -107,44 +131,84 @@ class PhiTransform:
         self.rate = rate
         self.v_min = v_min
         self.v_max = v_max
+        if rate.kind == "tabulated":
+            self._tabulate(rate.points)
+
+    def _tabulate(self, points) -> None:
+        if len({y > 0 for _, y in points}) > 1:
+            raise DomainError("Phi needs a rate of one sign: this table crosses zero, "
+                              "where 1/|rate| is not integrable")
+        ss = self._knots = [s for s, _ in points]
+        mags = self._mags = [abs(y) for _, y in points]
+        inner = [(m1 - m0) / (s1 - s0) for s0, s1, m0, m1 in zip(ss, ss[1:], mags, mags[1:])]
+        self._slopes = [mags[0] / ss[0]] + inner + [inner[-1]]
+        self._home = home = bisect.bisect_left(ss, 1.0)  # the piece holding v = 1
+        at = self._at_knots = [0.0] * len(ss)
+        for j in range(home, len(ss)):  # breakpoints at or above 1, outwards
+            start, base = self._anchor(j, upward=True)
+            at[j] = base + self._integral(j, start, ss[j])
+        for j in range(home - 1, -1, -1):  # breakpoints below 1, outwards
+            start, base = self._anchor(j + 1, upward=False)
+            at[j] = base + self._integral(j + 1, start, ss[j])
+
+    def _magnitude(self, piece: int, s: float) -> float:
+        if piece == 0:
+            return self._slopes[0] * s
+        return self._mags[piece - 1] + self._slopes[piece] * (s - self._knots[piece - 1])
+
+    def _integral(self, piece: int, start: float, end: float) -> float:
+        """int_start^end ds/|rate(s)| with both ends on one piece: the log of
+        the magnitudes' ratio over the slope, through log1p unless the
+        magnitude more than halves, so that short steps and long steps
+        toward the origin both keep their relative accuracy."""
+        b = self._slopes[piece]
+        m = self._magnitude(piece, start)
+        x = b * (end - start) / m
+        return (math.log1p(x) if x > -0.5 else math.log(self._magnitude(piece, end) / m)) / b
+
+    def _anchor(self, piece: int, upward: bool) -> tuple[float, float]:
+        """(s, Phi(s)) at the end of ``piece`` nearest v = 1: 1 itself on its
+        own piece, the lower breakpoint above 1, the upper one below it."""
+        if piece == self._home:
+            return 1.0, 0.0
+        j = piece - 1 if upward else piece
+        return self._knots[j], self._at_knots[j]
 
     def value(self, v: float) -> float:
-        """Phi(v); closed form for linear rates, adaptive quadrature otherwise."""
+        """Phi(v) in closed form for every rate kind.
+
+        Linear rates give log(v)/|eta| for any v > 0.  The other kinds are
+        evaluated on the bracket [v_min, v_max] only: power rates as
+        ((v^(1-k) - 1)/((1-k)|c|), or log(v)/|c| at k = 1), tabulated ones as
+        the sum of the log-ratio terms of the pieces between 1 and v.
+        """
         if v <= 0:
             raise DomainError(f"Phi needs v > 0, got {v}")
-        if self.rate.kind == "linear":
-            return math.log(v) / abs(self.rate.eta)
+        r = self.rate
+        if r.kind == "linear":
+            return math.log(v) / abs(r.eta)
         if not (self.v_min <= v <= self.v_max):
             raise DomainError(f"v={v} outside bracket [{self.v_min}, {self.v_max}]")
-        return self._integrate(1.0, v)
-
-    def _integrate(self, a: float, b: float) -> float:
-        # Substituting s = e^u tames the near-zero endpoint where 1/|rate|
-        # blows up; the transformed integrand is exp(u)/|rate(exp(u))|.
-        la, lb = math.log(a), math.log(b)
-        lo, hi = min(la, lb), max(la, lb)
-        breaks = None
-        if self.rate.kind == "tabulated":
-            breaks = [math.log(s) for s, _ in self.rate.points if lo < math.log(s) < hi]
-            breaks = breaks or None
-        result, abserr = quad(
-            lambda u: math.exp(u) / self.rate.magnitude(math.exp(u)),
-            lo, hi,
-            epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=500, points=breaks,
-        )
-        if not math.isfinite(result) or abserr > max(1e-7, 1e-9 * abs(result)):
-            raise DivergentIntegralError(
-                f"quadrature did not converge on [{a}, {b}]")
-        return result if la <= lb else -result
+        if r.kind == "power":
+            if r.k == 1.0:
+                return math.log(v) / abs(r.c)
+            x = (1.0 - r.k) * math.log(v)
+            if x > _LOG_FLOAT_MAX:  # k > 1, v < 1, and v^(1-k) is beyond floats
+                return -math.inf
+            return math.expm1(x) / ((1.0 - r.k) * abs(r.c))
+        piece = bisect.bisect_left(self._knots, v)
+        start, base = self._anchor(piece, v > 1.0)
+        return base + self._integral(piece, start, v)
 
     def inverse(self, y: float, below: str = "raise") -> float:
-        """Phi^{-1}(y).
+        """Phi^{-1}(y), in closed form.
 
         ``below="zero"`` returns 0.0 for y beneath the attained image,
         matching the clamp convention used in decay-bound assembly.
         """
-        if self.rate.kind == "linear":
-            return math.exp(abs(self.rate.eta) * y)
+        r = self.rate
+        if r.kind == "linear":
+            return math.exp(abs(r.eta) * y)
         lo, hi = self.value(self.v_min), self.value(self.v_max)
         if y < lo:
             if below == "zero":
@@ -156,51 +220,35 @@ class PhiTransform:
             return self.v_min
         if y == hi:
             return self.v_max
-        return float(brentq(lambda v: self.value(v) - y, self.v_min, self.v_max,
-                            xtol=1e-14, rtol=1e-14, maxiter=200))
+        if r.kind == "power":
+            if r.k == 1.0:
+                return math.exp(abs(r.c) * y)
+            return math.exp(math.log1p((1.0 - r.k) * abs(r.c) * y) / (1.0 - r.k))
+        piece = bisect.bisect_left(self._at_knots, y)
+        start, base = self._anchor(piece, y > 0.0)
+        b = self._slopes[piece]
+        if piece == 0:  # |rate(s)| = b s
+            return start * math.exp(b * (y - base))
+        return start + self._magnitude(piece, start) * math.expm1(b * (y - base)) / b
 
     def image_inf(self) -> float:
-        """inf of the image as v -> 0+ (analytic where possible), -inf if divergent."""
+        """inf of the image as v -> 0+, -inf if the transform is unbounded below."""
         r = self.rate
-        if r.kind == "linear":
-            return -math.inf
-        if r.kind == "power":
-            if r.k >= 1.0:
-                return -math.inf
+        if r.kind == "power" and r.k < 1.0:
             return -1.0 / ((1.0 - r.k) * abs(r.c))
-        return self._probe(toward_zero=True)
+        # Linear and tabulated magnitudes vanish linearly at the origin.
+        return -math.inf
 
     def image_sup(self) -> float:
-        """sup of the image as v -> infinity, +inf if divergent."""
+        """sup of the image as v -> infinity, +inf if unbounded above."""
         r = self.rate
-        if r.kind == "linear":
-            return math.inf
-        if r.kind == "power":
-            if r.k <= 1.0:
-                return math.inf
+        if r.kind == "power" and r.k > 1.0:
             return 1.0 / ((r.k - 1.0) * abs(r.c))
-        return self._probe(toward_zero=False)
+        # Linear and tabulated magnitudes grow at most linearly.
+        return math.inf
 
     def image_is_full(self) -> bool:
         return self.image_inf() == -math.inf and self.image_sup() == math.inf
-
-    def _probe(self, toward_zero: bool) -> float:
-        # Decade-by-decade extension of the integral past the bracket.  The
-        # per-decade contribution of a converging tail must vanish; a piece
-        # that is still above threshold after the decade budget (or a partial
-        # integral past the limit) marks the corresponding end as divergent.
-        total = self.value(self.v_min if toward_zero else self.v_max)
-        edge = self.v_min if toward_zero else self.v_max
-        for _ in range(60):
-            nxt = edge / 10.0 if toward_zero else edge * 10.0
-            piece = self._integrate(edge, nxt)
-            total += piece
-            edge = nxt
-            if abs(total) > DIVERGENCE_LIMIT:
-                break
-            if abs(piece) < 1e-12:
-                return total
-        return -math.inf if toward_zero else math.inf
 
 
 def phi(rate: RateFunction, v: float) -> float:
@@ -209,7 +257,8 @@ def phi(rate: RateFunction, v: float) -> float:
 
 
 def phi_inverse(rate: RateFunction, y: float) -> float:
-    """Inverse transform; |Phi(result) - y| <= 1e-10 on the default bracket."""
+    """Inverse transform, in closed form; Phi(result) equals y to rounding
+    on the default bracket."""
     return PhiTransform(rate).inverse(y)
 
 
@@ -236,7 +285,7 @@ def envelope_check(
 
 @dataclass(frozen=True)
 class ComparisonFunction:
-    """Comparison function (class P / K / K-infinity) with a numeric inverse."""
+    """Comparison function (class P / K / K-infinity) with a closed-form inverse."""
 
     kind: str
     a: float = 1.0
@@ -244,6 +293,17 @@ class ComparisonFunction:
     k: float = 1.0
     parts: tuple["ComparisonFunction", ...] = ()
     points: tuple[tuple[float, float], ...] = ()
+
+    def __post_init__(self):
+        if self.kind == "tabulated":
+            pts = tuple((float(s), float(y)) for s, y in self.points)
+            object.__setattr__(self, "points", pts)
+            # Class K: through the origin and strictly increasing.
+            full = pts if pts and pts[0][0] == 0 else ((0.0, 0.0),) + pts
+            if len(pts) < 2 or full[0] != (0.0, 0.0) or any(
+                    s1 <= s0 or y1 <= y0 for (s0, y0), (s1, y1) in zip(full, full[1:])):
+                raise ValueError("a tabulated comparison function needs at least two points, "
+                                 "strictly increasing in s >= 0 and in value, from 0 at s = 0")
 
     def __call__(self, s: float) -> float:
         if s < 0:
@@ -271,14 +331,10 @@ class ComparisonFunction:
         if self.kind == "compose":
             outer, inner = self.parts
             return inner.inverse(outer.inverse(y))
-        hi = 1.0
-        for _ in range(400):
-            if self(hi) >= y:
-                break
-            hi *= 2.0
-        else:
-            raise OutOfImageError(y, 0.0, self(hi))
-        return float(brentq(lambda s: self(s) - y, 0.0, hi, xtol=1e-14, rtol=1e-14))
+        if self.kind == "max":
+            # max(f_i)(s) >= y exactly when some f_i(s) >= y.
+            return min(f.inverse(y) for f in self.parts)
+        return _invert_table(self.points, y)
 
     def is_increasing(self, grid: int = 128, s_range=(1e-9, 1e9)) -> bool:
         ss = np.logspace(math.log10(s_range[0]), math.log10(s_range[1]), grid)

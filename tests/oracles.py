@@ -1,11 +1,23 @@
-"""Reference implementations of the dwell-budget quantities by direct
-enumeration: every window's activations and active time are counted anew.
+"""Reference implementations kept as oracles for the library's fast paths.
 
-These are the earlier library implementations, kept verbatim as oracles for
-the cumulative-budget ledger in ``isscert.switching`` and
-``isscert.construct``: ``slack_sup`` costs O(K^3) per signal and
-``correction`` O(K^2) per query.
+* The dwell-budget quantities by direct enumeration: every window's
+  activations and active time are counted anew.  These are the earlier
+  library implementations, kept verbatim as oracles for the
+  cumulative-budget ledger in ``isscert.switching`` and
+  ``isscert.construct``: ``slack_sup`` costs O(K^3) per signal and
+  ``correction`` O(K^2) per query.
+* The transform Phi(v) = int_1^v ds/|rate(s)| by adaptive quadrature, its
+  inverse by Brent's method and comparison-function inverses by bracketing
+  and Brent's method: the earlier library implementations, kept as oracles
+  for the closed forms in ``isscert.rates``; and the transform of a
+  tabulated rate by mpmath quadrature in extended precision.
 """
+
+import math
+
+import mpmath as mp
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from isscert.switching import active_time
 
@@ -94,3 +106,68 @@ def correction(sig, partition, dwell, t: float, side: str = "right") -> float:
         value = stable_sum * (1 - dwell.delta) - unstable_sum * (1 + dwell.delta)
         best = min(best, value)
     return best
+
+
+def phi_quad(rate, v: float) -> float:
+    """Phi(v) = int_1^v ds/|rate(s)| by adaptive quadrature.
+
+    Substituting s = e^u tames the near-zero endpoint where 1/|rate| blows
+    up; the transformed integrand is exp(u)/|rate(exp(u))|, split at the
+    breakpoints of a tabulated rate.  The library's quadrature also allowed
+    an absolute error of 1e-10, which is coarser than 1e-12 relative for
+    transforms below 1e-2 in size; the oracle asks for the relative
+    tolerance alone.
+    """
+    lv = math.log(v)
+    lo, hi = min(0.0, lv), max(0.0, lv)
+    breaks = None
+    if rate.kind == "tabulated":
+        breaks = [math.log(s) for s, _ in rate.points if lo < math.log(s) < hi] or None
+    result, abserr = quad(
+        lambda u: math.exp(u) / rate.magnitude(math.exp(u)),
+        lo, hi, epsabs=0.0, epsrel=1e-12, limit=500, points=breaks,
+    )
+    assert math.isfinite(result) and abserr <= max(1e-7, 1e-9 * abs(result))
+    return result if lv >= 0 else -result
+
+
+def phi_inverse_brentq(rate, y: float) -> float:
+    """The v in the bracket [1e-9, 1e9] with phi_quad(rate, v) == y, by
+    Brent's method."""
+    return float(brentq(lambda v: phi_quad(rate, v) - y, 1e-9, 1e9,
+                        xtol=1e-14, rtol=1e-14, maxiter=200))
+
+
+def cf_inverse_brentq(f, y: float) -> float:
+    """The s >= 0 with f(s) == y > 0: doubling until f(hi) >= y, then Brent's
+    method on [0, hi]."""
+    hi = 1.0
+    while f(hi) < y:
+        hi *= 2.0
+    return float(brentq(lambda s: f(s) - y, 0.0, hi, xtol=1e-14, rtol=1e-14))
+
+
+def phi_mp(rate, v: float) -> float:
+    """Phi(v) for a tabulated rate by mpmath quadrature at 40 digits.
+
+    The float quadrature above evaluates the table at float abscissae, so
+    near two breakpoints a relative distance g apart it resolves the
+    integrand only to about 1e-16/g; this oracle interpolates the table in
+    extended precision, which keeps it exact to rounding for any spacing.
+    """
+    with mp.workdps(40):
+        pts = [(mp.mpf(s), abs(mp.mpf(y))) for s, y in rate.points]
+
+        def magnitude(s):
+            if s <= pts[0][0]:
+                return pts[0][1] * s / pts[0][0]
+            for (s0, m0), (s1, m1) in zip(pts, pts[1:]):
+                if s <= s1:
+                    break  # past the last point, the last pair's line
+            return m0 + (m1 - m0) / (s1 - s0) * (s - s0)
+
+        lo, hi = sorted((mp.mpf(1), mp.mpf(v)))
+        knots = [lo] + [s for s, _ in pts if lo < s < hi] + [hi]
+        total = sum(mp.quad(lambda s: 1 / magnitude(s), [a, b])
+                    for a, b in zip(knots, knots[1:]))
+        return float(total if v >= 1 else -total)

@@ -235,6 +235,16 @@ class TestBound:
         assert lines[0] == "r,s,beta(r,s)"
         assert len(lines) == 1 + 2 * 51
 
+    @pytest.mark.parametrize("lower, upper", [(5.0, 5.0), (1.0, 0.5)])
+    def test_envelopes_must_enclose_the_rates(self, tmp_path, capsys, lower, upper):
+        cfg = self._cfg()
+        cfg["bound"]["envelopes"] = {"lower": {"kind": "linear", "eta": lower},
+                                     "upper": {"kind": "linear", "eta": upper}}
+        code, out = run(tmp_path, "bound", cfg, seed=0)
+        assert code == 4
+        assert "envelopes" in capsys.readouterr().err
+        assert not (out / "verdict.json").exists()
+
 
 class TestLmi:
     def _base(self):
@@ -326,6 +336,7 @@ MALFORMED = [
     ("bound", "bound.patch_samples", 0),
     ("lmi", "lmi.budget", "x"),
     ("simulate", "seed", "x"),
+    ("bound", "bound.runs", 0),
 ]
 
 

@@ -1,0 +1,52 @@
+"""SciPy stays off the import path: every transform is closed-form, and
+only ``lmi.synthesize`` loads ``scipy.linalg``, when it runs.
+
+Each check runs in a fresh interpreter, since the test process itself has
+loaded SciPy for the oracles.
+"""
+
+import json
+import subprocess
+import sys
+
+from test_cli import base_config, family_certificate_json
+
+
+def fresh(code: str) -> dict:
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+def test_cli_import_loads_no_scipy():
+    loaded = fresh(f"import sys, json, isscert.cli; print(json.dumps({LOADED}))")
+    assert not {"scipy.integrate", "scipy.optimize", "scipy.linalg"} & set(loaded)
+
+
+def test_non_linear_rates_run_without_quadrature(tmp_path):
+    """certify, construct and bound on a power phi_s and a tabulated psi_u
+    (the same rates as the family certificate's, written in those kinds)."""
+    cert = family_certificate_json()
+    cert["phi"]["s"] = {"kind": "power", "c": -1.0, "k": 1.0}
+    cert["psi"]["u"] = {"kind": "tabulated", "points": [[1.0, 0.01], [2.0, 0.02]]}
+    # Two switches keep V above the transforms' bracket floor 1e-9.
+    signal = {"t0": 0.0, "instants": [1.0, 1.25], "modes": ["s", "u", "s"], "horizon": 2.25}
+    cfg = {**base_config(), "signal": signal, "certificate": cert,
+           "dwell_a_grid": [0.5, 1.0, 100.0],
+           "bound": {"envelopes": {"lower": {"kind": "linear", "eta": 1.0},
+                                   "upper": {"kind": "linear", "eta": 1.0}},
+                     "runs": 2, "x0_range": 2.0, "patch_samples": 2}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    result = fresh(f"""
+import json, sys
+from isscert.cli import main
+codes = [main([c, "--config", {str(path)!r}, "--out", {str(tmp_path)!r} + "/" + c,
+               "--seed", "0"]) for c in ("certify", "construct", "bound")]
+print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
+""")
+    assert result["codes"] == [0, 0, 0]
+    assert not {"scipy.integrate", "scipy.optimize"} & set(result["loaded"])
