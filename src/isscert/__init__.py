@@ -1,6 +1,6 @@
 """Simulation and mechanical ISS certification of impulsive switched systems."""
 
-from .bounds import IssBound, build_bound, certify_iss, decay_interpolant, gain_levels
+from .bounds import IssBound, build_bound, certify_iss, decay_interpolant
 from .certify import (
     Certificate,
     ViolationReport,
@@ -11,7 +11,6 @@ from .certify import (
     check_jump_implication,
     check_sandwich,
     check_trajectory,
-    classify_modes,
     closed_form_dwell,
     dissipation_to_implication,
     norm_power_v,
@@ -21,7 +20,6 @@ from .construct import (
     DecreasingCertificate,
     build_decreasing,
     certify_decrease,
-    correction,
 )
 from .errors import (
     AsymmetricError,
@@ -58,9 +56,6 @@ from .rates import (
     envelope_check,
     linear_cf,
     linear_rate,
-    max_cf,
-    phi,
-    phi_inverse,
     power_cf,
     power_rate,
     tabulated_rate,
@@ -71,7 +66,6 @@ from .simulate import (
     SystemModel,
     Trajectory,
     constant_input,
-    lipschitz_estimate,
     reachability_bound,
     simulate,
     sinusoid_input,
@@ -85,7 +79,6 @@ from .switching import (
     SwitchingSignal,
     activation_count,
     active_time,
-    admits,
     mdadt_slack,
     mdalt_slack,
 )

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .certify import Certificate, ViolationReport, _report
-from .errors import DegenerateGammaError
+from .errors import DegenerateGammaError, ImageNotFullError
 from .rates import PhiTransform, RateFunction
 from .simulate import InputSignal, Trajectory
 from .switching import DwellSpec
@@ -48,9 +48,6 @@ class IssBound:
     delta: float
     case: str  # "finite-m" | "infinite-m"
     m: float
-    gamma2: Callable[[float], float]
-    gamma3: Callable[[float], float]
-    chi: Callable[[float], float]
     beta_tilde: Callable[[float, float], float] = None
     metadata: dict = field(default_factory=dict)
 
@@ -69,12 +66,17 @@ def build_bound(
     beta is inflated to at least that envelope there (the transient patch
     that the decay formula alone does not provide).  Its empirical origin
     makes the patched beta depend on the sampling run; this is recorded in
-    the metadata.
+    the metadata.  With C > 0 beta lifts transform levels by C, so an
+    envelope whose transform image is bounded above raises ImageNotFull.
     """
     delta = dwell.delta
     C = (1 - delta) * dwell.T_S + (1 + delta) * dwell.T_U
     tr_lo = PhiTransform(lower)
     tr_hi = PhiTransform(upper)
+    if C > 0 and not tr_lo.image_sup() == tr_hi.image_sup() == math.inf:
+        raise ImageNotFullError(
+            f"envelope transform images are bounded above (sup {tr_lo.image_sup()}, "
+            f"{tr_hi.image_sup()}), so beta cannot add C = {C}")
     m = tr_lo.image_inf()
     case = "finite-m" if m > -math.inf else "infinite-m"
 
@@ -82,8 +84,8 @@ def build_bound(
         if r <= 0.0:
             return 0.0
         if case == "finite-m":
-            # The interpolant tends to the analytic floor m, which can sit
-            # marginally below the image attained on the finite bracket.
+            # Levels at or below an image's lower end clamp to 0: the
+            # interpolant tends to m, the lower end of tr_lo's image.
             a = tr_lo.inverse(decay_interpolant(tr_lo.value(r), delta * s, C, m),
                               below="zero")
             b = tr_hi.inverse(tr_hi.value(r) + C - delta * s, below="zero")
@@ -100,17 +102,13 @@ def build_bound(
             level = max(level, short_horizon_envelope(cert.alpha2(r)))
         return cert.alpha1.inverse(level)
 
-    def gamma2(s: float) -> float:
-        return max(cert.alpha3(s), cert.chi(s))
-
-    def gamma3(s: float) -> float:
-        g2 = gamma2(s)
+    def gamma(s: float) -> float:
+        # Lyapunov levels: gamma2 = max(alpha3, chi), and gamma3 lifts it by
+        # the transient of a start at the gamma2 level.
+        g2 = max(cert.alpha3(s), cert.chi(s))
         if g2 <= 0.0:
             return 0.0
-        return max(g2, cert.alpha2(beta(cert.alpha1.inverse(g2), 0.0)))
-
-    def gamma(s: float) -> float:
-        return cert.alpha1.inverse(gamma3(s))
+        return cert.alpha1.inverse(max(g2, cert.alpha2(beta(cert.alpha1.inverse(g2), 0.0))))
 
     return IssBound(
         beta=beta,
@@ -119,9 +117,6 @@ def build_bound(
         delta=delta,
         case=case,
         m=m,
-        gamma2=gamma2,
-        gamma3=gamma3,
-        chi=cert.chi,
         beta_tilde=beta_tilde,
         metadata={
             "patched": short_horizon_envelope is not None,
@@ -155,10 +150,3 @@ def certify_iss(
 ) -> list[ViolationReport]:
     """Check the ISS estimate at every trajectory sample."""
     return iss_check(bound, traj, x0, input)[0]
-
-
-def gain_levels(bound: IssBound, u_norm: float) -> tuple[float, float, float]:
-    """Nested Lyapunov level thresholds (chi, gamma2, gamma3) at u_norm."""
-    if u_norm < 0:
-        raise ValueError("u_norm must be >= 0")
-    return bound.chi(u_norm), bound.gamma2(u_norm), bound.gamma3(u_norm)

@@ -5,8 +5,9 @@ forward-difference slope against a bound, gated at a threshold) and one jump
 rule (a bound above the threshold, a cap below it, relative tolerance JUMP_TOL
 (1 + |rhs|)) in the implication or the dissipation form; ``construct`` applies
 the same two rules to W.  Also: the dwell conditions at every switching
-instant, the signal's dwell/leave slack, mode classification by rate sign, the
-decreasing-certificate test and the dissipation-to-implication conversion.
+instant, the signal's dwell/leave slack, the declared partition checked
+against the sign of each flow rate, the decreasing-certificate test and the
+dissipation-to-implication conversion.
 Tolerances and the default Dini coefficient are defined here.
 """
 
@@ -18,12 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateGapError,
-    DomainError,
-    OutOfImageError,
-    SignAmbiguousError,
-)
+from .errors import DegenerateGapError, DomainError, SignAmbiguousError
 from .rates import ComparisonFunction, PhiTransform, RateFunction, scale_cf
 from .simulate import InputSignal, Trajectory
 from .switching import DwellSpec, ModePartition, SwitchingSignal, mdadt_slack, mdalt_slack
@@ -226,9 +222,9 @@ def check_dwell_conditions(
     For a switch out of a stable mode q into p the sampled condition is
     Phi_p(psi_q(a)) - Phi_q(a) <= tau_q (1 - delta); out of an unstable mode
     the mirrored condition with (1 + delta) must hold from below.  Linear
-    rates additionally get the closed-form reduction.  Grid points where a
-    transform leaves its domain produce kind "dwell-inconclusive" entries
-    rather than violations.
+    rates additionally get the closed-form reduction.  Grid points where the
+    transform difference is not finite (or a level leaves a transform's
+    domain) produce kind "dwell-inconclusive" entries rather than violations.
     """
     if not a_grid or any(a <= 0 for a in a_grid):
         raise ValueError("a_grid must be a nonempty collection of positive levels")
@@ -242,7 +238,9 @@ def check_dwell_conditions(
         for a in a_grid:
             try:
                 lhs = transforms[p].value(cert.psi[q].magnitude(a)) - transforms[q].value(a)
-            except (DomainError, OutOfImageError):
+            except DomainError:
+                lhs = math.nan
+            if not math.isfinite(lhs):
                 out.append(_report("dwell-inconclusive", t_i, q, math.nan, math.nan))
                 continue
             if stable:
@@ -275,19 +273,9 @@ def dwell_slack_verdict(
             slack_u <= cert.dwell.T_U + DWELL_TOL)
 
 
-def classify_modes(cert_or_rates) -> ModePartition:
-    """Partition modes by the sampled sign of their flow rates."""
-    rates = cert_or_rates.phi if isinstance(cert_or_rates, Certificate) else cert_or_rates
-    stable, unstable = set(), set()
-    for p, rate in rates.items():
-        (stable if _constant_sign(rate) < 0 else unstable).add(p)
-    return ModePartition(frozenset(stable), frozenset(unstable))
-
-
-def check_decreasing_certificate(cert: Certificate, grid: int = 64) -> bool:
+def check_decreasing_certificate(cert: Certificate) -> bool:
     """True iff every flow rate is negative and every jump rate is
-    non-expansive (psi(s) <= s) on the sampled range."""
-    ss = np.logspace(-6, 6, grid)
+    non-expansive (psi(s) <= s) at 64 log-spaced levels in [1e-6, 1e6]."""
     for rate in cert.phi.values():
         try:
             if _constant_sign(rate) >= 0:
@@ -295,8 +283,7 @@ def check_decreasing_certificate(cert: Certificate, grid: int = 64) -> bool:
         except SignAmbiguousError:
             return False
     for rate in cert.psi.values():
-        for s in ss:
-            s = float(s)
+        for s in np.logspace(-6, 6, 64).tolist():
             if rate.magnitude(s) > s * (1 + 1e-12):
                 return False
     return True

@@ -4,7 +4,8 @@ Commands: simulate, certify, construct, bound, lmi — each takes a single
 JSON config plus output-directory and seed flags.  Exit codes: 0 ok,
 1 config error, 2 non-finite state, 3 violations, 4 structural
 precondition failure (including bound envelopes that do not enclose the
-certificate's flow rates), 5 heuristic search infeasible.
+certificate's flow rates, or whose transform image is bounded above when
+the dwell slack C is positive), 5 heuristic search infeasible.
 """
 
 from __future__ import annotations
@@ -167,10 +168,7 @@ def cmd_construct(cfg, out: Path, seed: int) -> int:
         print(f"non-finite state: {e}", file=sys.stderr)
         return EXIT_NONFINITE
     reports, rows = decrease_check(dec, traj, inp, dini_coeff=dini_coeff)
-    lines = ["t,V,W,h"]
-    for t, v, w, h in rows:
-        lines.append(",".join(jsonio.fmt(z) for z in (t, v, w, h)))
-    (out / "construct.csv").write_text("\n".join(lines) + "\n")
+    jsonio.write_csv(out / "construct.csv", ["t", "V", "W", "h"], rows)
     jsonio.write_reports_csv(out / "reports.csv", reports)
     return EXIT_OK if not reports else EXIT_VIOLATIONS
 
@@ -208,11 +206,8 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
         patch = lambda r: level  # noqa: E731
     try:
         bound = build_bound(cert, cert.dwell, lower, upper, short_horizon_envelope=patch)
-        lines = ["r,s,beta(r,s)"]
-        for r in r_list:
-            for s in s_grid:
-                lines.append(f"{jsonio.fmt(r)},{jsonio.fmt(s)},{jsonio.fmt(bound.beta(r, s))}")
-        (out / "bound.csv").write_text("\n".join(lines) + "\n")
+        jsonio.write_csv(out / "bound.csv", ["r", "s", "beta(r,s)"],
+                         ((r, s, bound.beta(r, s)) for r in r_list for s in s_grid))
 
         rng = np.random.default_rng(seed)
         n, m = model.dims
@@ -239,7 +234,7 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
             reports, margin = iss_check(bound, traj, run_x0, run_inp)
             total_violations += len(reports)
             max_margin = max(max_margin, margin)
-    except DegenerateGammaError as e:
+    except (DegenerateGammaError, ImageNotFullError) as e:
         print(f"structural precondition failed: {e}", file=sys.stderr)
         return EXIT_STRUCTURAL
     jsonio.write_json(out / "verdict.json", {

@@ -71,42 +71,17 @@ class CorrectionLedger:
         return min(0.0, value - self.k_max[i])
 
 
-def correction(
-    sig: SwitchingSignal,
-    partition: ModePartition,
-    dwell: DwellSpec,
-    t: float,
-    side: str = "right",
-) -> float:
-    """Correction value h(t) <= 0.
-
-    Minimum over all switching instants t_j <= t (and the initial time) of 0
-    and the weighted dwell-budget balance
-
-        (sum over stable p of T_p(t_j, t) - tau_p N_p(t_j-, t)) (1 - delta)
-      - (sum over unstable p of T_p(t_j, t) - tau_p N_p(t_j, t)) (1 + delta).
-
-    Stable activation counts include an event at the window start (the
-    left-limit endpoint); unstable ones do not.  ``side="left"`` evaluates
-    the left limit h(t-), which excludes an activation at t itself.  Builds
-    a :class:`CorrectionLedger` per call; repeated queries on one signal
-    should keep the ledger (``DecreasingCertificate.h`` does).
-    """
-    return CorrectionLedger(sig, partition, dwell).h(t, side)
-
-
 @dataclass(frozen=True)
 class DecreasingCertificate:
     """W(t,x) built from a base certificate, a signal, and the correction."""
 
     cert: Certificate
     sig: SwitchingSignal
-    transforms: dict = field(default_factory=dict)
+    transforms: dict = field(init=False, repr=False, compare=False)
     ledger: CorrectionLedger = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.transforms:
-            object.__setattr__(self, "transforms", self.cert.transforms())
+        object.__setattr__(self, "transforms", self.cert.transforms())
         object.__setattr__(self, "ledger",
                            CorrectionLedger(self.sig, self.cert.partition, self.cert.dwell))
 

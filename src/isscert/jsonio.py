@@ -191,18 +191,22 @@ def parse_mode_changes(pairs) -> ModeChangeSet:
     return ModeChangeSet(frozenset((str(p), str(q)) for p, q in pairs))
 
 
-def write_trajectory_csv(path, traj, n: int):
-    lines = ["t,mode," + ",".join(f"x{i + 1}" for i in range(n)) + ",jump_flag"]
-    for t, mode, x, flag in traj.rows():
-        lines.append(f"{fmt(t)},{mode}," + ",".join(fmt(v) for v in x) + f",{flag}")
+def write_csv(path, header, rows):
+    """A CSV file of the column names in ``header`` and one line per row:
+    string cells as they are, numbers through ``fmt``."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else fmt(c) for c in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_trajectory_csv(path, traj, n: int):
+    write_csv(path, ["t", "mode", *(f"x{i + 1}" for i in range(n)), "jump_flag"],
+              ((t, mode, *x.tolist(), flag) for t, mode, x, flag in traj.rows()))
 
 
 def write_reports_csv(path, reports):
-    lines = ["kind,time,mode,lhs,rhs,margin"]
-    for r in reports:
-        lines.append(f"{r.kind},{fmt(r.time)},{r.mode},{fmt(r.lhs)},{fmt(r.rhs)},{fmt(r.margin)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ["kind", "time", "mode", "lhs", "rhs", "margin"],
+              ((r.kind, r.time, r.mode, r.lhs, r.rhs, r.margin) for r in reports))
 
 
 def write_json(path, obj):

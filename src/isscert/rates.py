@@ -29,6 +29,11 @@ from .errors import DomainError, OutOfImageError
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _exp(x: float, f=math.exp) -> float:
+    """f(x) for f = exp or expm1, and inf where that exceeds the floats."""
+    return f(x) if x <= _LOG_FLOAT_MAX else math.inf
+
+
 def _interp_table(points, s: float) -> float:
     """A tabulated function at s >= 0: linear through the origin below the
     first point (its value, if that point sits at 0), ``np.interp`` inside,
@@ -115,24 +120,22 @@ def tabulated_rate(points) -> RateFunction:
 
 
 class PhiTransform:
-    """Strictly increasing map Phi(v) = int_1^v ds/|rate(s)| on a bracket.
+    """Strictly increasing map Phi(v) = int_1^v ds/|rate(s)| on all of (0, inf).
 
     Every rate kind has a closed form.  A tabulated magnitude is affine on
     each of the n + 1 pieces its n breakpoints s_j cut: piece 0 is the line
     through the origin below s_0, piece j the segment [s_{j-1}, s_j], and
     piece n carries the last slope beyond s_{n-1}.  Phi is then a sum of
     log-ratio terms; Phi at every breakpoint is kept, summed outwards from
-    v = 1 so that no sum cancels.
+    v = 1 so that no sum cancels.  The image is the open interval between
+    ``image_inf()`` and ``image_sup()``.
     """
 
-    def __init__(self, rate: RateFunction, v_min: float = 1e-9, v_max: float = 1e9):
-        if not (0 < v_min < 1 < v_max):
-            raise ValueError("bracket must satisfy 0 < v_min < 1 < v_max")
+    def __init__(self, rate: RateFunction):
         self.rate = rate
-        self.v_min = v_min
-        self.v_max = v_max
         if rate.kind == "tabulated":
             self._tabulate(rate.points)
+        self._image = (self.image_inf(), self.image_sup())
 
     def _tabulate(self, points) -> None:
         if len({y > 0 for _, y in points}) > 1:
@@ -160,11 +163,17 @@ class PhiTransform:
         """int_start^end ds/|rate(s)| with both ends on one piece: the log of
         the magnitudes' ratio over the slope, through log1p unless the
         magnitude more than halves, so that short steps and long steps
-        toward the origin both keep their relative accuracy."""
+        toward the origin both keep their relative accuracy.  On piece 0
+        the log of the magnitudes' ratio is log(end) - log(start), which
+        does not underflow as end approaches 0."""
         b = self._slopes[piece]
         m = self._magnitude(piece, start)
         x = b * (end - start) / m
-        return (math.log1p(x) if x > -0.5 else math.log(self._magnitude(piece, end) / m)) / b
+        if x > -0.5:
+            return math.log1p(x) / b
+        if piece == 0:
+            return (math.log(end) - math.log(start)) / b
+        return math.log(self._magnitude(piece, end) / m) / b
 
     def _anchor(self, piece: int, upward: bool) -> tuple[float, float]:
         """(s, Phi(s)) at the end of ``piece`` nearest v = 1: 1 itself on its
@@ -177,18 +186,16 @@ class PhiTransform:
     def value(self, v: float) -> float:
         """Phi(v) in closed form for every rate kind.
 
-        Linear rates give log(v)/|eta| for any v > 0.  The other kinds are
-        evaluated on the bracket [v_min, v_max] only: power rates as
-        ((v^(1-k) - 1)/((1-k)|c|), or log(v)/|c| at k = 1), tabulated ones as
-        the sum of the log-ratio terms of the pieces between 1 and v.
+        Linear rates give log(v)/|eta|, power rates
+        (v^(1-k) - 1)/((1-k)|c|) (log(v)/|c| at k = 1, -inf where v^(1-k)
+        exceeds the floats), tabulated ones the sum of the log-ratio terms
+        of the pieces between 1 and v.
         """
-        if v <= 0:
-            raise DomainError(f"Phi needs v > 0, got {v}")
+        if not 0.0 < v < math.inf:
+            raise DomainError(f"Phi needs 0 < v < inf, got {v}")
         r = self.rate
         if r.kind == "linear":
             return math.log(v) / abs(r.eta)
-        if not (self.v_min <= v <= self.v_max):
-            raise DomainError(f"v={v} outside bracket [{self.v_min}, {self.v_max}]")
         if r.kind == "power":
             if r.k == 1.0:
                 return math.log(v) / abs(r.c)
@@ -203,33 +210,33 @@ class PhiTransform:
     def inverse(self, y: float, below: str = "raise") -> float:
         """Phi^{-1}(y), in closed form.
 
-        ``below="zero"`` returns 0.0 for y beneath the attained image,
-        matching the clamp convention used in decay-bound assembly.
+        The image ends map to the ends of (0, inf): 0.0 at ``image_inf()``
+        and inf at ``image_sup()``, as does a level beyond the floats.
+        ``below="zero"`` returns 0.0 for y beneath the image, matching the
+        clamp convention used in decay-bound assembly.
         """
         r = self.rate
         if r.kind == "linear":
-            return math.exp(abs(r.eta) * y)
-        lo, hi = self.value(self.v_min), self.value(self.v_max)
-        if y < lo:
-            if below == "zero":
+            x = abs(r.eta) * y
+            return math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf
+        lo, hi = self._image
+        if not lo <= y <= hi:
+            if y < lo and below == "zero":
                 return 0.0
             raise OutOfImageError(y, lo, hi)
-        if y > hi:
-            raise OutOfImageError(y, lo, hi)
-        if y == lo:
-            return self.v_min
-        if y == hi:
-            return self.v_max
         if r.kind == "power":
             if r.k == 1.0:
-                return math.exp(abs(r.c) * y)
-            return math.exp(math.log1p((1.0 - r.k) * abs(r.c) * y) / (1.0 - r.k))
+                return _exp(abs(r.c) * y)
+            x = (1.0 - r.k) * abs(r.c) * y
+            if x <= -1.0:  # y on the finite image end, or rounded onto it
+                return 0.0 if r.k < 1.0 else math.inf
+            return _exp(math.log1p(x) / (1.0 - r.k))
         piece = bisect.bisect_left(self._at_knots, y)
         start, base = self._anchor(piece, y > 0.0)
         b = self._slopes[piece]
         if piece == 0:  # |rate(s)| = b s
             return start * math.exp(b * (y - base))
-        return start + self._magnitude(piece, start) * math.expm1(b * (y - base)) / b
+        return start + self._magnitude(piece, start) * _exp(b * (y - base), math.expm1) / b
 
     def image_inf(self) -> float:
         """inf of the image as v -> 0+, -inf if the transform is unbounded below."""
@@ -248,37 +255,19 @@ class PhiTransform:
         return math.inf
 
     def image_is_full(self) -> bool:
-        return self.image_inf() == -math.inf and self.image_sup() == math.inf
-
-
-def phi(rate: RateFunction, v: float) -> float:
-    """Transform value Phi(v) for a rate; see :class:`PhiTransform`."""
-    return PhiTransform(rate).value(v)
-
-
-def phi_inverse(rate: RateFunction, y: float) -> float:
-    """Inverse transform, in closed form; Phi(result) equals y to rounding
-    on the default bracket."""
-    return PhiTransform(rate).inverse(y)
+        return self._image == (-math.inf, math.inf)
 
 
 def envelope_check(
-    rates: Mapping[str, RateFunction],
-    lower: RateFunction,
-    upper: RateFunction,
-    grid: int = 256,
-    s_range: tuple[float, float] = (1e-6, 1e6),
+    rates: Mapping[str, RateFunction], lower: RateFunction, upper: RateFunction
 ) -> bool:
-    """Sampled verification of lower(s) <= |rate_p(s)| <= upper(s) for all p."""
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
-    ss = np.logspace(math.log10(s_range[0]), math.log10(s_range[1]), grid)
+    """Sampled verification of lower(s) <= |rate_p(s)| <= upper(s) for all p,
+    at 256 log-spaced levels s in [1e-6, 1e6]."""
     for r in rates.values():
-        for s in ss:
-            m = r.magnitude(float(s))
+        for s in np.logspace(-6, 6, 256).tolist():
+            m = r.magnitude(s)
             slack = 1e-12 * max(1.0, m)
-            if not (lower.magnitude(float(s)) <= m + slack
-                    and m <= upper.magnitude(float(s)) + slack):
+            if not (lower.magnitude(s) <= m + slack and m <= upper.magnitude(s) + slack):
                 return False
     return True
 
@@ -312,8 +301,6 @@ class ComparisonFunction:
             return self.a * s
         if self.kind == "power":
             return self.c * s**self.k
-        if self.kind == "max":
-            return max(f(s) for f in self.parts)
         if self.kind == "compose":
             outer, inner = self.parts
             return outer(inner(s))
@@ -331,15 +318,7 @@ class ComparisonFunction:
         if self.kind == "compose":
             outer, inner = self.parts
             return inner.inverse(outer.inverse(y))
-        if self.kind == "max":
-            # max(f_i)(s) >= y exactly when some f_i(s) >= y.
-            return min(f.inverse(y) for f in self.parts)
         return _invert_table(self.points, y)
-
-    def is_increasing(self, grid: int = 128, s_range=(1e-9, 1e9)) -> bool:
-        ss = np.logspace(math.log10(s_range[0]), math.log10(s_range[1]), grid)
-        vals = [self(float(s)) for s in ss]
-        return all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def linear_cf(a: float) -> ComparisonFunction:
@@ -352,10 +331,6 @@ def power_cf(c: float, k: float) -> ComparisonFunction:
     if c <= 0 or k <= 0:
         raise ValueError("class-K power needs c > 0 and k > 0")
     return ComparisonFunction("power", c=c, k=k)
-
-
-def max_cf(*fs: ComparisonFunction) -> ComparisonFunction:
-    return ComparisonFunction("max", parts=tuple(fs))
 
 
 def compose_cf(outer: ComparisonFunction, inner: ComparisonFunction) -> ComparisonFunction:

@@ -17,7 +17,8 @@ stepped through its flow callables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Callable, Mapping
 
@@ -168,10 +169,18 @@ class Trajectory:
     """Piecewise record of a simulated run, right-continuous at jumps."""
 
     segments: tuple[Segment, ...]
-    jump_records: tuple[JumpRecord, ...]
     input: InputSignal
     step: float
-    metadata: dict = field(default_factory=dict)
+
+    @cached_property
+    def jump_records(self) -> tuple[JumpRecord, ...]:
+        """The jump into each later segment k, read off the segments: at the
+        first time of segment k, from the last sample of segment k - 1 to the
+        first of segment k, with the input sampled half a step before."""
+        return tuple(
+            JumpRecord(float(seg.times[0]), prev.states[-1], seg.states[0], prev.mode, seg.mode,
+                       self.input(float(seg.times[0]) - self.step / 2))
+            for prev, seg in zip(self.segments, self.segments[1:]))
 
     @property
     def t0(self) -> float:
@@ -309,10 +318,9 @@ def simulate(
 
     if sig.horizon == sig.t0:
         seg = Segment(sig.modes[0], np.array([sig.t0]), x0[None, :].copy())
-        return Trajectory((seg,), (), input, step, {"order": 4, "step": step})
+        return Trajectory((seg,), input, step)
 
     segments: list[Segment] = []
-    jumps: list[JumpRecord] = []
     step_maps: dict = {}  # mode -> {h: step map}, for linear models
     x = x0
     for k, (a, b, mode) in enumerate(sig.segments()):
@@ -320,31 +328,22 @@ def simulate(
             times, states, ok = _flow(model, mode, a, b, x, input, step, step_maps)
             segments.append(Segment(mode, times, states))
             if not ok:
-                partial = Trajectory(tuple(segments), tuple(jumps), input, step,
-                                     {"order": 4, "step": step})
                 raise NonFiniteError(
                     f"state norm exceeded {FINITE_LIMIT:.0e} at t={times[-1]}",
-                    partial=partial,
+                    partial=Trajectory(tuple(segments), input, step),
                 )
-            x_pre = states[-1]
-        else:
+            x = states[-1]
+        else:  # the last instant on the horizon: a single post-jump sample
             segments.append(Segment(mode, np.array([a]), x[None, :].copy()))
-            x_pre = x
         if k < len(sig.modes) - 1:
             t_i = sig.instants[k]
             # u(t_i^-) for merely piecewise-continuous inputs: sample half a
             # step before the instant.
-            u_pre = input(t_i - step / 2)
-            new_mode = sig.modes[k + 1]
-            x_post = _jump(model, mode, t_i, x_pre, u_pre)
-            if not np.all(np.isfinite(x_post)) or np.linalg.norm(x_post) > FINITE_LIMIT:
-                partial = Trajectory(tuple(segments), tuple(jumps), input, step,
-                                     {"order": 4, "step": step})
+            x = _jump(model, mode, t_i, x, input(t_i - step / 2))
+            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > FINITE_LIMIT:
                 raise NonFiniteError(f"jump at t={t_i} produced non-finite state",
-                                     partial=partial)
-            jumps.append(JumpRecord(t_i, x_pre.copy(), x_post.copy(), mode, new_mode, u_pre))
-            x = x_post
-    return Trajectory(tuple(segments), tuple(jumps), input, step, {"order": 4, "step": step})
+                                     partial=Trajectory(tuple(segments), input, step))
+    return Trajectory(tuple(segments), input, step)
 
 
 def _sample_inputs(D: float, m: int, horizon_mid: float, rng) -> list[InputSignal]:
@@ -403,40 +402,4 @@ def reachability_bound(
         for inp in _sample_inputs(D, model.input_dim, mid, rng):
             traj = simulate(model, sub, x0, inp, step)
             best = max(best, traj.sup_norm())
-    return best
-
-
-def lipschitz_estimate(
-    model: SystemModel | LinearSystemModel,
-    sig: SwitchingSignal,
-    C: float,
-    D: float,
-    tau: float,
-    pairs: int,
-    step: float = 1e-2,
-    seed: int = 0,
-) -> float:
-    """Empirical Lipschitz factor of solutions w.r.t. initial values.
-
-    Max over sampled initial-state pairs (same input) of the time-sup of
-    ||x(t) - y(t)|| / ||x0 - y0||; pairs closer than 1e-12 are skipped.
-    """
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
-    rng = np.random.default_rng(seed)
-    sub = _restrict(sig, tau)
-    mid = sub.t0 + (sub.horizon - sub.t0) / 2
-    best = 0.0
-    for _ in range(pairs):
-        x0 = rng.uniform(-1, 1, model.state_dim) * C
-        y0 = rng.uniform(-1, 1, model.state_dim) * C
-        gap = np.linalg.norm(x0 - y0)
-        if gap < 1e-12:
-            continue
-        for inp in _sample_inputs(D, model.input_dim, mid, rng):
-            tx = simulate(model, sub, x0, inp, step)
-            ty = simulate(model, sub, y0, inp, step)
-            for sx, sy in zip(tx.segments, ty.segments):
-                diff = np.linalg.norm(sx.states - sy.states, axis=1)
-                best = max(best, float(np.max(diff)) / gap)
     return best

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import OutOfRangeError
 
@@ -103,9 +103,6 @@ class ModePartition:
         if self.stable & self.unstable:
             raise ValueError(f"modes in both classes: {sorted(self.stable & self.unstable)}")
 
-    def covers(self, modes: Iterable[str]) -> bool:
-        return set(modes) <= (self.stable | self.unstable)
-
 
 @dataclass(frozen=True)
 class DwellSpec:
@@ -135,9 +132,6 @@ class ModeChangeSet:
     def __post_init__(self):
         object.__setattr__(self, "pairs", frozenset((str(p), str(q)) for p, q in self.pairs))
 
-    def allows(self, new: str, old: str) -> bool:
-        return (new, old) in self.pairs
-
 
 def activation_count(sig: SwitchingSignal, p: str, s1: float, s2: float) -> int:
     """Number of activations of mode p in (s1, s2]."""
@@ -153,13 +147,6 @@ def active_time(sig: SwitchingSignal, p: str, s1: float, s2: float) -> float:
         if mode == p:
             total += max(0.0, min(b, s2) - max(a, s1))
     return total
-
-
-def admits(sig: SwitchingSignal, q_set: ModeChangeSet) -> bool:
-    """True iff every consecutive mode change of the signal is allowed."""
-    return all(
-        q_set.allows(sig.modes[i + 1], sig.modes[i]) for i in range(len(sig.instants))
-    )
 
 
 def mdadt_slack(sig: SwitchingSignal, partition: ModePartition, tau: Mapping[str, float]) -> float:

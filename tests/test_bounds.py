@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import isscert as iss
-from isscert.errors import DegenerateGammaError
+from isscert.errors import DegenerateGammaError, DomainError, ImageNotFullError
 
 from conftest import FAMILY_ENVELOPES, make_family_certificate
 
@@ -78,6 +78,19 @@ class TestBuildBound:
         # Moderate s: still strictly positive decay.
         assert 0.0 < bound.beta_tilde(1.0, 2.0) < bound.beta_tilde(1.0, 0.0)
 
+    def test_image_bounded_above_refused(self):
+        # A superlinear envelope's transform ends at a finite sup, which
+        # beta's lift by C > 0 could pass; with C = 0 it never does.
+        cert = single_stable_cert(T_S=1.0)
+        for lower, upper in ((iss.power_rate(1.0, 2.0), iss.linear_rate(1.0)),
+                             (iss.linear_rate(1.0), iss.power_rate(1.0, 2.0))):
+            with pytest.raises(ImageNotFullError):
+                iss.build_bound(cert, cert.dwell, lower, upper)
+        cert = single_stable_cert()
+        bound = iss.build_bound(cert, cert.dwell, iss.power_rate(1.0, 2.0),
+                                iss.power_rate(1.0, 2.0))
+        assert bound.C == 0.0 and bound.beta(1.0, 1.0) < 1.0
+
     def test_monotone(self):
         cert = single_stable_cert(T_S=1.0)
         bound = iss.build_bound(cert, cert.dwell, iss.linear_rate(1.0),
@@ -112,10 +125,11 @@ class TestGainChain:
         cert = single_stable_cert(T_S=1.0)
         bound = iss.build_bound(cert, cert.dwell, iss.linear_rate(1.0),
                                 iss.linear_rate(2.0))
+        # In Lyapunov levels: chi <= gamma2 = max(alpha3, chi) <= alpha1(gamma).
         for u in (0.0, 0.3, 1.0, 7.0):
-            chi, g2, g3 = iss.gain_levels(bound, u)
+            chi, g2 = cert.chi(u), max(cert.alpha3(u), cert.chi(u))
             assert chi <= g2 + 1e-12
-            assert g2 <= g3 + 1e-12
+            assert g2 <= cert.alpha1(bound.gamma(u)) * (1 + 1e-12) + 1e-12
 
     def test_zero_input_zero_gain(self):
         cert = single_stable_cert()
@@ -127,8 +141,8 @@ class TestGainChain:
         cert = single_stable_cert()
         bound = iss.build_bound(cert, cert.dwell, iss.linear_rate(1.0),
                                 iss.linear_rate(1.0))
-        with pytest.raises(ValueError):
-            iss.gain_levels(bound, -1.0)
+        with pytest.raises(DomainError):
+            bound.gamma(-1.0)
 
 
 class TestCertifyIss:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import isscert as iss
 from isscert.construct import decrease_check
 from isscert.errors import DegenerateGapError, SignAmbiguousError
-from isscert.simulate import JumpRecord, Segment, Trajectory
+from isscert.simulate import Segment, Trajectory
 
 from conftest import make_family_certificate, make_family_model, make_family_signal
 
@@ -159,6 +159,17 @@ class TestDwellConditions:
         kinds = {r.kind for r in reports}
         assert "dwell-condition" in kinds or "dwell-closed-form" in kinds
 
+    def test_non_finite_difference_is_inconclusive(self, family_signal, family_certificate):
+        # Phi_s of power(-1, 40) is -inf below about 1.2e-8 (beyond the
+        # floats): at a = 1e-12 every switch, out of s or into it, has a
+        # non-finite transform difference and is inconclusive; a = 1 passes.
+        cert = replace(family_certificate,
+                       phi={**family_certificate.phi, "s": iss.power_rate(-1.0, 40.0)})
+        reports = iss.check_dwell_conditions(cert, family_signal, [1e-12, 1.0])
+        assert [(r.kind, r.time) for r in reports] == \
+            [("dwell-inconclusive", t) for t in family_signal.instants]
+        assert all(math.isnan(r.lhs) and math.isnan(r.rhs) for r in reports)
+
     def test_grid_validation(self, family_signal, family_certificate):
         with pytest.raises(ValueError):
             iss.check_dwell_conditions(family_certificate, family_signal, [])
@@ -167,29 +178,29 @@ class TestDwellConditions:
 
 
 class TestClassification:
-    def test_classify(self):
-        part = iss.classify_modes({"a": iss.linear_rate(-1.0), "b": iss.linear_rate(2.0)})
-        assert part.stable == frozenset({"a"})
-        assert part.unstable == frozenset({"b"})
+    """The declared partition must match the sign of each flow rate."""
+
+    @staticmethod
+    def certificate(phi):
+        return iss.Certificate(
+            V={"a": iss.quadratic_v([[1.0]])},
+            alpha1=iss.power_cf(1.0, 2.0),
+            alpha2=iss.power_cf(1.0, 2.0),
+            alpha3=iss.power_cf(1.0, 2.0),
+            chi=iss.power_cf(1.0, 2.0),
+            phi={"a": phi},
+            psi={"a": iss.linear_rate(0.5)},
+            partition=iss.ModePartition(frozenset({"a"}), frozenset()),
+            dwell=iss.DwellSpec({"a": 1.0}, 0.5),
+        )
 
     def test_ambiguous_sign(self):
-        r = iss.tabulated_rate([(1.0, -1.0), (2.0, 3.0)])  # crosses zero
         with pytest.raises(SignAmbiguousError):
-            iss.classify_modes({"a": r})
+            self.certificate(iss.tabulated_rate([(1.0, -1.0), (2.0, 3.0)]))  # crosses zero
 
     def test_wrong_declaration_rejected(self):
         with pytest.raises(ValueError):
-            iss.Certificate(
-                V={"a": iss.quadratic_v([[1.0]])},
-                alpha1=iss.power_cf(1.0, 2.0),
-                alpha2=iss.power_cf(1.0, 2.0),
-                alpha3=iss.power_cf(1.0, 2.0),
-                chi=iss.power_cf(1.0, 2.0),
-                phi={"a": iss.linear_rate(1.0)},
-                psi={"a": iss.linear_rate(0.5)},
-                partition=iss.ModePartition(frozenset({"a"}), frozenset()),
-                dwell=iss.DwellSpec({"a": 1.0}, 0.5),
-            )
+            self.certificate(iss.linear_rate(1.0))
 
 
 class TestDecreasingCheck:
@@ -339,9 +350,8 @@ def jump_trajectory(v_pre, v_post):
         Segment("a", np.array([0.0, 0.5, 1.0]), np.array([[v_pre], [v_pre], pre])),
         Segment("a", np.array([1.0, 1.5, 2.0]), np.array([post, [v_post], [v_post]])),
     )
-    jump = JumpRecord(1.0, pre, post, "a", "a", np.zeros(1))
     sig = iss.SwitchingSignal(0.0, (1.0,), ("a", "a"), 2.0)
-    return sig, Trajectory(segments, (jump,), iss.zero_input(), 0.5)
+    return sig, Trajectory(segments, iss.zero_input(), 0.5)
 
 
 class TestRelativeJumpTolerance:

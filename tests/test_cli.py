@@ -192,6 +192,22 @@ class TestConstruct:
                    if rows[i].split(",")[0] == rows[i - 1].split(",")[0]]
         assert jumps == repeats and len(jumps) == 4
 
+    def test_power_rate_at_small_levels(self, tmp_path):
+        # phi_s = power(-1, 1) is linear(-1) written as a power rate; on the
+        # 8-switch signal V falls to 4.0e-10, and both configs write the same
+        # bytes.
+        cfg = base_config()
+        cfg["certificate"] = family_certificate_json()
+        code, linear = run(tmp_path, "construct", cfg, name="linear.json")
+        assert code == 0
+        cfg["certificate"]["phi"]["s"] = {"kind": "power", "c": -1.0, "k": 1.0}
+        code, power = run(tmp_path, "construct", cfg, name="power.json")
+        assert code == 0
+        assert min(float(r.split(",")[1])
+                   for r in (power / "construct.csv").read_text().splitlines()[1:]) < 1e-9
+        for name in ("construct.csv", "reports.csv"):
+            assert (power / name).read_bytes() == (linear / name).read_bytes()
+
     def test_image_not_full(self, tmp_path):
         cfg = base_config()
         cert = family_certificate_json()
@@ -243,6 +259,20 @@ class TestBound:
         code, out = run(tmp_path, "bound", cfg, seed=0)
         assert code == 4
         assert "envelopes" in capsys.readouterr().err
+        assert not (out / "verdict.json").exists()
+
+    def test_envelope_image_bounded_above(self, tmp_path, capsys):
+        # Quadratic rates and envelopes: the envelopes' transform images end
+        # at 1, which beta's lift by C = 1.1 would pass.
+        cfg = self._cfg()
+        cfg["certificate"]["phi"] = {"s": {"kind": "power", "c": -1.0, "k": 2.0},
+                                     "u": {"kind": "power", "c": 1.0, "k": 2.0}}
+        square = {"kind": "power", "c": 1.0, "k": 2.0}
+        cfg["bound"].update(envelopes={"lower": square, "upper": square}, runs=2,
+                            x0_range=2.0)
+        code, out = run(tmp_path, "bound", cfg, seed=0)
+        assert code == 4
+        assert "bounded above" in capsys.readouterr().err
         assert not (out / "verdict.json").exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import isscert as iss
-from isscert.construct import decrease_check
+from isscert.construct import CorrectionLedger, decrease_check
 from isscert.errors import ImageNotFullError
 
 from conftest import make_family_certificate, make_family_model, make_family_signal
@@ -22,23 +22,23 @@ class TestCorrection:
         # One stable activation at t0, tau = 1, delta = 0.5: at t = 0.4 the
         # balance is (0.4 - 1)(1 - 0.5) = -0.3.
         sig, part, dwell = single_stable()
-        assert iss.correction(sig, part, dwell, 0.4) == pytest.approx(-0.3)
+        assert CorrectionLedger(sig, part, dwell).h(0.4) == pytest.approx(-0.3)
 
     def test_clamped_at_zero(self):
         # Past the dwell time the balance turns positive and h stays 0.
         sig, part, dwell = single_stable()
-        assert iss.correction(sig, part, dwell, 3.0) == 0.0
+        assert CorrectionLedger(sig, part, dwell).h(3.0) == 0.0
 
     def test_initial_value(self):
         sig, part, dwell = single_stable()
-        assert iss.correction(sig, part, dwell, 0.0) == pytest.approx(-0.5)
+        assert CorrectionLedger(sig, part, dwell).h(0.0) == pytest.approx(-0.5)
 
     def test_left_limit_excludes_event(self):
         sig = iss.SwitchingSignal(0.0, (1.0,), ("a", "a"), 2.0)
         part = iss.ModePartition(frozenset({"a"}), frozenset())
         dwell = iss.DwellSpec({"a": 1.0}, 0.5)
-        right = iss.correction(sig, part, dwell, 1.0)
-        left = iss.correction(sig, part, dwell, 1.0, side="left")
+        right = CorrectionLedger(sig, part, dwell).h(1.0)
+        left = CorrectionLedger(sig, part, dwell).h(1.0, side="left")
         # The activation entering at t = 1 books a fresh dwell debit.
         assert right == pytest.approx(-0.5)
         assert left == pytest.approx(0.0)

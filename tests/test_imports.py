@@ -1,15 +1,22 @@
-"""SciPy stays off the import path: every transform is closed-form, and
-only ``lmi.synthesize`` loads ``scipy.linalg``, when it runs.
+"""The import path and the public surface.
 
-Each check runs in a fresh interpreter, since the test process itself has
-loaded SciPy for the oracles.
+SciPy stays off the import path: every transform is closed-form, and only
+``lmi.synthesize`` loads ``scipy.linalg``, when it runs.  Those checks run in
+a fresh interpreter, since the test process itself has loaded SciPy for the
+oracles.  Every name ``isscert`` exports has a user: the package itself, the
+acceptance gate or the README.
 """
 
+import ast
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 from test_cli import base_config, family_certificate_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fresh(code: str) -> dict:
@@ -32,9 +39,7 @@ def test_non_linear_rates_run_without_quadrature(tmp_path):
     cert = family_certificate_json()
     cert["phi"]["s"] = {"kind": "power", "c": -1.0, "k": 1.0}
     cert["psi"]["u"] = {"kind": "tabulated", "points": [[1.0, 0.01], [2.0, 0.02]]}
-    # Two switches keep V above the transforms' bracket floor 1e-9.
-    signal = {"t0": 0.0, "instants": [1.0, 1.25], "modes": ["s", "u", "s"], "horizon": 2.25}
-    cfg = {**base_config(), "signal": signal, "certificate": cert,
+    cfg = {**base_config(), "certificate": cert,
            "dwell_a_grid": [0.5, 1.0, 100.0],
            "bound": {"envelopes": {"lower": {"kind": "linear", "eta": 1.0},
                                    "upper": {"kind": "linear", "eta": 1.0}},
@@ -50,3 +55,21 @@ print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
 """)
     assert result["codes"] == [0, 0, 0]
     assert not {"scipy.integrate", "scipy.optimize"} & set(result["loaded"])
+
+
+def test_every_export_has_a_user():
+    """Each name imported into ``isscert/__init__.py`` is used in the package
+    beyond its own definition, or appears as ``iss.<name>`` in the acceptance
+    tests, or as ``iss.<name>`` or `` `<name>` `` in the README."""
+    package = ROOT / "src" / "isscert"
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    source = "\n".join(p.read_text() for p in package.glob("*.py") if p.name != "__init__.py")
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    readme = (ROOT / "README.md").read_text()
+    unused = [name for name in exported
+              if len(re.findall(rf"\b{name}\b", source)) < 2
+              and not re.search(rf"\biss\.{name}\b", acceptance)
+              and not re.search(rf"\biss\.{name}\b|`{name}`", readme)]
+    assert exported and not unused

@@ -83,11 +83,36 @@ class TestJumps:
         assert at_jump[1][2][0] == pytest.approx(0.1 * at_jump[0][2][0])
 
     @pytest.mark.parametrize("instants, horizon", [((0.5,), 1.0), ((0.3, 0.6), 1.0),
-                                                    ((0.5, 1.0), 1.0)])
+                                                    ((0.5, 1.0), 1.0),
+                                                    ((0.3, 0.6, 1.2, 1.95), 2.0)])
     def test_rows_match_jump_records(self, instants, horizon):
-        # The last case ends on a switching instant: a zero-length final segment.
-        sig = iss.SwitchingSignal(0.0, instants, ("a",) * (len(instants) + 1), horizon)
-        traj = iss.simulate(scalar_model(j=0.1), sig, [1.0], iss.zero_input(), 1e-2)
+        # The third case ends on a switching instant: a zero-length final
+        # segment.  In the fourth, x' = 60 x + u from t = 1 on passes 1e12
+        # before t = 1.95: the records of the NonFiniteError partial
+        # trajectory.  Two modes with the same maps, so records name both.
+        def flow(t, x, u):
+            return (-1.0 if t < 1.0 else 60.0) * x + u
+
+        def jump(t, x, u):
+            return 0.1 * x + 0.5 * u
+
+        model = iss.SystemModel({p: flow for p in "ab"}, {p: jump for p in "ab"}, 1, 1)
+        modes = ("a", "b", "a", "b", "a")[:len(instants) + 1]
+        sig = iss.SwitchingSignal(0.0, instants, modes, horizon)
+        inp = iss.sinusoid_input([1.0], 3.0)
+        try:
+            traj, partial = iss.simulate(model, sig, [1.0], inp, 1e-2), False
+        except NonFiniteError as e:
+            traj, partial = e.partial, True
+        records = traj.jump_records
+        assert partial == (horizon == 2.0)
+        assert len(records) == len(traj.segments) - 1 == (3 if partial else len(instants))
+        for k, jr in enumerate(records, start=1):
+            assert (jr.time, jr.mode_before, jr.mode_after) == \
+                (sig.instants[k - 1], sig.modes[k - 1], sig.modes[k])
+            assert np.array_equal(jr.pre_state, traj.segments[k - 1].states[-1])
+            assert np.array_equal(jr.u_pre, inp(jr.time - 1e-2 / 2))
+            assert np.array_equal(jr.post_state, jump(jr.time, jr.pre_state, jr.u_pre))
         expected = []
         for k, seg in enumerate(traj.segments):
             start = 0
@@ -100,7 +125,7 @@ class TestJumps:
         rows = traj.rows()
         assert [(t, p, f) for t, p, _, f in rows] == [(t, p, f) for t, p, _, f in expected]
         assert all(np.array_equal(a[2], b[2]) for a, b in zip(rows, expected))
-        assert sum(f for *_, f in rows) == len(instants)
+        assert sum(f for *_, f in rows) == len(records)
 
     def test_pre_jump_input_sample(self):
         # Jump x -> x + u must use u just before the switch, not after.
@@ -160,15 +185,6 @@ class TestSampling:
                                        step=1e-2, seed=2)
         assert bound >= math.e * 0.8  # sampled x0 norms fill most of the ball
 
-    def test_lipschitz_linear(self):
-        # For linear flows the factor is exactly the matrix-exponential norm:
-        # 1 for the contraction, about e for the expansion over one unit.
-        lo = iss.lipschitz_estimate(scalar_model(a=-1.0), single_mode(), 1.0, 0.5,
-                                    1.0, 10, step=1e-2, seed=3)
-        assert lo == pytest.approx(1.0, abs=1e-9)
-        hi = iss.lipschitz_estimate(scalar_model(a=1.0), single_mode(), 1.0, 0.0,
-                                    1.0, 10, step=1e-2, seed=3)
-        assert hi == pytest.approx(math.e, rel=1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -317,11 +333,10 @@ class TestLinearPropagator:
     def test_sampling_estimators_accept_linear_model(self):
         model = iss.LinearSystemModel(A={"a": [[1.0]]}, B={"a": [[1.0]]},
                                       J={"a": [[1.0]]}, H={"a": [[0.0]]})
-        for estimate in (iss.reachability_bound, iss.lipschitz_estimate):
-            lin = estimate(model, single_mode(), 1.0, 0.5, 1.0, 5, step=1e-2, seed=4)
-            ref = estimate(model.to_system_model(), single_mode(), 1.0, 0.5, 1.0, 5,
-                           step=1e-2, seed=4)
-            assert lin == pytest.approx(ref, rel=1e-12)
+        lin = iss.reachability_bound(model, single_mode(), 1.0, 0.5, 1.0, 5, step=1e-2, seed=4)
+        ref = iss.reachability_bound(model.to_system_model(), single_mode(), 1.0, 0.5, 1.0, 5,
+                                     step=1e-2, seed=4)
+        assert lin == pytest.approx(ref, rel=1e-12)
 
 
 class TestInputArrays:

@@ -85,20 +85,6 @@ class TestSlacks:
             prev = val
 
 
-class TestAdmits:
-    def test_no_switch(self):
-        sig = iss.SwitchingSignal(0.0, (), ("a",), 5.0)
-        assert iss.admits(sig, iss.ModeChangeSet(frozenset({("x", "y")})))
-
-    def test_allowed(self):
-        sig = three_mode_signal()
-        assert iss.admits(sig, iss.ModeChangeSet(frozenset({("2", "1"), ("1", "2")})))
-
-    def test_missing_pair(self):
-        sig = three_mode_signal()
-        assert not iss.admits(sig, iss.ModeChangeSet(frozenset({("2", "1")})))
-
-
 class TestValidation:
     def test_instants_must_increase(self):
         with pytest.raises(ValueError):
