@@ -23,8 +23,9 @@ from .switching import DwellSpec
 ISS_REL_TOL = 1e-9
 
 
-def decay_interpolant(u: float, v: float, C: float, m: float) -> float:
-    """Interpolation between u + C (at v=0) and the floor m as v grows.
+def decay_interpolant(u: float, v, C: float, m: float):
+    """Interpolation between u + C (at v=0) and the floor m as v grows,
+    elementwise in v.
 
     Equals m + (u + C - m) * exp(-v / (u + C - m)) and always dominates
     u + C - v.  The gap u + C - m must be nonnegative; the zero-gap limit
@@ -34,13 +35,16 @@ def decay_interpolant(u: float, v: float, C: float, m: float) -> float:
     if gap < 0:
         raise DegenerateGammaError(f"negative gap u + C - m = {gap}")
     if gap == 0.0:
-        return u + C
-    return m + gap * math.exp(-v / gap)
+        return np.full(np.shape(v), u + C)[()]
+    return m + gap * np.exp(-np.asarray(v) / gap)
 
 
 @dataclass(frozen=True)
 class IssBound:
-    """Assembled transient bound and input gain with their components."""
+    """Assembled transient bound and input gain with their components.
+
+    ``beta(r, s)`` and ``beta_tilde(r, s)`` are elementwise in the elapsed
+    time s: an array of times gives an array, a number gives a float."""
 
     beta: Callable[[float, float], float]
     gamma: Callable[[float], float]
@@ -80,27 +84,34 @@ def build_bound(
     m = tr_lo.image_inf()
     case = "finite-m" if m > -math.inf else "infinite-m"
 
-    def beta_tilde(r: float, s: float) -> float:
+    # For one initial level r the transform values are scalars; the rest is
+    # NumPy over the elapsed times s.
+    def beta_tilde(r: float, s):
+        s = np.asarray(s, dtype=float)
         if r <= 0.0:
-            return 0.0
+            return np.zeros(s.shape)[()]
         if case == "finite-m":
             # Levels at or below an image's lower end clamp to 0: the
             # interpolant tends to m, the lower end of tr_lo's image.
-            a = tr_lo.inverse(decay_interpolant(tr_lo.value(r), delta * s, C, m),
-                              below="zero")
-            b = tr_hi.inverse(tr_hi.value(r) + C - delta * s, below="zero")
+            a = tr_lo.inverse_array(decay_interpolant(tr_lo.value(r), delta * s, C, m),
+                                    below="zero")
+            b = tr_hi.inverse_array(tr_hi.value(r) + C - delta * s, below="zero")
         else:
-            a = tr_lo.inverse(tr_lo.value(r) + C - delta * s)
-            b = tr_hi.inverse(tr_hi.value(r) + C - delta * s)
-        return max(a, b)
+            a = tr_lo.inverse_array(tr_lo.value(r) + C - delta * s)
+            b = tr_hi.inverse_array(tr_hi.value(r) + C - delta * s)
+        return np.maximum(a, b)
 
     patch_window = C / delta
 
-    def beta(r: float, s: float) -> float:
-        level = beta_tilde(cert.alpha2(r), s)
-        if short_horizon_envelope is not None and s <= patch_window:
-            level = max(level, short_horizon_envelope(cert.alpha2(r)))
-        return cert.alpha1.inverse(level)
+    def beta(r: float, s):
+        s = np.asarray(s, dtype=float)
+        r2 = cert.alpha2(r)
+        level = beta_tilde(r2, s)
+        if short_horizon_envelope is not None:
+            level = np.where(s <= patch_window,
+                             np.maximum(level, short_horizon_envelope(r2)), level)
+        out = cert.alpha1.inverse_array(level)
+        return out if out.ndim else float(out)
 
     def gamma(s: float) -> float:
         # Lyapunov levels: gamma2 = max(alpha3, chi), and gamma3 lifts it by
@@ -130,18 +141,23 @@ def iss_check(
     bound: IssBound, traj: Trajectory, x0, input: InputSignal
 ) -> tuple[list[ViolationReport], float]:
     """Check the ISS estimate at every trajectory sample; also return the
-    largest margin ||x(t)|| - (beta(||x0||, t - t0) + gamma(||u||inf))."""
+    largest margin ||x(t)|| - (beta(||x0||, t - t0) + gamma(||u||inf)).
+
+    The samples are compared as arrays, with one beta call per trajectory;
+    the reports come in ``Trajectory.rows()`` order."""
     r0 = float(np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))))
-    t0 = traj.t0
     g = bound.gamma(input.sup_norm)
-    out = []
-    max_margin = -math.inf
-    for t, mode, x, _ in traj.rows():
-        rhs = bound.beta(r0, t - t0) + g
-        lhs = float(np.linalg.norm(x))
-        max_margin = max(max_margin, lhs - rhs)
-        if lhs > rhs * (1 + ISS_REL_TOL) + 1e-12:
-            out.append(_report("iss", t, mode, lhs, rhs))
+    segments = traj.segments
+    times = np.concatenate([seg.times for seg in segments])
+    lhs = np.linalg.norm(np.concatenate([seg.states for seg in segments]), axis=1)
+    # One beta call over every elapsed time (a beta that ignores s may
+    # return a scalar, hence the broadcast).
+    rhs = np.broadcast_to(bound.beta(r0, times - traj.t0) + g, times.shape)
+    # fmax skips NaN margins, as a running max() over floats does.
+    max_margin = float(np.fmax.reduce(lhs - rhs, initial=-math.inf))
+    seg_of = np.repeat(np.arange(len(segments)), [len(seg.times) for seg in segments])
+    out = [_report("iss", times[i], segments[seg_of[i]].mode, lhs[i], rhs[i])
+           for i in np.flatnonzero(lhs > rhs * (1 + ISS_REL_TOL) + 1e-12)]
     return out, max_margin
 
 

@@ -187,6 +187,13 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
     u_bound = _number(bcfg.get("u_bound", 0.0), "bound.u_bound")
     patch_samples = _number(bcfg.get("patch_samples", 20), "bound.patch_samples", cast=int, low=1)
     r_list = _numbers(bcfg.get("r_list", [1.0]), "bound.r_list")
+    for r in r_list:
+        try:
+            finite = math.isfinite(cert.alpha2(r))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"alpha2({r!r}) exceeds the floats", field="bound.r_list")
     s_grid = _numbers(bcfg.get("s_grid", np.linspace(0.0, sig.horizon - sig.t0, 51)),
                       "bound.s_grid")
 
@@ -195,19 +202,20 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
               "|phi_p| for every mode", file=sys.stderr)
         return EXIT_STRUCTURAL
 
-    delta = cert.dwell.delta
-    c_slack = (1 - delta) * cert.dwell.T_S + (1 + delta) * cert.dwell.T_U
-    patch = None
-    if c_slack > 0:
-        k_hat = reachability_bound(model, sig, x0_range, u_bound,
-                                   c_slack / delta, patch_samples,
-                                   step=step, seed=seed)
-        level = cert.alpha2(k_hat)
-        patch = lambda r: level  # noqa: E731
     try:
-        bound = build_bound(cert, cert.dwell, lower, upper, short_horizon_envelope=patch)
+        # Built once without the patch first, so that envelopes the bound
+        # refuses are refused before the reachability runs.
+        bound = build_bound(cert, cert.dwell, lower, upper)
+        if bound.C > 0:
+            k_hat = reachability_bound(model, sig, x0_range, u_bound,
+                                       bound.metadata["patch_window"], patch_samples,
+                                       step=step, seed=seed)
+            level = cert.alpha2(k_hat)
+            bound = build_bound(cert, cert.dwell, lower, upper,
+                                short_horizon_envelope=lambda r: level)
         jsonio.write_csv(out / "bound.csv", ["r", "s", "beta(r,s)"],
-                         ((r, s, bound.beta(r, s)) for r in r_list for s in s_grid))
+                         ((r, s, b) for r in r_list
+                          for s, b in zip(s_grid, bound.beta(r, s_grid).tolist())))
 
         rng = np.random.default_rng(seed)
         n, m = model.dims

@@ -11,7 +11,10 @@ elementary transform: log(v)/|eta| for linear rates,
 (v^(1-k) - 1)/((1-k)|c|) for power rates (log(v)/|c| at k = 1), and a sum
 of log-ratio terms for tabulated rates, whose magnitude is affine between
 and beyond the breakpoints.  The transform and its inverse are evaluated
-in closed form; so are the inverses of the comparison functions.
+in closed form; so are the inverses of the comparison functions.  Both
+inverses also have an array form, ``inverse_array``, with the same branches
+elementwise; the scalar forms stay for per-sample callers, where ``math``
+on one float is several times faster than a NumPy call.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 def _exp(x: float, f=math.exp) -> float:
     """f(x) for f = exp or expm1, and inf where that exceeds the floats."""
     return f(x) if x <= _LOG_FLOAT_MAX else math.inf
+
+
+def _exp_array(x: np.ndarray, f=np.exp) -> np.ndarray:
+    """``_exp`` elementwise: f(x), and inf where x exceeds the log of the
+    largest float (NaN included, as in ``_exp``)."""
+    return np.where(x <= _LOG_FLOAT_MAX, f(np.minimum(x, _LOG_FLOAT_MAX)), math.inf)
 
 
 def _interp_table(points, s: float) -> float:
@@ -57,6 +66,15 @@ def _invert_table(points, y: float) -> float:
     if y >= y2:
         return s2 + (s2 - s1) / (y2 - y1) * (y - y2)
     return float(np.interp(y, [p[1] for p in points], [p[0] for p in points]))
+
+
+def _invert_table_array(points, y: np.ndarray) -> np.ndarray:
+    """``_invert_table`` elementwise over an array of levels y >= 0."""
+    s0, y0 = points[0]
+    (s1, y1), (s2, y2) = points[-2], points[-1]
+    return np.where(y <= y0, s0 * y / y0,
+                    np.where(y >= y2, s2 + (s2 - s1) / (y2 - y1) * (y - y2),
+                             np.interp(y, [p[1] for p in points], [p[0] for p in points])))
 
 
 @dataclass(frozen=True)
@@ -153,6 +171,20 @@ class PhiTransform:
         for j in range(home - 1, -1, -1):  # breakpoints below 1, outwards
             start, base = self._anchor(j + 1, upward=False)
             at[j] = base + self._integral(j + 1, start, ss[j])
+        # The anchors of ``inverse_array``, indexed [quantity, v > 1, piece]:
+        # (s, Phi(s), |rate(s)|) at the anchor of each piece, and the piece's
+        # slope.  The pieces an inverse never reaches from that side (piece 0
+        # above 1, piece n below 1, unless either is home) hold v = 1.
+        n = len(ss)
+        rows = []
+        for upward in (False, True):
+            row = []
+            for p in range(n + 1):
+                reachable = p == home or (p > 0 if upward else p < n)
+                s, phi = self._anchor(p, upward) if reachable else (1.0, 0.0)
+                row.append((s, phi, self._magnitude(p, s), self._slopes[p]))
+            rows.append(row)
+        self._anchor_table = np.array(rows).transpose(2, 0, 1)
 
     def _magnitude(self, piece: int, s: float) -> float:
         if piece == 0:
@@ -202,7 +234,14 @@ class PhiTransform:
             x = (1.0 - r.k) * math.log(v)
             if x > _LOG_FLOAT_MAX:  # k > 1, v < 1, and v^(1-k) is beyond floats
                 return -math.inf
-            return math.expm1(x) / ((1.0 - r.k) * abs(r.c))
+            y = math.expm1(x) / ((1.0 - r.k) * abs(r.c))
+            # Where v^(1-k) is below an ulp of 1, y rounds onto the finite
+            # image end, whose inverse is 0 (k < 1) or inf (k > 1); a finite
+            # v stays an ulp inside the open image instead.
+            lo, hi = self._image
+            if r.k < 1.0:
+                return max(y, math.nextafter(lo, 0.0))
+            return min(y, math.nextafter(hi, 0.0))
         piece = bisect.bisect_left(self._knots, v)
         start, base = self._anchor(piece, v > 1.0)
         return base + self._integral(piece, start, v)
@@ -237,6 +276,39 @@ class PhiTransform:
         if piece == 0:  # |rate(s)| = b s
             return start * math.exp(b * (y - base))
         return start + self._magnitude(piece, start) * _exp(b * (y - base), math.expm1) / b
+
+    def inverse_array(self, y, below: str = "raise") -> np.ndarray:
+        """``inverse`` elementwise over an array of levels, with the same
+        branches: the image ends map to 0.0 and inf, as do levels beyond the
+        floats, ``below="zero"`` clamps levels beneath the image to 0.0, and
+        any other level outside the image raises ``OutOfImageError`` (for the
+        first such level).  Agrees with ``inverse`` to within a few ulps
+        (NumPy's exp, expm1 and log1p against ``math``'s)."""
+        y = np.asarray(y, dtype=float)
+        r = self.rate
+        if r.kind == "linear":
+            with np.errstate(over="ignore"):
+                return _exp_array(abs(r.eta) * y)
+        lo, hi = self._image
+        clamp = y < lo if below == "zero" else np.zeros(y.shape, dtype=bool)
+        outside = ~((lo <= y) & (y <= hi) | clamp)
+        if outside.any():
+            raise OutOfImageError(float(y[outside][0]), lo, hi)
+        with np.errstate(all="ignore"):  # branches masked below
+            if r.kind == "power":
+                if r.k == 1.0:
+                    out = _exp_array(abs(r.c) * y)
+                else:
+                    x = (1.0 - r.k) * abs(r.c) * y
+                    out = np.where(x <= -1.0, 0.0 if r.k < 1.0 else math.inf,
+                                   _exp_array(np.log1p(x) / (1.0 - r.k)))
+            else:
+                piece = np.searchsorted(self._at_knots, y)
+                start, base, mag, b = self._anchor_table[:, (y > 0.0).astype(np.intp), piece]
+                e = b * (y - base)
+                out = np.where(piece == 0, start * np.exp(e),
+                               start + mag * _exp_array(e, np.expm1) / b)
+        return np.where(clamp, 0.0, out)
 
     def image_inf(self) -> float:
         """inf of the image as v -> 0+, -inf if the transform is unbounded below."""
@@ -314,11 +386,31 @@ class ComparisonFunction:
         if self.kind == "linear":
             return y / self.a
         if self.kind == "power":
-            return (y / self.c) ** (1.0 / self.k)
+            try:
+                return (y / self.c) ** (1.0 / self.k)
+            except OverflowError:  # the root exceeds the floats
+                return math.inf
         if self.kind == "compose":
             outer, inner = self.parts
             return inner.inverse(outer.inverse(y))
         return _invert_table(self.points, y)
+
+    def inverse_array(self, y) -> np.ndarray:
+        """``inverse`` elementwise over an array of levels y >= 0."""
+        y = np.asarray(y, dtype=float)
+        if (y < 0).any():
+            raise DomainError("inverse defined for y >= 0")
+        with np.errstate(all="ignore"):  # y = 0 and the table's branches masked below
+            if self.kind == "linear":
+                out = y / self.a
+            elif self.kind == "power":
+                out = np.power(y / self.c, 1.0 / self.k)
+            elif self.kind == "compose":
+                outer, inner = self.parts
+                out = inner.inverse_array(outer.inverse_array(y))
+            else:
+                out = _invert_table_array(self.points, y)
+        return np.where(y == 0, 0.0, out)
 
 
 def linear_cf(a: float) -> ComparisonFunction:

@@ -69,6 +69,23 @@ def make_family_certificate(sig: iss.SwitchingSignal) -> iss.Certificate:
     )
 
 
+# The tolerance of the array forms against their scalar references, fixed
+# from the dtype before any comparison was run: NumPy's exp, expm1, log1p and
+# power may round differently from ``math``'s in the last place.
+ARRAY_TOL = 64 * np.finfo(float).eps
+
+
+def mismatches(got, want) -> list:
+    """The first (index, got, want) where two arrays differ by more than
+    ARRAY_TOL relative; where either side is 0 or inf they must be equal."""
+    got, want = np.broadcast_arrays(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
+    with np.errstate(invalid="ignore"):
+        exact = (got == 0) | (want == 0) | np.isinf(got) | np.isinf(want)
+        close = np.abs(got - want) <= ARRAY_TOL * np.maximum(np.abs(got), np.abs(want))
+    ok = np.where(exact, got == want, close)
+    return [(i, got.flat[i], want.flat[i]) for i in np.flatnonzero(~ok)][:5]
+
+
 FAMILY_A_GRID = tuple(np.logspace(0.0, 4.0, 9))
 FAMILY_ENVELOPES = (iss.linear_rate(1.0), iss.linear_rate(2.0))
 

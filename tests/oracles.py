@@ -11,14 +11,24 @@
   and Brent's method: the earlier library implementations, kept as oracles
   for the closed forms in ``isscert.rates``; and the transform of a
   tabulated rate by mpmath quadrature in extended precision.
+* The ISS bound per sample: ``beta_tilde``/``beta`` as scalar closures over
+  the scalar transform and comparison inverses, and the ISS check as a
+  loop over ``Trajectory.rows()`` with one ``beta`` call per sample.  These
+  are the earlier library implementations, kept as oracles for the
+  elementwise ``beta`` and the array ``iss_check`` in ``isscert.bounds``.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from isscert.bounds import ISS_REL_TOL
+from isscert.certify import _report
+from isscert.errors import DegenerateGammaError
+from isscert.rates import PhiTransform
 from isscert.switching import active_time
 
 
@@ -171,3 +181,61 @@ def phi_mp(rate, v: float) -> float:
         total = sum(mp.quad(lambda s: 1 / magnitude(s), [a, b])
                     for a, b in zip(knots, knots[1:]))
         return float(total if v >= 1 else -total)
+
+
+def decay_interpolant(u: float, v: float, C: float, m: float) -> float:
+    """m + (u + C - m) exp(-v / (u + C - m)) for one v, through ``math``."""
+    gap = u + C - m
+    if gap < 0:
+        raise DegenerateGammaError(f"negative gap u + C - m = {gap}")
+    if gap == 0.0:
+        return u + C
+    return m + gap * math.exp(-v / gap)
+
+
+def scalar_beta(cert, dwell, lower, upper, short_horizon_envelope=None):
+    """(beta_tilde, beta) of ``build_bound`` for one elapsed time s per call."""
+    delta = dwell.delta
+    C = (1 - delta) * dwell.T_S + (1 + delta) * dwell.T_U
+    tr_lo = PhiTransform(lower)
+    tr_hi = PhiTransform(upper)
+    m = tr_lo.image_inf()
+    finite_m = m > -math.inf
+
+    def beta_tilde(r: float, s: float) -> float:
+        if r <= 0.0:
+            return 0.0
+        if finite_m:
+            a = tr_lo.inverse(decay_interpolant(tr_lo.value(r), delta * s, C, m),
+                              below="zero")
+            b = tr_hi.inverse(tr_hi.value(r) + C - delta * s, below="zero")
+        else:
+            a = tr_lo.inverse(tr_lo.value(r) + C - delta * s)
+            b = tr_hi.inverse(tr_hi.value(r) + C - delta * s)
+        return max(a, b)
+
+    patch_window = C / delta
+
+    def beta(r: float, s: float) -> float:
+        level = beta_tilde(cert.alpha2(r), s)
+        if short_horizon_envelope is not None and s <= patch_window:
+            level = max(level, short_horizon_envelope(cert.alpha2(r)))
+        return cert.alpha1.inverse(level)
+
+    return beta_tilde, beta
+
+
+def iss_rows(bound, traj, x0, input):
+    """(reports, max_margin) of ``iss_check`` by one ``beta`` call per row."""
+    r0 = float(np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))))
+    t0 = traj.t0
+    g = bound.gamma(input.sup_norm)
+    out = []
+    max_margin = -math.inf
+    for t, mode, x, _ in traj.rows():
+        rhs = bound.beta(r0, t - t0) + g
+        lhs = float(np.linalg.norm(x))
+        max_margin = max(max_margin, lhs - rhs)
+        if lhs > rhs * (1 + ISS_REL_TOL) + 1e-12:
+            out.append(_report("iss", t, mode, lhs, rhs))
+    return out, max_margin

@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import isscert as iss
+from isscert.bounds import iss_check
 from isscert.errors import DegenerateGammaError, DomainError, ImageNotFullError
 
-from conftest import FAMILY_ENVELOPES, make_family_certificate
+from conftest import FAMILY_ENVELOPES, make_family_certificate, mismatches
+from oracles import iss_rows, scalar_beta
 
 
 def single_stable_cert(eta=-1.0, delta=0.5, T_S=0.0):
@@ -146,9 +149,24 @@ class TestGainChain:
 
 
 class TestCertifyIss:
+    """``iss_check`` against the row loop of ``tests/oracles.py``: the same
+    reports in (kind, time, mode), and lhs, rhs and the largest margin
+    within the array forms' tolerance (``conftest.mismatches``)."""
+
     def _family_bound(self, family_signal):
         cert = make_family_certificate(family_signal)
         return cert, iss.build_bound(cert, cert.dwell, *FAMILY_ENVELOPES)
+
+    def _same_as_row_loop(self, bound, traj, x0, inp, reference_beta=None):
+        reports, margin = iss_check(bound, traj, x0, inp)
+        ref = bound if reference_beta is None else replace(bound, beta=reference_beta)
+        want, want_margin = iss_rows(ref, traj, x0, inp)
+        assert [(r.kind, r.time, r.mode) for r in reports] == \
+            [(r.kind, r.time, r.mode) for r in want]
+        got = [v for r in reports for v in (r.lhs, r.rhs, r.margin)]
+        assert mismatches(got, [v for r in want for v in (r.lhs, r.rhs, r.margin)]) == []
+        assert mismatches(margin, want_margin) == []
+        return reports
 
     def test_family_zero_input(self, family_signal, family_model):
         cert, bound = self._family_bound(family_signal)
@@ -156,6 +174,8 @@ class TestCertifyIss:
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             x0, iss.zero_input(), 1e-3)
         assert iss.certify_iss(bound, traj, x0, iss.zero_input()) == []
+        self._same_as_row_loop(bound, traj, x0, iss.zero_input(),
+                               scalar_beta(cert, cert.dwell, *FAMILY_ENVELOPES)[1])
 
     def test_family_bounded_input(self, family_signal, family_model):
         cert, bound = self._family_bound(family_signal)
@@ -164,14 +184,37 @@ class TestCertifyIss:
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             x0, inp, 1e-3)
         assert iss.certify_iss(bound, traj, x0, inp) == []
+        self._same_as_row_loop(bound, traj, x0, inp,
+                               scalar_beta(cert, cert.dwell, *FAMILY_ENVELOPES)[1])
+
+    def test_two_dimensional(self, family_signal):
+        # Row norms for n = 2: rotating flows in both modes.
+        model = iss.LinearSystemModel(
+            A={"s": [[-1.0, 2.0], [-2.0, -1.0]], "u": [[0.3, 1.0], [-1.0, 0.3]]},
+            B={"s": [[0.5], [0.2]], "u": [[0.5], [0.1]]},
+            J={"s": [[0.1, 0.0], [0.0, 0.1]], "u": [[0.1, 0.02], [0.0, 0.1]]},
+            H={"s": [[0.0], [0.0]], "u": [[0.0], [0.0]]},
+        )
+        cert, bound = self._family_bound(family_signal)
+        x0 = [2.0, -1.5]
+        inp = iss.sinusoid_input([0.7], omega=2.0)
+        traj = iss.simulate(model.to_system_model(), family_signal, x0, inp, 1e-3)
+        self._same_as_row_loop(bound, traj, x0, inp,
+                               scalar_beta(cert, cert.dwell, *FAMILY_ENVELOPES)[1])
+        # A bound far below the transient: every sample is reported.
+        tight = replace(bound, beta=lambda r, s: 1e-3 * r * np.exp(-np.asarray(s)),
+                        gamma=lambda s: 0.0)
+        reports = self._same_as_row_loop(tight, traj, x0, inp)
+        assert len(reports) == sum(len(seg.times) for seg in traj.segments)
 
     def test_fabricated_violation(self, family_signal, family_model):
         cert, bound = self._family_bound(family_signal)
-        # Shrink beta far below the actual transient to force reports.
-        from dataclasses import replace
+        # Shrink beta far below the actual transient to force reports; this
+        # beta ignores s and returns a scalar.
         tiny = replace(bound, beta=lambda r, s: 1e-9 * r, gamma=lambda s: 0.0)
         x0 = [5.0]
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             x0, iss.zero_input(), 1e-3)
         reports = iss.certify_iss(tiny, traj, x0, iss.zero_input())
         assert reports and all(r.kind == "iss" for r in reports)
+        self._same_as_row_loop(tiny, traj, x0, iss.zero_input())

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from isscert import jsonio
+from isscert import cli, jsonio
 from isscert.cli import main
 from isscert.errors import NonFiniteError
 from isscert.simulate import simulate, zero_input
@@ -275,6 +275,50 @@ class TestBound:
         assert "bounded above" in capsys.readouterr().err
         assert not (out / "verdict.json").exists()
 
+    def _count_reachability(self, monkeypatch):
+        calls = []
+        reach = cli.reachability_bound
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return reach(*args, **kwargs)
+        monkeypatch.setattr(cli, "reachability_bound", counted)
+        return calls
+
+    def test_refusal_runs_no_reachability(self, tmp_path, monkeypatch):
+        # The power(1, 2)-envelope config of the test above: the envelopes
+        # are refused before the Monte-Carlo patch is sampled.
+        calls = self._count_reachability(monkeypatch)
+        cfg = self._cfg()
+        cfg["certificate"]["phi"] = {"s": {"kind": "power", "c": -1.0, "k": 2.0},
+                                     "u": {"kind": "power", "c": 1.0, "k": 2.0}}
+        square = {"kind": "power", "c": 1.0, "k": 2.0}
+        cfg["bound"].update(envelopes={"lower": square, "upper": square}, runs=2,
+                            x0_range=2.0)
+        code, _ = run(tmp_path, "bound", cfg, seed=0)
+        assert code == 4 and calls == []
+
+    def test_accepted_bound_samples_the_patch_once(self, tmp_path, monkeypatch):
+        calls = self._count_reachability(monkeypatch)
+        cfg = self._cfg()
+        code, _ = run(tmp_path, "bound", cfg, seed=0)
+        assert code == 0
+        dwell = cfg["certificate"]["dwell"]
+        delta = dwell["delta"]
+        window = ((1 - delta) * dwell["T_S"] + (1 + delta) * dwell["T_U"]) / delta
+        assert len(calls) == 1
+        (model, sig, *rest), kwargs = calls[0]
+        assert rest == [3.0, 1.0, window, 5] and kwargs == {"step": 1e-3, "seed": 0}
+        assert sig.instants == tuple(cfg["signal"]["instants"])
+
+    def test_r_list_beyond_floats(self, tmp_path, capsys):
+        cfg = self._cfg()
+        cfg["bound"]["r_list"] = [1.0, 1e200]
+        code, out = run(tmp_path, "bound", cfg, seed=0)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("config error: bound.r_list")
+        assert "Traceback" not in err and not (out / "bound.csv").exists()
+
 
 class TestLmi:
     def _base(self):
@@ -367,6 +411,7 @@ MALFORMED = [
     ("lmi", "lmi.budget", "x"),
     ("simulate", "seed", "x"),
     ("bound", "bound.runs", 0),
+    ("bound", "bound.r_list", [1e200]),
 ]
 
 

@@ -120,6 +120,18 @@ class TestPowerTransform:
         assert close_inverse(rate, y, iss.PhiTransform(rate).inverse(y), want, BRENT)
 
 
+    @pytest.mark.parametrize("c, k, v", [(-1.0, 3.0, 1e9), (1.0, 0.5, 1e-40)])
+    def test_round_trip_near_a_finite_image_end(self, c, k, v):
+        """Phi(v) rounds onto the finite image end (0.5 for k = 3 at 1e9,
+        -2 for k = 0.5 at 1e-40); the value stays an ulp inside the image,
+        so the inverse is finite and positive."""
+        rate = iss.power_rate(c, k)
+        t = iss.PhiTransform(rate)
+        y = t.value(v)
+        assert t.image_inf() < y < t.image_sup()
+        assert 0.0 < t.inverse(y) < math.inf
+        assert close_inverse(rate, y, t.inverse(y), v)
+
     def test_beyond_float_range(self):
         """Phi_p(1e-9) = -(1e9^39 - 1)/39 for k = 40 exceeds the floats."""
         t = iss.PhiTransform(iss.power_rate(-1.0, 40.0))

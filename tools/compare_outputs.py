@@ -15,8 +15,10 @@ to the config it ran.
 
 The report lists differing exit codes, files present on one side only, and
 every file whose bytes differ; for a differing CSV file it gives the largest
-relative difference |a - b| / max(|a|, |b|) of each numeric column.  The
-exit code is 0 when every exit code and every file is identical, else 1.
+relative difference |a - b| / max(|a|, |b|) of each numeric column, and for
+a differing JSON file the relative difference of each numeric leaf (named by
+its key path, e.g. ``max_margin`` or ``flow.s.max_eig``).  The exit code is
+0 when every exit code and every file is identical, else 1.
 """
 
 from __future__ import annotations
@@ -74,7 +76,12 @@ def run_tree(tree: Path, out: Path, workloads: list[str], seeds: list[int]) -> N
 
 def _csv_columns(text: str) -> tuple[list[str], list[list[str]]]:
     lines = text.splitlines()
-    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+    head, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    if rows and len(head) > len(rows[0]):
+        # A comma inside the last column name, as in bound.csv's "beta(r,s)".
+        width = len(rows[0])
+        head = head[:width - 1] + [",".join(head[width - 1:])]
+    return head, rows
 
 
 def _rel(a: float, b: float) -> float:
@@ -107,6 +114,40 @@ def csv_differences(a: str, b: str) -> str:
     return "; ".join(parts) or "identical values, different bytes"
 
 
+def _leaves(obj, path: str = ""):
+    """(key path, value) of every leaf of a parsed JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def json_differences(a: str, b: str) -> str:
+    """Relative difference of each numeric leaf of two JSON texts that
+    differs, and the old and new value of each other leaf that does."""
+    leaves_a, leaves_b = dict(_leaves(json.loads(a))), dict(_leaves(json.loads(b)))
+    if leaves_a.keys() != leaves_b.keys():
+        return "keys differ: " + ", ".join(sorted(leaves_a.keys() ^ leaves_b.keys()))
+    parts = []
+    for key, x in leaves_a.items():
+        y = leaves_b[key]
+        if _is_number(x) and _is_number(y):
+            rel = _rel(float(x), float(y))
+            if rel:
+                parts.append(f"{key}: max rel {rel:.3g}")
+        elif x != y:
+            parts.append(f"{key}: {x!r} -> {y!r}")
+    return "; ".join(parts) or "identical values, different bytes"
+
+
 def compare(parent: Path, change: Path) -> list[str]:
     problems = []
     codes_a = json.loads((parent / "exit_codes.json").read_text())
@@ -125,6 +166,8 @@ def compare(parent: Path, change: Path) -> list[str]:
         detail = "bytes differ"
         if rel.suffix == ".csv":
             detail = csv_differences(a.decode(), b.decode())
+        elif rel.suffix == ".json":
+            detail = json_differences(a.decode(), b.decode())
         problems.append(f"differs: {rel}: {detail}")
     print(f"{len(codes_a)} invocations, {len(files_a & files_b)} files in common")
     return problems
