@@ -16,7 +16,7 @@ import numpy as np
 
 from .certify import Certificate, ViolationReport, _report
 from .errors import DegenerateGammaError, ImageNotFullError
-from .rates import PhiTransform, RateFunction
+from .rates import PhiTransform, RateFunction, _result
 from .simulate import InputSignal, Trajectory
 from .switching import DwellSpec
 
@@ -89,17 +89,16 @@ def build_bound(
     def beta_tilde(r: float, s):
         s = np.asarray(s, dtype=float)
         if r <= 0.0:
-            return np.zeros(s.shape)[()]
+            return _result(np.zeros(s.shape))
         if case == "finite-m":
             # Levels at or below an image's lower end clamp to 0: the
             # interpolant tends to m, the lower end of tr_lo's image.
-            a = tr_lo.inverse_array(decay_interpolant(tr_lo.value(r), delta * s, C, m),
-                                    below="zero")
-            b = tr_hi.inverse_array(tr_hi.value(r) + C - delta * s, below="zero")
+            a = tr_lo.inverse(decay_interpolant(tr_lo.value(r), delta * s, C, m), below="zero")
+            b = tr_hi.inverse(tr_hi.value(r) + C - delta * s, below="zero")
         else:
-            a = tr_lo.inverse_array(tr_lo.value(r) + C - delta * s)
-            b = tr_hi.inverse_array(tr_hi.value(r) + C - delta * s)
-        return np.maximum(a, b)
+            a = tr_lo.inverse(tr_lo.value(r) + C - delta * s)
+            b = tr_hi.inverse(tr_hi.value(r) + C - delta * s)
+        return _result(np.maximum(a, b))
 
     patch_window = C / delta
 
@@ -110,8 +109,7 @@ def build_bound(
         if short_horizon_envelope is not None:
             level = np.where(s <= patch_window,
                              np.maximum(level, short_horizon_envelope(r2)), level)
-        out = cert.alpha1.inverse_array(level)
-        return out if out.ndim else float(out)
+        return cert.alpha1.inverse(level)
 
     def gamma(s: float) -> float:
         # Lyapunov levels: gamma2 = max(alpha3, chi), and gamma3 lifts it by
@@ -147,16 +145,14 @@ def iss_check(
     the reports come in ``Trajectory.rows()`` order."""
     r0 = float(np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))))
     g = bound.gamma(input.sup_norm)
-    segments = traj.segments
-    times = np.concatenate([seg.times for seg in segments])
-    lhs = np.linalg.norm(np.concatenate([seg.states for seg in segments]), axis=1)
+    times, states, modes, _ = traj.samples
+    lhs = np.linalg.norm(states, axis=1)
     # One beta call over every elapsed time (a beta that ignores s may
     # return a scalar, hence the broadcast).
     rhs = np.broadcast_to(bound.beta(r0, times - traj.t0) + g, times.shape)
     # fmax skips NaN margins, as a running max() over floats does.
     max_margin = float(np.fmax.reduce(lhs - rhs, initial=-math.inf))
-    seg_of = np.repeat(np.arange(len(segments)), [len(seg.times) for seg in segments])
-    out = [_report("iss", times[i], segments[seg_of[i]].mode, lhs[i], rhs[i])
+    out = [_report("iss", times[i], modes[i], lhs[i], rhs[i])
            for i in np.flatnonzero(lhs > rhs * (1 + ISS_REL_TOL) + 1e-12)]
     return out, max_margin
 

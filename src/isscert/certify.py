@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGapError, DomainError, SignAmbiguousError
+from .errors import DegenerateGapError, SignAmbiguousError
 from .rates import ComparisonFunction, PhiTransform, RateFunction, scale_cf
 from .simulate import InputSignal, Trajectory
 from .switching import DwellSpec, ModePartition, SwitchingSignal, mdadt_slack, mdalt_slack
@@ -81,40 +81,67 @@ _SIGN_GRID = np.logspace(-6, 6, 49)
 
 
 def _constant_sign(rate: RateFunction) -> int:
-    signs = {rate.sign_at(float(s)) for s in _SIGN_GRID}
-    signs.discard(0)
-    if len(signs) != 1:
+    values = rate(_SIGN_GRID)
+    positive, negative = np.any(values > 0), np.any(values < 0)
+    if positive == negative:
         raise SignAmbiguousError("rate function changes sign on the sampled range")
-    return signs.pop()
+    return 1 if positive else -1
 
 
-def _segment_values(cert: Certificate, traj: Trajectory, ends_only: bool = False):
-    """Per segment, V of its mode at each sample (first and last if ends_only)."""
+def _values(cert: Certificate, traj: Trajectory, ends_only: bool = False) -> np.ndarray:
+    """V of the active mode at every sample of ``traj.samples``, one call
+    each (if ends_only, at each segment's first and last sample only, and
+    NaN elsewhere)."""
     idx = [0, -1] if ends_only else slice(None)
-    return [[float(cert.V[seg.mode](t, x))
-             for t, x in zip(seg.times[idx].tolist(), seg.states[idx])] for seg in traj.segments]
+    values = np.full(len(traj.samples[0]), math.nan)
+    for seg, start in zip(traj.segments, traj.samples[3].tolist()):
+        V = cert.V[seg.mode]
+        values[start:start + len(seg.times)][idx] = [
+            float(V(t, x)) for t, x in zip(seg.times[idx].tolist(), seg.states[idx])]
+    return values
 
 
-def _flow_reports(mode, ts, vs, allowed, threshold, dini_coeff) -> list[ViolationReport]:
-    """The flow rule on one segment: where v >= threshold, the forward difference
-    (v[i+1] - v[i]) / h may exceed allowed(mode, v[i]) by at most dini_coeff h."""
-    out = []
-    for i in range(len(ts) - 1):
-        h = ts[i + 1] - ts[i]
-        if h <= 0 or vs[i] < threshold:
-            continue
-        slope = (vs[i + 1] - vs[i]) / h
-        rhs = allowed(mode, vs[i]) + dini_coeff * h
-        if slope > rhs:
-            out.append(_report("flow", ts[i], mode, slope, rhs))
+def _by_mode(f, modes, *xs) -> np.ndarray:
+    """f(p, *(x[modes == p] for x in xs)) for each distinct mode p, one call
+    each, put back in the places of the selected elements."""
+    out = np.empty(len(modes))
+    left = np.ones(len(modes), dtype=bool)
+    while left.any():
+        p = str(modes[left.argmax()])
+        at = modes == p
+        out[at] = f(p, *(x[at] for x in xs))
+        left &= ~at
     return out
 
 
-def _jump_report(time, mode, pre, post, threshold, bound, cap) -> list[ViolationReport]:
-    """The jump rule at a jump out of ``mode``: post <= bound(mode, pre) where
+def _flow_reports(traj, values, allowed, threshold, dini_coeff) -> list[ViolationReport]:
+    """The flow rule along ``traj``: where v >= threshold, the forward
+    difference (v[i+1] - v[i]) / h within a segment may exceed
+    allowed(mode, v[i]) by at most dini_coeff h."""
+    times, _, modes, starts = traj.samples
+    h = np.diff(times)
+    within = np.ones(len(h), dtype=bool)
+    within[starts[1:] - 1] = False  # the difference across a jump
+    i = np.flatnonzero(within & ~(h <= 0) & ~(values[:-1] < threshold))
+    h = h[i]
+    slope = (values[i + 1] - values[i]) / h
+    rhs = _by_mode(allowed, modes[i], values[i]) + dini_coeff * h
+    return [_report("flow", times[j], modes[j], slope[n], rhs[n])
+            for n, j in enumerate(i) if slope[n] > rhs[n]]
+
+
+def _jump_reports(traj, pre, post, threshold, bound, cap) -> list[ViolationReport]:
+    """The jump rule at each jump of ``traj``, from ``pre`` (the value ending a
+    segment of mode p) to ``post``: post <= bound(p, pre) where
     pre >= threshold, post <= cap below it, up to JUMP_TOL (1 + |rhs|)."""
-    kind, rhs = ("jump", bound(mode, pre)) if pre >= threshold else ("small-input-jump", cap)
-    return [_report(kind, time, mode, post, rhs)] if post > rhs + JUMP_TOL * (1 + abs(rhs)) else []
+    times, _, modes, starts = traj.samples
+    times, modes = times[starts[1:]], modes[starts[1:] - 1]
+    above = pre >= threshold
+    rhs = np.full(len(pre), float(cap))
+    rhs[above] = _by_mode(bound, modes[above], pre[above])
+    failed = np.flatnonzero(post > rhs + JUMP_TOL * (1 + np.abs(rhs)))
+    return [_report("jump" if above[j] else "small-input-jump", times[j], modes[j],
+                    post[j], rhs[j]) for j in failed]
 
 
 def _reports(cert, traj, kinds, input=None, form="implication", dini_coeff=None):
@@ -131,25 +158,25 @@ def _reports(cert, traj, kinds, input=None, form="implication", dini_coeff=None)
                                  if form == "implication" else (-math.inf, math.inf, chi))
         allowed = lambda p, v: cert.phi[p](v) + slack  # noqa: E731
         bound = lambda p, v: cert.psi[p](v) + slack  # noqa: E731
-    values = _segment_values(cert, traj, ends_only=kinds == ("jump",))
-    sandwich, flows, jumps = [], [], []
-    for k, (seg, vs) in enumerate(zip(traj.segments, values)):
-        ts = seg.times.tolist()
-        if "sandwich" in kinds:
-            for t, x, v in zip(ts, seg.states, vs):
-                nx = float(np.linalg.norm(x))
-                lo, hi = cert.alpha1(nx), cert.alpha2(nx)
-                if lo > v + SANDWICH_TOL:
-                    sandwich.append(_report("sandwich", t, seg.mode, lo, v))
-                if v > hi + SANDWICH_TOL:
-                    sandwich.append(_report("sandwich", t, seg.mode, v, hi))
-        if "flow" in kinds:
-            flows += _flow_reports(seg.mode, ts, vs, allowed, threshold, dini_coeff)
-        if "jump" in kinds and k:
-            # Segment k starts at the post-jump state of the jump ending k - 1.
-            jumps += _jump_report(ts[0], traj.segments[k - 1].mode,
-                                  values[k - 1][-1], vs[0], threshold, bound, cap)
-    return sandwich + flows + jumps
+    times, states, modes, starts = traj.samples
+    values = _values(cert, traj, ends_only=kinds == ("jump",))
+    out = []
+    if "sandwich" in kinds:
+        norms = np.linalg.norm(states, axis=1)
+        lo, hi = cert.alpha1(norms), cert.alpha2(norms)
+        below, above = lo > values + SANDWICH_TOL, values > hi + SANDWICH_TOL
+        for i in np.flatnonzero(below | above):
+            if below[i]:
+                out.append(_report("sandwich", times[i], modes[i], lo[i], values[i]))
+            if above[i]:
+                out.append(_report("sandwich", times[i], modes[i], values[i], hi[i]))
+    if "flow" in kinds:
+        out += _flow_reports(traj, values, allowed, threshold, dini_coeff)
+    if "jump" in kinds:
+        # Segment k starts at the post-jump state of the jump ending k - 1.
+        out += _jump_reports(traj, values[starts[1:] - 1], values[starts[1:]],
+                             threshold, bound, cap)
+    return out
 
 
 def check_trajectory(
@@ -229,36 +256,43 @@ def check_dwell_conditions(
     if not a_grid or any(a <= 0 for a in a_grid):
         raise ValueError("a_grid must be a nonempty collection of positive levels")
     transforms = cert.transforms()
-    tau, delta = cert.dwell.tau, cert.dwell.delta
+    a = np.asarray(a_grid, dtype=float)
+    grid_reports = {}  # (q, p) -> (kind, lhs, rhs) of a switch q -> p, in grid order
     out = []
-    seen_pairs = set()
-    for i, t_i in enumerate(sig.instants):
-        q, p = sig.modes[i], sig.modes[i + 1]
-        stable = q in cert.partition.stable
-        for a in a_grid:
-            try:
-                lhs = transforms[p].value(cert.psi[q].magnitude(a)) - transforms[q].value(a)
-            except DomainError:
-                lhs = math.nan
-            if not math.isfinite(lhs):
-                out.append(_report("dwell-inconclusive", t_i, q, math.nan, math.nan))
-                continue
-            if stable:
-                rhs = tau[q] * (1 - delta)
-                if lhs > rhs + DWELL_TOL:
-                    out.append(_report("dwell-condition", t_i, q, lhs, rhs))
-            else:
-                rhs = tau[q] * (1 + delta)
-                if -lhs < rhs - DWELL_TOL:
-                    out.append(_report("dwell-condition", t_i, q, rhs, -lhs))
-        if (cert.phi[q].kind == "linear" and cert.phi[p].kind == "linear"
-                and cert.psi[q].kind == "linear" and (q, p) not in seen_pairs):
-            seen_pairs.add((q, p))
-            first, second = closed_form_dwell(
+    for t_i, q, p in zip(sig.instants, sig.modes, sig.modes[1:]):
+        first = (q, p) not in grid_reports
+        if first:
+            grid_reports[(q, p)] = _dwell_grid(cert, transforms, q, p, a)
+        out += [_report(kind, t_i, q, lhs, rhs) for kind, lhs, rhs in grid_reports[(q, p)]]
+        if first and (cert.phi[q].kind == "linear" and cert.phi[p].kind == "linear"
+                      and cert.psi[q].kind == "linear"):
+            lhs, rhs = closed_form_dwell(
                 cert.phi[q].eta, cert.phi[p].eta, abs(cert.psi[q].eta),
-                tau[q], delta, stable)
-            if first > second + DWELL_TOL:
-                out.append(_report("dwell-closed-form", t_i, q, first, second))
+                cert.dwell.tau[q], cert.dwell.delta, q in cert.partition.stable)
+            if lhs > rhs + DWELL_TOL:
+                out.append(_report("dwell-closed-form", t_i, q, lhs, rhs))
+    return out
+
+
+def _dwell_grid(cert, transforms, q, p, a) -> list[tuple[str, float, float]]:
+    """The sampled dwell condition of a switch q -> p at the levels ``a``,
+    evaluated as one array: (kind, lhs, rhs) of each failed or inconclusive
+    level, in grid order."""
+    arg = cert.psi[q].magnitude(a)
+    inside = (0.0 < arg) & (arg < math.inf) & (a < math.inf)  # the transforms' domain
+    diff = np.full(len(a), math.nan)
+    with np.errstate(invalid="ignore"):  # inf - inf is inconclusive too
+        diff[inside] = transforms[p].value(arg[inside]) - transforms[q].value(a[inside])
+    stable = q in cert.partition.stable
+    tau = cert.dwell.tau[q] * (1 - cert.dwell.delta if stable else 1 + cert.dwell.delta)
+    out = []
+    for lhs in diff.tolist():
+        if not math.isfinite(lhs):
+            out.append(("dwell-inconclusive", math.nan, math.nan))
+        elif stable and lhs > tau + DWELL_TOL:
+            out.append(("dwell-condition", lhs, tau))
+        elif not stable and -lhs < tau - DWELL_TOL:
+            out.append(("dwell-condition", tau, -lhs))
     return out
 
 
@@ -282,11 +316,9 @@ def check_decreasing_certificate(cert: Certificate) -> bool:
                 return False
         except SignAmbiguousError:
             return False
-    for rate in cert.psi.values():
-        for s in np.logspace(-6, 6, 64).tolist():
-            if rate.magnitude(s) > s * (1 + 1e-12):
-                return False
-    return True
+    grid = np.logspace(-6, 6, 64)
+    return not any(np.any(rate.magnitude(grid) > grid * (1 + 1e-12))
+                   for rate in cert.psi.values())
 
 
 def dissipation_to_implication(cert: Certificate) -> Certificate:

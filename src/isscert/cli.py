@@ -43,7 +43,7 @@ from .lmi import (
     synthesize,
 )
 from .rates import envelope_check
-from .simulate import constant_input, reachability_bound, simulate, sinusoid_input
+from .simulate import _unit_vector, constant_input, reachability_bound, simulate, sinusoid_input
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -188,11 +188,7 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
     patch_samples = _number(bcfg.get("patch_samples", 20), "bound.patch_samples", cast=int, low=1)
     r_list = _numbers(bcfg.get("r_list", [1.0]), "bound.r_list")
     for r in r_list:
-        try:
-            finite = math.isfinite(cert.alpha2(r))
-        except OverflowError:
-            finite = False
-        if not finite:
+        if not math.isfinite(cert.alpha2(r)):
             raise ConfigError(f"alpha2({r!r}) exceeds the floats", field="bound.r_list")
     s_grid = _numbers(bcfg.get("s_grid", np.linspace(0.0, sig.horizon - sig.t0, 51)),
                       "bound.s_grid")
@@ -225,26 +221,23 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
             run_x0 = rng.uniform(-x0_range, x0_range, n)
             if u_bound > 0:
                 amp = rng.uniform(0, u_bound)
-                direction = rng.standard_normal(m)
-                nv = np.linalg.norm(direction)
-                direction = direction / nv if nv > 0 else np.eye(m)[0]
+                direction = _unit_vector(rng, m)
                 if rng.uniform() < 0.5:
                     run_inp = constant_input(amp * direction)
                 else:
                     run_inp = sinusoid_input(amp * direction, rng.uniform(0.5, 5.0))
             else:
                 run_inp = jsonio.parse_input({"kind": "zero"}, m)
-            try:
-                traj = simulate(model, sig, run_x0, run_inp, step)
-            except NonFiniteError as e:
-                print(f"non-finite state: {e}", file=sys.stderr)
-                return EXIT_NONFINITE
+            traj = simulate(model, sig, run_x0, run_inp, step)
             reports, margin = iss_check(bound, traj, run_x0, run_inp)
             total_violations += len(reports)
             max_margin = max(max_margin, margin)
     except (DegenerateGammaError, ImageNotFullError) as e:
         print(f"structural precondition failed: {e}", file=sys.stderr)
         return EXIT_STRUCTURAL
+    except NonFiniteError as e:  # a reachability or Monte-Carlo run blew up
+        print(f"non-finite state: {e}", file=sys.stderr)
+        return EXIT_NONFINITE
     jsonio.write_json(out / "verdict.json", {
         "violations": total_violations,
         "max_margin": max_margin,

@@ -20,13 +20,15 @@ from .certify import (
     DEFAULT_DINI_COEFF,
     Certificate,
     ViolationReport,
+    _by_mode,
     _flow_reports,
-    _jump_report,
-    _segment_values,
+    _jump_reports,
+    _values,
     check_dwell_conditions,
     dwell_slack_verdict,
 )
 from .errors import ImageNotFullError
+from .rates import _result
 from .simulate import InputSignal, Trajectory
 from .switching import DwellBudget, DwellSpec, ModePartition, SwitchingSignal
 
@@ -88,12 +90,15 @@ class DecreasingCertificate:
     def h(self, t: float, side: str = "right") -> float:
         return self.ledger.h(t, side)
 
-    def compose(self, v: float, mode_now: str, mode_prev: str, h_value: float) -> float:
-        """Phi_inverse of the previous mode applied to Phi(v) + h."""
-        if v <= 0.0:
-            return 0.0
-        inner = self.transforms[mode_now].value(v) + h_value
-        return self.transforms[mode_prev].inverse(inner)
+    def compose(self, v, mode_now: str, mode_prev: str, h_value):
+        """Phi_inverse of the previous mode applied to Phi(v) + h, and 0 where
+        v <= 0; elementwise in v and h."""
+        v, h_value = np.broadcast_arrays(np.asarray(v, dtype=float), h_value)
+        zero = v <= 0.0
+        w = np.zeros(v.shape)
+        w[~zero] = self.transforms[mode_prev].inverse(
+            self.transforms[mode_now].value(v[~zero]) + h_value[~zero])
+        return _result(w)
 
     def w(self, t: float, x) -> float:
         """The constructed function at (t, x); sigma(t0-) := sigma(t0)."""
@@ -168,24 +173,28 @@ def decrease_check(
     threshold = cert.chi(u_norm)
     cap = max(cert.alpha3(u_norm), threshold)
     decay = lambda p, w: -delta_eff * cert.phi[p].magnitude(w)  # noqa: E731
-    flows, jumps, rows = [], [], []
-    for k, (seg, vs) in enumerate(zip(traj.segments, _segment_values(cert, traj))):
-        ts = seg.times.tolist()
-        pre_jump = len(ts) - 1 if k < len(traj.segments) - 1 else None
-        hs = [dec.h(t, side="left" if i == pre_jump else "right") for i, t in enumerate(ts)]
-        # Same-mode composition throughout: on the open flow interval the
-        # previous mode equals the active one, and the right limit at the
-        # segment start extends the flow inequality to the first difference.
-        ws = [dec.compose(v, seg.mode, seg.mode, h) for v, h in zip(vs, hs)]
-        flows += _flow_reports(seg.mode, ts, ws, decay, threshold, dini_coeff)
-        if k:
-            # The post-jump W composes with the previous mode; w_pre ended its segment.
-            mode_prev = traj.segments[k - 1].mode
-            w_post = dec.compose(vs[0], seg.mode, mode_prev, hs[0])
-            jumps += _jump_report(ts[0], mode_prev, w_pre, w_post, threshold, lambda p, w: w, cap)
-        rows += zip(ts, vs, [w_post, *ws[1:]] if k else ws, hs)
-        w_pre = ws[-1]
-    return flows + jumps, rows
+    times, _, modes, starts = traj.samples
+    values = _values(cert, traj)
+    pre, post = starts[1:] - 1, starts[1:]
+    left = np.zeros(len(times), dtype=bool)
+    left[pre] = True
+    hs = np.fromiter((dec.h(t, side="left" if x else "right")
+                      for t, x in zip(times.tolist(), left.tolist())), float, len(times))
+    # Same-mode composition throughout: on the open flow interval the
+    # previous mode equals the active one, and the right limit at the
+    # segment start extends the flow inequality to the first difference.
+    ws = _by_mode(lambda p, v, h: dec.compose(v, p, p, h), modes, values, hs)
+    # The post-jump W composes with the previous mode.
+    w_post = np.empty(len(post))
+    now, prev = modes[post], modes[pre]
+    for p, q in dict.fromkeys(zip(now.tolist(), prev.tolist())):
+        at = (now == p) & (prev == q)
+        w_post[at] = dec.compose(values[post][at], p, q, hs[post][at])
+    reports = (_flow_reports(traj, ws, decay, threshold, dini_coeff)
+               + _jump_reports(traj, ws[pre], w_post, threshold, lambda p, w: w, cap))
+    rows_w = ws.copy()
+    rows_w[post] = w_post
+    return reports, list(zip(times.tolist(), values.tolist(), rows_w.tolist(), hs.tolist()))
 
 
 def certify_decrease(

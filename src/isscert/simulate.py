@@ -196,6 +196,16 @@ class Trajectory:
     def sup_norm(self) -> float:
         return max(float(np.max(np.linalg.norm(seg.states, axis=1))) for seg in self.segments)
 
+    @cached_property
+    def samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every sample in ``rows()`` order as arrays: the times, the states,
+        the mode of each sample, and the index of each segment's first sample."""
+        lengths = [len(seg.times) for seg in self.segments]
+        return (np.concatenate([seg.times for seg in self.segments]),
+                np.concatenate([seg.states for seg in self.segments]),
+                np.repeat([seg.mode for seg in self.segments], lengths),
+                np.cumsum([0, *lengths[:-1]]))
+
     def rows(self):
         """Flat (t, mode, x, jump_flag) rows over the segment samples; the first
         sample of each later segment is the flagged post-jump row at t_i."""
@@ -346,19 +356,24 @@ def simulate(
     return Trajectory(tuple(segments), input, step)
 
 
+def _unit_vector(rng, m: int) -> np.ndarray:
+    """A random direction in R^m: a standard normal draw, normalised (the
+    first basis vector if the draw is zero)."""
+    v = rng.standard_normal(m)
+    nv = np.linalg.norm(v)
+    return v / nv if nv > 0 else np.eye(m)[0]
+
+
 def _sample_inputs(D: float, m: int, horizon_mid: float, rng) -> list[InputSignal]:
     """Cheap family of bounded inputs: constants, sinusoids, one-switch steps."""
     if D == 0.0:
         return [zero_input(m)]
-    def unit():
-        v = rng.standard_normal(m)
-        nv = np.linalg.norm(v)
-        return v / nv if nv > 0 else np.eye(m)[0]
     out = []
-    out.append(constant_input(D * unit()))
-    out.append(sinusoid_input(D * unit(), omega=rng.uniform(0.5, 5.0),
+    out.append(constant_input(D * _unit_vector(rng, m)))
+    out.append(sinusoid_input(D * _unit_vector(rng, m), omega=rng.uniform(0.5, 5.0),
                               phase=rng.uniform(0, 2 * math.pi)))
-    out.append(step_input(D * unit(), D * unit() * rng.uniform(-1, 1), horizon_mid))
+    out.append(step_input(D * _unit_vector(rng, m),
+                          D * _unit_vector(rng, m) * rng.uniform(-1, 1), horizon_mid))
     return out
 
 

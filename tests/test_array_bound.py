@@ -1,9 +1,9 @@
-"""The array forms of the inverses and of beta against the scalar references
-in ``isscert.rates`` and ``tests/oracles.py``.
+"""The elementwise transforms, comparison inverses and beta against the
+one-number references in ``tests/oracles.py``.
 
-The array forms run the scalar arithmetic elementwise, but NumPy's exp,
-expm1, log1p and power may round differently from ``math``'s in the last
-place, so values are compared by ``conftest.mismatches``.
+The library runs NumPy over arrays (a number is a 0-d array), whose exp,
+expm1, log, log1p and power may round differently from ``math``'s in the
+last place, so values are compared by ``conftest.mismatches``.
 """
 
 import math
@@ -15,7 +15,7 @@ import isscert as iss
 from isscert.errors import DomainError, OutOfImageError
 
 from conftest import mismatches
-from oracles import scalar_beta
+from oracles import ScalarPhiTransform, cf_inverse, scalar_beta
 
 TABLE = ((0.5, 0.8), (1.0, 1.5), (2.0, 4.0), (10.0, 30.0))
 TABLE_ABOVE_ONE = ((2.0, 3.0), (5.0, 6.0), (9.0, 20.0))
@@ -45,24 +45,37 @@ TRANSFORM_RATES = [
 class TestPhiInverseArray:
     @pytest.mark.parametrize("rate", TRANSFORM_RATES, ids=lambda r: f"{r.kind}-{r.k}")
     def test_matches_scalar(self, rate):
-        t = iss.PhiTransform(rate)
+        t, ref = iss.PhiTransform(rate), ScalarPhiTransform(rate)
         ys = image_levels(t)
-        want = [t.inverse(float(y)) for y in ys]
-        assert mismatches(t.inverse_array(ys), want) == []
+        want = [ref.inverse(float(y)) for y in ys]
+        assert mismatches(t.inverse(ys), want) == []
 
     @pytest.mark.parametrize("rate", TRANSFORM_RATES, ids=lambda r: f"{r.kind}-{r.k}")
     def test_round_trip_levels(self, rate):
         # Levels Phi(v) for v across many decades land on every piece.
-        t = iss.PhiTransform(rate)
-        ys = np.array([t.value(v) for v in np.logspace(-12, 12, 241).tolist()])
-        assert mismatches(t.inverse_array(ys), [t.inverse(float(y)) for y in ys]) == []
+        t, ref = iss.PhiTransform(rate), ScalarPhiTransform(rate)
+        ys = t.value(np.logspace(-12, 12, 241))
+        assert mismatches(t.inverse(ys), [ref.inverse(float(y)) for y in ys]) == []
+
+    @pytest.mark.parametrize("rate", TRANSFORM_RATES, ids=lambda r: f"{r.kind}-{r.k}")
+    def test_value_matches_scalar(self, rate):
+        t, ref = iss.PhiTransform(rate), ScalarPhiTransform(rate)
+        vs = np.concatenate([np.logspace(-300, 300, 601), [5e-324, 1.0, 1.7e308],
+                             [s for s, _ in rate.points]])
+        assert mismatches(t.value(vs), [ref.value(float(v)) for v in vs]) == []
+        with pytest.raises(DomainError):
+            t.value(np.array([1.0, 0.0]))
 
     def test_shape_kept(self):
         t = iss.PhiTransform(iss.tabulated_rate(TABLE))
         ys = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-        assert t.inverse_array(ys).shape == (3, 4)
-        out = t.inverse_array(0.7)
-        assert out.shape == () and out == t.inverse(0.7)
+        assert t.inverse(ys).shape == (3, 4)
+        assert t.value(np.exp(ys)).shape == (3, 4)
+        # A number gives a float.
+        out = t.inverse(0.7)
+        assert type(out) is float
+        assert mismatches(out, ScalarPhiTransform(t.rate).inverse(0.7)) == []
+        assert type(t.value(2.0)) is float
 
     @pytest.mark.parametrize("rate", [iss.power_rate(1.0, 0.5), iss.power_rate(1.0, 2.0)],
                              ids=["sublinear", "superlinear"])
@@ -72,23 +85,24 @@ class TestPhiInverseArray:
         beyond = lo - 1.0 if lo > -math.inf else hi + 1.0
         ys = np.array([0.0, beyond, beyond - 1.0 if lo > -math.inf else beyond + 1.0])
         with pytest.raises(OutOfImageError) as got:
-            t.inverse_array(ys)
+            t.inverse(ys)
         with pytest.raises(OutOfImageError) as want:
-            t.inverse(beyond)
+            ScalarPhiTransform(rate).inverse(beyond)
         assert (got.value.y, got.value.image) == (want.value.y, want.value.image)
         with pytest.raises(OutOfImageError):
-            t.inverse_array(np.array([0.0, math.nan]))
+            t.inverse(np.array([0.0, math.nan]))
 
     def test_below_zero_clamps(self):
         t = iss.PhiTransform(iss.power_rate(1.0, 0.5))
+        ref = ScalarPhiTransform(t.rate)
         ys = np.array([-7.0, -2.0, -1.0, 0.0, -math.inf])
-        want = [t.inverse(float(y), below="zero") for y in ys]
-        assert mismatches(t.inverse_array(ys, below="zero"), want) == []
-        assert t.inverse_array(ys, below="zero")[[0, 4]].tolist() == [0.0, 0.0]
+        want = [ref.inverse(float(y), below="zero") for y in ys]
+        assert mismatches(t.inverse(ys, below="zero"), want) == []
+        assert t.inverse(ys, below="zero")[[0, 4]].tolist() == [0.0, 0.0]
         # Above the image nothing clamps.
         t2 = iss.PhiTransform(iss.power_rate(1.0, 2.0))
         with pytest.raises(OutOfImageError):
-            t2.inverse_array(np.array([2.0]), below="zero")
+            t2.inverse(np.array([2.0]), below="zero")
 
 
 CF_CASES = [
@@ -106,17 +120,25 @@ class TestComparisonInverseArray:
     def test_matches_scalar(self, f):
         ys = np.concatenate([[0.0, 5e-324, 1e-300, math.inf],
                              np.logspace(-8, 8, 161), np.linspace(0.0, 12.0, 97)])
-        assert mismatches(f.inverse_array(ys), [f.inverse(float(y)) for y in ys]) == []
+        assert mismatches(f.inverse(ys), [cf_inverse(f, float(y)) for y in ys]) == []
 
     def test_root_beyond_floats_is_inf(self):
         f = iss.power_cf(1.0, 0.5)  # inverse y^2
-        assert f.inverse(1e200) == math.inf
-        assert f.inverse_array(np.array([1e200, 4.0])).tolist() == [math.inf, 16.0]
+        assert f.inverse(1e200) == cf_inverse(f, 1e200) == math.inf
+        assert f.inverse(np.array([1e200, 4.0])).tolist() == [math.inf, 16.0]
 
     @pytest.mark.parametrize("f", CF_CASES, ids=lambda f: f.kind)
     def test_negative_rejected(self, f):
         with pytest.raises(DomainError):
-            f.inverse_array(np.array([1.0, -1e-300]))
+            f.inverse(np.array([1.0, -1e-300]))
+
+    def test_power_beyond_floats_is_inf(self):
+        # The power overflows the floats: inf, and no RuntimeWarning (which
+        # the test configuration turns into an error).
+        f = iss.power_cf(1.0, 2.0)
+        assert f(1e200) == math.inf
+        assert f(np.array([1e200, 3.0])).tolist() == [math.inf, 9.0]
+        assert iss.power_rate(-1.0, 3.0)(1e150) == -math.inf
 
 
 def stable_cert(alpha1, alpha2=None, T_S=0.0, delta=0.5):

@@ -170,6 +170,18 @@ class TestDwellConditions:
             [("dwell-inconclusive", t) for t in family_signal.instants]
         assert all(math.isnan(r.lhs) and math.isnan(r.rhs) for r in reports)
 
+    def test_argument_outside_the_domain_is_inconclusive(self, family_signal,
+                                                         family_certificate):
+        # psi_s = s^3 underflows to 0 at a = 1e-120 and overflows to inf at
+        # a = 1e120, both outside Phi's domain: inconclusive at those levels
+        # of every switch out of s, point by point; a = 1 passes.
+        cert = replace(family_certificate,
+                       psi={**family_certificate.psi, "s": iss.power_rate(1.0, 3.0)})
+        reports = iss.check_dwell_conditions(cert, family_signal, [1e-120, 1.0, 1e120])
+        out_of_s = family_signal.instants[::2]
+        assert [(r.kind, r.time) for r in reports] == \
+            [("dwell-inconclusive", t) for t in out_of_s for _ in range(2)]
+
     def test_grid_validation(self, family_signal, family_certificate):
         with pytest.raises(ValueError):
             iss.check_dwell_conditions(family_certificate, family_signal, [])

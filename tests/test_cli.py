@@ -319,6 +319,16 @@ class TestBound:
         assert code == 1 and err.startswith("config error: bound.r_list")
         assert "Traceback" not in err and not (out / "bound.csv").exists()
 
+    def test_reachability_blow_up_is_non_finite(self, tmp_path, capsys):
+        # Initial states of norm up to 1e200 exceed the simulator's finite
+        # limit in the first reachability run, before any Monte-Carlo run.
+        cfg = self._cfg()
+        cfg["bound"]["x0_range"] = 1e200
+        code, out = run(tmp_path, "bound", cfg, seed=0)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("non-finite state: state norm exceeded")
+        assert "Traceback" not in err and not (out / "verdict.json").exists()
+
 
 class TestLmi:
     def _base(self):
