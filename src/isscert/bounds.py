@@ -142,7 +142,7 @@ def iss_check(
     largest margin ||x(t)|| - (beta(||x0||, t - t0) + gamma(||u||inf)).
 
     The samples are compared as arrays, with one beta call per trajectory;
-    the reports come in ``Trajectory.rows()`` order."""
+    the reports come in sample order."""
     r0 = float(np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))))
     g = bound.gamma(input.sup_norm)
     times, states, modes, _ = traj.samples

@@ -1,6 +1,6 @@
 """Candidate Lyapunov certificate checks along trajectories.
 
-``check_trajectory`` evaluates V once per sample and applies one flow rule (a
+``check_trajectory`` evaluates V once per mode and applies one flow rule (a
 forward-difference slope against a bound, gated at a threshold) and one jump
 rule (a bound above the threshold, a cap below it, relative tolerance JUMP_TOL
 (1 + |rhs|)) in the implication or the dissipation form; ``construct`` applies
@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateGapError, SignAmbiguousError
-from .rates import ComparisonFunction, PhiTransform, RateFunction, scale_cf
+from .rates import ComparisonFunction, PhiTransform, RateFunction, _result, scale_cf
 from .simulate import InputSignal, Trajectory
 from .switching import DwellSpec, ModePartition, SwitchingSignal, mdadt_slack, mdalt_slack
 
@@ -35,7 +36,7 @@ FORMS = ("implication", "dissipation")
 class Certificate:
     """Per-mode Lyapunov functions with rates, thresholds and dwell data."""
 
-    V: Mapping[str, Callable]  # mode -> (t, x) -> nonnegative real
+    V: Mapping[str, Callable]  # mode -> (t, x) -> V >= 0, elementwise over the rows of x
     alpha1: ComparisonFunction
     alpha2: ComparisonFunction
     alpha3: ComparisonFunction
@@ -88,28 +89,25 @@ def _constant_sign(rate: RateFunction) -> int:
     return 1 if positive else -1
 
 
-def _values(cert: Certificate, traj: Trajectory, ends_only: bool = False) -> np.ndarray:
-    """V of the active mode at every sample of ``traj.samples``, one call
-    each (if ends_only, at each segment's first and last sample only, and
-    NaN elsewhere)."""
-    idx = [0, -1] if ends_only else slice(None)
-    values = np.full(len(traj.samples[0]), math.nan)
-    for seg, start in zip(traj.segments, traj.samples[3].tolist()):
-        V = cert.V[seg.mode]
-        values[start:start + len(seg.times)][idx] = [
-            float(V(t, x)) for t, x in zip(seg.times[idx].tolist(), seg.states[idx])]
-    return values
+def _values(cert: Certificate, traj: Trajectory) -> np.ndarray:
+    """V of the active mode at every sample of ``traj.samples``, one V call
+    per mode over all of that mode's samples."""
+    times, states, modes, _ = traj.samples
+    return _by_mode(lambda p, t, x: cert.V[p](t, x), modes, times, states)
 
 
 def _by_mode(f, modes, *xs) -> np.ndarray:
     """f(p, *(x[modes == p] for x in xs)) for each distinct mode p, one call
-    each, put back in the places of the selected elements."""
+    each giving one value per selected element, put back in their places."""
     out = np.empty(len(modes))
     left = np.ones(len(modes), dtype=bool)
     while left.any():
         p = str(modes[left.argmax()])
         at = modes == p
-        out[at] = f(p, *(x[at] for x in xs))
+        value = f(p, *(x[at] for x in xs))
+        if np.shape(value) != (np.count_nonzero(at),):
+            raise ValueError(f"mode {p!r}: {np.shape(value)} values, not one per sample")
+        out[at] = value
         left &= ~at
     return out
 
@@ -159,7 +157,7 @@ def _reports(cert, traj, kinds, input=None, form="implication", dini_coeff=None)
         allowed = lambda p, v: cert.phi[p](v) + slack  # noqa: E731
         bound = lambda p, v: cert.psi[p](v) + slack  # noqa: E731
     times, states, modes, starts = traj.samples
-    values = _values(cert, traj, ends_only=kinds == ("jump",))
+    values = _values(cert, traj)
     out = []
     if "sandwich" in kinds:
         norms = np.linalg.norm(states, axis=1)
@@ -187,7 +185,7 @@ def check_trajectory(
     dini_coeff: float = DEFAULT_DINI_COEFF,
 ) -> list[ViolationReport]:
     """Sandwich, flow and jump reports of one certificate form (see
-    :data:`FORMS`), in that order, evaluating V once per sample."""
+    :data:`FORMS`), in that order, from one evaluation of V per sample."""
     return _reports(cert, traj, ("sandwich", "flow", "jump"), input, form, dini_coeff)
 
 
@@ -369,11 +367,26 @@ def dissipation_to_implication(cert: Certificate) -> Certificate:
 
 
 def quadratic_v(M) -> Callable:
-    """Lyapunov function x^T M x as a (t, x) callable."""
-    M = np.asarray(M, dtype=float)
-    return lambda t, x: float(np.asarray(x) @ M @ np.asarray(x))
+    """Lyapunov function x^T M x as a (t, x) callable, elementwise over the
+    rows of x; M must be square.  The products are summed in a fixed order,
+    so a state gives the same bits alone as in any stack."""
+    M = np.array(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"M must be a square matrix, got shape {M.shape}")
+
+    def V(t, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != M.shape[:1]:
+            raise ValueError(f"V takes states of {len(M)} components, got shape {x.shape}")
+        return _result(reduce(np.add, (M[i, j] * x[..., i] * x[..., j]
+                                       for i, j in np.ndindex(M.shape))))
+    return V
 
 
 def norm_power_v(c: float, k: float) -> Callable:
-    """Lyapunov function c ||x||^k as a (t, x) callable."""
-    return lambda t, x: c * float(np.linalg.norm(x)) ** k
+    """Lyapunov function c ||x||^k as a (t, x) callable, elementwise like ``quadratic_v``."""
+    def V(t, x):
+        x = np.asarray(x, dtype=float)
+        square = reduce(np.add, (x[..., i] * x[..., i] for i in range(x.shape[-1])))
+        return _result(c * np.power(np.sqrt(square), k))
+    return V

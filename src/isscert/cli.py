@@ -36,7 +36,6 @@ from .errors import (
 )
 from .lmi import (
     Infeasible,
-    QuadraticCertificate,
     check_flow_lmi,
     check_jump_lmi,
     check_rate_conditions,
@@ -94,14 +93,15 @@ def _run_setup(cfg):
     return model, sig, inp, x0, step
 
 
-def _certificate(cfg):
-    """The certificate and its form ("implication" unless given)."""
+def _certificate(cfg, sig, n: int):
+    """The certificate, with an entry for every mode of the signal, and its
+    form ("implication" unless given)."""
     obj = _convert(jsonio._require(cfg, "certificate", "config"), dict, "certificate")
     form = obj.get("form", "implication")
     if form not in FORMS:
         raise ConfigError(f"unknown form {form!r}; choose one of {list(FORMS)}",
                           field="certificate.form")
-    return jsonio.parse_certificate(obj), form
+    return jsonio.parse_certificate(obj, sig.mode_set, n), form
 
 
 def _dini(cfg) -> float:
@@ -128,7 +128,7 @@ def cmd_simulate(cfg, out: Path, seed: int) -> int:
 
 def cmd_certify(cfg, out: Path, seed: int) -> int:
     model, sig, inp, x0, step = _run_setup(cfg)
-    cert, form = _certificate(cfg)
+    cert, form = _certificate(cfg, sig, model.dims[0])
     dini_coeff, a_grid = _dini(cfg), _a_grid(cfg)
     try:
         traj = simulate(model, sig, x0, inp, step)
@@ -152,7 +152,7 @@ def cmd_certify(cfg, out: Path, seed: int) -> int:
 
 def cmd_construct(cfg, out: Path, seed: int) -> int:
     model, sig, inp, x0, step = _run_setup(cfg)
-    cert, _ = _certificate(cfg)
+    cert, _ = _certificate(cfg, sig, model.dims[0])
     dini_coeff, a_grid = _dini(cfg), _a_grid(cfg)
     try:
         dec = build_decreasing(cert, sig, a_grid=a_grid)
@@ -175,7 +175,7 @@ def cmd_construct(cfg, out: Path, seed: int) -> int:
 
 def cmd_bound(cfg, out: Path, seed: int) -> int:
     model, sig, inp, x0, step = _run_setup(cfg)
-    cert, _ = _certificate(cfg)
+    cert, _ = _certificate(cfg, sig, model.dims[0])
     bcfg = jsonio._require(cfg, "bound", "config")
     env = jsonio._require(bcfg, "envelopes", "bound")
     lower = jsonio.parse_rate(jsonio._require(env, "lower", "bound.envelopes"),
@@ -252,9 +252,9 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
 def cmd_lmi(cfg, out: Path, seed: int) -> int:
     model = jsonio.parse_model(jsonio._require(cfg, "system", "config"))
     lcfg = jsonio._require(cfg, "lmi", "config")
-    partition = jsonio.parse_partition(jsonio._require(lcfg, "partition", "lmi"))
-    dwell = jsonio.parse_dwell(jsonio._require(lcfg, "dwell", "lmi"))
-    q_set = jsonio.parse_mode_changes(jsonio._require(lcfg, "pairs", "lmi"))
+    partition = jsonio.parse_partition(jsonio._require(lcfg, "partition", "lmi"), "lmi.partition")
+    dwell = jsonio.parse_dwell(jsonio._require(lcfg, "dwell", "lmi"), "lmi.dwell", model.A)
+    q_set = jsonio.parse_mode_changes(jsonio._require(lcfg, "pairs", "lmi"), model.A)
     mode = lcfg.get("mode", "verify")
 
     if mode == "synth":
@@ -276,15 +276,8 @@ def cmd_lmi(cfg, out: Path, seed: int) -> int:
             "lambda_max": qc.lambda_max,
         })
     elif mode == "verify":
-        c = jsonio._require(lcfg, "certificate", "lmi")
-        try:
-            qc = QuadraticCertificate(
-                M={p: np.array(m, dtype=float) for p, m in c["M"].items()},
-                Q={p: np.array(m, dtype=float) for p, m in c["Q"].items()},
-                eta=c["eta"], mu=c["mu"],
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(str(e), field="lmi.certificate") from e
+        qc = jsonio.parse_quadratic_certificate(
+            jsonio._require(lcfg, "certificate", "lmi"), model)
     else:
         raise ConfigError(f"unknown lmi mode {mode!r}", field="lmi.mode")
 

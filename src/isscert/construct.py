@@ -9,9 +9,7 @@ checked with the flow and jump rules of ``certify``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +32,8 @@ from .switching import DwellBudget, DwellSpec, ModePartition, SwitchingSignal
 
 
 class CorrectionLedger:
-    """The correction h of one signal and dwell spec, answered per query in
-    O(log K) after an O(K) build.
+    """The correction h of one signal and dwell spec, answered in O(log K)
+    per time after an O(K) build.
 
     With the cumulative dwell budgets G_S and G_U of the stable and unstable
     classes, the balance of the window from anchor t_j to t is L(t) - K(t_j),
@@ -54,23 +52,20 @@ class CorrectionLedger:
         self.w_unstable = 1 + dwell.delta
         self.stable = DwellBudget(sig, partition.stable, dwell.tau)
         self.unstable = DwellBudget(sig, partition.unstable, dwell.tau)
-        anchors = (-self.w_stable * s + self.w_unstable * u
-                   for s, u in zip(self.stable.left, self.unstable.right))
-        self.k_max = list(accumulate(anchors, max))
+        self.k_max = np.maximum.accumulate(-self.w_stable * self.stable.left
+                                           + self.w_unstable * self.unstable.right)
 
-    def h(self, t: float, side: str = "right") -> float:
+    def h(self, t, side: str = "right"):
         """h(t), or the left limit h(t-) for ``side="left"``, which excludes an
-        activation at t itself (and its anchor)."""
-        self.sig._check_range(t)
-        times = self.stable.times
-        i = bisect_right(times, t) - 1
-        if side == "left" and times[i] == t:
-            if i == 0:
-                return 0.0  # the only window, [t0, t0), is empty
-            i -= 1
-        value = (-self.w_stable * self.stable.at(t, side)
-                 + self.w_unstable * self.unstable.at(t, side))
-        return min(0.0, value - self.k_max[i])
+        activation at t itself (and its anchor); elementwise in t."""
+        self.sig._check_range(np.min(t, initial=self.sig.horizon))
+        self.sig._check_range(np.max(t, initial=self.sig.t0))
+        # The last anchor at or before t (before t for the left limit); at
+        # h(t0-) there is none, and the only window, [t0, t0), is empty.
+        i = np.searchsorted(self.stable.times, t, side=side) - 1
+        rest = (-self.w_stable * self.stable.at(t, side)
+                + self.w_unstable * self.unstable.at(t, side)) - self.k_max[i]
+        return _result(np.where((rest < 0.0) & (i >= 0), rest, 0.0))
 
 
 @dataclass(frozen=True)
@@ -87,7 +82,7 @@ class DecreasingCertificate:
         object.__setattr__(self, "ledger",
                            CorrectionLedger(self.sig, self.cert.partition, self.cert.dwell))
 
-    def h(self, t: float, side: str = "right") -> float:
+    def h(self, t, side: str = "right"):
         return self.ledger.h(t, side)
 
     def compose(self, v, mode_now: str, mode_prev: str, h_value):
@@ -158,9 +153,9 @@ def decrease_check(
 ) -> tuple[list[ViolationReport], list[tuple[float, float, float, float]]]:
     """Monotonicity reports for W along a trajectory and its (t, V, W, h) rows.
 
-    One pass evaluates h, V and W once per sample, in ``Trajectory.rows()``
-    order.  The last sample before a switching instant t_i takes the left
-    limit h(t_i-); the post-jump sample composes with the previous mode.
+    V is evaluated once per mode over ``Trajectory.samples``, h as the right
+    limits there and the left limits h(t_i-) at the last sample before each
+    switching instant t_i; the post-jump sample composes with the previous mode.
 
     Above the threshold chi(||u||inf): the forward-difference slope of W on
     each flow interval must not exceed -min{delta,1}|phi|(W), and W must not
@@ -176,10 +171,8 @@ def decrease_check(
     times, _, modes, starts = traj.samples
     values = _values(cert, traj)
     pre, post = starts[1:] - 1, starts[1:]
-    left = np.zeros(len(times), dtype=bool)
-    left[pre] = True
-    hs = np.fromiter((dec.h(t, side="left" if x else "right")
-                      for t, x in zip(times.tolist(), left.tolist())), float, len(times))
+    hs = dec.h(times)
+    hs[pre] = dec.h(times[pre], side="left")
     # Same-mode composition throughout: on the open flow interval the
     # previous mode equals the active one, and the right limit at the
     # segment start extends the flow inequality to the first difference.
@@ -192,9 +185,8 @@ def decrease_check(
         w_post[at] = dec.compose(values[post][at], p, q, hs[post][at])
     reports = (_flow_reports(traj, ws, decay, threshold, dini_coeff)
                + _jump_reports(traj, ws[pre], w_post, threshold, lambda p, w: w, cap))
-    rows_w = ws.copy()
-    rows_w[post] = w_post
-    return reports, list(zip(times.tolist(), values.tolist(), rows_w.tolist(), hs.tolist()))
+    ws[post] = w_post
+    return reports, list(zip(times.tolist(), values.tolist(), ws.tolist(), hs.tolist()))
 
 
 def certify_decrease(

@@ -2,19 +2,24 @@
 
 Configs are plain JSON documents describing the system, switching signal,
 input, certificate and run parameters; only the parametric families are
-admitted (no user code).  CSV floats are printed with 17 significant
-digits so round-trips are lossless.
+admitted (no user code).  Every malformed value is a ConfigError naming
+its field: a section that is not an object, a per-mode map that misses a
+mode, a matrix that is not finite, 2-D and of the shape the system fixes.
+CSV floats are printed with 17 significant digits so round-trips are
+lossless.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .certify import Certificate, norm_power_v, quadratic_v
-from .errors import ConfigError
+from .errors import AsymmetricError, ConfigError
+from .lmi import QuadraticCertificate
 from .rates import (
     ComparisonFunction,
     RateFunction,
@@ -32,10 +37,6 @@ from .simulate import (
 from .switching import DwellSpec, ModeChangeSet, ModePartition, SwitchingSignal
 
 
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -51,10 +52,48 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _mapping(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"must be an object, got {obj!r}", field=where)
+    return obj
+
+
 def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
+    if key not in _mapping(cfg, where):
         raise ConfigError("missing required key", field=f"{where}.{key}")
     return cfg[key]
+
+
+def _per_mode(obj, where: str, modes) -> dict:
+    """An object with an entry for each of ``modes``."""
+    missing = sorted(set(modes) - set(_mapping(obj, where)))
+    if missing:
+        raise ConfigError(f"no entry for mode {missing[0]!r}", field=f"{where}.{missing[0]}")
+    return obj
+
+
+def _matrix(value, where: str, shape=None, name: str = "matrix") -> np.ndarray:
+    """A finite 2-D matrix, of ``shape`` when given."""
+    try:
+        m = np.array(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{name} is not a matrix of numbers ({e})", field=where) from e
+    if m.ndim != 2 or not np.all(np.isfinite(m)) or shape not in (None, m.shape):
+        size = "" if shape is None else "{}x{} ".format(*shape)
+        raise ConfigError(f"{name} must be a {size}matrix of finite numbers, got {value!r}",
+                          field=where)
+    return m
+
+
+def _vector(value, where: str, m: int) -> np.ndarray:
+    """m finite numbers (one number when m = 1)."""
+    try:
+        u = np.atleast_1d(np.array(value, dtype=float))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"not a vector of numbers ({e})", field=where) from e
+    if u.shape != (m,) or not np.all(np.isfinite(u)):
+        raise ConfigError(f"must be {m} finite numbers, got {value!r}", field=where)
+    return u
 
 
 def parse_rate(obj: dict, where: str) -> RateFunction:
@@ -102,16 +141,23 @@ def parse_signal(obj: dict) -> SwitchingSignal:
 
 
 def parse_model(obj: dict) -> LinearSystemModel:
+    """The linear system: A, B, J and H on one mode set, with finite
+    matrices of consistent shape."""
     if _require(obj, "kind", "system") != "linear":
         raise ConfigError("only linear systems are config-ingestible", field="system.kind")
+    modes = _mapping(_require(obj, "A", "system"), "system.A")
+    if not modes:
+        raise ConfigError("needs at least one mode", field="system.A")
+    mats = {}
+    for name in "ABJH":
+        per_mode = _per_mode(_require(obj, name, "system"), f"system.{name}", modes)
+        extra = sorted(set(per_mode) - set(modes))
+        if extra:
+            raise ConfigError("mode absent from system.A", field=f"system.{name}.{extra[0]}")
+        mats[name] = {p: _matrix(m, f"system.{name}.{p}") for p, m in per_mode.items()}
     try:
-        return LinearSystemModel(
-            A={p: np.array(m, dtype=float) for p, m in _require(obj, "A", "system").items()},
-            B={p: np.array(m, dtype=float) for p, m in _require(obj, "B", "system").items()},
-            J={p: np.array(m, dtype=float) for p, m in _require(obj, "J", "system").items()},
-            H={p: np.array(m, dtype=float) for p, m in _require(obj, "H", "system").items()},
-        )
-    except (TypeError, ValueError) as e:
+        return LinearSystemModel(**mats)
+    except ValueError as e:
         raise ConfigError(str(e), field="system") from e
 
 
@@ -119,89 +165,126 @@ def parse_input(obj: dict | None, m: int) -> InputSignal:
     if obj is None:
         return zero_input(m)
     kind = _require(obj, "kind", "input")
+
+    def vector(key):
+        return _vector(_require(obj, key, "input"), f"input.{key}", m)
     try:
         if kind == "zero":
             return zero_input(m)
         if kind == "constant":
-            return constant_input(_require(obj, "value", "input"))
+            return constant_input(vector("value"))
         if kind == "sinusoid":
-            return sinusoid_input(_require(obj, "amplitude", "input"),
-                                  float(_require(obj, "omega", "input")),
+            return sinusoid_input(vector("amplitude"), float(_require(obj, "omega", "input")),
                                   float(obj.get("phase", 0.0)))
         if kind == "step":
-            return step_input(_require(obj, "before", "input"),
-                              _require(obj, "after", "input"),
+            return step_input(vector("before"), vector("after"),
                               float(_require(obj, "t_switch", "input")))
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e), field="input") from e
     raise ConfigError(f"unknown input kind {kind!r}", field="input.kind")
 
 
-def parse_dwell(obj: dict) -> DwellSpec:
+def parse_dwell(obj: dict, where: str, modes) -> DwellSpec:
+    """The dwell spec at ``where``, with a dwell time for each of ``modes``."""
+    tau = _per_mode(_require(obj, "tau", where), f"{where}.tau", modes)
     try:
         return DwellSpec(
-            tau={str(p): float(v) for p, v in _require(obj, "tau", "dwell").items()},
-            delta=float(_require(obj, "delta", "dwell")),
+            tau={str(p): float(v) for p, v in tau.items()},
+            delta=float(_require(obj, "delta", where)),
             T_S=float(obj.get("T_S", 0.0)),
             T_U=float(obj.get("T_U", 0.0)),
         )
     except (TypeError, ValueError) as e:
-        raise ConfigError(str(e), field="dwell") from e
+        raise ConfigError(str(e), field=where) from e
 
 
-def parse_partition(obj: dict) -> ModePartition:
+def parse_partition(obj: dict, where: str) -> ModePartition:
+    _mapping(obj, where)
     try:
         return ModePartition(frozenset(map(str, obj.get("stable", []))),
                              frozenset(map(str, obj.get("unstable", []))))
-    except ValueError as e:
-        raise ConfigError(str(e), field="partition") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e), field=where) from e
 
 
-def parse_certificate(obj: dict) -> Certificate:
-    v_map = {}
-    for p, spec in _require(obj, "V", "certificate").items():
-        kind = _require(spec, "kind", f"certificate.V.{p}")
-        if kind == "quadratic":
-            v_map[p] = quadratic_v(np.array(_require(spec, "M", f"certificate.V.{p}"),
-                                            dtype=float))
-        elif kind == "power":
-            v_map[p] = norm_power_v(float(_require(spec, "c", f"certificate.V.{p}")),
-                                    float(_require(spec, "k", f"certificate.V.{p}")))
-        else:
-            raise ConfigError(f"unknown V kind {kind!r}", field=f"certificate.V.{p}")
+def _parse_v(spec, where: str, n: int):
+    kind = _require(spec, "kind", where)
+    if kind == "quadratic":
+        return quadratic_v(_matrix(_require(spec, "M", where), where, (n, n), "M"))
+    if kind == "power":
+        return norm_power_v(float(_require(spec, "c", where)), float(_require(spec, "k", where)))
+    raise ConfigError(f"unknown V kind {kind!r}", field=where)
+
+
+def parse_certificate(obj: dict, modes, n: int) -> Certificate:
+    """The certificate, with V, phi, psi and dwell.tau entries for each of
+    ``modes`` and quadratic V of n x n matrices."""
+    def per_mode(key, parse):
+        entries = _per_mode(_require(obj, key, "certificate"), f"certificate.{key}", modes)
+        return {p: parse(v, f"certificate.{key}.{p}") for p, v in entries.items()}
+
+    def cf(key):
+        return parse_cf(_require(obj, key, "certificate"), f"certificate.{key}")
     try:
         return Certificate(
-            V=v_map,
-            alpha1=parse_cf(_require(obj, "alpha1", "certificate"), "certificate.alpha1"),
-            alpha2=parse_cf(_require(obj, "alpha2", "certificate"), "certificate.alpha2"),
-            alpha3=parse_cf(_require(obj, "alpha3", "certificate"), "certificate.alpha3"),
-            chi=parse_cf(_require(obj, "chi", "certificate"), "certificate.chi"),
-            phi={str(p): parse_rate(r, f"certificate.phi.{p}")
-                 for p, r in _require(obj, "phi", "certificate").items()},
-            psi={str(p): parse_rate(r, f"certificate.psi.{p}")
-                 for p, r in _require(obj, "psi", "certificate").items()},
-            partition=parse_partition(_require(obj, "partition", "certificate")),
-            dwell=parse_dwell(_require(obj, "dwell", "certificate")),
+            V=per_mode("V", lambda spec, where: _parse_v(spec, where, n)),
+            alpha1=cf("alpha1"), alpha2=cf("alpha2"), alpha3=cf("alpha3"), chi=cf("chi"),
+            phi=per_mode("phi", parse_rate),
+            psi=per_mode("psi", parse_rate),
+            partition=parse_partition(_require(obj, "partition", "certificate"),
+                                      "certificate.partition"),
+            dwell=parse_dwell(_require(obj, "dwell", "certificate"), "certificate.dwell", modes),
         )
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e), field="certificate") from e
 
 
-def parse_mode_changes(pairs) -> ModeChangeSet:
+def parse_quadratic_certificate(obj: dict, model: LinearSystemModel) -> QuadraticCertificate:
+    """``lmi.certificate``: M (n x n), Q (m x m), eta and mu for every mode of
+    the system."""
+    n, m = model.dims
+    where = "lmi.certificate"
+    M, Q, eta, mu = (_per_mode(_require(obj, key, where), f"{where}.{key}", model.A)
+                     for key in ("M", "Q", "eta", "mu"))
+    try:
+        return QuadraticCertificate(
+            M={p: _matrix(v, f"{where}.M.{p}", (n, n)) for p, v in M.items()},
+            Q={p: _matrix(v, f"{where}.Q.{p}", (m, m)) for p, v in Q.items()},
+            eta={p: float(v) for p, v in eta.items()},
+            mu={p: float(v) for p, v in mu.items()},
+        )
+    except (TypeError, ValueError, AsymmetricError) as e:
+        raise ConfigError(str(e), field=where) from e
+
+
+def parse_mode_changes(pairs, modes) -> ModeChangeSet:
+    """``lmi.pairs``: a list of [new mode, old mode] pairs of ``modes``."""
+    if not isinstance(pairs, list):
+        raise ConfigError(f"must be a list of mode pairs, got {pairs!r}", field="lmi.pairs")
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2 and set(map(str, pair)) <= set(modes)):
+            raise ConfigError(f"must be a [new mode, old mode] pair of system modes, "
+                              f"got {pair!r}", field=f"lmi.pairs.{i}")
     return ModeChangeSet(frozenset((str(p), str(q)) for p, q in pairs))
 
 
 def write_csv(path, header, rows):
-    """A CSV file of the column names in ``header`` and one line per row:
-    string cells as they are, numbers through ``fmt``."""
+    """A CSV file of the column names in ``header`` and one line per row, all
+    through one template from the first row: ``%s`` for strings, ``%.17g`` else."""
+    rows = iter(rows)
+    first = next(rows, None)
     lines = [",".join(header)]
-    lines += [",".join(c if isinstance(c, str) else fmt(c) for c in row) for row in rows]
+    if first is not None:
+        template = ",".join("%s" if isinstance(c, str) else "%.17g" for c in first)
+        lines += [template % tuple(row) for row in chain([first], rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_trajectory_csv(path, traj, n: int):
+    times, states, modes, _ = traj.samples
     write_csv(path, ["t", "mode", *(f"x{i + 1}" for i in range(n)), "jump_flag"],
-              ((t, mode, *x.tolist(), flag) for t, mode, x, flag in traj.rows()))
+              zip(times.tolist(), modes.tolist(), *states.T.tolist(),
+                  traj.jump_flags().tolist()))
 
 
 def write_reports_csv(path, reports):

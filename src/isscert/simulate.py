@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, Mapping
 
 import numpy as np
@@ -194,11 +193,11 @@ class Trajectory:
         return self.segments[-1].states[-1]
 
     def sup_norm(self) -> float:
-        return max(float(np.max(np.linalg.norm(seg.states, axis=1))) for seg in self.segments)
+        return float(np.max(np.linalg.norm(self.samples[1], axis=1)))
 
     @cached_property
     def samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every sample in ``rows()`` order as arrays: the times, the states,
+        """Every sample, segment by segment, as arrays: the times, the states,
         the mode of each sample, and the index of each segment's first sample."""
         lengths = [len(seg.times) for seg in self.segments]
         return (np.concatenate([seg.times for seg in self.segments]),
@@ -206,14 +205,15 @@ class Trajectory:
                 np.repeat([seg.mode for seg in self.segments], lengths),
                 np.cumsum([0, *lengths[:-1]]))
 
+    def jump_flags(self) -> np.ndarray:
+        """1 at each later segment's first sample (post-jump, at t_i), else 0."""
+        return np.isin(np.arange(len(self.samples[0])), self.samples[3][1:]).astype(int)
+
     def rows(self):
-        """Flat (t, mode, x, jump_flag) rows over the segment samples; the first
-        sample of each later segment is the flagged post-jump row at t_i."""
-        out = []
-        for k, seg in enumerate(self.segments):
-            flags = [int(k > 0)] + [0] * (len(seg.times) - 1)
-            out += zip(seg.times.tolist(), repeat(seg.mode), seg.states, flags)
-        return out
+        """Flat (t, mode, x, jump_flag) rows over ``samples``; the first sample
+        of each later segment is the flagged post-jump row at t_i."""
+        times, states, modes, _ = self.samples
+        return list(zip(times.tolist(), modes.tolist(), states, self.jump_flags().tolist()))
 
 
 def _n_steps(t_start, t_end, step):
@@ -409,11 +409,8 @@ def reachability_bound(
     mid = sub.t0 + (sub.horizon - sub.t0) / 2
     best = 0.0
     for _ in range(samples):
-        direction = rng.standard_normal(model.state_dim)
-        norm = np.linalg.norm(direction)
-        if norm > 0:
-            direction /= norm
-        x0 = direction * C * rng.uniform(0, 1) ** (1 / max(1, model.state_dim))
+        x0 = _unit_vector(rng, model.state_dim) * C * rng.uniform(0, 1) ** (
+            1 / max(1, model.state_dim))
         for inp in _sample_inputs(D, model.input_dim, mid, rng):
             traj = simulate(model, sub, x0, inp, step)
             best = max(best, traj.sup_norm())

@@ -24,6 +24,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .errors import OutOfRangeError
 
 
@@ -189,28 +191,20 @@ class DwellBudget:
     """
 
     def __init__(self, sig: SwitchingSignal, modes, tau: Mapping[str, float]):
-        self.times = (sig.t0, *sig.instants)
-        self.left: list[float] = []
-        self.right: list[float] = []
-        self.active: list[bool] = []
-        g, prev_t, prev_active = 0.0, sig.t0, False
-        for t, mode in sig.events():
-            if prev_active:
-                g -= t - prev_t
-            self.left.append(g)
-            prev_t, prev_active = t, mode in modes
-            if prev_active:
-                g += tau[mode]
-            self.right.append(g)
-            self.active.append(prev_active)
-        self.end = self.at(sig.horizon)
+        self.times = np.array((sig.t0, *sig.instants))
+        self.active = np.array([mode in modes for mode in sig.modes])
+        # Each event first draws G down by the time the class was active since
+        # the previous event, then books the dwell time of an activation in it.
+        spent = np.diff(self.times, prepend=sig.t0) * np.r_[False, self.active[:-1]]
+        booked = [tau[mode] if mode in modes else 0.0 for mode in sig.modes]
+        g = np.cumsum(np.column_stack([-spent, booked]))
+        self.left, self.right = g[0::2], g[1::2]
+        self.end = float(self.at(sig.horizon))
 
-    def at(self, t: float, side: str = "right") -> float:
-        """G(t) for t in [t0, horizon]; ``side="left"`` gives G(t-)."""
-        i = bisect_right(self.times, t) - 1
-        if side == "left" and self.times[i] == t:
-            return self.left[i]
-        return self.right[i] - (t - self.times[i]) if self.active[i] else self.right[i]
+    def at(self, t, side: str = "right") -> np.ndarray:
+        """G(t), elementwise in t in [t0, horizon] (G(t-) for ``side="left"``, t > t0)."""
+        i = np.searchsorted(self.times, t, side=side) - 1
+        return np.where(self.active[i], self.right[i] - (t - self.times[i]), self.right[i])
 
 
 def _slack_sup(sig, mode_set, tau, sign: int) -> float:
@@ -221,7 +215,7 @@ def _slack_sup(sig, mode_set, tau, sign: int) -> float:
     # counts only as the window from t_i- to t_i (the activation at t_i).
     budget = DwellBudget(sig, mode_set, tau)
     best, low = 0.0, math.inf  # best 0 is attained at s1 == s2
-    for i, (g_left, g_right) in enumerate(zip(budget.left, budget.right)):
+    for i, (g_left, g_right) in enumerate(zip(budget.left.tolist(), budget.right.tolist())):
         g_left, g_right = sign * g_left, sign * g_right
         best = max(best, g_left - low, g_right - low)
         if i:

@@ -21,6 +21,10 @@
   loop over ``Trajectory.rows()`` with one ``beta`` call per sample.  These
   are the earlier library implementations, kept as oracles for the
   elementwise ``beta`` and the array ``iss_check`` in ``isscert.bounds``.
+* The CSV writer one cell at a time: ``write_csv_per_cell`` formats each
+  number through its own ``f"{float(x):.17g}"`` call, the earlier library
+  implementation kept as the oracle for the row template of
+  ``isscert.jsonio.write_csv``.
 * The trajectory checks per sample: ``trajectory_reports``, a loop over the
   segments with one rate-function call per sample, and ``decrease_rows``,
   one ``compose`` call per sample.  These are the earlier
@@ -31,6 +35,7 @@
 import bisect
 import math
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -480,3 +485,11 @@ def decrease_rows(dec, traj, input, dini_coeff):
         rows += zip(ts, vs, [w_post, *ws[1:]] if k else ws, hs)
         w_pre = ws[-1]
     return flows + jumps, rows
+
+
+def write_csv_per_cell(path, header, rows):
+    """``jsonio.write_csv`` with one format call per cell."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row)
+              for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")

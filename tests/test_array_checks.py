@@ -121,28 +121,34 @@ class TestAgainstTheSampleLoops:
 
 
 class TestRateCallsPerTrajectory:
-    """The rate, comparison and transform functions are called a number of
-    times that does not grow with the samples N: once per mode or check, on
-    arrays."""
+    """The rate, comparison and transform functions, V and the correction h
+    are called a number of times that does not grow with the samples N: once
+    per mode or check, on arrays."""
 
-    def count_calls(self, monkeypatch):
+    def count_calls(self, monkeypatch, cert):
         counts = {}
+
+        def counting(f, key):
+            def counted(*args, **kwargs):
+                counts[key] = counts.get(key, 0) + 1
+                return f(*args, **kwargs)
+            return counted
         for owner, name in ((rates.RateFunction, "__call__"),
                             (rates.ComparisonFunction, "__call__"),
                             (rates.ComparisonFunction, "inverse"),
                             (rates.PhiTransform, "value"),
-                            (rates.PhiTransform, "inverse")):
-            def counted(*args, _f=getattr(owner, name), _key=f"{owner.__name__}.{name}",
-                        **kwargs):
-                counts[_key] = counts.get(_key, 0) + 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(owner, name, counted)
+                            (rates.PhiTransform, "inverse"),
+                            (construct.DecreasingCertificate, "h")):
+            monkeypatch.setattr(owner, name,
+                                counting(getattr(owner, name), f"{owner.__name__}.{name}"))
+        for p in cert.V:
+            monkeypatch.setitem(cert.V, p, counting(cert.V[p], f"V.{p}"))
         return counts
 
     def calls(self, monkeypatch, step):
         cert, traj = certificate(), trajectory(step)
         dec = iss.DecreasingCertificate(cert, SIG)
-        counts = self.count_calls(monkeypatch)
+        counts = self.count_calls(monkeypatch, cert)
         out = []
         for run in (lambda: certify.check_trajectory(cert, traj, INPUT),
                     lambda: certify.check_trajectory(cert, traj, INPUT, "dissipation"),
@@ -159,3 +165,5 @@ class TestRateCallsPerTrajectory:
         assert n_fine > 1.9 * n_coarse
         assert fine == coarse
         assert all(counts for counts in coarse)
+        assert all(counts["V.s"] == counts["V.u"] == 1 for counts in coarse)
+        assert coarse[2]["DecreasingCertificate.h"] == 2

@@ -282,6 +282,25 @@ class TestLyapunovHelpers:
         v = iss.norm_power_v(2.0, 3.0)
         assert v(0.0, np.array([3.0, 4.0])) == pytest.approx(250.0)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_a_state_alone_equals_its_row_in_a_stack(self, n):
+        rng = np.random.default_rng(n)
+        states = rng.normal(size=(200, n)) * rng.lognormal(0.0, 4.0, size=(200, 1))
+        A = rng.normal(size=(n, n))
+        for v in (iss.quadratic_v(A @ A.T + np.eye(n)), iss.norm_power_v(0.7, 2.3)):
+            stack = v(np.zeros(200), states)
+            assert stack.shape == (200,)
+            alone = [v(0.0, x) for x in states]
+            assert all(type(a) is float for a in alone)
+            assert np.array_equal(stack, alone)
+            assert np.array_equal(stack[50:120], v(np.zeros(70), states[50:120]))
+
+    def test_quadratic_needs_a_square_matrix_and_states_to_match(self):
+        with pytest.raises(ValueError, match="square"):
+            iss.quadratic_v([[1.0, 0.0]])
+        with pytest.raises(ValueError, match="2 components"):
+            iss.quadratic_v(np.eye(2))(0.0, np.ones(3))
+
 
 def every_kind_case():
     """x' = -2x + u, V = x^2, u = 0.1: the first jump happens above chi(0.1) =
@@ -332,21 +351,32 @@ class TestCheckTrajectory:
             assert iss.check_trajectory(family_certificate, traj, inp, form) == expected
 
     def test_v_evaluated_once_per_sample(self):
+        # V is elementwise over the rows of x: every sample is passed to it
+        # exactly once, as a row of some call.
         cert, traj, inp = every_kind_case()
-        calls = []
+        rows = []
         quadratic = cert.V["a"]
 
         def counted(t, x):
-            calls.append(t)
+            rows.extend(zip(np.atleast_1d(t).tolist(), np.atleast_2d(x).tolist()))
             return quadratic(t, x)
 
         counting = replace(cert, V={"a": counted})
+        times, states, _, _ = traj.samples
+        every_sample = sorted(zip(times.tolist(), states.tolist()))
         reports = iss.check_trajectory(counting, traj, inp)
-        assert len(calls) == sum(len(seg.times) for seg in traj.segments)
+        assert sorted(rows) == every_sample
         assert reports == iss.check_trajectory(cert, traj, inp)
-        calls.clear()
+        rows.clear()
         iss.check_trajectory(counting, traj, inp, form="dissipation")
-        assert len(calls) == sum(len(seg.times) for seg in traj.segments)
+        assert sorted(rows) == every_sample
+
+    def test_v_must_give_one_value_per_row(self):
+        cert, traj, inp = every_kind_case()
+        quadratic = cert.V["a"]
+        for wrong in (lambda t, x: 1.0, lambda t, x: quadratic(t, x)[:, None]):
+            with pytest.raises(ValueError, match="mode 'a'.*one per sample"):
+                iss.check_trajectory(replace(cert, V={"a": wrong}), traj, inp)
 
     def test_unknown_form(self):
         cert, traj, inp = every_kind_case()

@@ -1,7 +1,10 @@
+import copy
 import json
+import math
 
 import pytest
 
+import oracles
 from isscert import cli, jsonio
 from isscert.cli import main
 from isscert.errors import NonFiniteError
@@ -129,7 +132,7 @@ class TestSimulate:
         ref = exc.value.partial
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 1 + len(ref.rows())
-        assert lines[-1].split(",")[0] == jsonio.fmt(ref.horizon)
+        assert lines[-1].split(",")[0] == f"{ref.horizon:.17g}"
 
 
 class TestCertify:
@@ -429,15 +432,161 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("command, key, value", MALFORMED)
     def test_exit_1_without_traceback(self, tmp_path, capsys, command, key, value):
         cfg = malformed_config(command)
-        *path, last = key.split(".")
-        target = cfg
-        for part in path:
-            target = target[part]
-        target[last] = value
+        edit(cfg, key, value)
         code, _ = run(tmp_path, command, cfg)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error") and "Traceback" not in err
+
+
+DELETE = object()
+
+
+def edit(cfg, key, value):
+    """Set the node at the dotted ``key`` (list indices as numbers) to
+    ``value``, or remove it for DELETE."""
+    *path, last = [int(k) if k.isdigit() else k for k in key.split(".")]
+    target = cfg
+    for part in path:
+        target = target[part]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+
+
+def lmi_certificate(**entries):
+    cert = {"M": {"s": [[1.0]], "u": [[1.0]]}, "Q": {"s": [[1.0]], "u": [[1.0]]},
+            "eta": {"s": -1.0, "u": 1.0}, "mu": {"s": 1.0, "u": 1.0}}
+    return {**cert, **entries}
+
+
+def lmi_verify(**entries):
+    return {"lmi.mode": "verify", "lmi.certificate": lmi_certificate(**entries)}
+
+
+TWO_STATE_SYSTEM = {"kind": "linear", "A": {"s": [[-1.0, 0.0], [0.0, -1.0]],
+                                            "u": [[0.5, 0.0], [0.0, 0.5]]},
+                    "B": {"s": [[1.0], [0.0]], "u": [[1.0], [0.0]]},
+                    "J": {"s": [[1.0, 0.0], [0.0, 1.0]], "u": [[1.0, 0.0], [0.0, 1.0]]},
+                    "H": {"s": [[0.0], [0.0]], "u": [[0.0], [0.0]]}}
+
+# Config sections that used to escape ``main`` as exceptions, each with the
+# field its error names.
+MALFORMED_SECTIONS = [
+    pytest.param("certify", {"system.A": 5}, "system.A", id="A-not-an-object"),
+    pytest.param("certify", {"system.A": {}}, "system.A", id="A-without-modes"),
+    pytest.param("certify", {"system.A.s": 5}, "system.A.s", id="A-matrix-a-number"),
+    *(pytest.param("simulate", {f"system.{name}.u": DELETE}, f"system.{name}.u",
+                   id=f"{name}-missing-a-mode") for name in "BJH"),
+    pytest.param("lmi", {"system.A.s": [[None]]}, "system.A.s", id="null-matrix-entry"),
+    pytest.param("lmi", lmi_verify(eta=5), "lmi.certificate.eta", id="eta-a-number"),
+    pytest.param("lmi", {"system": TWO_STATE_SYSTEM,
+                         **lmi_verify(M={"s": [[1.0, 0.5], [0.0, 1.0]],
+                                         "u": [[1.0, 0.0], [0.0, 1.0]]})},
+                 "lmi.certificate", id="M-not-symmetric"),
+    pytest.param("lmi", lmi_verify(M={"s": [[1.0]]}), "lmi.certificate.M.u",
+                 id="M-missing-a-mode"),
+    pytest.param("lmi", {"lmi.dwell.tau.u": DELETE}, "lmi.dwell.tau.u", id="tau-missing-a-mode"),
+    pytest.param("lmi", {"lmi.pairs": 5}, "lmi.pairs", id="pairs-a-number"),
+    pytest.param("lmi", {"lmi.pairs": [["s"]]}, "lmi.pairs.0", id="pair-of-one-mode"),
+    pytest.param("lmi", {"lmi.pairs.1.0": "w"}, "lmi.pairs.1", id="pair-unknown-mode"),
+    pytest.param("simulate", {"input": 5}, "input", id="input-a-number"),
+    pytest.param("simulate", {"input": {"kind": "constant", "value": [0.1, 0.2]}},
+                 "input.value", id="input-wrong-length"),
+    # A certificate that misses a signal mode, or whose quadratic V does not
+    # match the state: bound never evaluates V and exited 0.
+    *(pytest.param(cmd, {f"certificate.{key}.u": DELETE}, f"certificate.{key}.u",
+                   id=f"{cmd}-{key}-missing-a-mode")
+      for cmd in ("certify", "construct", "bound") for key in ("V", "phi", "psi", "dwell.tau")),
+    *(pytest.param(cmd, {"certificate.V.s.M": [[1.0, 0.0]]}, "certificate.V.s",
+                   id=f"{cmd}-M-not-n-by-n") for cmd in ("certify", "construct", "bound")),
+]
+
+
+class TestMalformedSections:
+    @pytest.mark.parametrize("command, edits, field", MALFORMED_SECTIONS)
+    def test_exit_1_naming_the_field(self, tmp_path, capsys, command, edits, field):
+        cfg = malformed_config(command)
+        for key, value in edits.items():
+            edit(cfg, key, value)
+        code, _ = run(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+
+
+def sweep_configs():
+    """The configs above for every command (lmi both ways), with an input in
+    the simulate, certify and construct configs and the runs cut down."""
+    configs = {command: malformed_config(command)
+               for command in ("simulate", "certify", "construct", "bound", "lmi")}
+    configs["simulate"]["input"] = {"kind": "constant", "value": [0.1]}
+    configs["certify"]["input"] = {"kind": "step", "before": [0.1], "after": [0.0],
+                                   "t_switch": 2.0}
+    configs["construct"]["input"] = {"kind": "sinusoid", "amplitude": [0.1], "omega": 1.0,
+                                     "phase": 0.5}
+    configs["bound"]["bound"].update(runs=1, patch_samples=1)
+    verify = malformed_config("lmi")
+    for key, value in lmi_verify().items():
+        edit(verify, key, value)
+    for cfg in configs.values():
+        if "step" in cfg:
+            cfg["step"] = 0.05
+    return [*configs.items(), ("lmi", verify)]
+
+
+def nodes(obj, path=()):
+    """The dotted path of every node under ``obj``, containers and leaves."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
+        if isinstance(obj, list) else ()
+    for key, value in items:
+        yield ".".join(map(str, (*path, key)))
+        yield from nodes(value, (*path, key))
+
+
+WRONG_VALUES = ("x", 5, [], {}, None)
+
+
+class TestTypeConfusion:
+    def test_every_node_exits_with_a_documented_code(self, tmp_path, capsys):
+        # Each node of every config, replaced by two of the wrong values in
+        # turn, ends in an exit code and never in an exception or a traceback.
+        escapes = []
+        cases = 0
+        for command, cfg in sweep_configs():
+            for k, key in enumerate(nodes(cfg)):
+                for value in (WRONG_VALUES[k % 5], WRONG_VALUES[(k + 2) % 5]):
+                    bad = copy.deepcopy(cfg)
+                    edit(bad, key, value)
+                    cases += 1
+                    try:
+                        code, _ = run(tmp_path, command, bad)
+                    except Exception as e:  # noqa: BLE001 - every escape is collected
+                        escapes.append((command, key, value, repr(e)))
+                        continue
+                    err = capsys.readouterr().err
+                    if code not in range(cli.EXIT_OK, cli.EXIT_INFEASIBLE + 1) \
+                            or "Traceback" in err:
+                        escapes.append((command, key, value, code, err))
+        assert cases > 800
+        assert escapes == []
+
+
+class TestWriteCsv:
+    def test_matches_the_per_cell_writer(self, tmp_path):
+        numbers = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+                   1 / 3, -1e300, 0.1, 3, -7, 2**60 + 1, True]
+        rows = [("kind", x, "mode", -x, x / 3) for x in numbers]
+        header = ["a", "b", "c", "d", "e"]
+        jsonio.write_csv(tmp_path / "template.csv", header, rows)
+        oracles.write_csv_per_cell(tmp_path / "per_cell.csv", header, rows)
+        assert (tmp_path / "template.csv").read_bytes() == \
+            (tmp_path / "per_cell.csv").read_bytes()
+
+    def test_header_only(self, tmp_path):
+        jsonio.write_csv(tmp_path / "empty.csv", ["t", "V"], iter(()))
+        assert (tmp_path / "empty.csv").read_text() == "t,V\n"
 
 
 class TestDeterminism:

@@ -73,11 +73,13 @@ def test_correction_matches_enumeration(sig, part, dwell, fractions):
     span = sig.horizon - sig.t0
     times = [sig.t0, *sig.instants, sig.horizon,
              *(min(sig.horizon, sig.t0 + f * span) for f in fractions)]
-    for t in times:
-        for side in ("left", "right"):
+    for side in ("left", "right"):
+        batch = ledger.h(np.array(times), side)
+        for t, in_batch in zip(times, batch.tolist()):
             got = ledger.h(t, side)
             want = oracles.correction(sig, part, dwell, t, side)
             assert abs(got - want) <= tolerance(sig), (t, side, got, want)
+            assert got == in_batch, (t, side)
 
 
 def test_slacks_match_enumeration_on_bench_signal():
