@@ -68,6 +68,7 @@ from .simulate import (
     constant_input,
     reachability_bound,
     simulate,
+    simulate_batch,
     sinusoid_input,
     step_input,
     zero_input,

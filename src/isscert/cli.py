@@ -42,7 +42,15 @@ from .lmi import (
     synthesize,
 )
 from .rates import envelope_check
-from .simulate import _unit_vector, constant_input, reachability_bound, simulate, sinusoid_input
+from .simulate import (
+    _unit_vector,
+    constant_input,
+    reachability_bound,
+    simulate,
+    simulate_batch,
+    sinusoid_input,
+    zero_input,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -173,6 +181,36 @@ def cmd_construct(cfg, out: Path, seed: int) -> int:
     return EXIT_OK if not reports else EXIT_VIOLATIONS
 
 
+def _monte_carlo(model, sig, bound, runs: int, x0_range: float, u_bound: float, step: float,
+                 seed: int) -> tuple[int, float]:
+    """The ISS check on ``runs`` random runs: the number of violations and
+    the largest margin.  Each run's x0 and input are drawn in run order, and
+    the runs are simulated as one batch."""
+    rng = np.random.default_rng(seed)
+    n, m = model.dims
+    x0s, inputs = [], []
+    for _ in range(runs):
+        x0s.append(rng.uniform(-x0_range, x0_range, n))
+        if u_bound > 0:
+            amp = rng.uniform(0, u_bound)
+            direction = _unit_vector(rng, m)
+            if rng.uniform() < 0.5:
+                inputs.append(constant_input(amp * direction))
+            else:
+                inputs.append(sinusoid_input(amp * direction, rng.uniform(0.5, 5.0)))
+        else:
+            inputs.append(zero_input(m))
+    trajs = simulate_batch(model, sig, x0s, inputs, step)
+    # Popped one at a time, so that only one run's cached samples are alive.
+    trajs.reverse()
+    total_violations, max_margin = 0, -np.inf
+    for x0, inp in zip(x0s, inputs):
+        reports, margin = iss_check(bound, trajs.pop(), x0, inp)
+        total_violations += len(reports)
+        max_margin = max(max_margin, margin)
+    return total_violations, max_margin
+
+
 def cmd_bound(cfg, out: Path, seed: int) -> int:
     model, sig, inp, x0, step = _run_setup(cfg)
     cert, _ = _certificate(cfg, sig, model.dims[0])
@@ -213,25 +251,8 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
                          ((r, s, b) for r in r_list
                           for s, b in zip(s_grid, bound.beta(r, s_grid).tolist())))
 
-        rng = np.random.default_rng(seed)
-        n, m = model.dims
-        total_violations = 0
-        max_margin = -np.inf
-        for _ in range(runs):
-            run_x0 = rng.uniform(-x0_range, x0_range, n)
-            if u_bound > 0:
-                amp = rng.uniform(0, u_bound)
-                direction = _unit_vector(rng, m)
-                if rng.uniform() < 0.5:
-                    run_inp = constant_input(amp * direction)
-                else:
-                    run_inp = sinusoid_input(amp * direction, rng.uniform(0.5, 5.0))
-            else:
-                run_inp = jsonio.parse_input({"kind": "zero"}, m)
-            traj = simulate(model, sig, run_x0, run_inp, step)
-            reports, margin = iss_check(bound, traj, run_x0, run_inp)
-            total_violations += len(reports)
-            max_margin = max(max_margin, margin)
+        total_violations, max_margin = _monte_carlo(model, sig, bound, runs, x0_range, u_bound,
+                                                    step, seed)
     except (DegenerateGammaError, ImageNotFullError) as e:
         print(f"structural precondition failed: {e}", file=sys.stderr)
         return EXIT_STRUCTURAL

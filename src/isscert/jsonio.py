@@ -3,8 +3,10 @@
 Configs are plain JSON documents describing the system, switching signal,
 input, certificate and run parameters; only the parametric families are
 admitted (no user code).  Every malformed value is a ConfigError naming
-its field: a section that is not an object, a per-mode map that misses a
-mode, a matrix that is not finite, 2-D and of the shape the system fixes.
+its field: a section that is not an object, a list of modes or instants
+given as anything but a list (a bare string among them), a per-mode map
+that misses a mode, a matrix that is not finite, 2-D and of the shape the
+system fixes.
 CSV floats are printed with 17 significant digits so round-trips are
 lossless.
 """
@@ -55,6 +57,13 @@ def load_config(path) -> dict:
 def _mapping(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"must be an object, got {obj!r}", field=where)
+    return obj
+
+
+def _list(obj, where: str) -> list:
+    """A list (a bare string would otherwise iterate as one-letter items)."""
+    if not isinstance(obj, list):
+        raise ConfigError(f"must be a list, got {obj!r}", field=where)
     return obj
 
 
@@ -132,8 +141,8 @@ def parse_signal(obj: dict) -> SwitchingSignal:
     try:
         return SwitchingSignal(
             t0=float(_require(obj, "t0", "signal")),
-            instants=tuple(float(t) for t in obj.get("instants", [])),
-            modes=tuple(str(m) for m in _require(obj, "modes", "signal")),
+            instants=tuple(float(t) for t in _list(obj.get("instants", []), "signal.instants")),
+            modes=tuple(str(m) for m in _list(_require(obj, "modes", "signal"), "signal.modes")),
             horizon=float(_require(obj, "horizon", "signal")),
         )
     except (TypeError, ValueError) as e:
@@ -201,8 +210,9 @@ def parse_dwell(obj: dict, where: str, modes) -> DwellSpec:
 def parse_partition(obj: dict, where: str) -> ModePartition:
     _mapping(obj, where)
     try:
-        return ModePartition(frozenset(map(str, obj.get("stable", []))),
-                             frozenset(map(str, obj.get("unstable", []))))
+        return ModePartition(frozenset(map(str, _list(obj.get("stable", []), f"{where}.stable"))),
+                             frozenset(map(str, _list(obj.get("unstable", []),
+                                                      f"{where}.unstable"))))
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e), field=where) from e
 

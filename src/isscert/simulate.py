@@ -7,11 +7,14 @@ Solutions are right-continuous: the stored state at a switching instant is
 the post-jump state.
 
 For a LinearSystemModel one RK4 step on x' = A x + B u is a fixed affine
-map, x+ = P x + G0 u(t) + Gm u(t + h/2) + G1 u(t + h); each segment builds
-that map once per mode and step size (segments of a mode that repeat a
-step reuse it within one ``simulate`` call) and runs it as a matrix
-recurrence over inputs evaluated as arrays.  A general SystemModel is
-stepped through its flow callables.
+map, x+ = P x + G0 u(t) + Gm u(t + h/2) + G1 u(t + h).  ``simulate_batch``
+runs R initial states and inputs over one signal and step grid: it builds
+that map once per mode and step size h per batch and, on each segment, runs
+it as one matrix recurrence X+ = P X + F_i over the (n, R) states of all
+runs, each run's forcing F_i from its own input evaluated as arrays.
+``simulate`` is the batch of one run.  At n = 1 a run's states do not depend
+on the batch; at n >= 2 the BLAS product may change their last bits with R.
+A general SystemModel is stepped through its flow callables, run by run.
 """
 
 from __future__ import annotations
@@ -255,43 +258,50 @@ def _step_map(A, B, h):
     return np.split(step_map, [n, n + m, n + 2 * m], axis=1)
 
 
-def _linear_segment(A, B, t_start, t_end, x0, input_sig, step, step_maps):
-    """`_rk4_segment` for x' = A x + B u as the recurrence x+ = P x + c_k.
+def _linear_flow(step_map, times, xs, inputs):
+    """`_rk4_segment` for x' = A x + B u, for every run at once: the
+    recurrence X+ = P X + F_i over the (n, R) matrix whose columns are the
+    runs' states.  Run j's forcing F_i[:, j] comes from its own input.
+    Returns the (len(times), n, R) states."""
+    P, G0, Gm, G1 = step_map
+    mid = times[:-1] + np.diff(times) / 2
+    states = np.empty((len(times), P.shape[0], len(xs)))
+    forcing = np.empty((len(times) - 1, *states.shape[1:]))
+    for j, (x, inp) in enumerate(zip(xs, inputs)):
+        states[0, :, j] = x
+        u = inp.sample(times)
+        forcing[:, :, j] = u[:-1] @ G0.T + inp.sample(mid) @ Gm.T + u[1:] @ G1.T
+    X = states[0]
+    for i, f in enumerate(forcing, start=1):
+        X = np.dot(P, X) + f
+        states[i] = X
+    return states
 
-    ``step_maps`` caches the step maps of (A, B) by the exact step h, so
-    segments of a mode that repeat a step size reuse one.
-    """
-    n = A.shape[0]
+
+def _flow(model, mode, t_start, t_end, xs, inputs, step, step_maps):
+    """One flow interval of each run from its state in ``xs``: a list of
+    (times, states, ok), where a run that left the finite range is cut at
+    its first offending sample and has ok False.
+
+    ``step_maps`` caches the linear step maps by (mode, exact step h), so
+    segments of a mode that repeat a step size reuse one."""
+    if not isinstance(model, LinearSystemModel):
+        return [_rk4_segment(model.flows[mode], t_start, t_end, x, inp, step)
+                for x, inp in zip(xs, inputs)]
     n_steps = _n_steps(t_start, t_end, step)
     times = np.linspace(t_start, t_end, n_steps + 1)
-    h = (t_end - t_start) / n_steps
-    if h not in step_maps:
-        step_maps[h] = _step_map(A, B, h)
-    P, G0, Gm, G1 = step_maps[h]
-    u_nodes = input_sig.sample(times)
-    u_mid = input_sig.sample(times[:-1] + np.diff(times) / 2)
-    forcing = u_nodes[:-1] @ G0.T + u_mid @ Gm.T + u_nodes[1:] @ G1.T
-    states = np.empty((n_steps + 1, n))
-    states[0] = x = x0
+    key = (mode, (t_end - t_start) / n_steps)
+    if key not in step_maps:
+        step_maps[key] = _step_map(model.A[mode], model.B[mode], key[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, c in enumerate(forcing, start=1):
-            x = P @ x + c
-            states[i] = x
-        # The same test as the stepwise loop, over all steps at once; the
-        # partial result ends at the first offending sample.
-        bad = ~np.all(np.isfinite(states[1:]), axis=1) \
-            | (np.linalg.norm(states[1:], axis=1) > FINITE_LIMIT)
-    if bad.any():
-        end = int(np.argmax(bad)) + 2
-        return times[:end], states[:end], False
-    return times, states, True
-
-
-def _flow(model, mode, t_start, t_end, x0, input_sig, step, step_maps):
-    if isinstance(model, LinearSystemModel):
-        return _linear_segment(model.A[mode], model.B[mode], t_start, t_end, x0,
-                               input_sig, step, step_maps.setdefault(mode, {}))
-    return _rk4_segment(model.flows[mode], t_start, t_end, x0, input_sig, step)
+        states = _linear_flow(step_maps[key], times, xs, inputs)
+        # The stepwise loop's test over every step and run at once: a norm
+        # that is NaN, infinite or above the limit fails `<=`.
+        bad = ~(np.linalg.norm(states[1:], axis=1) <= FINITE_LIMIT)
+    if not bad.any():
+        return [(times, states[:, :, j], True) for j in range(len(xs))]
+    ends = [int(np.argmax(run)) + 2 if run.any() else len(times) for run in bad.T]
+    return [(times[:e], states[:e, :, j], e == len(times)) for j, e in enumerate(ends)]
 
 
 def _jump(model, mode, t, x, u):
@@ -313,10 +323,31 @@ def simulate(
     norm exceeds 1e12, and StepTooLarge when the step exceeds the shortest
     inter-switch gap.
     """
+    return simulate_batch(model, sig, [x0], [input], step)[0]
+
+
+def simulate_batch(
+    model: SystemModel | LinearSystemModel,
+    sig: SwitchingSignal,
+    x0s,
+    inputs,
+    step: float,
+) -> list[Trajectory]:
+    """`simulate` of run j from ``x0s[j]`` under ``inputs[j]``, for every j,
+    on one switching signal and step grid.
+
+    A linear model steps all runs together, one step map per (mode, h) per
+    batch; a general SystemModel is stepped run by run.  If runs leave the
+    finite range, this raises the NonFiniteError (message and partial
+    trajectory) that the first of them in run order raises alone; stepping
+    stops once no run still going comes before that one.
+    """
     if step <= 0:
         raise ValueError("step must be > 0")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not np.all(np.isfinite(x0)):
+    if len(x0s) != len(inputs):
+        raise ValueError("one input per initial state")
+    x0s = [np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in x0s]
+    if not all(np.all(np.isfinite(x0)) for x0 in x0s):
         raise ValueError("initial state must be finite")
 
     bounds = [sig.t0, *sig.instants, sig.horizon]
@@ -326,34 +357,46 @@ def simulate(
             f"step {step} exceeds shortest inter-switch gap {min(gaps)}"
         )
 
+    if not x0s:
+        return []
     if sig.horizon == sig.t0:
-        seg = Segment(sig.modes[0], np.array([sig.t0]), x0[None, :].copy())
-        return Trajectory((seg,), input, step)
+        return [Trajectory((Segment(sig.modes[0], np.array([sig.t0]), x0[None, :].copy()),),
+                           inp, step) for x0, inp in zip(x0s, inputs)]
 
-    segments: list[Segment] = []
-    step_maps: dict = {}  # mode -> {h: step map}, for linear models
-    x = x0
+    segments = [[] for _ in x0s]
+    failed: dict[int, NonFiniteError] = {}
+    runs, xs = list(range(len(x0s))), x0s  # the runs still going and their states
+    step_maps: dict = {}
     for k, (a, b, mode) in enumerate(sig.segments()):
         if b > a:
-            times, states, ok = _flow(model, mode, a, b, x, input, step, step_maps)
-            segments.append(Segment(mode, times, states))
-            if not ok:
-                raise NonFiniteError(
-                    f"state norm exceeded {FINITE_LIMIT:.0e} at t={times[-1]}",
-                    partial=Trajectory(tuple(segments), input, step),
-                )
-            x = states[-1]
+            flows = _flow(model, mode, a, b, xs, [inputs[r] for r in runs], step, step_maps)
         else:  # the last instant on the horizon: a single post-jump sample
-            segments.append(Segment(mode, np.array([a]), x[None, :].copy()))
-        if k < len(sig.modes) - 1:
-            t_i = sig.instants[k]
-            # u(t_i^-) for merely piecewise-continuous inputs: sample half a
-            # step before the instant.
-            x = _jump(model, mode, t_i, x, input(t_i - step / 2))
-            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > FINITE_LIMIT:
-                raise NonFiniteError(f"jump at t={t_i} produced non-finite state",
-                                     partial=Trajectory(tuple(segments), input, step))
-    return Trajectory(tuple(segments), input, step)
+            flows = [(np.array([a]), x[None, :].copy(), True) for x in xs]
+        going, xs = [], []
+        for r, (times, states, ok) in zip(runs, flows):
+            segments[r].append(Segment(mode, times, states))
+            x, error = states[-1], None
+            if not ok:
+                error = f"state norm exceeded {FINITE_LIMIT:.0e} at t={times[-1]}"
+            elif k < len(sig.modes) - 1:
+                t_i = sig.instants[k]
+                # u(t_i^-) for merely piecewise-continuous inputs: sample half
+                # a step before the instant.
+                x = _jump(model, mode, t_i, x, inputs[r](t_i - step / 2))
+                if not np.all(np.isfinite(x)) or np.linalg.norm(x) > FINITE_LIMIT:
+                    error = f"jump at t={t_i} produced non-finite state"
+            if error is None:
+                going.append(r)
+                xs.append(x)
+            else:
+                failed[r] = NonFiniteError(
+                    error, partial=Trajectory(tuple(segments[r]), inputs[r], step))
+        runs = going
+        if failed and (not runs or min(failed) < runs[0]):
+            break
+    if failed:
+        raise failed[min(failed)]
+    return [Trajectory(tuple(segs), inp, step) for segs, inp in zip(segments, inputs)]
 
 
 def _unit_vector(rng, m: int) -> np.ndarray:
@@ -397,8 +440,8 @@ def reachability_bound(
     """Monte-Carlo lower estimate of the reachable-state norm bound.
 
     Max over sampled initial states in the C-ball and sampled inputs bounded
-    by D of the trajectory sup norm on [t0, t0 + tau].  An estimate, not a
-    certificate.
+    by D of the trajectory sup norm on [t0, t0 + tau], with the sampled runs
+    simulated as one batch.  An estimate, not a certificate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -407,11 +450,11 @@ def reachability_bound(
     rng = np.random.default_rng(seed)
     sub = _restrict(sig, tau)
     mid = sub.t0 + (sub.horizon - sub.t0) / 2
-    best = 0.0
+    x0s, inputs = [], []
     for _ in range(samples):
         x0 = _unit_vector(rng, model.state_dim) * C * rng.uniform(0, 1) ** (
             1 / max(1, model.state_dim))
         for inp in _sample_inputs(D, model.input_dim, mid, rng):
-            traj = simulate(model, sub, x0, inp, step)
-            best = max(best, traj.sup_norm())
-    return best
+            x0s.append(x0)
+            inputs.append(inp)
+    return max(traj.sup_norm() for traj in simulate_batch(model, sub, x0s, inputs, step))

@@ -30,6 +30,12 @@
   one ``compose`` call per sample.  These are the earlier
   library implementations, kept as oracles for the whole-trajectory arrays
   of ``isscert.certify`` and ``isscert.construct.decrease_check``.
+* The sampled runs one ``simulate`` call at a time: ``reachability_per_run``
+  and ``monte_carlo_per_run``, each drawing a run's x0 and input, simulating
+  that run alone and using it before the next draw.  These are the earlier
+  loops of ``isscert.simulate.reachability_bound`` and
+  ``isscert.cli.cmd_bound``, kept as oracles for the one ``simulate_batch``
+  call that each now makes.
 """
 
 import bisect
@@ -42,9 +48,18 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from isscert.bounds import ISS_REL_TOL
+from isscert.bounds import ISS_REL_TOL, iss_check
 from isscert.certify import FORMS, JUMP_TOL, SANDWICH_TOL, _report
 from isscert.errors import DegenerateGammaError, DomainError, OutOfImageError
+from isscert.simulate import (
+    _restrict,
+    _sample_inputs,
+    _unit_vector,
+    constant_input,
+    simulate,
+    sinusoid_input,
+    zero_input,
+)
 from isscert.switching import active_time
 
 
@@ -493,3 +508,45 @@ def write_csv_per_cell(path, header, rows):
     lines += [",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row)
               for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reachability_per_run(model, sig, C, D, tau, samples, step=1e-2, seed=0):
+    """``reachability_bound`` with one ``simulate`` call per sampled run."""
+    if C == 0.0 and D == 0.0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    sub = _restrict(sig, tau)
+    mid = sub.t0 + (sub.horizon - sub.t0) / 2
+    best = 0.0
+    for _ in range(samples):
+        x0 = _unit_vector(rng, model.state_dim) * C * rng.uniform(0, 1) ** (
+            1 / max(1, model.state_dim))
+        for inp in _sample_inputs(D, model.input_dim, mid, rng):
+            traj = simulate(model, sub, x0, inp, step)
+            best = max(best, traj.sup_norm())
+    return best
+
+
+def monte_carlo_per_run(model, sig, bound, runs, x0_range, u_bound, step, seed):
+    """The Monte-Carlo ISS check of ``cmd_bound`` with each run drawn,
+    simulated alone and checked before the next: (violations, max margin)."""
+    rng = np.random.default_rng(seed)
+    n, m = model.dims
+    total_violations = 0
+    max_margin = -np.inf
+    for _ in range(runs):
+        run_x0 = rng.uniform(-x0_range, x0_range, n)
+        if u_bound > 0:
+            amp = rng.uniform(0, u_bound)
+            direction = _unit_vector(rng, m)
+            if rng.uniform() < 0.5:
+                run_inp = constant_input(amp * direction)
+            else:
+                run_inp = sinusoid_input(amp * direction, rng.uniform(0.5, 5.0))
+        else:
+            run_inp = zero_input(m)
+        traj = simulate(model, sig, run_x0, run_inp, step)
+        reports, margin = iss_check(bound, traj, run_x0, run_inp)
+        total_violations += len(reports)
+        max_margin = max(max_margin, margin)
+    return total_violations, max_margin

@@ -314,6 +314,26 @@ class TestBound:
         assert rest == [3.0, 1.0, window, 5] and kwargs == {"step": 1e-3, "seed": 0}
         assert sig.instants == tuple(cfg["signal"]["instants"])
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_batch_writes_the_per_run_bytes(self, tmp_path, monkeypatch, seed):
+        # The acceptance-9 bound config with 20 Monte-Carlo runs and 2
+        # reachability samples: the batched runs give the bytes of the
+        # earlier one-run-at-a-time loops, so every run draws the same
+        # numbers in the same order and gets the same states.
+        cfg = acceptance9_config()
+        cfg["step"] = 1e-3
+        cfg["input"] = {"kind": "sinusoid", "amplitude": [0.5], "omega": 2.0}
+        cfg["bound"] = {"envelopes": {"lower": {"kind": "linear", "eta": 1.0},
+                                      "upper": {"kind": "linear", "eta": 1.0}},
+                        "runs": 20, "x0_range": 2.0, "u_bound": 1.0, "patch_samples": 2}
+        code, out = run(tmp_path, "bound", cfg, name="batch.json", seed=seed)
+        monkeypatch.setattr(cli, "reachability_bound", oracles.reachability_per_run)
+        monkeypatch.setattr(cli, "_monte_carlo", oracles.monte_carlo_per_run)
+        ref_code, ref = run(tmp_path, "bound", cfg, name="per-run.json", seed=seed)
+        assert code == ref_code == 0
+        for name in ("bound.csv", "verdict.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
     def test_r_list_beyond_floats(self, tmp_path, capsys):
         cfg = self._cfg()
         cfg["bound"]["r_list"] = [1.0, 1e200]
@@ -491,6 +511,11 @@ MALFORMED_SECTIONS = [
     pytest.param("lmi", {"lmi.pairs": 5}, "lmi.pairs", id="pairs-a-number"),
     pytest.param("lmi", {"lmi.pairs": [["s"]]}, "lmi.pairs.0", id="pair-of-one-mode"),
     pytest.param("lmi", {"lmi.pairs.1.0": "w"}, "lmi.pairs.1", id="pair-unknown-mode"),
+    # A bare string where a list of modes belongs: each letter became a mode.
+    pytest.param("certify", {"signal.modes": "susususu"}, "signal.modes",
+                 id="modes-a-bare-string"),
+    pytest.param("certify", {"certificate.partition.stable": "s"},
+                 "certificate.partition.stable", id="stable-a-bare-string"),
     pytest.param("simulate", {"input": 5}, "input", id="input-a-number"),
     pytest.param("simulate", {"input": {"kind": "constant", "value": [0.1, 0.2]}},
                  "input.value", id="input-wrong-length"),

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.linalg import expm
 
 import isscert as iss
 from isscert.errors import NonFiniteError, StepTooLargeError
-from isscert.simulate import _linear_segment
+from isscert.simulate import _flow
 
 
 def single_mode(horizon=1.0):
@@ -251,6 +252,103 @@ def report_rows(reports):
     return [(r.kind, r.time, r.mode) for r in reports]
 
 
+def same_trajectory(a, b, tol=0.0):
+    """Equal segment modes and times, and states within ``tol`` of b's scale
+    (bit for bit at tol 0)."""
+    scale = b.sup_norm()
+    return [s.mode for s in a.segments] == [s.mode for s in b.segments] and all(
+        np.array_equal(sa.times, sb.times) and sa.states.shape == sb.states.shape
+        and np.all(np.linalg.norm(sa.states - sb.states, axis=1) <= tol * scale)
+        for sa, sb in zip(a.segments, b.segments))
+
+
+class TestBatch:
+    @pytest.mark.parametrize("generic", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_equals_its_solo_simulate(self, case, generic):
+        # Two starts under every input kind, as one batch of eight runs.
+        make_model, sig, x0, _ = CASES[case]
+        model = make_model().to_system_model() if generic else make_model()
+        x0s = [np.array(x0) * c for c in (1.0, -3.0) for _ in INPUTS]
+        inputs = [INPUTS[name] for _ in (1.0, -3.0) for name in sorted(INPUTS)]
+        batch = iss.simulate_batch(model, sig, x0s, inputs, 1e-3)
+        assert len(batch) == len(x0s)
+        # At n = 1 the batch is bit for bit; at n >= 2 the BLAS product of
+        # the (n, R) recurrence may round differently with R.
+        tol = 0.0 if generic or model.state_dim == 1 else 1e-13
+        for traj, x0_r, inp in zip(batch, x0s, inputs):
+            alone = iss.simulate(model, sig, x0_r, inp, 1e-3)
+            assert traj.input is inp and traj.step == 1e-3
+            assert same_trajectory(traj, alone, tol)
+            assert [(j.time, j.mode_before, j.mode_after) for j in traj.jump_records] == \
+                [(j.time, j.mode_before, j.mode_after) for j in alone.jump_records]
+
+    def test_first_failing_run_in_run_order(self):
+        # x' = 30 x: the run from 1e3 crosses the limit first in time (near
+        # t = 0.69), the one from 1 (near t = 0.92) first in run order.
+        model = iss.LinearSystemModel(A={"a": [[30.0]]}, B={"a": [[1.0]]},
+                                      J={"a": [[1.0]]}, H={"a": [[0.0]]})
+        with pytest.raises(NonFiniteError) as alone:
+            iss.simulate(model, single_mode(2.0), [1.0], iss.zero_input(), 1e-3)
+        with pytest.raises(NonFiniteError) as batch:
+            iss.simulate_batch(model, single_mode(2.0), [[0.0], [1.0], [1e3]],
+                               [iss.zero_input()] * 3, 1e-3)
+        assert str(batch.value) == str(alone.value)
+        assert same_trajectory(batch.value.partial, alone.value.partial)
+
+    def test_stops_once_no_earlier_run_is_going(self):
+        # x' = 30 x from 1e6 passes the limit near t = 0.46, in the first of
+        # two segments.  That run comes first, so its error is the batch's
+        # whatever the run from 1 does later: the second segment is never
+        # stepped.
+        model = iss.LinearSystemModel(A={"a": [[30.0]]}, B={"a": [[1.0]]},
+                                      J={"a": [[1.0]]}, H={"a": [[0.0]]})
+        latest = []
+
+        def at_times(ts):
+            latest.append(ts.max())
+            return np.zeros((len(ts), 1))
+        inp = iss.InputSignal(lambda t: np.zeros(1), 0.0, at_times)
+        sig = iss.SwitchingSignal(0.0, (0.5,), ("a", "a"), 2.0)
+        with pytest.raises(NonFiniteError) as alone:
+            iss.simulate(model, sig, [1e6], inp, 1e-3)
+        with pytest.raises(NonFiniteError) as batch:
+            iss.simulate_batch(model, sig, [[1e6], [1.0]], [inp, inp], 1e-3)
+        assert str(batch.value) == str(alone.value)
+        assert same_trajectory(batch.value.partial, alone.value.partial)
+        assert max(latest) == 0.5
+
+    def test_jump_blow_up(self):
+        sig = iss.SwitchingSignal(0.0, (0.5,), ("a", "a"), 1.0)
+        model = iss.LinearSystemModel(A={"a": [[0.0]]}, B={"a": [[1.0]]},
+                                      J={"a": [[1e13]]}, H={"a": [[0.0]]})
+        with pytest.raises(NonFiniteError) as alone:
+            iss.simulate(model, sig, [1.0], iss.zero_input(), 1e-2)
+        with pytest.raises(NonFiniteError) as batch:
+            iss.simulate_batch(model, sig, [[0.0], [1.0]], [iss.zero_input()] * 2, 1e-2)
+        assert str(batch.value) == str(alone.value) == "jump at t=0.5 produced non-finite state"
+        assert same_trajectory(batch.value.partial, alone.value.partial)
+
+    def test_guards_raise_as_simulate(self):
+        model, inputs = acc9_model(), [iss.zero_input()] * 2
+        with pytest.raises(StepTooLargeError) as alone:
+            iss.simulate(model, ACC9_SIGNAL, [1.0], inputs[0], 0.3)
+        with pytest.raises(StepTooLargeError) as batch:
+            iss.simulate_batch(model, ACC9_SIGNAL, [[1.0], [2.0]], inputs, 0.3)
+        assert str(batch.value) == str(alone.value)
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            iss.simulate(model, ACC9_SIGNAL, [math.inf], inputs[0], 1e-2)
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            iss.simulate_batch(model, ACC9_SIGNAL, [[1.0], [math.nan]], inputs, 1e-2)
+
+    def test_empty_horizon_and_empty_batch(self):
+        sig = iss.SwitchingSignal(0.0, (), ("s",), 0.0)
+        batch = iss.simulate_batch(acc9_model(), sig, [[1.0], [2.0]], [iss.zero_input()] * 2,
+                                   1e-3)
+        assert [t.final_state().tolist() for t in batch] == [[1.0], [2.0]]
+        assert iss.simulate_batch(acc9_model(), ACC9_SIGNAL, [], [], 1e-3) == []
+
+
 class TestLinearPropagator:
     @pytest.mark.parametrize("input_name", sorted(INPUTS))
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -299,6 +397,17 @@ class TestLinearPropagator:
         assert 0.9 < lin.horizon < 0.95
         assert np.linalg.norm(lin.final_state()) > 1e12
 
+        # In a batch the run from x0 = 1 raises what it raises alone; the
+        # runs from 1e-20 and 0 stay below the limit up to t = 2.
+        for m in (model, model.to_system_model()):
+            with pytest.raises(NonFiniteError) as alone:
+                iss.simulate(m, single_mode(2.0), [1.0], iss.zero_input(), 1e-3)
+            with pytest.raises(NonFiniteError) as batch:
+                iss.simulate_batch(m, single_mode(2.0), [[1e-20], [1.0], [0.0]],
+                                   [iss.zero_input()] * 3, 1e-3)
+            assert str(batch.value) == str(alone.value)
+            assert same_trajectory(batch.value.partial, alone.value.partial)
+
     @pytest.mark.parametrize("input_name", ["zero", "sinusoid"])
     def test_cached_step_map_is_bit_identical(self, input_name):
         # Eight cycles of s for 1.0 and u for 0.25 revisit each mode at the
@@ -317,14 +426,12 @@ class TestLinearPropagator:
         for seg in traj.segments:
             a, b = float(seg.times[0]), float(seg.times[-1])
             x0 = seg.states[0]
-            uncached = _linear_segment(model.A[seg.mode], model.B[seg.mode], a, b,
-                                       x0, inp, 1e-2, {})
-            cached = _linear_segment(model.A[seg.mode], model.B[seg.mode], a, b,
-                                     x0, inp, 1e-2, cache.setdefault(seg.mode, {}))
-            assert np.array_equal(uncached[1], seg.states)
-            assert np.array_equal(cached[1], seg.states)
+            ((_, uncached, _),) = _flow(model, seg.mode, a, b, [x0], [inp], 1e-2, {})
+            ((_, cached, _),) = _flow(model, seg.mode, a, b, [x0], [inp], 1e-2, cache)
+            assert np.array_equal(uncached, seg.states)
+            assert np.array_equal(cached, seg.states)
         # One step map per mode and step size: the cache was reused.
-        assert {p: len(maps) for p, maps in cache.items()} == {"s": 1, "u": 2}
+        assert Counter(mode for mode, _ in cache) == {"s": 1, "u": 2}
 
     def test_dimensions(self):
         model = planar_model()
