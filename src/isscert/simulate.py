@@ -9,12 +9,16 @@ the post-jump state.
 For a LinearSystemModel one RK4 step on x' = A x + B u is a fixed affine
 map, x+ = P x + G0 u(t) + Gm u(t + h/2) + G1 u(t + h).  ``simulate_batch``
 runs R initial states and inputs over one signal and step grid: it builds
-that map once per mode and step size h per batch and, on each segment, runs
-it as one matrix recurrence X+ = P X + F_i over the (n, R) states of all
-runs, each run's forcing F_i from its own input evaluated as arrays.
-``simulate`` is the batch of one run.  At n = 1 a run's states do not depend
-on the batch; at n >= 2 the BLAS product may change their last bits with R.
-A general SystemModel is stepped through its flow callables, run by run.
+that map and the powers P, P^2, P^4, ... once per mode and step size h per
+batch.  On each segment of N steps it solves the recurrence
+X_{i+1} = P X_i + F_i for all runs at once as a doubling prefix scan
+(Kogge & Stone 1973; Blelloch 1990): log2 N whole-array passes, the runs
+stacked on the leading axis, each run's forcing F_i from one array
+evaluation of its own input.  That is O(log N) numpy calls per segment and
+O(N n^2 R log N) flops in O(N n R) memory.  Each run's products have the
+same shapes whatever R is, so a run's states are the same bits in a batch
+as alone.  ``simulate`` is the batch of one run.  A general SystemModel is
+stepped through its flow callables, run by run.
 """
 
 from __future__ import annotations
@@ -219,8 +223,21 @@ class Trajectory:
         return list(zip(times.tolist(), modes.tolist(), states, self.jump_flags().tolist()))
 
 
-def _n_steps(t_start, t_end, step):
-    return max(1, math.ceil((t_end - t_start) / step - 1e-12))
+def _grid(t_start, t_end, step):
+    """The RK4 grid of one flow interval and its step h: the fewest equal
+    steps of at most ``step`` from t_start, landing exactly on t_end (the
+    values of ``np.linspace``)."""
+    n_steps = max(1, math.ceil((t_end - t_start) / step - 1e-12))
+    h = (t_end - t_start) / n_steps
+    times = np.arange(n_steps + 1.0) * h + t_start
+    times[-1] = t_end
+    return times, h
+
+
+def _in_range(states):
+    """Whether each state (the last axis) has a norm of at most FINITE_LIMIT;
+    a state with a NaN or infinite entry is out of range."""
+    return (states * states).sum(axis=-1) <= FINITE_LIMIT ** 2
 
 
 def _rk4_step(f, t, x, h, u0, um, u1):
@@ -234,16 +251,15 @@ def _rk4_step(f, t, x, h, u0, um, u1):
 
 def _rk4_segment(f, t_start, t_end, x0, input_sig, step):
     """Integrate one flow interval; returns (times, states) including endpoints."""
-    n_steps = _n_steps(t_start, t_end, step)
-    times = np.linspace(t_start, t_end, n_steps + 1)
-    states = np.empty((n_steps + 1, x0.size))
+    times, _ = _grid(t_start, t_end, step)
+    states = np.empty((len(times), x0.size))
     states[0] = x0
     x = x0
-    for i in range(n_steps):
+    for i in range(len(times) - 1):
         t, h = times[i], times[i + 1] - times[i]
         x = _rk4_step(f, t, x, h, input_sig(t), input_sig(t + h / 2), input_sig(t + h))
         states[i + 1] = x
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > FINITE_LIMIT:
+        if not _in_range(x):
             return times[: i + 2], states[: i + 2], False
     return times, states, True
 
@@ -258,23 +274,47 @@ def _step_map(A, B, h):
     return np.split(step_map, [n, n + m, n + 2 * m], axis=1)
 
 
-def _linear_flow(step_map, times, xs, inputs):
+def _doubling_powers(powers, n_steps):
+    """Extend [P, P^2, P^4, ...] in place, each power the square of the one
+    before, while its exponent is below ``n_steps`` and its entries are
+    finite; returns the list."""
+    while 2 ** len(powers) < n_steps:
+        square = powers[-1] @ powers[-1]
+        if not np.isfinite(square).all():
+            break
+        powers.append(square)
+    return powers
+
+
+def _linear_flow(step_map, powers, times, xs, inputs):
     """`_rk4_segment` for x' = A x + B u, for every run at once: the
-    recurrence X+ = P X + F_i over the (n, R) matrix whose columns are the
-    runs' states.  Run j's forcing F_i[:, j] comes from its own input.
-    Returns the (len(times), n, R) states."""
+    recurrence X_{i+1} = P X_i + F_i over the (R, len(times), n) states,
+    whose leading axis is the runs, as a doubling prefix scan.  Run j's
+    forcing F_i comes from one ``sample`` call of its own input.
+
+    With P X_0 folded into F_0, the pass for s = 1, 2, 4, ... adds
+    P^s Y_{i-s} to every Y_i with i >= s, so after log2 N passes Y_i is
+    X_{i+1}.  Each pass is one stacked matmul, the same (N - s, n) @ (n, n)
+    product for each run whatever R is.  ``powers`` is the step map's list
+    of `_doubling_powers`.  The scan runs in chunks of twice the largest
+    finite power, each with the P X of the chunk before folded into its
+    first row, so an overflowing power never meets a zero state as 0 * inf.
+    """
     P, G0, Gm, G1 = step_map
-    mid = times[:-1] + np.diff(times) / 2
-    states = np.empty((len(times), P.shape[0], len(xs)))
-    forcing = np.empty((len(times) - 1, *states.shape[1:]))
+    n_steps = len(times) - 1
+    u_at = np.concatenate([times, times[:-1] + (times[1:] - times[:-1]) / 2])
+    states = np.empty((len(xs), n_steps + 1, P.shape[0]))
     for j, (x, inp) in enumerate(zip(xs, inputs)):
-        states[0, :, j] = x
-        u = inp.sample(times)
-        forcing[:, :, j] = u[:-1] @ G0.T + inp.sample(mid) @ Gm.T + u[1:] @ G1.T
-    X = states[0]
-    for i, f in enumerate(forcing, start=1):
-        X = np.dot(P, X) + f
-        states[i] = X
+        u = inp.sample(u_at)
+        states[j, 0] = x
+        states[j, 1:] = u[:n_steps] @ G0.T + u[n_steps + 1:] @ Gm.T + u[1:n_steps + 1] @ G1.T
+    powers = _doubling_powers(powers, n_steps)
+    span = 2 ** len(powers)
+    for a in range(0, n_steps, span):
+        Y = states[:, a + 1:a + 1 + span]
+        Y[:, :1] += states[:, a:a + 1] @ P.T
+        for k, Pk in enumerate(powers[:(Y.shape[1] - 1).bit_length()]):
+            Y[:, 1 << k:] += Y[:, :-(1 << k)] @ Pk.T
     return states
 
 
@@ -283,25 +323,24 @@ def _flow(model, mode, t_start, t_end, xs, inputs, step, step_maps):
     (times, states, ok), where a run that left the finite range is cut at
     its first offending sample and has ok False.
 
-    ``step_maps`` caches the linear step maps by (mode, exact step h), so
-    segments of a mode that repeat a step size reuse one."""
+    ``step_maps`` caches the linear step maps, with their doubling powers,
+    by (mode, exact step h), so segments of a mode that repeat a step size
+    reuse one."""
     if not isinstance(model, LinearSystemModel):
         return [_rk4_segment(model.flows[mode], t_start, t_end, x, inp, step)
                 for x, inp in zip(xs, inputs)]
-    n_steps = _n_steps(t_start, t_end, step)
-    times = np.linspace(t_start, t_end, n_steps + 1)
-    key = (mode, (t_end - t_start) / n_steps)
-    if key not in step_maps:
-        step_maps[key] = _step_map(model.A[mode], model.B[mode], key[1])
+    times, h = _grid(t_start, t_end, step)
+    if (mode, h) not in step_maps:
+        step_map = _step_map(model.A[mode], model.B[mode], h)
+        step_maps[mode, h] = step_map, [step_map[0]]
     with np.errstate(over="ignore", invalid="ignore"):
-        states = _linear_flow(step_maps[key], times, xs, inputs)
-        # The stepwise loop's test over every step and run at once: a norm
-        # that is NaN, infinite or above the limit fails `<=`.
-        bad = ~(np.linalg.norm(states[1:], axis=1) <= FINITE_LIMIT)
+        states = _linear_flow(*step_maps[mode, h], times, xs, inputs)
+        # The stepwise loop's test over every step and run at once.
+        bad = ~_in_range(states[:, 1:])
     if not bad.any():
-        return [(times, states[:, :, j], True) for j in range(len(xs))]
-    ends = [int(np.argmax(run)) + 2 if run.any() else len(times) for run in bad.T]
-    return [(times[:e], states[:e, :, j], e == len(times)) for j, e in enumerate(ends)]
+        return [(times, run, True) for run in states]
+    ends = [int(np.argmax(run)) + 2 if run.any() else len(times) for run in bad]
+    return [(times[:e], run[:e], e == len(times)) for run, e in zip(states, ends)]
 
 
 def _jump(model, mode, t, x, u):
@@ -383,7 +422,7 @@ def simulate_batch(
                 # u(t_i^-) for merely piecewise-continuous inputs: sample half
                 # a step before the instant.
                 x = _jump(model, mode, t_i, x, inputs[r](t_i - step / 2))
-                if not np.all(np.isfinite(x)) or np.linalg.norm(x) > FINITE_LIMIT:
+                if not _in_range(x):
                     error = f"jump at t={t_i} produced non-finite state"
             if error is None:
                 going.append(r)

@@ -36,6 +36,11 @@
   loops of ``isscert.simulate.reachability_bound`` and
   ``isscert.cli.cmd_bound``, kept as oracles for the one ``simulate_batch``
   call that each now makes.
+* The linear RK4 recurrence one step at a time: ``linear_flow_stepwise``
+  runs X+ = P X + F_i as one ``np.dot`` per step over the (n, R) states,
+  the earlier library loop kept as the oracle for the doubling prefix scan
+  of ``isscert.simulate._linear_flow``; in ``np.longdouble`` it is the
+  extended-precision reference for the scan's rounding.
 """
 
 import bisect
@@ -550,3 +555,23 @@ def monte_carlo_per_run(model, sig, bound, runs, x0_range, u_bound, step, seed):
         total_violations += len(reports)
         max_margin = max(max_margin, margin)
     return total_violations, max_margin
+
+
+def linear_flow_stepwise(step_map, times, xs, inputs, dtype=np.float64):
+    """``simulate._linear_flow`` one step at a time in ``dtype``: the step
+    map and every run's forcing are converted to it and X+ = P X + F_i runs
+    as one ``np.dot`` per step over the (n, R) matrix of the runs' states.
+    Returns the (R, len(times), n) states."""
+    P, G0, Gm, G1 = (np.asarray(g, dtype=dtype) for g in step_map)
+    mid = times[:-1] + np.diff(times) / 2
+    states = np.empty((len(times), P.shape[0], len(xs)), dtype=dtype)
+    forcing = np.empty((len(times) - 1, *states.shape[1:]), dtype=dtype)
+    for j, (x, inp) in enumerate(zip(xs, inputs)):
+        states[0, :, j] = x
+        u = inp.sample(times).astype(dtype)
+        forcing[:, :, j] = u[:-1] @ G0.T + inp.sample(mid).astype(dtype) @ Gm.T + u[1:] @ G1.T
+    X = states[0]
+    for i, f in enumerate(forcing, start=1):
+        X = np.dot(P, X) + f
+        states[i] = X
+    return np.moveaxis(states, 2, 0)

@@ -7,7 +7,8 @@ from scipy.linalg import expm
 
 import isscert as iss
 from isscert.errors import NonFiniteError, StepTooLargeError
-from isscert.simulate import _flow
+from isscert.simulate import _doubling_powers, _flow, _step_map
+from oracles import linear_flow_stepwise
 
 
 def single_mode(horizon=1.0):
@@ -252,13 +253,10 @@ def report_rows(reports):
     return [(r.kind, r.time, r.mode) for r in reports]
 
 
-def same_trajectory(a, b, tol=0.0):
-    """Equal segment modes and times, and states within ``tol`` of b's scale
-    (bit for bit at tol 0)."""
-    scale = b.sup_norm()
+def same_trajectory(a, b):
+    """Equal segment modes, times and states, bit for bit."""
     return [s.mode for s in a.segments] == [s.mode for s in b.segments] and all(
-        np.array_equal(sa.times, sb.times) and sa.states.shape == sb.states.shape
-        and np.all(np.linalg.norm(sa.states - sb.states, axis=1) <= tol * scale)
+        np.array_equal(sa.times, sb.times) and np.array_equal(sa.states, sb.states)
         for sa, sb in zip(a.segments, b.segments))
 
 
@@ -273,15 +271,27 @@ class TestBatch:
         inputs = [INPUTS[name] for _ in (1.0, -3.0) for name in sorted(INPUTS)]
         batch = iss.simulate_batch(model, sig, x0s, inputs, 1e-3)
         assert len(batch) == len(x0s)
-        # At n = 1 the batch is bit for bit; at n >= 2 the BLAS product of
-        # the (n, R) recurrence may round differently with R.
-        tol = 0.0 if generic or model.state_dim == 1 else 1e-13
         for traj, x0_r, inp in zip(batch, x0s, inputs):
             alone = iss.simulate(model, sig, x0_r, inp, 1e-3)
             assert traj.input is inp and traj.step == 1e-3
-            assert same_trajectory(traj, alone, tol)
+            assert same_trajectory(traj, alone)
             assert [(j.time, j.mode_before, j.mode_after) for j in traj.jump_records] == \
                 [(j.time, j.mode_before, j.mode_after) for j in alone.jump_records]
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_bits_do_not_depend_on_batch_size(self, n):
+        # Each run's scan products have the same shapes whatever R is, so a
+        # run of a batch of 20 is its solo run bit for bit.
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n)) - 2 * np.eye(n)
+        model = iss.LinearSystemModel(A={"a": A}, B={"a": rng.standard_normal((n, 1))},
+                                      J={"a": 0.5 * np.eye(n)}, H={"a": np.zeros((n, 1))})
+        x0s = [rng.standard_normal(n) for _ in range(20)]
+        inputs = [iss.sinusoid_input([rng.uniform()], rng.uniform(1.0, 3.0))
+                  for _ in range(20)]
+        batch = iss.simulate_batch(model, PLANAR_SIGNAL, x0s, inputs, 1e-3)
+        for traj, x0, inp in zip(batch, x0s, inputs):
+            assert same_trajectory(traj, iss.simulate(model, PLANAR_SIGNAL, x0, inp, 1e-3))
 
     def test_first_failing_run_in_run_order(self):
         # x' = 30 x: the run from 1e3 crosses the limit first in time (near
@@ -444,6 +454,53 @@ class TestLinearPropagator:
         ref = iss.reachability_bound(model.to_system_model(), single_mode(), 1.0, 0.5, 1.0, 5,
                                      step=1e-2, seed=4)
         assert lin == pytest.approx(ref, rel=1e-12)
+
+
+class TestPrefixScan:
+    @pytest.mark.parametrize("input_name", sorted(INPUTS))
+    @pytest.mark.parametrize("case, mode", [("acc9", "s"), ("acc9", "u"), ("planar", "a")])
+    def test_matches_longdouble_recurrence(self, case, mode, input_name):
+        # The scan sums each state's terms in log2 N passes; against the
+        # same affine recurrence in np.longdouble it stays within N * eps
+        # of the trajectory's scale over N = 17 500 steps.
+        make_model, _, x0, _ = CASES[case]
+        model, inp, x0 = make_model(), INPUTS[input_name], np.array(x0)
+        ((times, states, ok),) = _flow(model, mode, 0.0, 3.5, [x0], [inp], 2e-4, {})
+        n_steps = len(times) - 1
+        assert ok and n_steps == 17500
+        step_map = _step_map(model.A[mode], model.B[mode], 3.5 / n_steps)
+        ref = linear_flow_stepwise(step_map, times, [x0], [inp], np.longdouble)[0]
+        scale = np.max(np.linalg.norm(ref.astype(float), axis=1))
+        deviation = np.linalg.norm((states - ref).astype(float), axis=1)
+        assert np.max(deviation) <= n_steps * np.finfo(float).eps * scale
+
+    def test_overflowing_powers_keep_a_zero_run_zero(self):
+        # x' = 30 x: P^4096 overflows, so 10 000 steps take three chunks.
+        # From 0 under zero input every state stays 0, as step by step.
+        model = iss.LinearSystemModel(A={"a": [[30.0]]}, B={"a": [[1.0]]},
+                                      J={"a": [[1.0]]}, H={"a": [[0.0]]})
+        step_map = _step_map(model.A["a"], model.B["a"], 1e-2)
+        with np.errstate(over="ignore"):
+            powers = _doubling_powers([step_map[0]], 10000)
+        assert np.all(np.isfinite(powers)) and 2 ** len(powers) < 10000
+        traj = iss.simulate(model, single_mode(100.0), [0.0], iss.zero_input(), 1e-2)
+        assert len(traj.samples[0]) == 10001
+        assert not np.any(traj.samples[1])
+
+    def test_chunks_carry_the_state(self):
+        # x1' = 30 x1 stays at 0 while x2' = -x2 + u decays: the scan runs in
+        # chunks and each carries its last state into the next.
+        model = iss.LinearSystemModel(A={"a": np.diag([30.0, -1.0])},
+                                      B={"a": [[0.0], [1.0]]},
+                                      J={"a": np.eye(2)}, H={"a": np.zeros((2, 1))})
+        x0, inp = np.array([0.0, 1.0]), INPUTS["sinusoid"]
+        traj = iss.simulate(model, single_mode(100.0), x0, inp, 1e-2)
+        times, states = traj.samples[:2]
+        step_map = _step_map(model.A["a"], model.B["a"], 1e-2)
+        ref = linear_flow_stepwise(step_map, times, [x0], [inp])[0]
+        assert not np.any(states[:, 0]) and not np.any(ref[:, 0])
+        deviation = np.linalg.norm(states - ref, axis=1)
+        assert np.max(deviation) <= 1e4 * np.finfo(float).eps * traj.sup_norm()
 
 
 class TestInputArrays:

@@ -143,7 +143,7 @@ def json_differences(a: str, b: str) -> str:
             rel = _rel(float(x), float(y))
             if rel:
                 parts.append(f"{key}: max rel {rel:.3g}")
-        elif x != y:
+        elif x != y or type(x) is not type(y):  # 1 == True in Python
             parts.append(f"{key}: {x!r} -> {y!r}")
     return "; ".join(parts) or "identical values, different bytes"
 
