@@ -27,14 +27,15 @@ from .errors import (
     DegenerateGammaError,
     DegenerateGapError,
     DomainError,
+    DwellPreconditionError,
     ImageNotFullError,
     IsscertError,
     NonFiniteError,
-    NumericalFailureError,
     OutOfImageError,
     OutOfRangeError,
     SignAmbiguousError,
     StepTooLargeError,
+    StructuralError,
 )
 from .lmi import (
     Infeasible,

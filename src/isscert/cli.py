@@ -1,17 +1,20 @@
 """Command-line front end.
 
 Commands: simulate, certify, construct, bound, lmi — each takes a single
-JSON config plus output-directory and seed flags.  Exit codes: 0 ok,
-1 config error, 2 non-finite state, 3 violations, 4 structural
-precondition failure (including bound envelopes that do not enclose the
-certificate's flow rates, or whose transform image is bounded above when
-the dwell slack C is positive), 5 heuristic search infeasible.
+JSON config plus output-directory and seed flags.  ``jsonio`` reads the
+config; each command computes and writes, and the failures it lets through
+reach their exit code and stderr prefix through the one ``FAILURES`` table
+in ``main``.  Exit codes: 0 ok, 1 config error, 2 non-finite state,
+3 violations (including a signal that breaks the dwell preconditions of
+``construct``), 4 structural precondition failure (including bound
+envelopes that do not enclose the certificate's flow rates, or whose
+transform image is bounded above when the dwell slack C is positive),
+5 heuristic search infeasible.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -19,20 +22,14 @@ import numpy as np
 
 from . import jsonio
 from .bounds import build_bound, iss_check
-from .certify import (
-    DEFAULT_DINI_COEFF,
-    FORMS,
-    check_dwell_conditions,
-    check_trajectory,
-    dwell_slack_verdict,
-)
+from .certify import check_dwell_conditions, check_trajectory, dwell_slack_verdict
 from .construct import build_decreasing, decrease_check
 from .errors import (
     ConfigError,
-    DegenerateGammaError,
-    ImageNotFullError,
+    DwellPreconditionError,
     NonFiniteError,
     StepTooLargeError,
+    StructuralError,
 )
 from .lmi import (
     Infeasible,
@@ -59,90 +56,34 @@ EXIT_VIOLATIONS = 3
 EXIT_STRUCTURAL = 4
 EXIT_INFEASIBLE = 5
 
-
-def _convert(value, cast, field: str):
-    """cast(value); a value it cannot convert is a ConfigError on ``field``."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"malformed value {value!r} ({e})", field=field) from e
-
-
-def _number(value, field: str, cast=float, low=0.0, strict=False):
-    """A finite number >= low (> low when ``strict``) from a config value."""
-    x = _convert(value, cast, field)
-    if not (math.isfinite(x) and (x > low if strict else x >= low)):
-        raise ConfigError(f"must be a finite number {'>' if strict else '>='} {low}, "
-                          f"got {value!r}", field=field)
-    return x
-
-
-def _numbers(value, field: str, strict=False) -> list[float]:
-    """A nonempty list of finite numbers >= 0 (> 0 when ``strict``)."""
-    values = _convert(value, list, field)
-    if not values:
-        raise ConfigError("must be a nonempty list", field=field)
-    return [_number(v, field, strict=strict) for v in values]
-
-
-def _run_setup(cfg):
-    model = jsonio.parse_model(jsonio._require(cfg, "system", "config"))
-    sig = jsonio.parse_signal(jsonio._require(cfg, "signal", "config"))
-    n, m = model.dims
-    missing = sig.mode_set - set(model.A)
-    if missing:
-        raise ConfigError(f"signal uses modes absent from the system: {sorted(missing)}",
-                          field="signal.modes")
-    inp = jsonio.parse_input(cfg.get("input"), m)
-    x0 = _convert(jsonio._require(cfg, "x0", "config"), lambda v: np.array(v, dtype=float), "x0")
-    if x0.shape != (n,) or not np.all(np.isfinite(x0)):
-        raise ConfigError(f"x0 must be {n} finite numbers", field="x0")
-    step = _number(cfg.get("step", 1e-3), "step", strict=True)
-    return model, sig, inp, x0, step
-
-
-def _certificate(cfg, sig, n: int):
-    """The certificate, with an entry for every mode of the signal, and its
-    form ("implication" unless given)."""
-    obj = _convert(jsonio._require(cfg, "certificate", "config"), dict, "certificate")
-    form = obj.get("form", "implication")
-    if form not in FORMS:
-        raise ConfigError(f"unknown form {form!r}; choose one of {list(FORMS)}",
-                          field="certificate.form")
-    return jsonio.parse_certificate(obj, sig.mode_set, n), form
-
-
-def _dini(cfg) -> float:
-    tolerances = _convert(cfg.get("tolerances", {}), dict, "tolerances")
-    return _number(tolerances.get("dini_coeff", DEFAULT_DINI_COEFF), "tolerances.dini_coeff")
-
-
-def _a_grid(cfg):
-    return _numbers(cfg.get("dwell_a_grid", [1.0, 10.0, 100.0]), "dwell_a_grid", strict=True)
+# Each failure a command lets through: its exit code and the prefix of its
+# one line on stderr.
+FAILURES = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    StepTooLargeError: (EXIT_CONFIG, "config error"),
+    NonFiniteError: (EXIT_NONFINITE, "non-finite state"),
+    DwellPreconditionError: (EXIT_VIOLATIONS, "dwell precondition failed"),
+    StructuralError: (EXIT_STRUCTURAL, "structural precondition failed"),
+}
 
 
 def cmd_simulate(cfg, out: Path, seed: int) -> int:
-    model, sig, inp, x0, step = _run_setup(cfg)
+    model, sig, inp, x0, step = jsonio.parse_run(cfg)
     try:
         traj = simulate(model, sig, x0, inp, step)
     except NonFiniteError as e:
         if e.partial is not None:
             jsonio.write_trajectory_csv(out / "trajectory.csv", e.partial, model.dims[0])
-        print(f"non-finite state: {e}", file=sys.stderr)
-        return EXIT_NONFINITE
+        raise
     jsonio.write_trajectory_csv(out / "trajectory.csv", traj, model.dims[0])
     return EXIT_OK
 
 
 def cmd_certify(cfg, out: Path, seed: int) -> int:
-    model, sig, inp, x0, step = _run_setup(cfg)
-    cert, form = _certificate(cfg, sig, model.dims[0])
-    dini_coeff, a_grid = _dini(cfg), _a_grid(cfg)
-    try:
-        traj = simulate(model, sig, x0, inp, step)
-    except NonFiniteError as e:
-        print(f"non-finite state: {e}", file=sys.stderr)
-        return EXIT_NONFINITE
+    model, sig, inp, x0, step = jsonio.parse_run(cfg)
+    cert, form = jsonio.parse_run_certificate(cfg, sig, model.dims[0])
+    dini_coeff, a_grid = jsonio.parse_checks(cfg)
+    traj = simulate(model, sig, x0, inp, step)
     reports = check_trajectory(cert, traj, inp, form, dini_coeff=dini_coeff)
     reports += check_dwell_conditions(cert, sig, a_grid)
     slack_s, slack_u, mdadt_ok, mdalt_ok = dwell_slack_verdict(cert, sig)
@@ -159,22 +100,11 @@ def cmd_certify(cfg, out: Path, seed: int) -> int:
 
 
 def cmd_construct(cfg, out: Path, seed: int) -> int:
-    model, sig, inp, x0, step = _run_setup(cfg)
-    cert, _ = _certificate(cfg, sig, model.dims[0])
-    dini_coeff, a_grid = _dini(cfg), _a_grid(cfg)
-    try:
-        dec = build_decreasing(cert, sig, a_grid=a_grid)
-    except ImageNotFullError as e:
-        print(f"structural precondition failed: {e}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except ValueError as e:
-        print(f"dwell precondition failed: {e}", file=sys.stderr)
-        return EXIT_VIOLATIONS
-    try:
-        traj = simulate(model, sig, x0, inp, step)
-    except NonFiniteError as e:
-        print(f"non-finite state: {e}", file=sys.stderr)
-        return EXIT_NONFINITE
+    model, sig, inp, x0, step = jsonio.parse_run(cfg)
+    cert, _ = jsonio.parse_run_certificate(cfg, sig, model.dims[0])
+    dini_coeff, a_grid = jsonio.parse_checks(cfg)
+    dec = build_decreasing(cert, sig, a_grid=a_grid)
+    traj = simulate(model, sig, x0, inp, step)
     reports, rows = decrease_check(dec, traj, inp, dini_coeff=dini_coeff)
     jsonio.write_csv(out / "construct.csv", ["t", "V", "W", "h"], rows)
     jsonio.write_reports_csv(out / "reports.csv", reports)
@@ -212,53 +142,27 @@ def _monte_carlo(model, sig, bound, runs: int, x0_range: float, u_bound: float, 
 
 
 def cmd_bound(cfg, out: Path, seed: int) -> int:
-    model, sig, inp, x0, step = _run_setup(cfg)
-    cert, _ = _certificate(cfg, sig, model.dims[0])
-    bcfg = jsonio._require(cfg, "bound", "config")
-    env = jsonio._require(bcfg, "envelopes", "bound")
-    lower = jsonio.parse_rate(jsonio._require(env, "lower", "bound.envelopes"),
-                              "bound.envelopes.lower")
-    upper = jsonio.parse_rate(jsonio._require(env, "upper", "bound.envelopes"),
-                              "bound.envelopes.upper")
-    runs = _number(bcfg.get("runs", 100), "bound.runs", cast=int, low=1)
-    x0_range = _number(bcfg.get("x0_range", 1.0), "bound.x0_range")
-    u_bound = _number(bcfg.get("u_bound", 0.0), "bound.u_bound")
-    patch_samples = _number(bcfg.get("patch_samples", 20), "bound.patch_samples", cast=int, low=1)
-    r_list = _numbers(bcfg.get("r_list", [1.0]), "bound.r_list")
-    for r in r_list:
-        if not math.isfinite(cert.alpha2(r)):
-            raise ConfigError(f"alpha2({r!r}) exceeds the floats", field="bound.r_list")
-    s_grid = _numbers(bcfg.get("s_grid", np.linspace(0.0, sig.horizon - sig.t0, 51)),
-                      "bound.s_grid")
-
+    model, sig, inp, x0, step = jsonio.parse_run(cfg)
+    cert, _ = jsonio.parse_run_certificate(cfg, sig, model.dims[0])
+    lower, upper, runs, x0_range, u_bound, patch_samples, r_list, s_grid = \
+        jsonio.parse_bound(cfg, cert, sig)
     if not envelope_check(cert.phi, lower, upper):
-        print("structural precondition failed: bound.envelopes do not enclose "
-              "|phi_p| for every mode", file=sys.stderr)
-        return EXIT_STRUCTURAL
-
-    try:
-        # Built once without the patch first, so that envelopes the bound
-        # refuses are refused before the reachability runs.
-        bound = build_bound(cert, cert.dwell, lower, upper)
-        if bound.C > 0:
-            k_hat = reachability_bound(model, sig, x0_range, u_bound,
-                                       bound.metadata["patch_window"], patch_samples,
-                                       step=step, seed=seed)
-            level = cert.alpha2(k_hat)
-            bound = build_bound(cert, cert.dwell, lower, upper,
-                                short_horizon_envelope=lambda r: level)
-        jsonio.write_csv(out / "bound.csv", ["r", "s", "beta(r,s)"],
-                         ((r, s, b) for r in r_list
-                          for s, b in zip(s_grid, bound.beta(r, s_grid).tolist())))
-
-        total_violations, max_margin = _monte_carlo(model, sig, bound, runs, x0_range, u_bound,
-                                                    step, seed)
-    except (DegenerateGammaError, ImageNotFullError) as e:
-        print(f"structural precondition failed: {e}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except NonFiniteError as e:  # a reachability or Monte-Carlo run blew up
-        print(f"non-finite state: {e}", file=sys.stderr)
-        return EXIT_NONFINITE
+        raise StructuralError("bound.envelopes do not enclose |phi_p| for every mode")
+    # Built once without the patch first, so that envelopes the bound
+    # refuses are refused before the reachability runs.
+    bound = build_bound(cert, cert.dwell, lower, upper)
+    if bound.C > 0:
+        k_hat = reachability_bound(model, sig, x0_range, u_bound,
+                                   bound.metadata["patch_window"], patch_samples,
+                                   step=step, seed=seed)
+        level = cert.alpha2(k_hat)
+        bound = build_bound(cert, cert.dwell, lower, upper,
+                            short_horizon_envelope=lambda r: level)
+    jsonio.write_csv(out / "bound.csv", ["r", "s", "beta(r,s)"],
+                     ((r, s, b) for r in r_list
+                      for s, b in zip(s_grid, bound.beta(r, s_grid).tolist())))
+    total_violations, max_margin = _monte_carlo(model, sig, bound, runs, x0_range, u_bound,
+                                                step, seed)
     jsonio.write_json(out / "verdict.json", {
         "violations": total_violations,
         "max_margin": max_margin,
@@ -271,16 +175,9 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
 
 
 def cmd_lmi(cfg, out: Path, seed: int) -> int:
-    model = jsonio.parse_model(jsonio._require(cfg, "system", "config"))
-    lcfg = jsonio._require(cfg, "lmi", "config")
-    partition = jsonio.parse_partition(jsonio._require(lcfg, "partition", "lmi"), "lmi.partition")
-    dwell = jsonio.parse_dwell(jsonio._require(lcfg, "dwell", "lmi"), "lmi.dwell", model.A)
-    q_set = jsonio.parse_mode_changes(jsonio._require(lcfg, "pairs", "lmi"), model.A)
-    mode = lcfg.get("mode", "verify")
-
-    if mode == "synth":
-        budget = _number(lcfg.get("budget", 40), "lmi.budget", cast=int, low=1)
-        result = synthesize(model, partition, q_set, dwell, budget=budget)
+    model, partition, dwell, q_set, qc = jsonio.parse_lmi(cfg)
+    if qc is None:
+        result = synthesize(model, partition, q_set, dwell)
         if isinstance(result, Infeasible):
             jsonio.write_json(out / "verdict.json", {
                 "infeasible": True,
@@ -296,11 +193,6 @@ def cmd_lmi(cfg, out: Path, seed: int) -> int:
             "mu": dict(qc.mu),
             "lambda_max": qc.lambda_max,
         })
-    elif mode == "verify":
-        qc = jsonio.parse_quadratic_certificate(
-            jsonio._require(lcfg, "certificate", "lmi"), model)
-    else:
-        raise ConfigError(f"unknown lmi mode {mode!r}", field="lmi.mode")
 
     flow = {}
     for p in sorted(model.A):
@@ -353,16 +245,12 @@ def main(argv=None) -> int:
         cfg = jsonio.load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed
-        if seed is None:
-            seed = _number(cfg.get("seed", 0), "seed", cast=int)
+        seed = args.seed if args.seed is not None else jsonio.parse_seed(cfg)
         return _COMMANDS[args.command](cfg, out, seed)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StepTooLargeError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    except tuple(FAILURES) as e:
+        code, prefix = next(FAILURES[c] for c in type(e).__mro__ if c in FAILURES)
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

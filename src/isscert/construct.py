@@ -25,7 +25,7 @@ from .certify import (
     check_dwell_conditions,
     dwell_slack_verdict,
 )
-from .errors import ImageNotFullError
+from .errors import DwellPreconditionError, ImageNotFullError
 from .rates import _result
 from .simulate import InputSignal, Trajectory
 from .switching import DwellBudget, DwellSpec, ModePartition, SwitchingSignal
@@ -116,8 +116,9 @@ def build_decreasing(
     """Assemble the decreasing certificate, enforcing the preconditions.
 
     Requires every mode's transform to have image all of R (raises
-    ImageNotFull otherwise), the dwell conditions to hold on ``a_grid``, and
-    the signal's dwell/leave slack to fit within the declared constants.
+    ImageNotFullError otherwise), the dwell conditions to hold on ``a_grid``,
+    and the signal's dwell/leave slack to fit within the declared constants
+    (raises DwellPreconditionError otherwise).
     Values below a transform's attained image are errors here; the
     clamp-to-zero convention belongs to decay-bound assembly only.
     """
@@ -131,16 +132,16 @@ def build_decreasing(
     reports = [r for r in check_dwell_conditions(cert, sig, list(a_grid))
                if r.kind != "dwell-inconclusive"]
     if reports:
-        raise ValueError(
+        raise DwellPreconditionError(
             f"dwell conditions fail at {len(reports)} grid point(s); "
             f"first: {reports[0]}"
         )
     slack_s, slack_u, fits_s, fits_u = dwell_slack_verdict(cert, sig)
     if not fits_s:
-        raise ValueError(
+        raise DwellPreconditionError(
             f"signal dwell slack {slack_s} exceeds declared T_S={cert.dwell.T_S}")
     if not fits_u:
-        raise ValueError(
+        raise DwellPreconditionError(
             f"signal leave slack {slack_u} exceeds declared T_U={cert.dwell.T_U}")
     return dec
 

@@ -26,8 +26,8 @@ class OutOfImageError(IsscertError):
         self.image = (lo, hi)
 
 
-class SignAmbiguousError(IsscertError):
-    """A rate function changes sign on the sampled range."""
+class SignAmbiguousError(DomainError, ValueError):
+    """A tabulated rate changes sign, so it is in neither P nor -P."""
 
 
 class NonFiniteError(IsscertError):
@@ -50,20 +50,25 @@ class DegenerateGapError(IsscertError):
     """Converted and original linear rates coincide; no threshold margin."""
 
 
-class ImageNotFullError(IsscertError):
+class StructuralError(IsscertError):
+    """A structural precondition of a construction fails (exit 4 in the CLI)."""
+
+
+class ImageNotFullError(StructuralError):
     """A transform's image is not all of R, so the construction fails."""
 
 
-class DegenerateGammaError(IsscertError):
+class DegenerateGammaError(StructuralError):
     """The gap u + C - m in the decay interpolant is negative."""
+
+
+class DwellPreconditionError(IsscertError, ValueError):
+    """The signal breaks the certificate's dwell conditions or exceeds its
+    declared slack, so the decreasing function cannot be built."""
 
 
 class AsymmetricError(IsscertError):
     """A matrix violates the symmetry invariant."""
-
-
-class NumericalFailureError(IsscertError):
-    """Ill-conditioned linear-algebra subproblem."""
 
 
 class ConfigError(IsscertError):

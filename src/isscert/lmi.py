@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .certify import ViolationReport, _report
-from .errors import AsymmetricError, NumericalFailureError
+from .errors import AsymmetricError
 from .simulate import LinearSystemModel
 from .switching import DwellSpec, ModeChangeSet, ModePartition
 
@@ -163,29 +163,26 @@ def synthesize(
     partition: ModePartition,
     q_set: ModeChangeSet,
     dwell: DwellSpec,
-    budget: int = 40,
 ):
     """Heuristic search for a feasible quadratic certificate.
 
-    Stable modes get the Gram matrix of the unit-forcing Lyapunov equation
-    and the most negative rate keeping the flow block strictly feasible
-    (found by bisection within the budget); unstable modes get a spectral
+    Stable modes get the Gram matrix M of the unit-forcing Lyapunov equation
+    and a rate eta < 0 keeping -I - eta M strictly negative:
+    min(2 lambda_max((A + A^T)/2), -1e-6) when that one does, else 0.99 of
+    the edge -(1 - 1e-9)/lambda_max(M), past which the top eigenvalue
+    -1 - eta lambda_max(M) exceeds -1e-9.  Unstable modes get a spectral
     shift.  Jump factors come from the generalized-eigenvalue Schur bound.
-    Returns a QuadraticCertificate or Infeasible with diagnostics; a
-    negative answer is not a proof of infeasibility.
+    Returns a QuadraticCertificate or Infeasible with diagnostics (also for
+    a Lyapunov solution of condition number above 1e12); a negative answer
+    is not a proof of infeasibility.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     # The only SciPy use in the package, imported here so that no other
     # command pays for loading it.
     from scipy.linalg import eigh, solve_continuous_lyapunov
 
     def lyapunov_gram(A_shifted: np.ndarray) -> np.ndarray:
         M = solve_continuous_lyapunov(A_shifted.T, -np.eye(A_shifted.shape[0]))
-        M = (M + M.T) / 2
-        if np.linalg.cond(M) > 1e12:
-            raise NumericalFailureError("ill-conditioned Lyapunov solution")
-        return M
+        return (M + M.T) / 2
 
     def schur_q(M: np.ndarray, B: np.ndarray, R: np.ndarray) -> np.ndarray:
         """Smallest diagonal Q making the flow block feasible given R < 0."""
@@ -206,26 +203,9 @@ def synthesize(
                                   {"mode": p, "spectral_abscissa": abscissa})
             M[p] = lyapunov_gram(A)
             sym_top = float(eigh((A + A.T) / 2, eigvals_only=True)[-1])
-            lam_max_M = float(eigh(M[p], eigvals_only=True)[-1])
-
-            def feasible(e):
-                R = -np.eye(n) - e * M[p]
-                return float(eigh(R, eigvals_only=True)[-1]) <= -1e-9
-
+            edge = -(1 - 1e-9) / float(eigh(M[p], eigvals_only=True)[-1])
             lo = min(2 * sym_top, -1e-6)
-            if feasible(lo):
-                eta_p = lo
-            else:
-                hi = 0.0
-                for _ in range(budget):
-                    mid = (lo + hi) / 2
-                    if feasible(mid):
-                        hi = mid
-                    else:
-                        lo = mid
-                eta_p = hi * 0.99
-                if eta_p >= 0 or not feasible(eta_p):
-                    eta_p = -0.5 / lam_max_M
+            eta_p = lo if lo >= edge else 0.99 * edge
             eta[p] = eta_p
             R = -np.eye(n) - eta_p * M[p]
         else:
@@ -237,6 +217,10 @@ def synthesize(
             M[p] = lyapunov_gram(A - (eta_p / 2) * np.eye(n))
             eta[p] = eta_p
             R = -np.eye(n)
+        condition = float(np.linalg.cond(M[p]))
+        if condition > 1e12:
+            return Infeasible(f"ill-conditioned Lyapunov solution for mode {p}",
+                              {"mode": p, "condition": condition})
         Q[p] = schur_q(M[p], model.B[p], R)
 
     mu = {}

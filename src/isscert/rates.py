@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, OutOfImageError
+from .errors import DomainError, OutOfImageError, SignAmbiguousError
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -66,7 +66,11 @@ def _invert_table(points, y):
 
 @dataclass(frozen=True)
 class RateFunction:
-    """Parametric rate in P or -P: linear, power, or tabulated-monotone."""
+    """Parametric rate in P or -P: linear, power, or tabulated-monotone.
+
+    Each kind keeps one sign on all of (0, inf): the sign of eta, of c, or of
+    every tabulated value (a table whose values change sign raises
+    ``SignAmbiguousError``)."""
 
     kind: str
     eta: float = 0.0
@@ -92,6 +96,9 @@ class RateFunction:
                 raise ValueError("tabulated abscissae must be strictly increasing")
             if any(b <= a for a, b in zip(mags, mags[1:])) or ss[0] <= 0 or mags[0] <= 0:
                 raise ValueError("tabulated magnitude must be strictly increasing and positive")
+            if len({y > 0 for _, y in pts}) > 1:
+                raise SignAmbiguousError("tabulated rate changes sign, so it is in neither "
+                                         "P nor -P")
         else:
             raise ValueError(f"unknown rate kind {self.kind!r}")
 
@@ -143,9 +150,6 @@ class PhiTransform:
         self._image = (self.image_inf(), self.image_sup())
 
     def _tabulate(self, points) -> None:
-        if len({y > 0 for _, y in points}) > 1:
-            raise DomainError("Phi needs a rate of one sign: this table crosses zero, "
-                              "where 1/|rate| is not integrable")
         ss = [s for s, _ in points]
         mags = [abs(y) for _, y in points]
         inner = [(m1 - m0) / (s1 - s0) for s0, s1, m0, m1 in zip(ss, ss[1:], mags, mags[1:])]

@@ -398,9 +398,6 @@ def simulate_batch(
 
     if not x0s:
         return []
-    if sig.horizon == sig.t0:
-        return [Trajectory((Segment(sig.modes[0], np.array([sig.t0]), x0[None, :].copy()),),
-                           inp, step) for x0, inp in zip(x0s, inputs)]
 
     segments = [[] for _ in x0s]
     failed: dict[int, NonFiniteError] = {}
@@ -409,7 +406,7 @@ def simulate_batch(
     for k, (a, b, mode) in enumerate(sig.segments()):
         if b > a:
             flows = _flow(model, mode, a, b, xs, [inputs[r] for r in runs], step, step_maps)
-        else:  # the last instant on the horizon: a single post-jump sample
+        else:  # the last instant on the horizon, or t0 = horizon: a single sample
             flows = [(np.array([a]), x[None, :].copy(), True) for x in xs]
         going, xs = [], []
         for r, (times, states, ok) in zip(runs, flows):

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import pytest
 
@@ -416,6 +417,19 @@ class TestLmi:
         code, _ = run(tmp_path, "lmi", cfg)
         assert code == 1
 
+    def test_synth_ill_conditioned_lyapunov_is_infeasible(self, tmp_path):
+        # A stable mode with a slow direction: its Lyapunov solution has
+        # condition number 5e12.
+        cfg = self._base()
+        cfg["system"] = copy.deepcopy(TWO_STATE_SYSTEM)
+        cfg["system"]["A"]["s"] = [[-1.0, 0.0], [0.0, -1e-13]]
+        cfg["lmi"]["mode"] = "synth"
+        code, out = run(tmp_path, "lmi", cfg)
+        assert code == cli.EXIT_INFEASIBLE
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["infeasible"] and verdict["details"]["mode"] == "s"
+        assert verdict["details"]["condition"] > 1e12
+
 
 def malformed_config(command):
     cfg = base_config()
@@ -441,7 +455,7 @@ MALFORMED = [
     ("bound", "bound.runs", "x"),
     ("bound", "bound.r_list", [-1.0]),
     ("bound", "bound.patch_samples", 0),
-    ("lmi", "lmi.budget", "x"),
+    ("lmi", "lmi.dwell.delta", "x"),
     ("simulate", "seed", "x"),
     ("bound", "bound.runs", 0),
     ("bound", "bound.r_list", [1e200]),
@@ -526,6 +540,18 @@ MALFORMED_SECTIONS = [
       for cmd in ("certify", "construct", "bound") for key in ("V", "phi", "psi", "dwell.tau")),
     *(pytest.param(cmd, {"certificate.V.s.M": [[1.0, 0.0]]}, "certificate.V.s",
                    id=f"{cmd}-M-not-n-by-n") for cmd in ("certify", "construct", "bound")),
+    # Tabulated rates whose values change sign are in neither P nor -P: the
+    # first ended in a traceback, the second passed envelope_check and then
+    # failed in the transform, and construct exited 0 on the third.
+    pytest.param("certify", {"certificate.phi.s": {"kind": "tabulated",
+                                                   "points": [[1, -1], [2, 2]]}},
+                 "certificate.phi.s", id="phi-changes-sign"),
+    pytest.param("bound", {"bound.envelopes.lower": {"kind": "tabulated",
+                                                     "points": [[1, -0.5], [2, 0.9], [3, 1.0]]}},
+                 "bound.envelopes.lower", id="envelope-changes-sign"),
+    pytest.param("construct", {"certificate.psi.s": {"kind": "tabulated",
+                                                     "points": [[1, -0.01], [2, 0.02]]}},
+                 "certificate.psi.s", id="psi-changes-sign"),
 ]
 
 
@@ -596,6 +622,40 @@ class TestTypeConfusion:
                         escapes.append((command, key, value, code, err))
         assert cases > 800
         assert escapes == []
+
+
+def numeric_leaves(obj, path=()):
+    """The dotted path of every number under ``obj``, booleans excluded."""
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from numeric_leaves(value, (*path, key))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield ".".join(map(str, path))
+
+
+class TestNonFiniteNumbers:
+    def test_every_number_rejects_nan_inf_and_huge_integers(self, tmp_path, capsys):
+        # Each number of every config, replaced by NaN, by Infinity and by an
+        # integer beyond the floats, is a config error on its own field: the
+        # leaf itself, or the matrix, vector or list that holds it (a
+        # quadratic V's M is named by its V entry).
+        wrong = []
+        cases = 0
+        for command, cfg in sweep_configs():
+            for key in numeric_leaves(cfg):
+                for value in (math.nan, math.inf, 10**400):
+                    bad = copy.deepcopy(cfg)
+                    edit(bad, key, value)
+                    cases += 1
+                    code, _ = run(tmp_path, command, bad)
+                    err = capsys.readouterr().err
+                    field = re.match(r"config error: (\S+): ", err)
+                    if code != cli.EXIT_CONFIG or "Traceback" in err or field is None \
+                            or not key.startswith(field[1]) \
+                            or not re.fullmatch(r"(\.M)?(\.\d+)*", key[len(field[1]):]):
+                        wrong.append((command, key, value, code, err))
+        assert cases > 400
+        assert wrong == []
 
 
 class TestWriteCsv:

@@ -252,6 +252,19 @@ class TestSynthesize:
             assert ok
         assert iss.check_rate_conditions(qc, part, dwell, qs) == []
 
+    def test_stable_rate_at_the_closed_form_edge(self, family_model):
+        # A_s = -1.25, so M_s = 0.4 and the first guess 2 * A_s = -2.5 lies
+        # past the edge -(1 - 1e-9) / 0.4, where the top eigenvalue
+        # -1 - eta * M_s of -I - eta M_s reaches -1e-9: eta_s is 0.99 of it.
+        part = iss.ModePartition(frozenset({"s"}), frozenset({"u"}))
+        dwell = iss.DwellSpec({"s": 1.0, "u": 0.25}, 0.2)
+        qs = iss.ModeChangeSet(frozenset({("u", "s"), ("s", "u")}))
+        qc = iss.synthesize(family_model, part, qs, dwell)
+        edge = -(1 - 1e-9) / qc.M["s"][0, 0]
+        assert 2 * family_model.A["s"][0, 0] < edge
+        assert qc.eta["s"] == pytest.approx(0.99 * edge, rel=1e-15)
+        assert iss.check_flow_lmi(family_model, qc, "s")[0]
+
     def test_dissipation_along_trajectory(self, family_model, family_signal):
         # The flow block implies dV/dt <= eta V + u^T Q u pointwise; verify
         # with forward differences on a simulated run.
