@@ -40,13 +40,14 @@ from .errors import (
 from .lmi import (
     Infeasible,
     QuadraticCertificate,
+    check_blocks,
     check_flow_lmi,
     check_jump_lmi,
     check_rate_conditions,
-    flow_block,
+    flow_blocks,
     is_negative_semidefinite,
     jacobi_eigenvalues,
-    jump_block,
+    jump_blocks,
     synthesize,
 )
 from .rates import (

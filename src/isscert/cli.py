@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Commands: simulate, certify, construct, bound, lmi — each takes a single
-JSON config plus output-directory and seed flags.  ``jsonio`` reads the
-config; each command computes and writes, and the failures it lets through
-reach their exit code and stderr prefix through the one ``FAILURES`` table
-in ``main``.  Exit codes: 0 ok, 1 config error, 2 non-finite state,
-3 violations (including a signal that breaks the dwell preconditions of
+Commands: simulate, certify, construct, bound, lmi — one positional
+argument of the one parser, which also takes a single JSON config plus
+output-directory and seed flags.  ``jsonio`` reads the config and checks
+the flags; each command computes and writes, and the failures it lets
+through reach their exit code and stderr prefix through the one
+``FAILURES`` table in ``main``.  Exit codes: 0 ok, 1 config error
+(including a negative ``--seed`` and an ``--out`` that cannot be a
+directory), 2 non-finite state (and argparse's usage errors), 3 violations (including a signal that breaks the dwell preconditions of
 ``construct``), 4 structural precondition failure (including bound
 envelopes that do not enclose the certificate's flow rates, or whose
 transform image is bounded above when the dwell slack C is positive),
@@ -31,13 +33,7 @@ from .errors import (
     StepTooLargeError,
     StructuralError,
 )
-from .lmi import (
-    Infeasible,
-    check_flow_lmi,
-    check_jump_lmi,
-    check_rate_conditions,
-    synthesize,
-)
+from .lmi import Infeasible, check_blocks, check_rate_conditions, synthesize
 from .rates import envelope_check
 from .simulate import (
     _unit_vector,
@@ -194,14 +190,10 @@ def cmd_lmi(cfg, out: Path, seed: int) -> int:
             "lambda_max": qc.lambda_max,
         })
 
-    flow = {}
-    for p in sorted(model.A):
-        ok, top = check_flow_lmi(model, qc, p)
-        flow[p] = {"ok": bool(ok), "max_eig": top}
-    jump = {}
-    for pair in sorted(q_set.pairs):
-        ok, top = check_jump_lmi(model, qc, pair)
-        jump[f"{pair[0]}->{pair[1]}"] = {"ok": bool(ok), "max_eig": top}
+    # A synthesized certificate carries the verdicts of its own block check.
+    flow, jump = qc.blocks if qc.blocks is not None else check_blocks(model, qc, q_set)
+    flow = {p: {"ok": ok, "max_eig": top} for p, (ok, top) in flow.items()}
+    jump = {f"{p}->{q}": {"ok": ok, "max_eig": top} for (p, q), (ok, top) in jump.items()}
     rates = [
         {"kind": r.kind, "where": r.mode, "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin}
         for r in check_rate_conditions(qc, partition, dwell, q_set)
@@ -234,18 +226,15 @@ def main(argv=None) -> int:
         prog="isscert",
         description="Simulate impulsive switched systems and certify input-to-state stability.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        s = sub.add_parser(name)
-        s.add_argument("--config", required=True)
-        s.add_argument("--out", default=".")
-        s.add_argument("--seed", type=int, default=None)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", default=".")
+    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         cfg = jsonio.load_config(args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else jsonio.parse_seed(cfg)
+        out = jsonio.output_dir(args.out)
+        seed = jsonio.parse_seed(cfg, args.seed)
         return _COMMANDS[args.command](cfg, out, seed)
     except tuple(FAILURES) as e:
         code, prefix = next(FAILURES[c] for c in type(e).__mro__ if c in FAILURES)

@@ -312,9 +312,23 @@ def parse_mode_changes(pairs, modes) -> ModeChangeSet:
     return ModeChangeSet(frozenset((str(p), str(q)) for p, q in pairs))
 
 
-def parse_seed(cfg: dict) -> int:
-    """``seed``: an integer >= 0, 0 unless given."""
+def parse_seed(cfg: dict, flag=None) -> int:
+    """The ``--seed`` flag when given, else the config's ``seed`` (0 unless
+    given): an integer >= 0."""
+    if flag is not None:
+        return _number(flag, "--seed", cast=int, low=0)
     return _number(cfg.get("seed", 0), "seed", cast=int, low=0)
+
+
+def output_dir(path) -> Path:
+    """The ``--out`` directory, made when missing; a path that cannot be
+    one (an existing file, say) is a ConfigError on ``--out``."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(str(e), field="--out") from e
+    return out
 
 
 def parse_run(cfg: dict):

@@ -1,11 +1,17 @@
 """Linear-system certificate verification via eigenvalue tests.
 
 The matrix inequalities for quadratic certificates (flow dissipation and
-jump contraction blocks) are decided by checking that the assembled
+jump contraction blocks) are decided by checking that each assembled
 symmetric block matrix has no eigenvalue above a small tolerance relative
 to the block's spectral norm; the eigenvalues come from LAPACK through
-``numpy.linalg.eigvalsh``.  A best-effort heuristic search for feasible
-certificates is provided; its failure does not certify infeasibility.
+``numpy.linalg.eigvalsh``.  The flow blocks of all P modes and the jump
+blocks of all Q admissible mode changes are built as one
+(P + Q, n + m, n + m) stack by batched products and decided by one
+eigenvalue call over the stack (``check_blocks``), so a check costs O(1)
+NumPy/LAPACK calls whatever P and Q are; the flops are those of P + Q
+separate blocks.  A best-effort heuristic search for feasible certificates
+is provided, staged the same way over the stacked modes; its failure does
+not certify infeasibility.
 """
 
 from __future__ import annotations
@@ -25,86 +31,151 @@ SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-9
 
 
+def _t(S: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack."""
+    return np.swapaxes(S, -1, -2)
+
+
+def _asymmetric(S: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: asymmetry above ``SYMMETRY_TOL`` relative to
+    its largest entry (at least 1)."""
+    largest = np.abs(S).max(axis=(-2, -1), initial=0.0)
+    return np.abs(S - _t(S)).max(axis=(-2, -1), initial=0.0) > \
+        SYMMETRY_TOL * np.maximum(1.0, largest)
+
+
 def jacobi_eigenvalues(S) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix (LAPACK ``eigvalsh``)."""
+    """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
+    stack, in one LAPACK ``eigvalsh`` call."""
     A = np.asarray(S, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix must be square")
-    if np.max(np.abs(A - A.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(A))):
+    if _asymmetric(A).any():
         raise AsymmetricError("matrix is not symmetric within tolerance")
-    return np.linalg.eigvalsh((A + A.T) / 2)
+    return np.linalg.eigvalsh((A + _t(A)) / 2)
 
 
-def is_negative_semidefinite(S, tol: float = PSD_TOL) -> tuple[bool, float]:
-    """Largest eigenvalue test for S <= 0 with slack ``tol`` times S's spectral norm."""
+def is_negative_semidefinite(S, tol: float = PSD_TOL):
+    """Largest eigenvalue test for S <= 0 with slack ``tol`` times S's
+    spectral norm: (ok, max eigenvalue) of a matrix, or the two as arrays
+    over a stack."""
     eigs = jacobi_eigenvalues(S)
-    top = float(eigs[-1])
-    scale = max(abs(float(eigs[0])), abs(top))
-    return top <= tol * scale, top
+    top = eigs[..., -1]
+    ok = top <= tol * np.maximum(np.abs(eigs[..., 0]), np.abs(top))
+    if eigs.ndim == 1:
+        return bool(ok), float(top)
+    return ok, top
+
+
+def _definite(name: str, mats: Mapping) -> tuple[dict, np.ndarray]:
+    """``mats`` as float arrays and the ascending eigenvalues of their stack;
+    the first mode, in order, that is not symmetric or not positive definite
+    raises."""
+    mats = {p: np.asarray(mat, dtype=float) for p, mat in mats.items()}
+    modes = list(mats)
+    stack = np.stack(list(mats.values()))
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"{name} must hold square matrices")
+    asym = np.flatnonzero(_asymmetric(stack))
+    k = int(asym[0]) if asym.size else len(modes)
+    eigs = jacobi_eigenvalues(stack[:k])
+    bad = np.flatnonzero(eigs[:, 0] <= 0)
+    if bad.size:
+        raise ValueError(f"{name}[{modes[bad[0]]}] must be positive definite")
+    if k < len(modes):
+        raise AsymmetricError(f"{name}[{modes[k]}] is not symmetric")
+    return mats, eigs
 
 
 @dataclass(frozen=True)
 class QuadraticCertificate:
-    """Per-mode quadratic data (M_p, Q_p, eta_p, mu_p) for linear systems."""
+    """Per-mode quadratic data (M_p, Q_p, eta_p, mu_p) for linear systems.
+
+    ``blocks`` holds the (flow, jump) verdicts of ``check_blocks`` on the
+    system and mode changes a certificate was synthesized for; it is None
+    unless the certificate comes from ``synthesize``.  ``lambda_max``, the
+    quadratic threshold coefficient, is the largest eigenvalue over all Q_p.
+    """
 
     M: Mapping[str, np.ndarray]
     Q: Mapping[str, np.ndarray]
     eta: Mapping[str, float]
     mu: Mapping[str, float]
+    blocks: tuple | None = field(default=None, repr=False, compare=False)
+    lambda_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("M", "Q"):
-            mats = {}
-            for p, mat in getattr(self, name).items():
-                mat = np.asarray(mat, dtype=float)
-                if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(mat))):
-                    raise AsymmetricError(f"{name}[{p}] is not symmetric")
-                if jacobi_eigenvalues(mat)[0] <= 0:
-                    raise ValueError(f"{name}[{p}] must be positive definite")
-                mats[p] = mat
-            object.__setattr__(self, name, mats)
+        M, _ = _definite("M", self.M)
+        Q, eigs_q = _definite("Q", self.Q)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "lambda_max", float(eigs_q[:, -1].max()))
         object.__setattr__(self, "eta", {p: float(v) for p, v in self.eta.items()})
         mu = {p: float(v) for p, v in self.mu.items()}
         if any(v <= 0 for v in mu.values()):
             raise ValueError("all jump factors mu must be > 0")
         object.__setattr__(self, "mu", mu)
 
-    @property
-    def lambda_max(self) -> float:
-        """Quadratic threshold coefficient: max eigenvalue over all Q_p."""
-        return max(float(jacobi_eigenvalues(q)[-1]) for q in self.Q.values())
+
+def _stack(mats: Mapping, keys) -> np.ndarray:
+    return np.stack([mats[k] for k in keys])
 
 
-def flow_block(model: LinearSystemModel, qc: QuadraticCertificate, p: str) -> np.ndarray:
-    A, B = model.A[p], model.B[p]
-    M, Q, eta = qc.M[p], qc.Q[p], qc.eta[p]
-    top_left = A.T @ M + M @ A - eta * M
-    top_right = M @ B
-    return np.block([[top_left, top_right], [top_right.T, -Q]])
+def flow_blocks(model: LinearSystemModel, M: Mapping, Q: Mapping, eta: Mapping,
+                modes) -> np.ndarray:
+    """The flow dissipation blocks [[A'M + MA - eta M, MB], [B'M, -Q]] of
+    ``modes`` as one (len(modes), n + m, n + m) stack."""
+    A, B = _stack(model.A, modes), _stack(model.B, modes)
+    Mp, Qp = _stack(M, modes), _stack(Q, modes)
+    rate = np.array([eta[p] for p in modes])[:, None, None]
+    top_right = Mp @ B
+    return np.block([[_t(A) @ Mp + Mp @ A - rate * Mp, top_right], [_t(top_right), -Qp]])
 
 
-def jump_block(model: LinearSystemModel, qc: QuadraticCertificate,
-               pair: tuple[str, str]) -> np.ndarray:
-    p, q = pair
-    J, H = model.J[q], model.H[q]
-    Mp, Mq, Qq, mu = qc.M[p], qc.M[q], qc.Q[q], qc.mu[q]
-    top_left = J.T @ Mp @ J - mu * Mq
-    top_right = J.T @ Mp @ H
-    bottom_right = H.T @ Mp @ H - Qq
-    return np.block([[top_left, top_right], [top_right.T, bottom_right]])
+def jump_blocks(model: LinearSystemModel, M: Mapping, Q: Mapping, mu: Mapping,
+                pairs) -> np.ndarray:
+    """The jump contraction blocks [[J'M_p J - mu M_q, J'M_p H],
+    [H'M_p J, H'M_p H - Q_q]] of the mode changes (new p, old q) in
+    ``pairs``, with J, H, mu and Q_q of the old mode q, as one
+    (len(pairs), n + m, n + m) stack."""
+    new, old = [p for p, _ in pairs], [q for _, q in pairs]
+    J, H = _stack(model.J, old), _stack(model.H, old)
+    Mp, Mq, Qq = _stack(M, new), _stack(M, old), _stack(Q, old)
+    factor = np.array([mu[q] for q in old])[:, None, None]
+    JtM = _t(J) @ Mp
+    top_right = JtM @ H
+    return np.block([[JtM @ J - factor * Mq, top_right],
+                     [_t(top_right), _t(H) @ Mp @ H - Qq]])
+
+
+def _decide(model: LinearSystemModel, M, Q, eta, mu, pairs) -> tuple[dict, dict]:
+    modes = sorted(model.A)
+    blocks = flow_blocks(model, M, Q, eta, modes)
+    if pairs:
+        blocks = np.concatenate([blocks, jump_blocks(model, M, Q, mu, pairs)])
+    ok, top = is_negative_semidefinite(blocks)
+    verdicts = list(zip(ok.tolist(), top.tolist()))
+    return dict(zip(modes, verdicts)), dict(zip(pairs, verdicts[len(modes):]))
+
+
+def check_blocks(model: LinearSystemModel, qc: QuadraticCertificate,
+                 q_set: ModeChangeSet) -> tuple[dict, dict]:
+    """(flow, jump): the (ok, max eigenvalue) of the flow block of every
+    mode and of the jump block of every pair of ``q_set``, each in sorted
+    order, all decided in one stacked eigenvalue call."""
+    return _decide(model, qc.M, qc.Q, qc.eta, qc.mu, sorted(q_set.pairs))
 
 
 def check_flow_lmi(model: LinearSystemModel, qc: QuadraticCertificate,
                    p: str) -> tuple[bool, float]:
     """Flow dissipation block test for mode p; returns (ok, max eigenvalue)."""
-    return is_negative_semidefinite(flow_block(model, qc, p))
+    return is_negative_semidefinite(flow_blocks(model, qc.M, qc.Q, qc.eta, [p])[0])
 
 
 def check_jump_lmi(model: LinearSystemModel, qc: QuadraticCertificate,
                    pair: tuple[str, str]) -> tuple[bool, float]:
     """Jump contraction block test for the mode change (new p, old q)."""
-    return is_negative_semidefinite(jump_block(model, qc, pair))
-
+    return is_negative_semidefinite(jump_blocks(model, qc.M, qc.Q, qc.mu, [pair])[0])
 
 def _safe_div(a: float, b: float) -> float:
     if b != 0.0:
@@ -122,10 +193,11 @@ def check_rate_conditions(
 
     For every admissible change (p follows q): stable q needs eta_q < 0 and
     ln(mu_q)/|eta_p| <= tau_q (1 - delta); unstable q needs eta_q >= 0 and
-    -ln(mu_q)/|eta_p| >= tau_q (1 + delta).
+    -ln(mu_q)/|eta_p| >= tau_q (1 + delta).  Reports come in sorted pair
+    order.
     """
     out = []
-    for p, q in q_set.pairs:
+    for p, q in sorted(q_set.pairs):
         if q not in qc.eta or p not in qc.eta or q not in qc.mu:
             raise ValueError(f"certificate lacks entries for pair ({p}, {q})")
         eta_q, eta_p, mu_q = qc.eta[q], qc.eta[p], qc.mu[q]
@@ -172,9 +244,13 @@ def synthesize(
     the edge -(1 - 1e-9)/lambda_max(M), past which the top eigenvalue
     -1 - eta lambda_max(M) exceeds -1e-9.  Unstable modes get a spectral
     shift.  Jump factors come from the generalized-eigenvalue Schur bound.
-    Returns a QuadraticCertificate or Infeasible with diagnostics (also for
-    a Lyapunov solution of condition number above 1e12); a negative answer
-    is not a proof of infeasibility.
+    Returns a QuadraticCertificate, whose ``blocks`` are the verdicts of its
+    final block check, or Infeasible with diagnostics (also for a Lyapunov
+    solution of condition number above 1e12); a negative answer is not a
+    proof of infeasibility.  Each stage (spectral abscissae, symmetric-part
+    and M eigenvalues, Schur levels, the block check) runs once over the
+    stacked modes; an Infeasible names the first failing mode in sorted
+    order, as a mode-by-mode search would.
     """
     # The only SciPy use in the package, imported here so that no other
     # command pays for loading it.
@@ -184,72 +260,81 @@ def synthesize(
         M = solve_continuous_lyapunov(A_shifted.T, -np.eye(A_shifted.shape[0]))
         return (M + M.T) / 2
 
-    def schur_q(M: np.ndarray, B: np.ndarray, R: np.ndarray) -> np.ndarray:
-        """Smallest diagonal Q making the flow block feasible given R < 0."""
-        S = M @ B
-        bound = S.T @ np.linalg.solve(-R, S)
-        level = max(0.0, float(eigh(bound, eigvals_only=True)[-1]))
-        return (level + 1e-6) * np.eye(m)
-
     modes = sorted(model.A)
     n, m = model.dims
-    M, Q, eta = {}, {}, {}
-    for p in modes:
-        A = model.A[p]
-        if p in partition.stable:
-            abscissa = float(np.max(np.real(np.linalg.eigvals(A))))
-            if abscissa >= 0:
-                return Infeasible(f"mode {p} declared stable but not Hurwitz",
-                                  {"mode": p, "spectral_abscissa": abscissa})
-            M[p] = lyapunov_gram(A)
-            sym_top = float(eigh((A + A.T) / 2, eigvals_only=True)[-1])
-            edge = -(1 - 1e-9) / float(eigh(M[p], eigvals_only=True)[-1])
-            lo = min(2 * sym_top, -1e-6)
-            eta_p = lo if lo >= edge else 0.99 * edge
-            eta[p] = eta_p
-            R = -np.eye(n) - eta_p * M[p]
-        else:
-            abscissa = float(np.max(np.real(np.linalg.eigvals(A))))
-            eta_p = max(0.0, 2 * abscissa + 1.0)
-            if eta_p == 0.0 and abscissa >= 0:
-                return Infeasible(f"mode {p} has no usable spectral shift",
-                                  {"mode": p})
-            M[p] = lyapunov_gram(A - (eta_p / 2) * np.eye(n))
-            eta[p] = eta_p
-            R = -np.eye(n)
-        condition = float(np.linalg.cond(M[p]))
-        if condition > 1e12:
+    stable = np.array([p in partition.stable for p in modes])
+    A = _stack(model.A, modes)
+    abscissa = np.max(np.real(np.linalg.eigvals(A)), axis=-1)
+    not_hurwitz = np.flatnonzero(stable & (abscissa >= 0))
+    k = int(not_hurwitz[0]) if not_hurwitz.size else len(modes)
+    # Unstable modes are shifted to a spectral abscissa of at most -1/2.
+    eta = np.where(stable, 0.0, np.maximum(0.0, 2 * abscissa + 1.0))
+    M = [lyapunov_gram(A[i] if stable[i] else A[i] - (eta[i] / 2) * np.eye(n))
+         for i in range(k)]
+    # An ill-conditioned mode before the first non-Hurwitz one is the
+    # failure a mode-by-mode search meets first.
+    if M:
+        condition = np.linalg.cond(np.stack(M))
+        ill = np.flatnonzero(condition > 1e12)
+        if ill.size:
+            p = modes[ill[0]]
             return Infeasible(f"ill-conditioned Lyapunov solution for mode {p}",
-                              {"mode": p, "condition": condition})
-        Q[p] = schur_q(M[p], model.B[p], R)
+                              {"mode": p, "condition": float(condition[ill[0]])})
+    if k < len(modes):
+        p = modes[k]
+        return Infeasible(f"mode {p} declared stable but not Hurwitz",
+                          {"mode": p, "spectral_abscissa": float(abscissa[k])})
+    M = np.stack(M)
 
-    mu = {}
+    if stable.any():
+        As = A[stable]
+        sym_top = jacobi_eigenvalues((As + _t(As)) / 2)[:, -1]
+        edge = -(1 - 1e-9) / jacobi_eigenvalues(M[stable])[:, -1]
+        lo = np.minimum(2 * sym_top, -1e-6)
+        eta[stable] = np.where(lo >= edge, lo, 0.99 * edge)
+    R = np.broadcast_to(-np.eye(n), M.shape).copy()
+    R[stable] -= eta[stable, None, None] * M[stable]
+
+    # Smallest diagonal Q making each flow block feasible given R < 0.
+    S = M @ _stack(model.B, modes)
+    bound = _t(S) @ np.linalg.solve(-R, S)
+    # The lower triangle, as the bound is symmetric only up to rounding.
+    level = np.fmax(0.0, np.linalg.eigvalsh(bound)[:, -1])
+    M = dict(zip(modes, M))
+    Q = {p: (level[i] + 1e-6) * np.eye(m) for i, p in enumerate(modes)}
+    eta = dict(zip(modes, eta.tolist()))
+
+    # Jump factors from the links (p, q): each mode q with each of its
+    # successors p in sorted order, or with itself when it has none.
+    links = [(p, q) for q in modes
+             for p in sorted(p for p, old in q_set.pairs if old == q) or [q]]
+    new, old = [p for p, _ in links], [q for _, q in links]
+    J, H, Mp = _stack(model.J, old), _stack(model.H, old), _stack(M, new)
+    JtM, HtM = _t(J) @ Mp, _t(H) @ Mp
+    HMH = HtM @ H
+    top_b = np.linalg.eigvalsh(HMH - _stack(Q, old))[:, -1]
     for q in modes:
-        successors = [p for (p, old) in q_set.pairs if old == q] or [q]
-        J, H = model.J[q], model.H[q]
-        best = 0.0
-        for p in successors:
-            bottom = H.T @ M[p] @ H - Q[q]
-            top_b = float(eigh(bottom, eigvals_only=True)[-1])
-            if top_b >= 0:
-                # Inflate Q_q so the input block is strictly negative; this
-                # only loosens the already-feasible flow block.
-                Q[q] = Q[q] + (top_b + 1e-6) * np.eye(m)
-                bottom = H.T @ M[p] @ H - Q[q]
-            S = J.T @ M[p] @ J - (J.T @ M[p] @ H) @ np.linalg.solve(bottom, H.T @ M[p] @ J)
-            S = (S + S.T) / 2
-            best = max(best, float(eigh(S, M[q], eigvals_only=True)[-1]))
-        mu[q] = max(best, 1e-12)
+        raise_q = max(top for top, o in zip(top_b.tolist(), old) if o == q)
+        if raise_q >= 0:
+            # Inflate Q_q once, so that the input block of every link of q
+            # is strictly negative; this only loosens the already-feasible
+            # flow block.
+            Q[q] = Q[q] + (raise_q + 1e-6) * np.eye(m)
+    S = JtM @ J - (JtM @ H) @ np.linalg.solve(HMH - _stack(Q, old), HtM @ J)
+    S = (S + _t(S)) / 2
+    mu = dict.fromkeys(modes, 0.0)
+    for i, (p, q) in enumerate(links):
+        mu[q] = max(mu[q], float(eigh(S[i], M[q], eigvals_only=True)[-1]))
+    mu = {q: max(best, 1e-12) for q, best in mu.items()}
 
-    qc = QuadraticCertificate(M, Q, eta, mu)
-    for p in modes:
-        ok, top = check_flow_lmi(model, qc, p)
+    flow, jump = _decide(model, M, Q, eta, mu, sorted(q_set.pairs))
+    for p, (ok, top) in flow.items():
         if not ok:
             return Infeasible("flow block infeasible", {"mode": p, "max_eig": top})
-    for pair in sorted(q_set.pairs):
-        ok, top = check_jump_lmi(model, qc, pair)
+    for pair, (ok, top) in jump.items():
         if not ok:
             return Infeasible("jump block infeasible", {"pair": pair, "max_eig": top})
+    qc = QuadraticCertificate(M, Q, eta, mu, blocks=(flow, jump))
     reports = check_rate_conditions(qc, partition, dwell, q_set)
     if reports:
         r = reports[0]

@@ -41,6 +41,16 @@
   the earlier library loop kept as the oracle for the doubling prefix scan
   of ``isscert.simulate._linear_flow``; in ``np.longdouble`` it is the
   extended-precision reference for the scan's rounding.
+* The LMI blocks one at a time: ``flow_block`` and ``jump_block`` assemble
+  one mode's or one mode change's block with 2-D products, decided one
+  ``is_negative_semidefinite`` call each, and ``synthesize_per_mode`` runs
+  the search mode by mode and link by link with one SciPy ``eigh`` call per
+  matrix.  These are the earlier library implementations, kept as oracles
+  for the stacked blocks of ``isscert.lmi.check_blocks`` and the staged
+  ``synthesize``; the jump-factor loop visits each mode's successors in
+  sorted order and inflates Q_q once, by the largest top eigenvalue over
+  them, as the library now does (the earlier loop inflated once per
+  successor in the iteration order of a frozenset).
 """
 
 import bisect
@@ -56,6 +66,12 @@ from scipy.optimize import brentq
 from isscert.bounds import ISS_REL_TOL, iss_check
 from isscert.certify import FORMS, JUMP_TOL, SANDWICH_TOL, _report
 from isscert.errors import DegenerateGammaError, DomainError, OutOfImageError
+from isscert.lmi import (
+    Infeasible,
+    QuadraticCertificate,
+    check_rate_conditions,
+    is_negative_semidefinite,
+)
 from isscert.simulate import (
     _restrict,
     _sample_inputs,
@@ -575,3 +591,102 @@ def linear_flow_stepwise(step_map, times, xs, inputs, dtype=np.float64):
         X = np.dot(P, X) + f
         states[i] = X
     return np.moveaxis(states, 2, 0)
+
+
+def flow_block(model, qc, p):
+    A, B = model.A[p], model.B[p]
+    M, Q, eta = qc.M[p], qc.Q[p], qc.eta[p]
+    top_left = A.T @ M + M @ A - eta * M
+    top_right = M @ B
+    return np.block([[top_left, top_right], [top_right.T, -Q]])
+
+
+def jump_block(model, qc, pair):
+    p, q = pair
+    J, H = model.J[q], model.H[q]
+    Mp, Mq, Qq, mu = qc.M[p], qc.M[q], qc.Q[q], qc.mu[q]
+    top_left = J.T @ Mp @ J - mu * Mq
+    top_right = J.T @ Mp @ H
+    bottom_right = H.T @ Mp @ H - Qq
+    return np.block([[top_left, top_right], [top_right.T, bottom_right]])
+
+
+def block_verdicts(model, qc, pairs):
+    """(flow, jump) as ``check_blocks`` returns them, one block at a time."""
+    return ({p: is_negative_semidefinite(flow_block(model, qc, p)) for p in sorted(model.A)},
+            {pair: is_negative_semidefinite(jump_block(model, qc, pair))
+             for pair in sorted(pairs)})
+
+
+def synthesize_per_mode(model, partition, q_set, dwell):
+    from scipy.linalg import eigh, solve_continuous_lyapunov
+
+    def lyapunov_gram(A_shifted):
+        M = solve_continuous_lyapunov(A_shifted.T, -np.eye(A_shifted.shape[0]))
+        return (M + M.T) / 2
+
+    def schur_q(M, B, R):
+        S = M @ B
+        bound = S.T @ np.linalg.solve(-R, S)
+        level = max(0.0, float(eigh(bound, eigvals_only=True)[-1]))
+        return (level + 1e-6) * np.eye(m)
+
+    modes = sorted(model.A)
+    n, m = model.dims
+    M, Q, eta = {}, {}, {}
+    for p in modes:
+        A = model.A[p]
+        if p in partition.stable:
+            abscissa = float(np.max(np.real(np.linalg.eigvals(A))))
+            if abscissa >= 0:
+                return Infeasible(f"mode {p} declared stable but not Hurwitz",
+                                  {"mode": p, "spectral_abscissa": abscissa})
+            M[p] = lyapunov_gram(A)
+            sym_top = float(eigh((A + A.T) / 2, eigvals_only=True)[-1])
+            edge = -(1 - 1e-9) / float(eigh(M[p], eigvals_only=True)[-1])
+            lo = min(2 * sym_top, -1e-6)
+            eta_p = lo if lo >= edge else 0.99 * edge
+            eta[p] = eta_p
+            R = -np.eye(n) - eta_p * M[p]
+        else:
+            abscissa = float(np.max(np.real(np.linalg.eigvals(A))))
+            eta_p = max(0.0, 2 * abscissa + 1.0)
+            M[p] = lyapunov_gram(A - (eta_p / 2) * np.eye(n))
+            eta[p] = eta_p
+            R = -np.eye(n)
+        condition = float(np.linalg.cond(M[p]))
+        if condition > 1e12:
+            return Infeasible(f"ill-conditioned Lyapunov solution for mode {p}",
+                              {"mode": p, "condition": condition})
+        Q[p] = schur_q(M[p], model.B[p], R)
+
+    mu = {}
+    for q in modes:
+        successors = sorted(p for (p, old) in q_set.pairs if old == q) or [q]
+        J, H = model.J[q], model.H[q]
+        raise_q = max(float(eigh(H.T @ M[p] @ H - Q[q], eigvals_only=True)[-1])
+                      for p in successors)
+        if raise_q >= 0:
+            Q[q] = Q[q] + (raise_q + 1e-6) * np.eye(m)
+        best = 0.0
+        for p in successors:
+            bottom = H.T @ M[p] @ H - Q[q]
+            S = J.T @ M[p] @ J - (J.T @ M[p] @ H) @ np.linalg.solve(bottom, H.T @ M[p] @ J)
+            S = (S + S.T) / 2
+            best = max(best, float(eigh(S, M[q], eigvals_only=True)[-1]))
+        mu[q] = max(best, 1e-12)
+
+    qc = QuadraticCertificate(M, Q, eta, mu)
+    flow, jump = block_verdicts(model, qc, q_set.pairs)
+    for p, (ok, top) in flow.items():
+        if not ok:
+            return Infeasible("flow block infeasible", {"mode": p, "max_eig": top})
+    for pair, (ok, top) in jump.items():
+        if not ok:
+            return Infeasible("jump block infeasible", {"pair": pair, "max_eig": top})
+    reports = check_rate_conditions(qc, partition, dwell, q_set)
+    if reports:
+        r = reports[0]
+        return Infeasible("rate condition infeasible",
+                          {"kind": r.kind, "where": r.mode, "lhs": r.lhs, "rhs": r.rhs})
+    return qc

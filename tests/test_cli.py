@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 import oracles
@@ -429,6 +430,70 @@ class TestLmi:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["infeasible"] and verdict["details"]["mode"] == "s"
         assert verdict["details"]["condition"] > 1e12
+
+
+    def test_synth_decides_its_blocks_once(self, tmp_path, monkeypatch):
+        # The flow blocks of both modes and the jump blocks of both pairs
+        # go through one eigenvalue call, and cmd_lmi reuses its verdicts.
+        from isscert import lmi
+
+        shapes = []
+        solve = lmi.jacobi_eigenvalues
+
+        def recorded(S):
+            shapes.append(np.shape(S))
+            return solve(S)
+        monkeypatch.setattr(lmi, "jacobi_eigenvalues", recorded)
+        cfg = self._base()
+        cfg["lmi"]["mode"] = "synth"
+        code, out = run(tmp_path, "lmi", cfg)
+        assert code == 0
+        assert shapes.count((4, 2, 2)) == 1
+        assert all(len(shape) == 3 for shape in shapes)
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert sorted(verdict["flow"]) == ["s", "u"]
+        assert sorted(verdict["jump"]) == ["s->u", "u->s"]
+
+
+class TestArguments:
+    """The command line outside the config: ``--seed``, ``--out`` and usage."""
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "bound", TestBound()._cfg(), seed=-1)
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --seed: ") and "Traceback" not in err
+
+    def test_negative_config_seed_is_a_config_error(self, tmp_path, capsys):
+        cfg = TestBound()._cfg()
+        cfg["seed"] = -1
+        code, _ = run(tmp_path, "bound", cfg)
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: seed: ")
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, below):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config()))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if below else taken
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["nonsense", "--config", "cfg.json"],
+        ["simulate"],
+        ["simulate", "--config", "cfg.json", "--seed", "x"],
+    ])
+    def test_usage_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "usage: isscert" in capsys.readouterr().err
 
 
 def malformed_config(command):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import isscert as iss
+import oracles
 from isscert.errors import AsymmetricError
 from isscert.lmi import PSD_TOL
 
@@ -85,7 +86,7 @@ class TestFlowBlock:
         # A = -1, B = 1, M = Q = 1, eta = -1: block [[-1, 1], [1, -1]]
         # with eigenvalues {0, -2}.
         model, qc = scalar_system(), scalar_qc(eta=-1.0)
-        block = iss.flow_block(model, qc, "a")
+        block = iss.flow_blocks(model, qc.M, qc.Q, qc.eta, ["a"])[0]
         assert iss.jacobi_eigenvalues(block) == pytest.approx([-2.0, 0.0])
         ok, top = iss.check_flow_lmi(model, qc, "a")
         assert ok and top == pytest.approx(0.0, abs=1e-12)
@@ -288,3 +289,212 @@ class TestSynthesize:
                 slope = (vs[i + 1] - vs[i]) / h
                 rhs = eta * vs[i] + float(u @ Q @ u) + 10.0 * h
                 assert slope <= rhs + 1e-9
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def synth_shaped(seed, n):
+    """Two Hurwitz and two unstable modes with every ordered pair of distinct
+    modes admissible, as in the benchmark's ``lmi_synth`` systems."""
+    rng = np.random.default_rng(seed)
+    A, B, J, H = {}, {}, {}, {}
+    for p in ("s1", "s2", "u1", "u2"):
+        Q = _orthogonal(rng, n)
+        if p.startswith("s"):
+            S = rng.standard_normal((n, n))
+            S = (S - S.T) / 2
+            S *= 0.5 / max(np.linalg.norm(S, 2), 1e-12)
+            A[p] = Q @ np.diag(rng.uniform(-2.0, -0.5, n)) @ Q.T + S
+        else:
+            lam = rng.uniform(-1.0, 0.5, n)
+            lam[0] = rng.uniform(0.2, 0.5)
+            A[p] = Q @ np.diag(lam) @ Q.T
+        b = rng.standard_normal((n, 1))
+        B[p] = b / np.linalg.norm(b)
+        J[p] = 0.5 * _orthogonal(rng, n)
+        H[p] = 0.1 * rng.standard_normal((n, 1))
+    model = iss.LinearSystemModel(A=A, B=B, J=J, H=H)
+    part = iss.ModePartition(frozenset({"s1", "s2"}), frozenset({"u1", "u2"}))
+    dwell = iss.DwellSpec({"s1": 3.0, "s2": 3.0, "u1": 0.05, "u2": 0.05}, 0.2)
+    qs = iss.ModeChangeSet(frozenset((p, q) for p in A for q in A if p != q))
+    return model, part, dwell, qs
+
+
+class TestStackedBlocks:
+    """The stacked blocks against the one-block-at-a-time oracle, bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_synthesis_matches_the_per_mode_oracle(self, seed, n):
+        # Seeds 4 at n = 4 and 5 at n = 16 end in a rate condition.
+        model, part, dwell, qs = synth_shaped(seed, n)
+        qc = iss.synthesize(model, part, qs, dwell)
+        ref = oracles.synthesize_per_mode(model, part, qs, dwell)
+        if isinstance(ref, iss.Infeasible):
+            assert qc == ref
+            return
+        assert isinstance(qc, iss.QuadraticCertificate)
+        for name in ("M", "Q"):
+            mine, theirs = getattr(qc, name), getattr(ref, name)
+            assert list(mine) == list(theirs)
+            assert all(np.array_equal(mine[p], theirs[p]) for p in mine)
+        assert qc.eta == ref.eta and qc.mu == ref.mu
+        assert qc.lambda_max == ref.lambda_max
+        assert qc.blocks == oracles.block_verdicts(model, ref, qs.pairs)
+        assert ref.blocks is None
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_verdicts_and_blocks_match_the_oracle(self, n):
+        model, part, dwell, qs = synth_shaped(8, n)
+        qc = iss.synthesize(model, part, qs, dwell)
+        # A perturbed certificate, so that some blocks fail and some pass.
+        rng = np.random.default_rng(n)
+        bent = iss.QuadraticCertificate(
+            qc.M, qc.Q, {p: e + rng.uniform(-1, 1) for p, e in qc.eta.items()},
+            {p: v * rng.uniform(0.5, 1.5) for p, v in qc.mu.items()})
+        flow, jump = iss.check_blocks(model, bent, qs)
+        assert (flow, jump) == oracles.block_verdicts(model, bent, qs.pairs)
+        assert {ok for ok, _ in (*flow.values(), *jump.values())} == {True, False}
+        assert list(flow) == sorted(model.A) and list(jump) == sorted(qs.pairs)
+        modes, pairs = sorted(model.A), sorted(qs.pairs)
+        stack = iss.flow_blocks(model, bent.M, bent.Q, bent.eta, modes)
+        assert all(np.array_equal(stack[i], oracles.flow_block(model, bent, p))
+                   for i, p in enumerate(modes))
+        stack = iss.jump_blocks(model, bent.M, bent.Q, bent.mu, pairs)
+        assert all(np.array_equal(stack[i], oracles.jump_block(model, bent, pair))
+                   for i, pair in enumerate(pairs))
+        for p in modes:
+            assert iss.check_flow_lmi(model, bent, p) == flow[p]
+        for pair in pairs:
+            assert iss.check_jump_lmi(model, bent, pair) == jump[pair]
+
+    def test_one_eigenvalue_call(self, monkeypatch):
+        from isscert import lmi
+
+        model, part, dwell, qs = synth_shaped(1, 4)
+        qc = iss.synthesize(model, part, qs, dwell)
+        shapes = []
+        solve = lmi.jacobi_eigenvalues
+
+        def recorded(S):
+            shapes.append(np.shape(S))
+            return solve(S)
+        monkeypatch.setattr(lmi, "jacobi_eigenvalues", recorded)
+        iss.check_blocks(model, qc, qs)
+        assert shapes == [(4 + 12, 5, 5)]
+
+    def test_no_pairs(self):
+        model, part, dwell, _ = synth_shaped(1, 4)
+        qc = iss.synthesize(model, part, iss.ModeChangeSet(frozenset()), dwell)
+        flow, jump = iss.check_blocks(model, qc, iss.ModeChangeSet(frozenset()))
+        assert jump == {} and all(ok for ok, _ in flow.values())
+
+
+class TestStackedEigenvalues:
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(5)
+        S = rng.standard_normal((6, 5, 5))
+        S = S + np.swapaxes(S, -1, -2)
+        stacked = iss.jacobi_eigenvalues(S)
+        assert all(np.array_equal(stacked[i], iss.jacobi_eigenvalues(S[i])) for i in range(6))
+        ok, top = iss.is_negative_semidefinite(S)
+        assert ok.shape == top.shape == (6,)
+        assert [(bool(o), float(t)) for o, t in zip(ok, top)] == \
+            [iss.is_negative_semidefinite(s) for s in S]
+
+    def test_one_asymmetric_matrix_in_a_stack_rejected(self):
+        S = np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(AsymmetricError):
+            iss.jacobi_eigenvalues(S)
+
+    def test_first_bad_mode_named(self):
+        # M[a] is not positive definite and M[b] is not symmetric: the
+        # first mode in order decides which error is raised.
+        bad_pd, bad_sym = [[-1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.0, 1.0]]
+        q = {"a": np.eye(1), "b": np.eye(1)}
+        one = {"a": 1.0, "b": 1.0}
+        with pytest.raises(ValueError, match=r"M\[a\] must be positive definite"):
+            iss.QuadraticCertificate({"a": bad_pd, "b": bad_sym}, q, one, one)
+        with pytest.raises(AsymmetricError, match=r"M\[a\] is not symmetric"):
+            iss.QuadraticCertificate({"a": bad_sym, "b": bad_pd}, q, one, one)
+
+
+class TestInfeasibleOrder:
+    def test_first_failing_mode_in_sorted_order(self):
+        # Mode a is Hurwitz with a Lyapunov solution of condition number
+        # 5e12; mode b is declared stable but is not Hurwitz.  The search
+        # reaches a first, so a is the reason.
+        model = iss.LinearSystemModel(
+            A={"a": [[-1.0, 0.0], [0.0, -1e-13]], "b": [[1.0, 0.0], [0.0, -1.0]]},
+            B={"a": [[1.0], [0.0]], "b": [[1.0], [0.0]]},
+            J={"a": 0.5 * np.eye(2), "b": 0.5 * np.eye(2)},
+            H={"a": [[0.0], [0.0]], "b": [[0.0], [0.0]]})
+        part = iss.ModePartition(frozenset({"a", "b"}), frozenset())
+        dwell = iss.DwellSpec({"a": 1.0, "b": 1.0}, 0.2)
+        qs = iss.ModeChangeSet(frozenset({("a", "b"), ("b", "a")}))
+        result = iss.synthesize(model, part, qs, dwell)
+        assert isinstance(result, iss.Infeasible)
+        assert result.reason == "ill-conditioned Lyapunov solution for mode a"
+        assert result == oracles.synthesize_per_mode(model, part, qs, dwell)
+        swapped = iss.ModePartition(frozenset({"a", "b"}), frozenset())
+        model_b_first = iss.LinearSystemModel(
+            A={"a": model.A["b"], "b": model.A["a"]}, B=model.B, J=model.J, H=model.H)
+        result = iss.synthesize(model_b_first, swapped, qs, dwell)
+        assert result.reason == "mode a declared stable but not Hurwitz"
+        assert result == oracles.synthesize_per_mode(model_b_first, swapped, qs, dwell)
+
+
+class TestHashOrder:
+    """Synthesis and rate reports do not depend on the iteration order of
+    the mode-change set, which follows Python's per-process string hashing."""
+
+    CODE = """
+import sys
+sys.path.insert(0, {tests!r})
+import isscert as iss
+from test_lmi import synth_shaped
+for seed in (1, 2, 3):
+    model, part, dwell, qs = synth_shaped(seed, 4)
+    # Large jump inputs, so that several successors of one mode inflate Q.
+    model = iss.LinearSystemModel(A=model.A, B=model.B, J=model.J,
+                                  H={{p: 3.0 * h for p, h in model.H.items()}})
+    result = iss.synthesize(model, part, qs, dwell)
+    print(repr(result.details if isinstance(result, iss.Infeasible) else result.mu))
+"""
+
+    def test_same_synthesis_under_every_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = self.CODE.format(tests=str(Path(__file__).resolve().parent))
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+
+    def test_multiple_successors_inflate_like_the_oracle(self):
+        model, part, dwell, qs = synth_shaped(1, 4)
+        model = iss.LinearSystemModel(A=model.A, B=model.B, J=model.J,
+                                      H={p: 3.0 * h for p, h in model.H.items()})
+        assert iss.synthesize(model, part, qs, dwell) == \
+            oracles.synthesize_per_mode(model, part, qs, dwell)
+
+    def test_rate_reports_in_sorted_pair_order(self):
+        modes = ("a", "b", "c")
+        part = iss.ModePartition(frozenset(modes), frozenset())
+        dwell = iss.DwellSpec(dict.fromkeys(modes, 0.1), 0.2)
+        qs = iss.ModeChangeSet(frozenset((p, q) for p in modes for q in modes if p != q))
+        # ln(2)/1 > 0.08 on every pair.
+        qc = iss.QuadraticCertificate(
+            dict.fromkeys(modes, [[1.0]]), dict.fromkeys(modes, [[1.0]]),
+            dict.fromkeys(modes, -1.0), dict.fromkeys(modes, 2.0))
+        reports = iss.check_rate_conditions(qc, part, dwell, qs)
+        assert [r.mode for r in reports] == [f"{p}<-{q}" for p, q in sorted(qs.pairs)]
