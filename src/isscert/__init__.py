@@ -1,15 +1,11 @@
 """Simulation and mechanical ISS certification of impulsive switched systems."""
 
-from .bounds import IssBound, build_bound, certify_iss, decay_interpolant
+from .bounds import IssBound, build_bound, decay_interpolant, iss_check
 from .certify import (
     Certificate,
     ViolationReport,
     check_decreasing_certificate,
-    check_dissipation,
     check_dwell_conditions,
-    check_flow_implication,
-    check_jump_implication,
-    check_sandwich,
     check_trajectory,
     closed_form_dwell,
     dissipation_to_implication,
@@ -19,7 +15,7 @@ from .certify import (
 from .construct import (
     DecreasingCertificate,
     build_decreasing,
-    certify_decrease,
+    decrease_check,
 )
 from .errors import (
     AsymmetricError,
@@ -41,8 +37,6 @@ from .lmi import (
     Infeasible,
     QuadraticCertificate,
     check_blocks,
-    check_flow_lmi,
-    check_jump_lmi,
     check_rate_conditions,
     flow_blocks,
     is_negative_semidefinite,

@@ -155,10 +155,3 @@ def iss_check(
     out = [_report("iss", times[i], modes[i], lhs[i], rhs[i])
            for i in np.flatnonzero(lhs > rhs * (1 + ISS_REL_TOL) + 1e-12)]
     return out, max_margin
-
-
-def certify_iss(
-    bound: IssBound, traj: Trajectory, x0, input: InputSignal
-) -> list[ViolationReport]:
-    """Check the ISS estimate at every trajectory sample."""
-    return iss_check(bound, traj, x0, input)[0]

@@ -5,10 +5,13 @@ forward-difference slope against a bound, gated at a threshold) and one jump
 rule (a bound above the threshold, a cap below it, relative tolerance JUMP_TOL
 (1 + |rhs|)) in the implication or the dissipation form; ``construct`` applies
 the same two rules to W.  Also: the dwell conditions at every switching
-instant, the signal's dwell/leave slack, the declared partition checked
-against the sign of each flow rate, the decreasing-certificate test and the
-dissipation-to-implication conversion.
-Tolerances and the default Dini coefficient are defined here.
+instant, the signal's dwell/leave slack, the declared partition checked to
+cover every mode and against the sign of each flow rate, the
+decreasing-certificate test and the dissipation-to-implication conversion.
+The tolerances of these checks (SANDWICH_TOL, JUMP_TOL and DWELL_TOL, which
+``lmi`` uses for its dwell inequality too) and the default Dini coefficient
+are defined here; ``bounds`` defines ISS_REL_TOL and ``lmi`` its eigenvalue
+tolerances SYMMETRY_TOL and PSD_TOL.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ class Certificate:
                 raise ValueError(f"mode {p} declared stable but its flow rate is not negative")
             if p in self.partition.unstable and sign <= 0:
                 raise ValueError(f"mode {p} declared unstable but its flow rate is not positive")
+            if p not in self.partition.stable | self.partition.unstable:
+                raise ValueError(f"mode {p} is in neither class of the partition")
 
     def transforms(self) -> dict[str, PhiTransform]:
         return {p: PhiTransform(r) for p, r in self.phi.items()}
@@ -136,41 +141,6 @@ def _jump_reports(traj, pre, post, threshold, bound, cap) -> list[ViolationRepor
                     post[j], rhs[j]) for j in failed]
 
 
-def _reports(cert, traj, kinds, input=None, form="implication", dini_coeff=None):
-    """Reports of ``kinds`` (in the order sandwich, flow, jump) from one V per
-    sample.  The implication form gates at chi(||u||inf) and caps jumps below
-    it by alpha3; the dissipation form adds chi to both bounds, gating nothing."""
-    if input is not None:
-        if form not in FORMS:
-            raise ValueError(f"unknown certificate form {form!r}; choose one of {FORMS}")
-        chi = cert.chi(input.sup_norm)
-        # x + -0.0 == x for every float, signed zeros included: the implication
-        # bounds are phi and psi exactly.
-        threshold, cap, slack = ((chi, cert.alpha3(input.sup_norm), -0.0)
-                                 if form == "implication" else (-math.inf, math.inf, chi))
-        allowed = lambda p, v: cert.phi[p](v) + slack  # noqa: E731
-        bound = lambda p, v: cert.psi[p](v) + slack  # noqa: E731
-    times, states, modes, starts = traj.samples
-    values = _values(cert, traj)
-    out = []
-    if "sandwich" in kinds:
-        norms = np.linalg.norm(states, axis=1)
-        lo, hi = cert.alpha1(norms), cert.alpha2(norms)
-        below, above = lo > values + SANDWICH_TOL, values > hi + SANDWICH_TOL
-        for i in np.flatnonzero(below | above):
-            if below[i]:
-                out.append(_report("sandwich", times[i], modes[i], lo[i], values[i]))
-            if above[i]:
-                out.append(_report("sandwich", times[i], modes[i], values[i], hi[i]))
-    if "flow" in kinds:
-        out += _flow_reports(traj, values, allowed, threshold, dini_coeff)
-    if "jump" in kinds:
-        # Segment k starts at the post-jump state of the jump ending k - 1.
-        out += _jump_reports(traj, values[starts[1:] - 1], values[starts[1:]],
-                             threshold, bound, cap)
-    return out
-
-
 def check_trajectory(
     cert: Certificate,
     traj: Trajectory,
@@ -179,42 +149,34 @@ def check_trajectory(
     dini_coeff: float = DEFAULT_DINI_COEFF,
 ) -> list[ViolationReport]:
     """Sandwich, flow and jump reports of one certificate form (see
-    :data:`FORMS`), in that order, from one evaluation of V per sample."""
-    return _reports(cert, traj, ("sandwich", "flow", "jump"), input, form, dini_coeff)
-
-
-def check_sandwich(cert: Certificate, traj: Trajectory) -> list[ViolationReport]:
-    """Verify alpha1(||x||) <= V(t,x) <= alpha2(||x||) at every sample."""
-    return _reports(cert, traj, ("sandwich",))
-
-
-def check_flow_implication(
-    cert: Certificate,
-    traj: Trajectory,
-    input: InputSignal,
-    dini_coeff: float = DEFAULT_DINI_COEFF,
-) -> list[ViolationReport]:
-    """Threshold-gated flow decrease: above chi(||u||inf) the forward
-    finite-difference slope of V must not exceed phi(V) plus a tolerance
-    linear in the step."""
-    return _reports(cert, traj, ("flow",), input, "implication", dini_coeff)
-
-
-def check_jump_implication(
-    cert: Certificate, traj: Trajectory, input: InputSignal
-) -> list[ViolationReport]:
-    """At each jump: bounded by psi(V-) above the threshold, by alpha3 below."""
-    return _reports(cert, traj, ("jump",), input, "implication")
-
-
-def check_dissipation(
-    cert: Certificate,
-    traj: Trajectory,
-    input: InputSignal,
-    dini_coeff: float = DEFAULT_DINI_COEFF,
-) -> list[ViolationReport]:
-    """Dissipation form: additive chi(||u||inf) slack, no threshold gating."""
-    return _reports(cert, traj, ("flow", "jump"), input, "dissipation", dini_coeff)
+    :data:`FORMS`), in that order, from one evaluation of V per sample.  The
+    implication form gates at chi(||u||inf) and caps jumps below it by
+    alpha3; the dissipation form adds chi to both bounds, gating nothing."""
+    if form not in FORMS:
+        raise ValueError(f"unknown certificate form {form!r}; choose one of {FORMS}")
+    chi = cert.chi(input.sup_norm)
+    # x + -0.0 == x for every float, signed zeros included: the implication
+    # bounds are phi and psi exactly.
+    threshold, cap, slack = ((chi, cert.alpha3(input.sup_norm), -0.0)
+                             if form == "implication" else (-math.inf, math.inf, chi))
+    allowed = lambda p, v: cert.phi[p](v) + slack  # noqa: E731
+    bound = lambda p, v: cert.psi[p](v) + slack  # noqa: E731
+    times, states, modes, starts = traj.samples
+    values = _values(cert, traj)
+    out = []
+    norms = np.linalg.norm(states, axis=1)
+    lo, hi = cert.alpha1(norms), cert.alpha2(norms)
+    below, above = lo > values + SANDWICH_TOL, values > hi + SANDWICH_TOL
+    for i in np.flatnonzero(below | above):
+        if below[i]:
+            out.append(_report("sandwich", times[i], modes[i], lo[i], values[i]))
+        if above[i]:
+            out.append(_report("sandwich", times[i], modes[i], values[i], hi[i]))
+    out += _flow_reports(traj, values, allowed, threshold, dini_coeff)
+    # Segment k starts at the post-jump state of the jump ending k - 1.
+    out += _jump_reports(traj, values[starts[1:] - 1], values[starts[1:]],
+                         threshold, bound, cap)
+    return out
 
 
 def closed_form_dwell(eta_before: float, eta_after: float, mu: float,

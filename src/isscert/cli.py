@@ -7,7 +7,8 @@ the flags; each command computes and writes, and the failures it lets
 through reach their exit code and stderr prefix through the one
 ``FAILURES`` table in ``main``.  Exit codes: 0 ok, 1 config error
 (including a negative ``--seed`` and an ``--out`` that cannot be a
-directory), 2 non-finite state (and argparse's usage errors), 3 violations (including a signal that breaks the dwell preconditions of
+directory), 2 non-finite state (and argparse's usage errors), 3 violations
+(including a signal that breaks the dwell preconditions of
 ``construct``), 4 structural precondition failure (including bound
 envelopes that do not enclose the certificate's flow rates, or whose
 transform image is bounded above when the dwell slack C is positive),

@@ -188,14 +188,3 @@ def decrease_check(
                + _jump_reports(traj, ws[pre], w_post, threshold, lambda p, w: w, cap))
     ws[post] = w_post
     return reports, list(zip(times.tolist(), values.tolist(), ws.tolist(), hs.tolist()))
-
-
-def certify_decrease(
-    dec: DecreasingCertificate,
-    traj: Trajectory,
-    input: InputSignal,
-    dini_coeff: float = DEFAULT_DINI_COEFF,
-) -> list[ViolationReport]:
-    """Monotonicity checks for the constructed function along a trajectory;
-    the reports of :func:`decrease_check`."""
-    return decrease_check(dec, traj, input, dini_coeff)[0]

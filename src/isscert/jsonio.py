@@ -397,6 +397,9 @@ def parse_lmi(cfg: dict):
     model = parse_model(_require(cfg, "system", "config"))
     lcfg = _require(cfg, "lmi", "config")
     partition = parse_partition(_require(lcfg, "partition", "lmi"), "lmi.partition")
+    missing = sorted(set(model.A) - partition.stable - partition.unstable)
+    if missing:
+        raise ConfigError(f"modes in neither class: {missing}", field="lmi.partition")
     dwell = parse_dwell(_require(lcfg, "dwell", "lmi"), "lmi.dwell", model.A)
     q_set = parse_mode_changes(_require(lcfg, "pairs", "lmi"), model.A)
     mode = lcfg.get("mode", "verify")

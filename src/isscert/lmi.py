@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .certify import ViolationReport, _report
+from .certify import DWELL_TOL, ViolationReport, _report
 from .errors import AsymmetricError
 from .simulate import LinearSystemModel
 from .switching import DwellSpec, ModeChangeSet, ModePartition
@@ -166,17 +166,6 @@ def check_blocks(model: LinearSystemModel, qc: QuadraticCertificate,
     return _decide(model, qc.M, qc.Q, qc.eta, qc.mu, sorted(q_set.pairs))
 
 
-def check_flow_lmi(model: LinearSystemModel, qc: QuadraticCertificate,
-                   p: str) -> tuple[bool, float]:
-    """Flow dissipation block test for mode p; returns (ok, max eigenvalue)."""
-    return is_negative_semidefinite(flow_blocks(model, qc.M, qc.Q, qc.eta, [p])[0])
-
-
-def check_jump_lmi(model: LinearSystemModel, qc: QuadraticCertificate,
-                   pair: tuple[str, str]) -> tuple[bool, float]:
-    """Jump contraction block test for the mode change (new p, old q)."""
-    return is_negative_semidefinite(jump_blocks(model, qc.M, qc.Q, qc.mu, [pair])[0])
-
 def _safe_div(a: float, b: float) -> float:
     if b != 0.0:
         return a / b
@@ -209,7 +198,7 @@ def check_rate_conditions(
                 continue
             lhs = log_ratio
             rhs = tau_q * (1 - dwell.delta)
-            if lhs > rhs + PSD_TOL:
+            if lhs > rhs + DWELL_TOL:
                 out.append(_report("rate-dwell", math.nan, f"{p}<-{q}", lhs, rhs))
         else:
             if eta_q < 0:
@@ -217,7 +206,7 @@ def check_rate_conditions(
                 continue
             lhs = tau_q * (1 + dwell.delta)
             rhs = -log_ratio
-            if lhs > rhs + PSD_TOL:
+            if lhs > rhs + DWELL_TOL:
                 out.append(_report("rate-dwell", math.nan, f"{p}<-{q}", lhs, rhs))
     return out
 

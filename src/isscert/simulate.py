@@ -161,32 +161,14 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class JumpRecord:
-    time: float
-    pre_state: np.ndarray
-    post_state: np.ndarray
-    mode_before: str
-    mode_after: str
-    u_pre: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Piecewise record of a simulated run, right-continuous at jumps."""
+    """Piecewise record of a simulated run, right-continuous at jumps: the
+    jump at each switching instant takes the last sample of one segment to
+    the first sample of the next."""
 
     segments: tuple[Segment, ...]
     input: InputSignal
     step: float
-
-    @cached_property
-    def jump_records(self) -> tuple[JumpRecord, ...]:
-        """The jump into each later segment k, read off the segments: at the
-        first time of segment k, from the last sample of segment k - 1 to the
-        first of segment k, with the input sampled half a step before."""
-        return tuple(
-            JumpRecord(float(seg.times[0]), prev.states[-1], seg.states[0], prev.mode, seg.mode,
-                       self.input(float(seg.times[0]) - self.step / 2))
-            for prev, seg in zip(self.segments, self.segments[1:]))
 
     @property
     def t0(self) -> float:
@@ -215,12 +197,6 @@ class Trajectory:
     def jump_flags(self) -> np.ndarray:
         """1 at each later segment's first sample (post-jump, at t_i), else 0."""
         return np.isin(np.arange(len(self.samples[0])), self.samples[3][1:]).astype(int)
-
-    def rows(self):
-        """Flat (t, mode, x, jump_flag) rows over ``samples``; the first sample
-        of each later segment is the flagged post-jump row at t_i."""
-        times, states, modes, _ = self.samples
-        return list(zip(times.tolist(), modes.tolist(), states, self.jump_flags().tolist()))
 
 
 def _grid(t_start, t_end, step):

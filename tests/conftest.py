@@ -86,6 +86,23 @@ def mismatches(got, want) -> list:
     return [(i, got.flat[i], want.flat[i]) for i in np.flatnonzero(~ok)][:5]
 
 
+def of_kind(reports, *kinds) -> list:
+    """The reports of ``kinds``, in their order."""
+    return [r for r in reports if r.kind in kinds]
+
+
+def jumps(traj) -> list:
+    """(time, mode before, mode after, pre-jump state, post-jump state) of each
+    jump of ``traj``, read off ``traj.samples``: the last sample of a segment
+    and the first sample of the next."""
+    times, states, modes, starts = traj.samples
+    return [(float(times[k]), str(modes[k - 1]), str(modes[k]), states[k - 1], states[k])
+            for k in starts[1:].tolist()]
+
+
+# The report kinds of the jump rule, above and below the threshold.
+JUMP_KINDS = ("jump", "small-input-jump")
+
 FAMILY_A_GRID = tuple(np.logspace(0.0, 4.0, 9))
 FAMILY_ENVELOPES = (iss.linear_rate(1.0), iss.linear_rate(2.0))
 

@@ -18,7 +18,7 @@
   ``ComparisonFunction.inverse`` in ``isscert.rates``.
 * The ISS bound per sample: ``beta_tilde``/``beta`` as scalar closures over
   the scalar transform and comparison inverses, and the ISS check as a
-  loop over ``Trajectory.rows()`` with one ``beta`` call per sample.  These
+  loop over ``Trajectory.samples`` with one ``beta`` call per sample.  These
   are the earlier library implementations, kept as oracles for the
   elementwise ``beta`` and the array ``iss_check`` in ``isscert.bounds``.
 * The CSV writer one cell at a time: ``write_csv_per_cell`` formats each
@@ -284,7 +284,8 @@ def iss_rows(bound, traj, x0, input):
     g = bound.gamma(input.sup_norm)
     out = []
     max_margin = -math.inf
-    for t, mode, x, _ in traj.rows():
+    times, states, modes, _ = traj.samples
+    for t, mode, x in zip(times.tolist(), modes.tolist(), states):
         rhs = bound.beta(r0, t - t0) + g
         lhs = float(np.linalg.norm(x))
         max_margin = max(max_margin, lhs - rhs)
@@ -437,11 +438,10 @@ class ScalarPhiTransform:
         return math.inf
 
 
-def _segment_values(cert, traj, ends_only: bool = False):
-    """Per segment, V of its mode at each sample (first and last if ends_only)."""
-    idx = [0, -1] if ends_only else slice(None)
-    return [[float(cert.V[seg.mode](t, x))
-             for t, x in zip(seg.times[idx].tolist(), seg.states[idx])] for seg in traj.segments]
+def _segment_values(cert, traj):
+    """Per segment, V of its mode at each sample."""
+    return [[float(cert.V[seg.mode](t, x)) for t, x in zip(seg.times.tolist(), seg.states)]
+            for seg in traj.segments]
 
 
 def _flow_reports(mode, ts, vs, allowed, threshold, dini_coeff):
@@ -466,32 +466,29 @@ def _jump_report(time, mode, pre, post, threshold, bound, cap):
     return [_report(kind, time, mode, post, rhs)] if post > rhs + JUMP_TOL * (1 + abs(rhs)) else []
 
 
-def trajectory_reports(cert, traj, kinds, input=None, form="implication", dini_coeff=None):
-    """``certify._reports``: reports of ``kinds`` (in the order sandwich,
-    flow, jump) by a loop over the segments and their samples."""
-    if input is not None:
-        if form not in FORMS:
-            raise ValueError(f"unknown certificate form {form!r}; choose one of {FORMS}")
-        chi = cert.chi(input.sup_norm)
-        threshold, cap, slack = ((chi, cert.alpha3(input.sup_norm), -0.0)
-                                 if form == "implication" else (-math.inf, math.inf, chi))
-        allowed = lambda p, v: cert.phi[p](v) + slack  # noqa: E731
-        bound = lambda p, v: cert.psi[p](v) + slack  # noqa: E731
-    values = _segment_values(cert, traj, ends_only=kinds == ("jump",))
+def trajectory_reports(cert, traj, input, form, dini_coeff):
+    """``certify.check_trajectory``: sandwich, flow and jump reports, in that
+    order, by a loop over the segments and their samples."""
+    if form not in FORMS:
+        raise ValueError(f"unknown certificate form {form!r}; choose one of {FORMS}")
+    chi = cert.chi(input.sup_norm)
+    threshold, cap, slack = ((chi, cert.alpha3(input.sup_norm), -0.0)
+                             if form == "implication" else (-math.inf, math.inf, chi))
+    allowed = lambda p, v: cert.phi[p](v) + slack  # noqa: E731
+    bound = lambda p, v: cert.psi[p](v) + slack  # noqa: E731
+    values = _segment_values(cert, traj)
     sandwich, flows, jumps = [], [], []
     for k, (seg, vs) in enumerate(zip(traj.segments, values)):
         ts = seg.times.tolist()
-        if "sandwich" in kinds:
-            for t, x, v in zip(ts, seg.states, vs):
-                nx = float(np.linalg.norm(x))
-                lo, hi = cert.alpha1(nx), cert.alpha2(nx)
-                if lo > v + SANDWICH_TOL:
-                    sandwich.append(_report("sandwich", t, seg.mode, lo, v))
-                if v > hi + SANDWICH_TOL:
-                    sandwich.append(_report("sandwich", t, seg.mode, v, hi))
-        if "flow" in kinds:
-            flows += _flow_reports(seg.mode, ts, vs, allowed, threshold, dini_coeff)
-        if "jump" in kinds and k:
+        for t, x, v in zip(ts, seg.states, vs):
+            nx = float(np.linalg.norm(x))
+            lo, hi = cert.alpha1(nx), cert.alpha2(nx)
+            if lo > v + SANDWICH_TOL:
+                sandwich.append(_report("sandwich", t, seg.mode, lo, v))
+            if v > hi + SANDWICH_TOL:
+                sandwich.append(_report("sandwich", t, seg.mode, v, hi))
+        flows += _flow_reports(seg.mode, ts, vs, allowed, threshold, dini_coeff)
+        if k:
             # Segment k starts at the post-jump state of the jump ending k - 1.
             jumps += _jump_report(ts[0], traj.segments[k - 1].mode,
                                   values[k - 1][-1], vs[0], threshold, bound, cap)

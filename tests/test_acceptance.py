@@ -16,7 +16,7 @@ from scipy.linalg import expm
 
 import isscert as iss
 
-from conftest import make_family_model, make_family_signal
+from conftest import JUMP_KINDS, jumps, make_family_model, make_family_signal, of_kind
 
 
 _CAPTURE = None
@@ -189,7 +189,7 @@ def test_acceptance_3_iss_bound(seeded_family_runs):
                             iss.linear_rate(2.0))
     total = 0
     for x0, inp, traj in runs:
-        total += len(iss.certify_iss(bound, traj, x0, inp))
+        total += len(iss.iss_check(bound, traj, x0, inp)[0])
     _verdict(3, total == 0, f"{total} sample violations")
 
 
@@ -208,9 +208,10 @@ def test_acceptance_4_decreasing_function(seeded_family_runs):
     instants = set(sig.instants)
     total = 0
     for x0, inp, traj in runs:
-        total += len(iss.certify_decrease(dec, traj, inp))
+        total += len(iss.decrease_check(dec, traj, inp)[0])
         if ok:
-            for t, mode, x, _ in traj.rows()[::25]:
+            times, states, modes, _ = traj.samples
+            for t, mode, x in list(zip(times.tolist(), modes.tolist(), states))[::25]:
                 if t in instants:
                     continue
                 v = float(cert.V[mode](t, x))
@@ -264,14 +265,15 @@ def test_acceptance_5_form_conversion():
         x0 = [rng.uniform(-5.0, 5.0)]
         traj = iss.simulate(model, sig, x0, inp, 1e-3)
 
-        if iss.check_dissipation(base, traj, inp):
+        if of_kind(iss.check_trajectory(base, traj, inp, "dissipation"), "flow", "jump"):
             continue  # criterion only binds where the original passes
         checked += 1
-        flow = iss.check_flow_implication(conv, traj, inp)
-        jumps = iss.check_jump_implication(conv, traj, inp)
-        if flow or jumps:
+        reports = iss.check_trajectory(conv, traj, inp)
+        flow = of_kind(reports, "flow")
+        jump = of_kind(reports, *JUMP_KINDS)
+        if flow or jump:
             ok = False
-            detail = f"trial {trial}: {len(flow)} flow / {len(jumps)} jump"
+            detail = f"trial {trial}: {len(flow)} flow / {len(jump)} jump"
             break
         # Converted dwell margin at delta' = delta / 2, evaluated directly.
         first, second = iss.closed_form_dwell(
@@ -328,13 +330,12 @@ def test_acceptance_6_lmi_chain():
             if not ok:
                 break
         if ok:
-            for jr in traj.jump_records:
-                q, p = jr.mode_before, jr.mode_after
-                v_pre = float(jr.pre_state @ qc.M[q] @ jr.pre_state)
-                v_post = float(jr.post_state @ qc.M[p] @ jr.post_state)
-                u = jr.u_pre
+            for t, q, p, pre, post in jumps(traj):
+                v_pre = float(pre @ qc.M[q] @ pre)
+                v_post = float(post @ qc.M[p] @ post)
+                u = inp(t - traj.step / 2)  # the input the jump map saw
                 if v_post > qc.mu[q] * v_pre + float(u @ qc.Q[q] @ u) + 1e-9:
-                    ok, detail = False, f"jump dissipation at t={jr.time}"
+                    ok, detail = False, f"jump dissipation at t={t}"
                     break
     if ok:
         scalar = iss.LinearSystemModel(
@@ -346,8 +347,8 @@ def test_acceptance_6_lmi_chain():
         if isinstance(res, iss.Infeasible):
             ok, detail = False, "scalar synthesis infeasible"
         else:
-            ok = (iss.check_flow_lmi(scalar, res, "a")[0]
-                  and iss.check_jump_lmi(scalar, res, ("a", "a"))[0]
+            flow, jump = iss.check_blocks(scalar, res, qs1)
+            ok = (flow["a"][0] and jump[("a", "a")][0]
                   and not iss.check_rate_conditions(res, part1, dwell1, qs1))
             if not ok:
                 detail = "scalar certificate fails a check"

@@ -173,7 +173,7 @@ class TestCertifyIss:
         x0 = [5.0]
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             x0, iss.zero_input(), 1e-3)
-        assert iss.certify_iss(bound, traj, x0, iss.zero_input()) == []
+        assert iss_check(bound, traj, x0, iss.zero_input())[0] == []
         self._same_as_row_loop(bound, traj, x0, iss.zero_input(),
                                scalar_beta(cert, cert.dwell, *FAMILY_ENVELOPES)[1])
 
@@ -183,7 +183,7 @@ class TestCertifyIss:
         inp = iss.sinusoid_input([1.0], omega=1.5)
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             x0, inp, 1e-3)
-        assert iss.certify_iss(bound, traj, x0, inp) == []
+        assert iss_check(bound, traj, x0, inp)[0] == []
         self._same_as_row_loop(bound, traj, x0, inp,
                                scalar_beta(cert, cert.dwell, *FAMILY_ENVELOPES)[1])
 
@@ -215,6 +215,6 @@ class TestCertifyIss:
         x0 = [5.0]
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             x0, iss.zero_input(), 1e-3)
-        reports = iss.certify_iss(tiny, traj, x0, iss.zero_input())
+        reports = iss_check(tiny, traj, x0, iss.zero_input())[0]
         assert reports and all(r.kind == "iss" for r in reports)
         self._same_as_row_loop(tiny, traj, x0, iss.zero_input())

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isscert as iss
+from isscert.certify import DEFAULT_DINI_COEFF, FORMS
 from isscert.construct import decrease_check
 from isscert.errors import DegenerateGapError, SignAmbiguousError
 from isscert.simulate import Segment, Trajectory
 
-from conftest import make_family_certificate, make_family_model, make_family_signal
+from conftest import JUMP_KINDS, make_family_certificate, make_family_model, of_kind
+import oracles
 
 
 def scalar_cert(eta=-1.0, psi_eta=0.5, tau=1.0, delta=0.5, chi_c=1.0):
@@ -47,13 +49,13 @@ class TestSandwich:
     def test_exact_envelope_passes(self):
         cert = scalar_cert()
         traj, inp = scalar_traj()
-        assert iss.check_sandwich(cert, traj) == []
+        assert of_kind(iss.check_trajectory(cert, traj, inp), "sandwich") == []
 
     def test_violation_reported(self):
         cert = scalar_cert()
         object.__setattr__(cert, "alpha1", iss.power_cf(2.0, 2.0))  # above V = x^2
         traj, inp = scalar_traj()
-        reports = iss.check_sandwich(cert, traj)
+        reports = of_kind(iss.check_trajectory(cert, traj, inp), "sandwich")
         assert reports and all(r.kind == "sandwich" for r in reports)
         assert all(r.margin > 0 for r in reports)
 
@@ -63,12 +65,12 @@ class TestFlowImplication:
         # V = x^2, flow a = -1 gives exactly dV/dt = -2 V with zero input.
         cert = scalar_cert(eta=-2.0)
         traj, inp = scalar_traj(a=-1.0)
-        assert iss.check_flow_implication(cert, traj, inp) == []
+        assert of_kind(iss.check_trajectory(cert, traj, inp), "flow") == []
 
     def test_too_fast_rate_fails(self):
         cert = scalar_cert(eta=-3.0)
         traj, inp = scalar_traj(a=-1.0)
-        reports = iss.check_flow_implication(cert, traj, inp)
+        reports = of_kind(iss.check_trajectory(cert, traj, inp), "flow")
         assert reports and all(r.kind == "flow" for r in reports)
 
     def test_threshold_gates_small_values(self):
@@ -76,7 +78,7 @@ class TestFlowImplication:
         # so a wrong rate goes unchecked.
         cert = scalar_cert(eta=-3.0, chi_c=100.0)
         traj, inp = scalar_traj(a=-1.0, x0=0.5, u=iss.constant_input([1.0]))
-        assert iss.check_flow_implication(cert, traj, inp) == []
+        assert of_kind(iss.check_trajectory(cert, traj, inp), "flow") == []
 
     def test_dini_tolerance_shrinks_with_step(self):
         # A marginal violation hides under the step-linear tolerance at a
@@ -84,27 +86,27 @@ class TestFlowImplication:
         cert = scalar_cert(eta=-2.001)
         coarse, inp = scalar_traj(a=-1.0, step=0.1)
         fine, _ = scalar_traj(a=-1.0, step=1e-4)
-        assert iss.check_flow_implication(cert, coarse, inp) == []
-        assert iss.check_flow_implication(cert, fine, inp) != []
+        assert of_kind(iss.check_trajectory(cert, coarse, inp), "flow") == []
+        assert of_kind(iss.check_trajectory(cert, fine, inp), "flow") != []
 
 
 class TestJumpImplication:
     def test_contraction_passes(self):
         cert = scalar_cert(psi_eta=0.5)
         traj, inp = scalar_traj(instants=(0.5,), j=0.1)  # V jumps by 0.01
-        assert iss.check_jump_implication(cert, traj, inp) == []
+        assert of_kind(iss.check_trajectory(cert, traj, inp), *JUMP_KINDS) == []
 
     def test_expansion_fails(self):
         cert = scalar_cert(psi_eta=0.5)
         traj, inp = scalar_traj(instants=(0.5,), j=0.9)  # V jumps by 0.81 > 0.5
-        reports = iss.check_jump_implication(cert, traj, inp)
+        reports = of_kind(iss.check_trajectory(cert, traj, inp), *JUMP_KINDS)
         assert reports and reports[0].kind == "jump"
 
     def test_small_input_branch(self):
         cert = scalar_cert(psi_eta=1e-6, chi_c=100.0)
         traj, inp = scalar_traj(x0=0.1, u=iss.constant_input([1.0]), instants=(0.5,), j=1.0)
         # Pre-jump V sits below chi(1) = 100; post-jump V <= alpha3(1) = 1.
-        assert iss.check_jump_implication(cert, traj, inp) == []
+        assert of_kind(iss.check_trajectory(cert, traj, inp), *JUMP_KINDS) == []
 
 
 class TestDissipation:
@@ -113,14 +115,15 @@ class TestDissipation:
         # checked empirically: a generous chi absorbs the cross term.
         cert = scalar_cert(eta=-2.0, chi_c=10.0)
         traj, inp = scalar_traj(a=-1.0, u=iss.constant_input([1.0]))
-        assert iss.check_dissipation(cert, traj, inp) == []
+        assert of_kind(iss.check_trajectory(cert, traj, inp, "dissipation"), "flow", "jump") == []
 
     def test_no_gating(self):
         # Unlike the implication form, small V values are still checked
         # (with the step tolerance suppressed so tiny slopes are visible).
         cert = scalar_cert(eta=-5.0, chi_c=1e-9)
         traj, inp = scalar_traj(a=-1.0, x0=0.01)
-        assert iss.check_dissipation(cert, traj, inp, dini_coeff=0.0) != []
+        assert of_kind(iss.check_trajectory(cert, traj, inp, "dissipation", dini_coeff=0.0),
+                       "flow", "jump") != []
 
 
 class TestClosedFormDwell:
@@ -323,32 +326,13 @@ def every_kind_case():
 
 
 class TestCheckTrajectory:
-    def test_implication_equals_the_separate_checks(self):
-        cert, traj, inp = every_kind_case()
-        reports = iss.check_trajectory(cert, traj, inp, dini_coeff=1.0)
-        assert {r.kind for r in reports} == {"sandwich", "flow", "jump", "small-input-jump"}
-        assert reports == (iss.check_sandwich(cert, traj)
-                           + iss.check_flow_implication(cert, traj, inp, dini_coeff=1.0)
-                           + iss.check_jump_implication(cert, traj, inp))
-
-    def test_dissipation_equals_the_separate_checks(self):
-        cert, traj, inp = every_kind_case()
-        reports = iss.check_trajectory(cert, traj, inp, form="dissipation", dini_coeff=1.0)
-        assert {r.kind for r in reports} == {"sandwich", "flow", "jump"}
-        assert reports == (iss.check_sandwich(cert, traj)
-                           + iss.check_dissipation(cert, traj, inp, dini_coeff=1.0))
-
     def test_family_certificate(self, family_signal, family_certificate):
         traj = iss.simulate(make_family_model(), family_signal, [3.0],
                             iss.sinusoid_input([0.8], omega=1.3), 1e-3)
         inp = traj.input
-        for form, parts in (("implication", (iss.check_flow_implication,
-                                             iss.check_jump_implication)),
-                            ("dissipation", (iss.check_dissipation,))):
-            expected = iss.check_sandwich(family_certificate, traj)
-            for check in parts:
-                expected += check(family_certificate, traj, inp)
-            assert iss.check_trajectory(family_certificate, traj, inp, form) == expected
+        for form in FORMS:
+            assert iss.check_trajectory(family_certificate, traj, inp, form) == \
+                oracles.trajectory_reports(family_certificate, traj, inp, form, DEFAULT_DINI_COEFF)
 
     def test_v_evaluated_once_per_sample(self):
         # V is elementwise over the rows of x: every sample is passed to it
@@ -419,7 +403,8 @@ class TestRelativeJumpTolerance:
     @pytest.mark.parametrize("excess, flagged", [(1e-10, False), (1e-6, True)])
     def test_certify(self, excess, flagged):
         _, traj = jump_trajectory(self.RHS, self.RHS * (1 + excess))
-        reports = iss.check_jump_implication(self.certificate(), traj, iss.zero_input())
+        reports = of_kind(iss.check_trajectory(self.certificate(), traj, iss.zero_input()),
+                          *JUMP_KINDS)
         assert bool(reports) == flagged
         assert all(r.kind == "jump" and r.rhs == self.RHS for r in reports)
 

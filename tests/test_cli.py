@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ class TestSimulate:
                      zero_input(), 1e-3)
         ref = exc.value.partial
         lines = (out / "trajectory.csv").read_text().splitlines()
-        assert len(lines) == 1 + len(ref.rows())
+        assert len(lines) == 1 + len(ref.samples[0])
         assert lines[-1].split(",")[0] == f"{ref.horizon:.17g}"
 
 
@@ -496,6 +497,17 @@ class TestArguments:
         assert "usage: isscert" in capsys.readouterr().err
 
 
+def test_every_failure_has_a_documented_exit_code():
+    """Each entry of ``cli.FAILURES`` has a row for its code in README's
+    exit-code table that names the exception and its stderr prefix."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\d+)` \| ([^|]*) \|", readme, re.M)
+    assert rows
+    for error, (code, prefix) in cli.FAILURES.items():
+        assert any(int(c) == code and f"`{error.__name__}`" in cell and f"`{prefix}: " in cell
+                   for c, cell in rows), error.__name__
+
+
 def malformed_config(command):
     cfg = base_config()
     if command == "lmi":
@@ -617,6 +629,15 @@ MALFORMED_SECTIONS = [
     pytest.param("construct", {"certificate.psi.s": {"kind": "tabulated",
                                                      "points": [[1, -0.01], [2, 0.02]]}},
                  "certificate.psi.s", id="psi-changes-sign"),
+    # A partition that leaves out mode u: neither the sign check nor either
+    # dwell budget counted it, so T_U = 0 passed where u's leave slack is 0.25
+    # (certify and construct exited 0), and the lmi search treated u as unstable.
+    *(pytest.param(cmd, {"certificate.partition.unstable": [], "certificate.dwell.T_U": 0},
+                   "certificate", id=f"{cmd}-partition-misses-a-mode")
+      for cmd in ("certify", "construct")),
+    *(pytest.param("lmi", {**edits, "lmi.partition.unstable": []}, "lmi.partition",
+                   id=f"lmi-{mode}-partition-misses-a-mode")
+      for mode, edits in (("synth", {}), ("verify", lmi_verify()))),
 ]
 
 

@@ -91,7 +91,8 @@ class TestComposition:
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             [5.0], iss.zero_input(), 1e-3)
         instants = set(family_signal.instants)
-        for t, mode, x, flag in traj.rows():
+        times, states, modes, _ = traj.samples
+        for t, mode, x in zip(times.tolist(), modes.tolist(), states):
             if t in instants:
                 continue
             v = float(family_certificate.V[mode](t, x))
@@ -146,15 +147,15 @@ class TestCertifyDecrease:
         # h(2.25) = 0; with the right limit W jumps up by e^{0.3} over the
         # final step and a spurious flow violation appears at t = 2.2498.
         dec, traj = acceptance9_case()
-        assert iss.certify_decrease(dec, traj, iss.zero_input()) == []
+        assert decrease_check(dec, traj, iss.zero_input())[0] == []
 
     def test_rows_follow_trajectory_rows(self):
         dec, traj = acceptance9_case()
         _, rows = decrease_check(dec, traj, iss.zero_input())
-        traj_rows = traj.rows()
-        assert [r[0] for r in rows] == [r[0] for r in traj_rows]
+        times = traj.samples[0].tolist()
+        assert [r[0] for r in rows] == times
         instants = dec.sig.instants
-        for i, (t, _, _, flag) in enumerate(traj_rows):
+        for i, (t, flag) in enumerate(zip(times, traj.jump_flags().tolist())):
             if flag:
                 assert t in instants
                 # Pre-jump row: left limit; post-jump row: right limit.
@@ -168,7 +169,7 @@ class TestCertifyDecrease:
                                    a_grid=[1.0, 100.0, 1e4])
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             [5.0], iss.zero_input(), 1e-3)
-        assert iss.certify_decrease(dec, traj, iss.zero_input()) == []
+        assert decrease_check(dec, traj, iss.zero_input())[0] == []
 
     def test_family_bounded_input(self, family_signal, family_certificate, family_model):
         dec = iss.build_decreasing(family_certificate, family_signal,
@@ -176,14 +177,14 @@ class TestCertifyDecrease:
         inp = iss.sinusoid_input([0.8], omega=2.0)
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             [8.0], inp, 1e-3)
-        assert iss.certify_decrease(dec, traj, inp) == []
+        assert decrease_check(dec, traj, inp)[0] == []
 
     def test_zero_trajectory(self, family_signal, family_certificate, family_model):
         dec = iss.build_decreasing(family_certificate, family_signal,
                                    a_grid=[1.0])
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             [0.0], iss.zero_input(), 1e-3)
-        assert iss.certify_decrease(dec, traj, iss.zero_input()) == []
+        assert decrease_check(dec, traj, iss.zero_input())[0] == []
 
     def test_fabricated_jump_violation(self, family_signal, family_certificate):
         # An expanding jump map breaks the non-increase requirement at
@@ -198,5 +199,5 @@ class TestCertifyDecrease:
         )
         traj = iss.simulate(model.to_system_model(), family_signal,
                             [5.0], iss.zero_input(), 1e-3)
-        reports = iss.certify_decrease(dec, traj, iss.zero_input())
+        reports = decrease_check(dec, traj, iss.zero_input())[0]
         assert reports and any(r.kind == "jump" for r in reports)

@@ -4,10 +4,13 @@ SciPy stays off the import path: every transform is closed-form, and only
 ``lmi.synthesize`` loads ``scipy.linalg``, when it runs.  Those checks run in
 a fresh interpreter, since the test process itself has loaded SciPy for the
 oracles.  Every name ``isscert`` exports has a user: the package itself, the
-acceptance gate or the README.
+acceptance gate or the README.  The benchmark's tracer finds every name it
+patches and puts each one back.
 """
 
 import ast
+import importlib
+import importlib.util
 import json
 import re
 import subprocess
@@ -73,3 +76,37 @@ def test_every_export_has_a_user():
               and not re.search(rf"\biss\.{name}\b", acceptance)
               and not re.search(rf"\biss\.{name}\b|`{name}`", readme)]
     assert exported and not unused
+
+
+def test_bench_tracer_restores_what_it_patches():
+    """``bench/tracing.py`` patches the layer functions, the class attributes
+    ``DecreasingCertificate.h``, ``PhiTransform.value``/``inverse`` and
+    ``SwitchingSignal.events``, reading each through ``__dict__``: a deleted
+    one makes ``install`` raise.  After ``uninstall`` every binding it
+    patched holds its original object again."""
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from isscert.construct import DecreasingCertificate
+    from isscert.rates import PhiTransform
+    from isscert.switching import SwitchingSignal
+
+    modules = [importlib.import_module("isscert"),
+               *(importlib.import_module(f"isscert.{layer}") for layer in tracing.LAYERS)]
+    spaces = [vars(m) for m in modules]
+    spaces += [v for space in spaces[:len(modules)] for k, v in space.items()
+               if isinstance(v, dict) and not k.startswith("__")]
+    spaces += [vars(c) for c in (DecreasingCertificate, PhiTransform, SwitchingSignal)]
+
+    def bindings():
+        return [(k, id(v)) for space in spaces for k, v in list(space.items())]
+
+    before = bindings()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer._patches and bindings() != before
+    finally:
+        tracer.uninstall()
+    assert tracer._patches == [] and bindings() == before

@@ -22,6 +22,13 @@ def scalar_qc(eta=-1.0, mu=0.25, m=1.0, q=1.0):
     )
 
 
+def verdicts(model, qc, pair=("a", "a")):
+    """The flow verdict of every mode and the jump verdict of ``pair`` (new
+    mode, old mode), from ``check_blocks`` with ``pair`` as the one mode change."""
+    flow, jump = iss.check_blocks(model, qc, iss.ModeChangeSet(frozenset({pair})))
+    return flow, jump[pair]
+
+
 class TestJacobi:
     def test_oracle_random(self):
         rng = np.random.default_rng(11)
@@ -88,28 +95,25 @@ class TestFlowBlock:
         model, qc = scalar_system(), scalar_qc(eta=-1.0)
         block = iss.flow_blocks(model, qc.M, qc.Q, qc.eta, ["a"])[0]
         assert iss.jacobi_eigenvalues(block) == pytest.approx([-2.0, 0.0])
-        ok, top = iss.check_flow_lmi(model, qc, "a")
+        ok, top = verdicts(model, qc)[0]["a"]
         assert ok and top == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_infeasible(self):
-        ok, top = iss.check_flow_lmi(scalar_system(), scalar_qc(eta=-2.0), "a")
+        ok, top = verdicts(scalar_system(), scalar_qc(eta=-2.0))[0]["a"]
         assert not ok and top > 0
 
 
 class TestJumpBlock:
     def test_scalar_feasible(self):
-        ok, top = iss.check_jump_lmi(scalar_system(j=0.5, h=0.0),
-                                     scalar_qc(mu=0.25), ("a", "a"))
+        ok, top = verdicts(scalar_system(j=0.5, h=0.0), scalar_qc(mu=0.25))[1]
         assert ok and top == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_infeasible(self):
-        ok, top = iss.check_jump_lmi(scalar_system(j=1.0, h=0.0),
-                                     scalar_qc(mu=0.5), ("a", "a"))
+        ok, top = verdicts(scalar_system(j=1.0, h=0.0), scalar_qc(mu=0.5))[1]
         assert not ok and top == pytest.approx(0.5)
 
     def test_identity_jump(self):
-        ok, _ = iss.check_jump_lmi(scalar_system(j=1.0, h=0.0),
-                                   scalar_qc(mu=1.0), ("a", "a"))
+        ok, _ = verdicts(scalar_system(j=1.0, h=0.0), scalar_qc(mu=1.0))[1]
         assert ok
 
 
@@ -188,15 +192,15 @@ class TestRescaling:
         M = np.array([[2.0, 0.3], [0.3, 1.0]])
         qc = iss.QuadraticCertificate(M={"a": M}, Q={"a": np.eye(1)},
                                       eta={"a": -0.5}, mu={"a": 0.5})
-        ok, _ = iss.check_flow_lmi(model, qc, "a")
+        ok, _ = verdicts(model, qc)[0]["a"]
         for c in (0.1, 3.0, 42.0):
             scaled = iss.QuadraticCertificate(
                 M={"a": c * M}, Q={"a": c * np.eye(1)},
                 eta={"a": -0.5}, mu={"a": 0.5})
-            ok_c, _ = iss.check_flow_lmi(model, scaled, "a")
+            ok_c, _ = verdicts(model, scaled)[0]["a"]
             assert ok_c == ok
-            ok_j, _ = iss.check_jump_lmi(model, scaled, ("a", "a"))
-            assert ok_j == iss.check_jump_lmi(model, qc, ("a", "a"))[0]
+            ok_j, _ = verdicts(model, scaled)[1]
+            assert ok_j == verdicts(model, qc)[1][0]
 
 
 class TestSynthesize:
@@ -214,9 +218,9 @@ class TestSynthesize:
         qc = iss.synthesize(model, part, qs, dwell)
         assert isinstance(qc, iss.QuadraticCertificate)
         assert qc.eta["a"] < 0
-        ok, _ = iss.check_flow_lmi(model, qc, "a")
+        ok, _ = verdicts(model, qc)[0]["a"]
         assert ok
-        ok, _ = iss.check_jump_lmi(model, qc, ("a", "a"))
+        ok, _ = verdicts(model, qc)[1]
         assert ok
 
     def test_marginal_mode_infeasible(self):
@@ -246,10 +250,10 @@ class TestSynthesize:
         qc = iss.synthesize(family_model, part, qs, dwell)
         assert isinstance(qc, iss.QuadraticCertificate)
         for p in ("s", "u"):
-            ok, _ = iss.check_flow_lmi(family_model, qc, p)
+            ok, _ = verdicts(family_model, qc, ("s", "u"))[0][p]
             assert ok
         for pair in (("u", "s"), ("s", "u")):
-            ok, _ = iss.check_jump_lmi(family_model, qc, pair)
+            ok, _ = verdicts(family_model, qc, pair)[1]
             assert ok
         assert iss.check_rate_conditions(qc, part, dwell, qs) == []
 
@@ -264,7 +268,7 @@ class TestSynthesize:
         edge = -(1 - 1e-9) / qc.M["s"][0, 0]
         assert 2 * family_model.A["s"][0, 0] < edge
         assert qc.eta["s"] == pytest.approx(0.99 * edge, rel=1e-15)
-        assert iss.check_flow_lmi(family_model, qc, "s")[0]
+        assert verdicts(family_model, qc, ("u", "s"))[0]["s"][0]
 
     def test_dissipation_along_trajectory(self, family_model, family_signal):
         # The flow block implies dV/dt <= eta V + u^T Q u pointwise; verify
@@ -366,10 +370,6 @@ class TestStackedBlocks:
         stack = iss.jump_blocks(model, bent.M, bent.Q, bent.mu, pairs)
         assert all(np.array_equal(stack[i], oracles.jump_block(model, bent, pair))
                    for i, pair in enumerate(pairs))
-        for p in modes:
-            assert iss.check_flow_lmi(model, bent, p) == flow[p]
-        for pair in pairs:
-            assert iss.check_jump_lmi(model, bent, pair) == jump[pair]
 
     def test_one_eigenvalue_call(self, monkeypatch):
         from isscert import lmi

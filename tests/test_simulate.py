@@ -8,6 +8,7 @@ from scipy.linalg import expm
 import isscert as iss
 from isscert.errors import NonFiniteError, StepTooLargeError
 from isscert.simulate import _doubling_powers, _flow, _step_map
+from conftest import jumps
 from oracles import linear_flow_stepwise
 
 
@@ -30,7 +31,7 @@ class TestFlows:
         sig = iss.SwitchingSignal(0.0, (), ("a",), 0.0)
         traj = iss.simulate(scalar_model(), sig, [3.0], iss.zero_input(), 1e-3)
         assert traj.final_state()[0] == 3.0
-        assert len(traj.segments) == 1 and not traj.jump_records
+        assert len(traj.segments) == 1 and not traj.jump_flags().any()
 
     def test_matrix_oracle(self):
         # Constant-input linear flow solved exactly through the augmented
@@ -63,10 +64,10 @@ class TestJumps:
         sig = iss.SwitchingSignal(0.0, (1.0,), ("a", "a"), 1.0)
         model = scalar_model(a=-1.0, j=0.1)
         traj = iss.simulate(model, sig, [1.0], iss.zero_input(), 1e-3)
-        jr = traj.jump_records[0]
-        assert jr.pre_state[0] == pytest.approx(math.exp(-1.0), abs=1e-10)
-        assert jr.post_state[0] == pytest.approx(0.1 * math.exp(-1.0), abs=1e-11)
-        assert traj.final_state()[0] == pytest.approx(jr.post_state[0])
+        _, _, _, pre, post = jumps(traj)[0]
+        assert pre[0] == pytest.approx(math.exp(-1.0), abs=1e-10)
+        assert post[0] == pytest.approx(0.1 * math.exp(-1.0), abs=1e-11)
+        assert traj.final_state()[0] == pytest.approx(post[0])
 
     def test_jump_chaining(self):
         sig = iss.SwitchingSignal(0.0, (0.5, 1.0), ("a", "a", "a"), 1.5)
@@ -78,11 +79,11 @@ class TestJumps:
     def test_rows_share_time_at_jumps(self):
         sig = iss.SwitchingSignal(0.0, (0.5,), ("a", "a"), 1.0)
         traj = iss.simulate(scalar_model(j=0.1), sig, [1.0], iss.zero_input(), 1e-2)
-        rows = traj.rows()
-        at_jump = [r for r in rows if r[0] == 0.5]
+        times, states, _, _ = traj.samples
+        at_jump = np.flatnonzero(times == 0.5)
         assert len(at_jump) == 2
-        assert at_jump[0][3] == 0 and at_jump[1][3] == 1
-        assert at_jump[1][2][0] == pytest.approx(0.1 * at_jump[0][2][0])
+        assert traj.jump_flags()[at_jump].tolist() == [0, 1]
+        assert states[at_jump[1]][0] == pytest.approx(0.1 * states[at_jump[0]][0])
 
     @pytest.mark.parametrize("instants, horizon", [((0.5,), 1.0), ((0.3, 0.6), 1.0),
                                                     ((0.5, 1.0), 1.0),
@@ -106,25 +107,20 @@ class TestJumps:
             traj, partial = iss.simulate(model, sig, [1.0], inp, 1e-2), False
         except NonFiniteError as e:
             traj, partial = e.partial, True
-        records = traj.jump_records
+        records = jumps(traj)
         assert partial == (horizon == 2.0)
         assert len(records) == len(traj.segments) - 1 == (3 if partial else len(instants))
-        for k, jr in enumerate(records, start=1):
-            assert (jr.time, jr.mode_before, jr.mode_after) == \
-                (sig.instants[k - 1], sig.modes[k - 1], sig.modes[k])
-            assert np.array_equal(jr.pre_state, traj.segments[k - 1].states[-1])
-            assert np.array_equal(jr.u_pre, inp(jr.time - 1e-2 / 2))
-            assert np.array_equal(jr.post_state, jump(jr.time, jr.pre_state, jr.u_pre))
+        for k, (t, before, after, pre, post) in enumerate(records, start=1):
+            assert (t, before, after) == (sig.instants[k - 1], sig.modes[k - 1], sig.modes[k])
+            assert np.array_equal(pre, traj.segments[k - 1].states[-1])
+            # The jump map sees the input half a step before the instant.
+            assert np.array_equal(post, jump(t, pre, inp(t - 1e-2 / 2)))
         expected = []
         for k, seg in enumerate(traj.segments):
-            start = 0
-            if k > 0:
-                jr = traj.jump_records[k - 1]
-                expected.append((jr.time, jr.mode_after, jr.post_state, 1))
-                start = 1
-            expected += [(float(t), seg.mode, x, 0)
-                         for t, x in zip(seg.times[start:], seg.states[start:])]
-        rows = traj.rows()
+            expected += [(float(t), seg.mode, x, int(k > 0 and i == 0))
+                         for i, (t, x) in enumerate(zip(seg.times, seg.states))]
+        times, states, modes, _ = traj.samples
+        rows = list(zip(times.tolist(), modes.tolist(), states, traj.jump_flags().tolist()))
         assert [(t, p, f) for t, p, _, f in rows] == [(t, p, f) for t, p, _, f in expected]
         assert all(np.array_equal(a[2], b[2]) for a, b in zip(rows, expected))
         assert sum(f for *_, f in rows) == len(records)
@@ -140,7 +136,7 @@ class TestJumps:
         sig = iss.SwitchingSignal(0.0, (1.0,), ("a", "a"), 2.0)
         inp = iss.step_input([5.0], [-5.0], 1.0)
         traj = iss.simulate(model, sig, [0.0], inp, 1e-2)
-        assert traj.jump_records[0].post_state[0] == pytest.approx(5.0)
+        assert jumps(traj)[0][4][0] == pytest.approx(5.0)
 
 
 class TestGuards:
@@ -275,8 +271,7 @@ class TestBatch:
             alone = iss.simulate(model, sig, x0_r, inp, 1e-3)
             assert traj.input is inp and traj.step == 1e-3
             assert same_trajectory(traj, alone)
-            assert [(j.time, j.mode_before, j.mode_after) for j in traj.jump_records] == \
-                [(j.time, j.mode_before, j.mode_after) for j in alone.jump_records]
+            assert [j[:3] for j in jumps(traj)] == [j[:3] for j in jumps(alone)]
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_bits_do_not_depend_on_batch_size(self, n):
@@ -373,24 +368,19 @@ class TestLinearPropagator:
         assert [len(s.times) for s in lin.segments] == [len(s.times) for s in ref.segments]
         for a, b in zip(lin.segments, ref.segments):
             assert np.array_equal(a.times, b.times)
-        assert [(j.time, j.mode_before, j.mode_after) for j in lin.jump_records] == \
-            [(j.time, j.mode_before, j.mode_after) for j in ref.jump_records]
+        assert [j[:3] for j in jumps(lin)] == [j[:3] for j in jumps(ref)]
 
         # Rounding of the fixed step map compounds with the step count, so
         # states agree to 1e-11 of the trajectory's scale, not bit for bit.
         scale = ref.sup_norm()
         for a, b in zip(lin.segments, ref.segments):
             assert np.all(np.linalg.norm(a.states - b.states, axis=1) <= 1e-11 * scale)
-        for a, b in zip(lin.jump_records, ref.jump_records):
-            assert np.linalg.norm(a.post_state - b.post_state) <= 1e-11 * scale
+        for a, b in zip(jumps(lin), jumps(ref)):
+            assert np.linalg.norm(a[4] - b[4]) <= 1e-11 * scale
 
         for cert in certs:
-            assert report_rows(iss.check_sandwich(cert, lin)) == \
-                report_rows(iss.check_sandwich(cert, ref))
-            assert report_rows(iss.check_flow_implication(cert, lin, inp)) == \
-                report_rows(iss.check_flow_implication(cert, ref, inp))
-            assert report_rows(iss.check_jump_implication(cert, lin, inp)) == \
-                report_rows(iss.check_jump_implication(cert, ref, inp))
+            assert report_rows(iss.check_trajectory(cert, lin, inp)) == \
+                report_rows(iss.check_trajectory(cert, ref, inp))
 
     def test_non_finite_partial_matches_generic(self):
         # x' = 30 x from x0 = 1 crosses the 1e12 limit near t = 0.92.
@@ -402,7 +392,7 @@ class TestLinearPropagator:
                 iss.simulate(m, single_mode(2.0), [1.0], iss.zero_input(), 1e-3)
             partials.append(exc.value.partial)
         lin, ref = partials
-        assert len(lin.rows()) == len(ref.rows())
+        assert len(lin.samples[0]) == len(ref.samples[0])
         assert lin.horizon == ref.horizon
         assert 0.9 < lin.horizon < 0.95
         assert np.linalg.norm(lin.final_state()) > 1e12
