@@ -123,8 +123,8 @@ def _flow_reports(traj, values, allowed, threshold, dini_coeff) -> list[Violatio
     h = h[i]
     slope = (values[i + 1] - values[i]) / h
     rhs = _by_mode(allowed, modes[i], values[i]) + dini_coeff * h
-    return [_report("flow", times[j], modes[j], slope[n], rhs[n])
-            for n, j in enumerate(i) if slope[n] > rhs[n]]
+    return [_report("flow", times[i[n]], modes[i[n]], slope[n], rhs[n])
+            for n in np.flatnonzero(slope > rhs)]
 
 
 def _jump_reports(traj, pre, post, threshold, bound, cap) -> list[ViolationReport]:

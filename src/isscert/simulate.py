@@ -8,21 +8,34 @@ the post-jump state.
 
 For a LinearSystemModel one RK4 step on x' = A x + B u is a fixed affine
 map, x+ = P x + G0 u(t) + Gm u(t + h/2) + G1 u(t + h).  ``simulate_batch``
-runs R initial states and inputs over one signal and step grid: it builds
-that map and the powers P, P^2, P^4, ... once per mode and step size h per
-batch.  On each segment of N steps it solves the recurrence
-X_{i+1} = P X_i + F_i for all runs at once as a doubling prefix scan
-(Kogge & Stone 1973; Blelloch 1990): log2 N whole-array passes, the runs
-stacked on the leading axis, each run's forcing F_i from one array
-evaluation of its own input.  That is O(log N) numpy calls per segment and
-O(N n^2 R log N) flops in O(N n R) memory.  Each run's products have the
-same shapes whatever R is, so a run's states are the same bits in a batch
-as alone.  ``simulate`` is the batch of one run.  A general SystemModel is
-stepped through its flow callables, run by run.
+runs R initial states and inputs over one signal and step grid.  It sorts
+the K + 1 segments into G groups that share mode, step size h and step
+count N, and builds the map and its powers P, P^2, P^4, ... once per mode
+and h.  Within a segment the states are x_i = P^i x_start + Y_i, where the
+forced response Y from a zero start does not depend on x_start.  When the
+loop over the segments first reaches a group, each run samples its input
+once over the group's segments, and Y_{i+1} = P Y_i + F_i is solved for
+every run and segment at once as a doubling prefix scan (Kogge & Stone
+1973; Blelloch 1990): log2 N whole-array passes, runs and segments on the
+leading axes.  The loop itself only carries the runs from each segment's
+start to its end, P^N x_start + Y_N, and across the jump, J x + H u: a few
+(n, n) products per segment for all runs together.  Last, each group adds
+its free responses P^i x_start (log2 N doubling passes) and checks every
+sample's range.  So a batch costs O(G log N) numpy calls plus O(K) small
+ones, O(N n^2 R log N) flops over the N samples of the signal, and
+O(N n R) memory.  A group too large for BLOCK_ENTRIES (2N + 1 sample times
+or R (N + 1) n states per segment) is sampled and scanned in blocks of
+segments, so the temporaries stay near those of one segment.  Each run's
+and segment's products have the same shapes whatever R and S are, so a
+run's states are the same bits in a batch as alone, and a segment's the
+same as when it is simulated alone from its start.  ``simulate`` is the
+batch of one run.  A general SystemModel is stepped through its flow
+callables, run by run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +47,10 @@ from .errors import NonFiniteError, StepTooLargeError
 from .switching import SwitchingSignal
 
 FINITE_LIMIT = 1e12
+# Sample times or states of one block of segments of a linear run (see
+# `_blocks`): 64 kB of float64, so that a block's temporaries stay near
+# those of one segment of the benchmark's dense runs.
+BLOCK_ENTRIES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -199,15 +216,20 @@ class Trajectory:
         return np.isin(np.arange(len(self.samples[0])), self.samples[3][1:]).astype(int)
 
 
-def _grid(t_start, t_end, step):
-    """The RK4 grid of one flow interval and its step h: the fewest equal
-    steps of at most ``step`` from t_start, landing exactly on t_end (the
-    values of ``np.linspace``)."""
+def _step_count(t_start, t_end, step):
+    """The fewest equal RK4 steps of at most ``step`` from t_start to t_end,
+    and their size h."""
     n_steps = max(1, math.ceil((t_end - t_start) / step - 1e-12))
-    h = (t_end - t_start) / n_steps
-    times = np.arange(n_steps + 1.0) * h + t_start
-    times[-1] = t_end
-    return times, h
+    return n_steps, (t_end - t_start) / n_steps
+
+
+def _grid(t_start, t_end, n_steps, h):
+    """The RK4 grid of ``n_steps`` steps of h from t_start, landing exactly
+    on t_end (the values of ``np.linspace``); for arrays of starts and ends,
+    one grid per row."""
+    times = np.arange(n_steps + 1.0) * h + np.asarray(t_start)[..., None]
+    times[..., -1] = t_end
+    return times
 
 
 def _in_range(states):
@@ -227,7 +249,7 @@ def _rk4_step(f, t, x, h, u0, um, u1):
 
 def _rk4_segment(f, t_start, t_end, x0, input_sig, step):
     """Integrate one flow interval; returns (times, states) including endpoints."""
-    times, _ = _grid(t_start, t_end, step)
+    times = _grid(t_start, t_end, *_step_count(t_start, t_end, step))
     states = np.empty((len(times), x0.size))
     states[0] = x0
     x = x0
@@ -262,67 +284,263 @@ def _doubling_powers(powers, n_steps):
     return powers
 
 
-def _linear_flow(step_map, powers, times, xs, inputs):
-    """`_rk4_segment` for x' = A x + B u, for every run at once: the
-    recurrence X_{i+1} = P X_i + F_i over the (R, len(times), n) states,
-    whose leading axis is the runs, as a doubling prefix scan.  Run j's
-    forcing F_i comes from one ``sample`` call of its own input.
+def _matmul(a, b, out=None):
+    """a @ b, as an elementwise product when the contracted axis has length
+    1: the same values, without matmul's cost per call on such shapes."""
+    return np.multiply(a, b, out=out) if b.shape[0] == 1 else np.matmul(a, b, out=out)
 
-    With P X_0 folded into F_0, the pass for s = 1, 2, 4, ... adds
-    P^s Y_{i-s} to every Y_i with i >= s, so after log2 N passes Y_i is
-    X_{i+1}.  Each pass is one stacked matmul, the same (N - s, n) @ (n, n)
-    product for each run whatever R is.  ``powers`` is the step map's list
-    of `_doubling_powers`.  The scan runs in chunks of twice the largest
-    finite power, each with the P X of the chunk before folded into its
-    first row, so an overflowing power never meets a zero state as 0 * inf.
-    """
+
+def _blocks(n_segments, entries):
+    """Slices of the segments of a group, each with at most BLOCK_ENTRIES
+    entries at ``entries`` per segment (or one segment), so that the
+    temporaries of a long group stay near those of one segment."""
+    size = max(1, BLOCK_ENTRIES // entries)
+    return [slice(c, c + size) for c in range(0, n_segments, size)]
+
+
+def _forced_responses(step_map, powers, times, inputs):
+    """The forced responses from a zero start of segments that share one
+    step map and step count N, for every run: the (R, S, N + 1, n) solutions
+    of Y_0 = 0, Y_{i+1} = P Y_i + F_i on the S grids ``times``, with the
+    runs and the segments on the leading axes.  Per block of segments, run
+    j's forcing comes from one ``sample`` call of its own input; the
+    recurrence is solved by `_scan`, per block of segments too."""
     P, G0, Gm, G1 = step_map
-    n_steps = len(times) - 1
-    u_at = np.concatenate([times, times[:-1] + (times[1:] - times[:-1]) / 2])
-    states = np.empty((len(xs), n_steps + 1, P.shape[0]))
-    for j, (x, inp) in enumerate(zip(xs, inputs)):
-        u = inp.sample(u_at)
-        states[j, 0] = x
-        states[j, 1:] = u[:n_steps] @ G0.T + u[n_steps + 1:] @ Gm.T + u[1:n_steps + 1] @ G1.T
-    powers = _doubling_powers(powers, n_steps)
+    (n_segments, n_times), n = times.shape, P.shape[0]
+    n_steps = n_times - 1
+    Y = np.empty((len(inputs), n_segments, n_times, n))
+    Y[:, :, 0] = 0.0
+    for block in _blocks(n_segments, 2 * n_times):
+        grids, F = times[block], Y[:, block, 1:]
+        # Each grid, then its midpoints t_i + (t_{i+1} - t_i) / 2, built in place.
+        u_at = np.empty((len(grids), 2 * n_steps + 1))
+        u_at[:, :n_times] = grids
+        mid = np.subtract(grids[:, 1:], grids[:, :-1], out=u_at[:, n_times:])
+        mid /= 2
+        mid += grids[:, :-1]
+        for j, inp in enumerate(inputs):
+            u = inp.sample(u_at.ravel()).reshape(len(grids), 2 * n_steps + 1, -1)
+            _matmul(u[:, :n_steps], G0.T, out=F[j])
+            F[j] += _matmul(u[:, n_times:], Gm.T)
+            F[j] += _matmul(u[:, 1:n_times], G1.T)
+    for block in _blocks(n_segments, Y[:, 0].size):
+        _scan(Y[:, block], P, powers)
+    return Y
+
+
+def _scan(Y, P, powers):
+    """Solve Y_{i+1} = P Y_i + F_i from Y_0 = 0 in place over the
+    (..., N + 1, n) array ``Y`` that holds 0 and F_0 .. F_{N-1}, as a
+    doubling prefix scan (Kogge & Stone 1973): the pass for s = 1, 2, 4,
+    ... adds P^s Y_{i-s} to every Y_i with i > s, one stacked product that
+    is the same (N - s, n) @ (n, n) for every leading index, whatever the
+    leading shape.
+    ``powers`` is the step map's list of `_doubling_powers`.  The scan runs
+    in chunks of twice the largest finite power, each with the P Y of the
+    chunk before folded into its first row, so an overflowing power never
+    meets a zero state as 0 * inf."""
+    n_steps = Y.shape[-2] - 1
     span = 2 ** len(powers)
+    products = np.empty_like(Y[..., 1:min(n_steps, span) + 1, :])
     for a in range(0, n_steps, span):
-        Y = states[:, a + 1:a + 1 + span]
-        Y[:, :1] += states[:, a:a + 1] @ P.T
-        for k, Pk in enumerate(powers[:(Y.shape[1] - 1).bit_length()]):
-            Y[:, 1 << k:] += Y[:, :-(1 << k)] @ Pk.T
-    return states
+        Z = Y[..., a + 1:a + 1 + span, :]
+        if a:
+            Z[..., :1, :] += _matmul(Y[..., a:a + 1, :], P.T)
+        for k, Pk in enumerate(powers[:(Z.shape[-2] - 1).bit_length()]):
+            s = 1 << k
+            Z[..., s:, :] += _matmul(Z[..., :-s, :], Pk.T, out=products[..., :Z.shape[-2] - s, :])
 
 
-def _flow(model, mode, t_start, t_end, xs, inputs, step, step_maps):
-    """One flow interval of each run from its state in ``xs``: a list of
-    (times, states, ok), where a run that left the finite range is cut at
-    its first offending sample and has ok False.
-
-    ``step_maps`` caches the linear step maps, with their doubling powers,
-    by (mode, exact step h), so segments of a mode that repeat a step size
-    reuse one."""
-    if not isinstance(model, LinearSystemModel):
-        return [_rk4_segment(model.flows[mode], t_start, t_end, x, inp, step)
-                for x, inp in zip(xs, inputs)]
-    times, h = _grid(t_start, t_end, step)
-    if (mode, h) not in step_maps:
-        step_map = _step_map(model.A[mode], model.B[mode], h)
-        step_maps[mode, h] = step_map, [step_map[0]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        states = _linear_flow(*step_maps[mode, h], times, xs, inputs)
-        # The stepwise loop's test over every step and run at once.
-        bad = ~_in_range(states[:, 1:])
-    if not bad.any():
-        return [(times, run, True) for run in states]
-    ends = [int(np.argmax(run)) + 2 if run.any() else len(times) for run in bad]
-    return [(times[:e], run[:e], e == len(times)) for run, e in zip(states, ends)]
+def _free_responses(powers, starts, length):
+    """P^i x for i < ``length`` and every start x in ``starts`` (the last
+    axis), as a (..., length, n) array filled by doubling: the block from
+    row 2^k on is the block before it times P^(2^k).  Past the largest
+    finite power the blocks repeat its exponent, so a zero entry is never
+    multiplied by an infinite one."""
+    out = np.empty((*starts.shape[:-1], length, starts.shape[-1]))
+    out[..., 0, :] = starts
+    i = 1
+    while i < length:
+        k = min(i.bit_length(), len(powers)) - 1
+        s, m = 1 << k, min(1 << k, length - i)
+        _matmul(out[..., i - s:i - s + m, :], powers[k].T, out=out[..., i:i + m, :])
+        i += m
+    return out
 
 
-def _jump(model, mode, t, x, u):
-    if isinstance(model, LinearSystemModel):
-        return model.J[mode] @ x + model.H[mode] @ u
-    return np.atleast_1d(np.asarray(model.jumps[mode](t, x, u), dtype=float))
+def _power_chain(powers, n_steps):
+    """Matrices whose product is P^n_steps: the product itself if it is
+    finite; else the largest finite power, as many times as it fits, and the
+    binary digits of the rest, each to be applied in turn."""
+    top = min(len(powers), n_steps.bit_length()) - 1
+    repeats, rest = divmod(n_steps, 1 << top)
+    chain = [powers[top]] * repeats + [powers[k] for k in range(top) if rest >> k & 1]
+    product = functools.reduce(np.matmul, chain)
+    return [product] if np.isfinite(product).all() else chain
+
+
+class _Group:
+    """The flow segments of one mode, step size h and step count N.
+
+    ``evaluate`` computes their forced responses for the runs still going
+    when the first of them is reached, into the array that becomes their
+    states; ``flow`` carries runs from a segment's start to its end; and
+    ``build`` adds the free responses P^i x_start once every start is known.
+    """
+
+    def __init__(self, mode, n_steps, h):
+        self.mode, self.n_steps, self.h = mode, n_steps, h
+        self.indices, self.t_starts, self.t_ends = [], [], []  # of the segments, by slot
+        self.states = None
+
+    def add(self, k, t_start, t_end):
+        """Take segment k, on [t_start, t_end], as the next slot."""
+        self.indices.append(k)
+        self.t_starts.append(t_start)
+        self.t_ends.append(t_end)
+        return self, len(self.indices) - 1
+
+    def evaluate(self, model, runs, inputs, step_maps):
+        """The grids of every slot and the forced responses of ``runs`` on
+        them.  ``step_maps`` caches the step maps, with their doubling
+        powers, by (mode, exact h), so groups that share them reuse one."""
+        if (self.mode, self.h) not in step_maps:
+            step_map = _step_map(model.A[self.mode], model.B[self.mode], self.h)
+            step_maps[self.mode, self.h] = step_map, [step_map[0]]
+        step_map, self.powers = step_maps[self.mode, self.h]
+        _doubling_powers(self.powers, self.n_steps + 1)
+        self.chain = _power_chain(self.powers, self.n_steps)
+        self.times = _grid(self.t_starts, self.t_ends, self.n_steps, self.h)
+        self.runs = runs
+        self.row = {r: i for i, r in enumerate(runs.tolist())}
+        self.states = _forced_responses(step_map, self.powers, self.times, inputs)
+        self.starts = np.zeros((len(runs), len(self.indices), self.states.shape[-1]))
+
+    def flow(self, slot, runs, xs):
+        """The states ending slot ``slot`` for ``runs`` from the states
+        ``xs`` starting it: P^N x + Y_N, one (1, n) @ (n, n) product per run
+        and chain matrix, stored as the slot's last sample."""
+        rows = slice(None) if len(runs) == len(self.runs) else np.searchsorted(self.runs, runs)
+        self.starts[rows, slot] = xs
+        for M in self.chain:
+            xs = _matmul(xs[:, None, :], M.T)[:, 0]
+        xs = xs + self.states[rows, slot, -1]
+        self.states[rows, slot, -1] = xs
+        return xs
+
+    def build(self):
+        """Add the free responses to the forced ones, sample N excepted
+        (``flow`` stored it); returns (run, segment, e) for each slot of a
+        run with a sample out of range, the first such sample at e - 1."""
+        n = self.n_steps
+        for block in _blocks(len(self.indices), self.states[:, 0].size):
+            self.states[:, block, :n] += _free_responses(self.powers, self.starts[:, block], n)
+        # Entries below FINITE_LIMIT / (2 sqrt(n)) keep every norm in range.
+        if max(self.states.max(), -self.states.min()) < FINITE_LIMIT / (
+                2 * math.sqrt(self.states.shape[-1])):
+            return []
+        bad = ~_in_range(self.states[..., 1:, :])
+        rows, slots = np.nonzero(bad.any(axis=-1))
+        return [(int(self.runs[i]), self.indices[s], int(np.argmax(bad[i, s])) + 2)
+                for i, s in zip(rows, slots)]
+
+    def segment(self, run, slot, end=None):
+        """Slot ``slot`` of run ``run`` up to sample ``end``."""
+        return Segment(self.mode, self.times[slot, :end], self.states[self.row[run], slot, :end])
+
+
+def _non_finite(segments, inp, step, jump_time=None) -> NonFiniteError:
+    """The error of a run whose last segment in ``segments`` ends on its
+    first state out of range, or, with ``jump_time``, whose jump at that
+    time left the range."""
+    if jump_time is None:
+        error = f"state norm exceeded {FINITE_LIMIT:.0e} at t={segments[-1].times[-1]}"
+    else:
+        error = f"jump at t={jump_time} produced non-finite state"
+    return NonFiniteError(error, partial=Trajectory(tuple(segments), inp, step))
+
+
+def _simulate_run(model, sig, x, inp, step) -> Trajectory:
+    """One run of a general SystemModel, stepped segment by segment."""
+    segments = []
+    for k, (a, b, mode) in enumerate(sig.segments()):
+        if b > a:
+            times, states, ok = _rk4_segment(model.flows[mode], a, b, x, inp, step)
+        else:  # the last instant on the horizon, or t0 = horizon: a single sample
+            times, states, ok = np.array([a]), x[None, :].copy(), True
+        segments.append(Segment(mode, times, states))
+        if not ok:
+            raise _non_finite(segments, inp, step)
+        x = states[-1]
+        if k < len(sig.instants):
+            t_i = sig.instants[k]
+            # u(t_i^-) for merely piecewise-continuous inputs: sample half a
+            # step before the instant.
+            x = np.atleast_1d(np.asarray(model.jumps[mode](t_i, x, inp(t_i - step / 2)),
+                                         dtype=float))
+            if not _in_range(x):
+                raise _non_finite(segments, inp, step, t_i)
+    return Trajectory(tuple(segments), inp, step)
+
+
+def _simulate_linear(model, sig, x0s, inputs, step, step_maps) -> list[Trajectory]:
+    """`simulate_batch` of a LinearSystemModel, with ``step_maps`` the cache
+    of `_Group.evaluate`.
+
+    A group's forced responses are computed when the loop over the segments
+    first reaches it; the loop itself only carries each run from segment
+    start to segment end, P^N x + Y_N, and across the jump.  A run whose end
+    or jump state leaves the range stops there, and the loop stops once no
+    run still going comes before the first that stopped.  The free
+    responses and the range check of every sample follow, group by group: a
+    run whose states leave the range inside a segment and return to it by
+    the segment's end fails there, as it would step by step.
+    """
+    groups, slots = {}, []
+    for k, (a, b, mode) in enumerate(sig.segments()):
+        if b > a:  # else the single sample of a last instant on the horizon
+            n_steps, h = _step_count(a, b, step)
+            slots.append(groups.setdefault((mode, n_steps, h), _Group(mode, n_steps, h))
+                         .add(k, a, b))
+    runs, xs = np.arange(len(x0s)), np.array(x0s)
+    stopped = {}  # run -> (segment, time of its jump out of range or None)
+    for k, (group, slot) in enumerate(slots):
+        if group.states is None:
+            group.evaluate(model, runs, [inputs[r] for r in runs], step_maps)
+        xs = group.flow(slot, runs, xs)
+        ok = ended = _in_range(xs)
+        if k < len(sig.instants):
+            t_i = sig.instants[k]
+            J, H = model.J[group.mode], model.H[group.mode]
+            # u(t_i^-) for merely piecewise-continuous inputs: sample half a
+            # step before the instant.
+            u = np.array([inputs[r](t_i - step / 2) for r in runs])
+            xs = _matmul(xs[:, None, :], J.T)[:, 0] + _matmul(u[:, None, :], H.T)[:, 0]
+            ok = ended & _in_range(xs)
+        if not ok.all():
+            stopped.update((r, (k, t_i if e else None))
+                           for r, e in zip(runs[~ok].tolist(), ended[~ok]))
+            runs, xs = runs[ok], xs[ok]
+            if not len(runs) or min(stopped) < runs[0]:
+                break
+
+    flows_failed = {}  # run -> (segment, e) of its first sample out of range
+    for group in groups.values():
+        if group.states is not None:
+            for r, k, e in group.build():
+                if k <= stopped.get(r, (k,))[0] and k < flows_failed.get(r, (k + 1,))[0]:
+                    flows_failed[r] = k, e
+    failed = {*flows_failed, *(r for r, (_, t) in stopped.items() if t is not None)}
+    if failed:
+        r = min(failed)
+        k, e = flows_failed[r] if r in flows_failed else (stopped[r][0], None)
+        segments = [group.segment(r, slot, e if j == k else None)
+                    for j, (group, slot) in enumerate(slots[:k + 1])]
+        raise _non_finite(segments, inputs[r], step, None if e else stopped[r][1])
+    single = () if len(slots) == len(sig.modes) else (sig.modes[-1], np.array([sig.horizon]))
+    return [Trajectory(tuple(group.segment(r, slot) for group, slot in slots)
+                       + ((Segment(*single, x[None]),) if single else ()), inp, step)
+            for r, (inp, x) in enumerate(zip(inputs, xs))]
 
 
 def simulate(
@@ -354,8 +572,7 @@ def simulate_batch(
     A linear model steps all runs together, one step map per (mode, h) per
     batch; a general SystemModel is stepped run by run.  If runs leave the
     finite range, this raises the NonFiniteError (message and partial
-    trajectory) that the first of them in run order raises alone; stepping
-    stops once no run still going comes before that one.
+    trajectory) that the first of them in run order raises alone.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
@@ -374,41 +591,10 @@ def simulate_batch(
 
     if not x0s:
         return []
-
-    segments = [[] for _ in x0s]
-    failed: dict[int, NonFiniteError] = {}
-    runs, xs = list(range(len(x0s))), x0s  # the runs still going and their states
-    step_maps: dict = {}
-    for k, (a, b, mode) in enumerate(sig.segments()):
-        if b > a:
-            flows = _flow(model, mode, a, b, xs, [inputs[r] for r in runs], step, step_maps)
-        else:  # the last instant on the horizon, or t0 = horizon: a single sample
-            flows = [(np.array([a]), x[None, :].copy(), True) for x in xs]
-        going, xs = [], []
-        for r, (times, states, ok) in zip(runs, flows):
-            segments[r].append(Segment(mode, times, states))
-            x, error = states[-1], None
-            if not ok:
-                error = f"state norm exceeded {FINITE_LIMIT:.0e} at t={times[-1]}"
-            elif k < len(sig.modes) - 1:
-                t_i = sig.instants[k]
-                # u(t_i^-) for merely piecewise-continuous inputs: sample half
-                # a step before the instant.
-                x = _jump(model, mode, t_i, x, inputs[r](t_i - step / 2))
-                if not _in_range(x):
-                    error = f"jump at t={t_i} produced non-finite state"
-            if error is None:
-                going.append(r)
-                xs.append(x)
-            else:
-                failed[r] = NonFiniteError(
-                    error, partial=Trajectory(tuple(segments[r]), inputs[r], step))
-        runs = going
-        if failed and (not runs or min(failed) < runs[0]):
-            break
-    if failed:
-        raise failed[min(failed)]
-    return [Trajectory(tuple(segs), inp, step) for segs, inp in zip(segments, inputs)]
+    if isinstance(model, LinearSystemModel):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _simulate_linear(model, sig, x0s, inputs, step, {})
+    return [_simulate_run(model, sig, x0, inp, step) for x0, inp in zip(x0s, inputs)]
 
 
 def _unit_vector(rng, m: int) -> np.ndarray:

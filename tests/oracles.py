@@ -39,8 +39,14 @@
 * The linear RK4 recurrence one step at a time: ``linear_flow_stepwise``
   runs X+ = P X + F_i as one ``np.dot`` per step over the (n, R) states,
   the earlier library loop kept as the oracle for the doubling prefix scan
-  of ``isscert.simulate._linear_flow``; in ``np.longdouble`` it is the
+  of ``isscert.simulate``; in ``np.longdouble`` it is the
   extended-precision reference for the scan's rounding.
+* A linear run one segment at a time: ``simulate_per_segment`` is the
+  earlier ``simulate_batch`` loop for a ``LinearSystemModel``: every
+  segment samples each run's input and runs its own doubling prefix scan
+  from the segment's start, then each run jumps.  It is the oracle for the
+  grouped scans of ``isscert.simulate``, which scan every segment of one
+  mode, step size and step count together.
 * The LMI blocks one at a time: ``flow_block`` and ``jump_block`` assemble
   one mode's or one mode change's block with 2-D products, decided one
   ``is_negative_semidefinite`` call each, and ``synthesize_per_mode`` runs
@@ -65,7 +71,7 @@ from scipy.optimize import brentq
 
 from isscert.bounds import ISS_REL_TOL, iss_check
 from isscert.certify import FORMS, JUMP_TOL, SANDWICH_TOL, _report
-from isscert.errors import DegenerateGammaError, DomainError, OutOfImageError
+from isscert.errors import DegenerateGammaError, DomainError, NonFiniteError, OutOfImageError
 from isscert.lmi import (
     Infeasible,
     QuadraticCertificate,
@@ -73,8 +79,14 @@ from isscert.lmi import (
     is_negative_semidefinite,
 )
 from isscert.simulate import (
+    FINITE_LIMIT,
+    Segment,
+    Trajectory,
+    _doubling_powers,
+    _in_range,
     _restrict,
     _sample_inputs,
+    _step_map,
     _unit_vector,
     constant_input,
     simulate,
@@ -571,7 +583,7 @@ def monte_carlo_per_run(model, sig, bound, runs, x0_range, u_bound, step, seed):
 
 
 def linear_flow_stepwise(step_map, times, xs, inputs, dtype=np.float64):
-    """``simulate._linear_flow`` one step at a time in ``dtype``: the step
+    """A linear flow segment one step at a time in ``dtype``: the step
     map and every run's forcing are converted to it and X+ = P X + F_i runs
     as one ``np.dot`` per step over the (n, R) matrix of the runs' states.
     Returns the (R, len(times), n) states."""
@@ -588,6 +600,86 @@ def linear_flow_stepwise(step_map, times, xs, inputs, dtype=np.float64):
         X = np.dot(P, X) + f
         states[i] = X
     return np.moveaxis(states, 2, 0)
+
+
+
+def _grid_per_segment(t_start, t_end, step):
+    n_steps = max(1, math.ceil((t_end - t_start) / step - 1e-12))
+    h = (t_end - t_start) / n_steps
+    times = np.arange(n_steps + 1.0) * h + t_start
+    times[-1] = t_end
+    return times, h
+
+
+def _linear_flow_per_segment(step_map, powers, times, xs, inputs):
+    """One segment of every run: X_{i+1} = P X_i + F_i with P X_0 folded
+    into F_0, as a chunked doubling prefix scan over the (R, N + 1, n)
+    states."""
+    P, G0, Gm, G1 = step_map
+    n_steps = len(times) - 1
+    u_at = np.concatenate([times, times[:-1] + (times[1:] - times[:-1]) / 2])
+    states = np.empty((len(xs), n_steps + 1, P.shape[0]))
+    for j, (x, inp) in enumerate(zip(xs, inputs)):
+        u = inp.sample(u_at)
+        states[j, 0] = x
+        states[j, 1:] = u[:n_steps] @ G0.T + u[n_steps + 1:] @ Gm.T + u[1:n_steps + 1] @ G1.T
+    powers = _doubling_powers(powers, n_steps)
+    span = 2 ** len(powers)
+    for a in range(0, n_steps, span):
+        Y = states[:, a + 1:a + 1 + span]
+        Y[:, :1] += states[:, a:a + 1] @ P.T
+        for k, Pk in enumerate(powers[:(Y.shape[1] - 1).bit_length()]):
+            Y[:, 1 << k:] += Y[:, :-(1 << k)] @ Pk.T
+    return states
+
+
+def simulate_per_segment(model, sig, x0s, inputs, step):
+    """``simulate_batch`` of a ``LinearSystemModel`` one segment at a time:
+    per segment, one input ``sample`` call and one prefix scan for every
+    run, then one jump per run.  Raises the NonFiniteError of the first
+    failing run in run order."""
+    xs = [np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in x0s]
+    segments = [[] for _ in xs]
+    failed = {}
+    runs = list(range(len(xs)))
+    step_maps = {}
+    for k, (a, b, mode) in enumerate(sig.segments()):
+        if b > a:
+            times, h = _grid_per_segment(a, b, step)
+            if (mode, h) not in step_maps:
+                step_map = _step_map(model.A[mode], model.B[mode], h)
+                step_maps[mode, h] = step_map, [step_map[0]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                states = _linear_flow_per_segment(*step_maps[mode, h], times, xs,
+                                                  [inputs[r] for r in runs])
+                bad = ~_in_range(states[:, 1:])
+            ends = [int(np.argmax(run)) + 2 if run.any() else len(times) for run in bad]
+            flows = [(times[:e], run[:e], not b.any()) for run, e, b in zip(states, ends, bad)]
+        else:
+            flows = [(np.array([a]), x[None, :].copy(), True) for x in xs]
+        going, xs = [], []
+        for r, (times, states, ok) in zip(runs, flows):
+            segments[r].append(Segment(mode, times, states))
+            x, error = states[-1], None
+            if not ok:
+                error = f"state norm exceeded {FINITE_LIMIT:.0e} at t={times[-1]}"
+            elif k < len(sig.modes) - 1:
+                t_i = sig.instants[k]
+                x = model.J[mode] @ x + model.H[mode] @ inputs[r](t_i - step / 2)
+                if not _in_range(x):
+                    error = f"jump at t={t_i} produced non-finite state"
+            if error is None:
+                going.append(r)
+                xs.append(x)
+            else:
+                failed[r] = NonFiniteError(
+                    error, partial=Trajectory(tuple(segments[r]), inputs[r], step))
+        runs = going
+        if failed and (not runs or min(failed) < runs[0]):
+            break
+    if failed:
+        raise failed[min(failed)]
+    return [Trajectory(tuple(segs), inp, step) for segs, inp in zip(segments, inputs)]
 
 
 def flow_block(model, qc, p):

@@ -1,5 +1,7 @@
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +9,24 @@ from scipy.linalg import expm
 
 import isscert as iss
 from isscert.errors import NonFiniteError, StepTooLargeError
-from isscert.simulate import _doubling_powers, _flow, _step_map
+from isscert.simulate import _doubling_powers, _simulate_linear, _step_map
 from conftest import jumps
-from oracles import linear_flow_stepwise
+from oracles import linear_flow_stepwise, simulate_per_segment
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from generate import LONG_STEP, _alternating_signal  # noqa: E402
 
 
 def single_mode(horizon=1.0):
     return iss.SwitchingSignal(0.0, (), ("a",), horizon)
+
+
+def one_segment(model, mode, t_start, t_end, x0, inp, step, step_maps):
+    """The times and states of a linear flow on [t_start, t_end] alone from
+    x0, with ``step_maps`` as the step-map cache."""
+    sig = iss.SwitchingSignal(t_start, (), (mode,), t_end)
+    (traj,) = _simulate_linear(model, sig, [np.asarray(x0, dtype=float)], [inp], step, step_maps)
+    return traj.segments[0].times, traj.segments[0].states
 
 
 def scalar_model(a=-1.0, j=1.0):
@@ -426,8 +439,8 @@ class TestLinearPropagator:
         for seg in traj.segments:
             a, b = float(seg.times[0]), float(seg.times[-1])
             x0 = seg.states[0]
-            ((_, uncached, _),) = _flow(model, seg.mode, a, b, [x0], [inp], 1e-2, {})
-            ((_, cached, _),) = _flow(model, seg.mode, a, b, [x0], [inp], 1e-2, cache)
+            _, uncached = one_segment(model, seg.mode, a, b, x0, inp, 1e-2, {})
+            _, cached = one_segment(model, seg.mode, a, b, x0, inp, 1e-2, cache)
             assert np.array_equal(uncached, seg.states)
             assert np.array_equal(cached, seg.states)
         # One step map per mode and step size: the cache was reused.
@@ -455,9 +468,9 @@ class TestPrefixScan:
         # of the trajectory's scale over N = 17 500 steps.
         make_model, _, x0, _ = CASES[case]
         model, inp, x0 = make_model(), INPUTS[input_name], np.array(x0)
-        ((times, states, ok),) = _flow(model, mode, 0.0, 3.5, [x0], [inp], 2e-4, {})
+        times, states = one_segment(model, mode, 0.0, 3.5, x0, inp, 2e-4, {})
         n_steps = len(times) - 1
-        assert ok and n_steps == 17500
+        assert n_steps == 17500
         step_map = _step_map(model.A[mode], model.B[mode], 3.5 / n_steps)
         ref = linear_flow_stepwise(step_map, times, [x0], [inp], np.longdouble)[0]
         scale = np.max(np.linalg.norm(ref.astype(float), axis=1))
@@ -491,6 +504,166 @@ class TestPrefixScan:
         assert not np.any(states[:, 0]) and not np.any(ref[:, 0])
         deviation = np.linalg.norm(states - ref, axis=1)
         assert np.max(deviation) <= 1e4 * np.finfo(float).eps * traj.sup_norm()
+
+
+def long_switching_signal(tiles=1):
+    """The seed-1 ``long_switching`` benchmark signal (K = 40) with its 40
+    durations before the last repeated ``tiles`` times: K = 40 * tiles."""
+    sig = _alternating_signal(np.random.default_rng(1), 40)
+    durations = np.diff([sig["t0"], *sig["instants"], sig["horizon"]]).tolist()
+    durations = durations[:40] * tiles + durations[40:]
+    modes = sig["modes"][:40] * tiles + sig["modes"][40:]
+    # Dyadic durations: every instant is an exact sum.
+    return iss.SwitchingSignal(0.0, tuple(np.cumsum(durations)[:-1].tolist()), tuple(modes),
+                               float(sum(durations)))
+
+
+def switching_model(n, seed=0):
+    """Modes s (contracting) and u (expanding) of dimension n with a jump
+    input H != 0; at n = 1, the acceptance-9 flows."""
+    if n == 1:
+        return iss.LinearSystemModel(
+            A={"s": [[-1.25]], "u": [[0.4]]}, B={"s": [[0.5]], "u": [[0.5]]},
+            J={"s": [[0.1]], "u": [[0.1]]}, H={"s": [[0.3]], "u": [[-0.2]]})
+    rng = np.random.default_rng(seed)
+    mats = {name: {p: rng.standard_normal(shape) for p in "su"}
+            for name, shape in (("A", (n, n)), ("B", (n, 1)), ("J", (n, n)), ("H", (n, 1)))}
+    mats["A"]["s"] = 0.2 * mats["A"]["s"] - 1.25 * np.eye(n)
+    mats["A"]["u"] = 0.2 * mats["A"]["u"] + 0.4 * np.eye(n)
+    mats["J"] = {p: 0.1 * J for p, J in mats["J"].items()}
+    return iss.LinearSystemModel(**mats)
+
+
+def recording_input():
+    """A sinusoid input that records the largest time of each ``sample`` call."""
+    calls = []
+    base = iss.sinusoid_input([0.5], 2.0, 0.3)
+
+    def at_times(ts):
+        calls.append(ts.max())
+        return base.sample(ts)
+    return iss.InputSignal(base.func, base.sup_norm, at_times), calls
+
+
+class TestGroupedScan:
+    """The scans per (mode, h, N) group against the per-segment oracle."""
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_matches_per_segment_oracle(self, n, runs):
+        sig, model = long_switching_signal(10), switching_model(n)
+        assert len(sig.instants) == 400
+        rng = np.random.default_rng(n)
+        x0s = [2.0 * rng.standard_normal(n) for _ in range(runs)]
+        inputs = [INPUTS[name] for name in ("sinusoid", "step", "constant")[:runs]]
+        batch = iss.simulate_batch(model, sig, x0s, inputs, LONG_STEP)
+        oracle = simulate_per_segment(model, sig, x0s, inputs, LONG_STEP)
+        eps = np.finfo(float).eps
+        for traj, ref, inp in zip(batch, oracle, inputs):
+            times, states, modes, starts = traj.samples
+            ref_times, ref_states, ref_modes, ref_starts = ref.samples
+            assert np.array_equal(times, ref_times) and np.array_equal(starts, ref_starts)
+            assert np.array_equal(modes, ref_modes)
+            scale = ref.sup_norm()
+            deviation = np.linalg.norm(states - ref_states, axis=1)
+            assert np.max(deviation) <= (len(times) - 1) * eps * scale
+            for t, before, _, pre, post in jumps(traj):
+                u = inp(t - LONG_STEP / 2)
+                assert np.array_equal(post, model.J[before] @ pre + model.H[before] @ u)
+
+    @pytest.mark.parametrize("x0s", [[[1.0]], [[0.0], [1.0], [2.0]]])
+    def test_blow_up_in_a_later_segment_of_a_group(self, x0s):
+        # x' = 30 x in mode a: the run from 1 reaches 3.3e6 in the first a
+        # segment and passes 1e12 only in the second, of the same length and
+        # so of the same group; b in between decays.  The error is the
+        # oracle's, message and partial trajectory.
+        model = iss.LinearSystemModel(A={"a": [[30.0]], "b": [[-1.0]]},
+                                      B={"a": [[1.0]], "b": [[1.0]]},
+                                      J={"a": [[1.0]], "b": [[1.0]]},
+                                      H={"a": [[0.0]], "b": [[0.0]]})
+        sig = iss.SwitchingSignal(0.0, (0.5, 0.625), ("a", "b", "a"), 1.125)
+        inputs = [iss.zero_input()] * len(x0s)
+        with pytest.raises(NonFiniteError) as batch:
+            iss.simulate_batch(model, sig, x0s, inputs, 1e-2)
+        with pytest.raises(NonFiniteError) as oracle:
+            simulate_per_segment(model, sig, x0s, inputs, 1e-2)
+        assert str(batch.value) == str(oracle.value)
+        partial, ref = batch.value.partial, oracle.value.partial
+        assert len(partial.segments) == len(ref.segments) == 3
+        assert np.max(np.abs(partial.segments[0].states)) < 1e7
+        assert np.array_equal(partial.samples[0], ref.samples[0])
+        scale = np.max(np.abs(ref.samples[1]))
+        assert np.allclose(partial.samples[1], ref.samples[1], rtol=0, atol=1e-13 * scale)
+
+    def test_last_sample_out_of_range_fails_the_segment(self):
+        # The first a segment ends on its first state out of range, 1.1e12;
+        # the jump x -> 1e-3 x would bring it back.  The run fails there, as
+        # step by step, not at a jump nor (after the jump) not at all.
+        model = iss.LinearSystemModel(A={"a": [[30.0]], "b": [[-1.0]]},
+                                      B={"a": [[1.0]], "b": [[1.0]]},
+                                      J={"a": [[1e-3]], "b": [[1.0]]},
+                                      H={"a": [[0.0]], "b": [[0.0]]})
+        sig = iss.SwitchingSignal(0.0, (0.5,), ("a", "b"), 1.0)
+        x0 = 1.1e12 / _step_map(model.A["a"], model.B["a"], 1e-2)[0][0, 0] ** 50
+        partials = []
+        for m in (model, model.to_system_model()):
+            with pytest.raises(NonFiniteError) as exc:
+                iss.simulate(m, sig, [x0], iss.zero_input(), 1e-2)
+            assert str(exc.value) == "state norm exceeded 1e+12 at t=0.5"
+            partials.append(exc.value.partial)
+        lin, ref = partials
+        assert [len(s.times) for s in lin.segments] == [len(s.times) for s in ref.segments] == [51]
+        assert np.abs(lin.segments[0].states[-2:, 0]) == pytest.approx([8.15e11, 1.1e12], rel=1e-3)
+
+    def test_excursion_inside_a_segment(self):
+        # x1' = -x1 + 1e3 x2 from x2 = 1e10 passes 1e12 near t = 0.11, peaks
+        # near 3.7e12 at t = 1 and is back below 1e11 by t = 8, the end of
+        # the first segment: the run fails inside it, as in the oracle.
+        model = iss.LinearSystemModel(A={"a": [[-1.0, 1e3], [0.0, -1.0]]},
+                                      B={"a": [[0.0], [1.0]]},
+                                      J={"a": np.eye(2)}, H={"a": np.zeros((2, 1))})
+        sig = iss.SwitchingSignal(0.0, (8.0,), ("a", "a"), 9.0)
+        x0s, inputs = [[0.0, 0.0], [0.0, 1e10]], [iss.zero_input()] * 2
+        errors = []
+        for simulate_runs in (iss.simulate_batch, simulate_per_segment):
+            with pytest.raises(NonFiniteError) as exc:
+                simulate_runs(model, sig, x0s, inputs, 1e-2)
+            errors.append(exc.value)
+        assert str(errors[0]) == str(errors[1])
+        assert 0.1 < errors[0].partial.horizon < 0.15
+        assert np.array_equal(errors[0].partial.samples[0], errors[1].partial.samples[0])
+        assert np.linalg.norm(expm(8.0 * model.A["a"]) @ x0s[1]) < 1e11
+
+    def test_zero_start_through_overflowing_segments(self):
+        # x1' = 30 x1: P^3000 overflows in each of three 30 s segments of one
+        # group.  From x1 = 0 under zero forcing x1 stays exactly 0 across the
+        # jumps, while x2' = -x2 + u decays as in the oracle.
+        model = iss.LinearSystemModel(A={"a": np.diag([30.0, -1.0])},
+                                      B={"a": [[0.0], [1.0]]},
+                                      J={"a": np.eye(2)}, H={"a": np.zeros((2, 1))})
+        sig = iss.SwitchingSignal(0.0, (30.0, 60.0), ("a", "a", "a"), 90.0)
+        step_map = _step_map(model.A["a"], model.B["a"], 1e-2)
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(np.linalg.matrix_power(step_map[0], 3000)))
+        x0s, inputs = [[0.0, 0.0], [0.0, 1.0]], [iss.zero_input(), INPUTS["sinusoid"]]
+        batch = iss.simulate_batch(model, sig, x0s, inputs, 1e-2)
+        oracle = simulate_per_segment(model, sig, x0s, inputs, 1e-2)
+        assert not np.any(batch[0].samples[1])
+        assert not np.any(batch[1].samples[1][:, 0])
+        deviation = np.abs(batch[1].samples[1] - oracle[1].samples[1])
+        assert np.max(deviation) <= 1e4 * np.finfo(float).eps * oracle[1].sup_norm()
+
+    def test_one_sample_call_per_run_and_group(self):
+        # K = 40: 41 segments in 5 (mode, h, N) groups.
+        sig = long_switching_signal()
+        groups = {(p, math.ceil((b - a) / LONG_STEP)) for a, b, p in sig.segments()}
+        assert len(sig.segments()) == 41 and len(groups) == 5
+        (a, a_calls), (b, b_calls) = recording_input(), recording_input()
+        model = switching_model(1)
+        iss.simulate_batch(model, sig, [[1.0], [2.0]], [a, b], LONG_STEP)
+        assert len(a_calls) == len(b_calls) == 5
+        simulate_per_segment(model, sig, [[1.0]], [a], LONG_STEP)
+        assert len(a_calls) == 5 + 41
 
 
 class TestInputArrays:
