@@ -9,28 +9,35 @@ the post-jump state.
 For a LinearSystemModel one RK4 step on x' = A x + B u is a fixed affine
 map, x+ = P x + G0 u(t) + Gm u(t + h/2) + G1 u(t + h).  ``simulate_batch``
 runs R initial states and inputs over one signal and step grid.  It sorts
-the K + 1 segments into G groups that share mode, step size h and step
-count N, and builds the map and its powers P, P^2, P^4, ... once per mode
-and h.  Within a segment the states are x_i = P^i x_start + Y_i, where the
+the K + 1 segments into G groups that share mode and step count N; each
+segment keeps its own step size h, so instants that are not exact sums
+(nominally equal durations whose h differ in the last bits) still share a
+group.  The map and its powers P, P^2, P^4, ... are built once per mode
+for all its distinct h in one stacked call, and each segment takes its
+own.  Within a segment the states are x_i = P^i x_start + Y_i, where the
 forced response Y from a zero start does not depend on x_start.  When the
 loop over the segments first reaches a group, each run samples its input
-once over the group's segments, and Y_{i+1} = P Y_i + F_i is solved for
-every run and segment at once as a doubling prefix scan (Kogge & Stone
-1973; Blelloch 1990): log2 N whole-array passes, runs and segments on the
-leading axes.  The loop itself only carries the runs from each segment's
-start to its end, P^N x_start + Y_N, and across the jump, J x + H u: a few
-(n, n) products per segment for all runs together.  Last, each group adds
-its free responses P^i x_start (log2 N doubling passes) and checks every
-sample's range.  So a batch costs O(G log N) numpy calls plus O(K) small
-ones, O(N n^2 R log N) flops over the N samples of the signal, and
-O(N n R) memory.  A group too large for BLOCK_ENTRIES (2N + 1 sample times
-or R (N + 1) n states per segment) is sampled and scanned in blocks of
-segments, so the temporaries stay near those of one segment.  Each run's
-and segment's products have the same shapes whatever R and S are, so a
-run's states are the same bits in a batch as alone, and a segment's the
-same as when it is simulated alone from its start.  ``simulate`` is the
-batch of one run.  A general SystemModel is stepped through its flow
-callables, run by run.
+once over all the group's segments, and Y_{i+1} = P Y_i + F_i is solved
+for every run and segment at once as a doubling prefix scan (Kogge &
+Stone 1973; Blelloch 1990): log2 N whole-array passes, runs and segments
+on the leading axes.  The loop itself only carries the runs from each
+segment's start to its end, P^N x_start + Y_N, and across the jump,
+J x + H u: a few (n, n) products per segment for all runs together.
+Last, each group adds its free responses P^i x_start (log2 N doubling
+passes) and checks every sample's range.  So a batch costs O(G log N)
+numpy calls plus O(K) small ones, O(N n^2 R log N) flops over the N
+samples of the signal, and O(N n R) memory: beside the states, the
+temporaries of one group at a time.  G is
+at most the number of distinct (mode, N), so it stops growing with K once
+the step counts repeat; when every segment has its own N, G = K + 1 and
+the group overhead is paid per segment.  Each run's and segment's
+products have the same shapes whatever R and S are, so a run's states are
+the same bits in a batch as alone, and a segment's the same as when it is
+simulated alone from its start (unless a power of P overflows sooner for
+another step size of its mode than for its own: the powers stop at the
+first overflow in the mode, which moves the scan's chunks).  ``simulate``
+is the batch of one run.  A
+general SystemModel is stepped through its flow callables, run by run.
 """
 
 from __future__ import annotations
@@ -47,10 +54,6 @@ from .errors import NonFiniteError, StepTooLargeError
 from .switching import SwitchingSignal
 
 FINITE_LIMIT = 1e12
-# Sample times or states of one block of segments of a linear run (see
-# `_blocks`): 64 kB of float64, so that a block's temporaries stay near
-# those of one segment of the benchmark's dense runs.
-BLOCK_ENTRIES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -225,9 +228,9 @@ def _step_count(t_start, t_end, step):
 
 def _grid(t_start, t_end, n_steps, h):
     """The RK4 grid of ``n_steps`` steps of h from t_start, landing exactly
-    on t_end (the values of ``np.linspace``); for arrays of starts and ends,
-    one grid per row."""
-    times = np.arange(n_steps + 1.0) * h + np.asarray(t_start)[..., None]
+    on t_end (the values of ``np.linspace``); for arrays of starts, ends and
+    step sizes, one grid per entry."""
+    times = np.arange(n_steps + 1.0) * np.asarray(h)[..., None] + np.asarray(t_start)[..., None]
     times[..., -1] = t_end
     return times
 
@@ -264,12 +267,33 @@ def _rk4_segment(f, t_start, t_end, x0, input_sig, step):
 
 def _step_map(A, B, h):
     """[P, G0, Gm, G1] of one RK4 step of size h on x' = A x + B u: the RK4
-    step applied to identity columns of [x | u(t) | u(t+h/2) | u(t+h)]."""
+    step applied to identity columns of [x | u(t) | u(t+h/2) | u(t+h)].  For
+    an (S, 1, 1) array of sizes, the S maps stacked."""
     n, m = B.shape
     cols = np.eye(n + 3 * m)
     step_map = _rk4_step(lambda t, x, u: A @ x + B @ u, 0.0, cols[:n], h,
                          cols[n:n + m], cols[n + m:n + 2 * m], cols[n + 2 * m:])
-    return np.split(step_map, [n, n + m, n + 2 * m], axis=1)
+    return np.split(step_map, [n, n + m, n + 2 * m], axis=-1)
+
+
+def _step_maps(model, mode, hs, cache):
+    """[P, G0, Gm, G1] of ``mode`` for each step size in ``hs``, each stacked
+    in the order of ``hs``.  ``cache`` holds each size's map by (mode,
+    exact h); the missing ones are built by one stacked `_step_map`."""
+    new = [h for h in hs if (mode, h) not in cache]
+    if new:
+        maps = _step_map(model.A[mode], model.B[mode], np.array(new)[:, None, None])
+        cache.update(((mode, h), parts) for h, *parts in zip(new, *maps))
+        if len(new) == len(hs):
+            return maps
+    return [np.stack(parts) for parts in zip(*(cache[mode, h] for h in hs))]
+
+
+def _matmul(a, b, out=None):
+    """a @ b, as an elementwise product when the contracted axis has length
+    1 (n = 1 or m = 1): the same values, without matmul's cost on such
+    shapes, which is several times that of the product itself."""
+    return np.multiply(a, b, out=out) if b.shape[-2] == 1 else np.matmul(a, b, out=out)
 
 
 def _doubling_powers(powers, n_steps):
@@ -284,86 +308,68 @@ def _doubling_powers(powers, n_steps):
     return powers
 
 
-def _matmul(a, b, out=None):
-    """a @ b, as an elementwise product when the contracted axis has length
-    1: the same values, without matmul's cost per call on such shapes."""
-    return np.multiply(a, b, out=out) if b.shape[0] == 1 else np.matmul(a, b, out=out)
-
-
-def _blocks(n_segments, entries):
-    """Slices of the segments of a group, each with at most BLOCK_ENTRIES
-    entries at ``entries`` per segment (or one segment), so that the
-    temporaries of a long group stay near those of one segment."""
-    size = max(1, BLOCK_ENTRIES // entries)
-    return [slice(c, c + size) for c in range(0, n_segments, size)]
-
-
-def _forced_responses(step_map, powers, times, inputs):
-    """The forced responses from a zero start of segments that share one
-    step map and step count N, for every run: the (R, S, N + 1, n) solutions
-    of Y_0 = 0, Y_{i+1} = P Y_i + F_i on the S grids ``times``, with the
-    runs and the segments on the leading axes.  Per block of segments, run
-    j's forcing comes from one ``sample`` call of its own input; the
-    recurrence is solved by `_scan`, per block of segments too."""
-    P, G0, Gm, G1 = step_map
-    (n_segments, n_times), n = times.shape, P.shape[0]
+def _forced_responses(maps_t, powers_t, times, inputs):
+    """The forced responses from a zero start of S segments that share one
+    step count N, for every run: the (R, S, N + 1, n) solutions of Y_0 = 0,
+    Y_{i+1} = P Y_i + F_i on the S grids ``times``, with the runs and the
+    segments on the leading axes.  States are rows, so the products take
+    transposes: ``maps_t`` holds P^T, G0^T, Gm^T and G1^T and ``powers_t``
+    those of `_doubling_powers`, each stacked over the segments.  Run j's
+    forcing comes from one ``sample`` call of its own input; the recurrence
+    is solved by one `_scan`."""
+    P_t, G0_t, Gm_t, G1_t = maps_t
+    (n_segments, n_times), n = times.shape, P_t.shape[-1]
     n_steps = n_times - 1
+    # Each grid, then its midpoints t_i + (t_{i+1} - t_i) / 2.
+    u_at = np.concatenate([times, times[:, :-1] + (times[:, 1:] - times[:, :-1]) / 2], axis=1)
     Y = np.empty((len(inputs), n_segments, n_times, n))
     Y[:, :, 0] = 0.0
-    for block in _blocks(n_segments, 2 * n_times):
-        grids, F = times[block], Y[:, block, 1:]
-        # Each grid, then its midpoints t_i + (t_{i+1} - t_i) / 2, built in place.
-        u_at = np.empty((len(grids), 2 * n_steps + 1))
-        u_at[:, :n_times] = grids
-        mid = np.subtract(grids[:, 1:], grids[:, :-1], out=u_at[:, n_times:])
-        mid /= 2
-        mid += grids[:, :-1]
-        for j, inp in enumerate(inputs):
-            u = inp.sample(u_at.ravel()).reshape(len(grids), 2 * n_steps + 1, -1)
-            _matmul(u[:, :n_steps], G0.T, out=F[j])
-            F[j] += _matmul(u[:, n_times:], Gm.T)
-            F[j] += _matmul(u[:, 1:n_times], G1.T)
-    for block in _blocks(n_segments, Y[:, 0].size):
-        _scan(Y[:, block], P, powers)
+    for j, inp in enumerate(inputs):
+        u = inp.sample(u_at.ravel()).reshape(n_segments, 2 * n_steps + 1, -1)
+        F = _matmul(u[:, :n_steps], G0_t, out=Y[j, :, 1:])
+        F += _matmul(u[:, n_times:], Gm_t)
+        F += _matmul(u[:, 1:n_times], G1_t)
+    _scan(Y, P_t, powers_t)
     return Y
 
 
-def _scan(Y, P, powers):
+def _scan(Y, P_t, powers_t):
     """Solve Y_{i+1} = P Y_i + F_i from Y_0 = 0 in place over the
-    (..., N + 1, n) array ``Y`` that holds 0 and F_0 .. F_{N-1}, as a
+    (..., S, N + 1, n) array ``Y`` that holds 0 and F_0 .. F_{N-1}, as a
     doubling prefix scan (Kogge & Stone 1973): the pass for s = 1, 2, 4,
     ... adds P^s Y_{i-s} to every Y_i with i > s, one stacked product that
     is the same (N - s, n) @ (n, n) for every leading index, whatever the
-    leading shape.
-    ``powers`` is the step map's list of `_doubling_powers`.  The scan runs
-    in chunks of twice the largest finite power, each with the P Y of the
-    chunk before folded into its first row, so an overflowing power never
-    meets a zero state as 0 * inf."""
+    leading shape.  ``P_t`` and ``powers_t`` stack the transposes of each
+    segment's P and `_doubling_powers`.  The scan runs in chunks of twice
+    the largest finite power, each with the P Y of the chunk before folded
+    into its first row, so an overflowing power never meets a zero state as
+    0 * inf."""
     n_steps = Y.shape[-2] - 1
-    span = 2 ** len(powers)
+    span = 2 ** len(powers_t)
     products = np.empty_like(Y[..., 1:min(n_steps, span) + 1, :])
     for a in range(0, n_steps, span):
         Z = Y[..., a + 1:a + 1 + span, :]
         if a:
-            Z[..., :1, :] += _matmul(Y[..., a:a + 1, :], P.T)
-        for k, Pk in enumerate(powers[:(Z.shape[-2] - 1).bit_length()]):
+            Z[..., :1, :] += _matmul(Y[..., a:a + 1, :], P_t)
+        for k, Pk_t in enumerate(powers_t[:(Z.shape[-2] - 1).bit_length()]):
             s = 1 << k
-            Z[..., s:, :] += _matmul(Z[..., :-s, :], Pk.T, out=products[..., :Z.shape[-2] - s, :])
+            Z[..., s:, :] += _matmul(Z[..., :-s, :], Pk_t, out=products[..., :Z.shape[-2] - s, :])
 
 
-def _free_responses(powers, starts, length):
-    """P^i x for i < ``length`` and every start x in ``starts`` (the last
-    axis), as a (..., length, n) array filled by doubling: the block from
-    row 2^k on is the block before it times P^(2^k).  Past the largest
-    finite power the blocks repeat its exponent, so a zero entry is never
-    multiplied by an infinite one."""
+def _free_responses(powers_t, starts, length):
+    """P^i x for i < ``length`` and every start x in the (..., S, n) array
+    ``starts``, with ``powers_t`` the transposes of `_doubling_powers`
+    stacked over the S segments, as a (..., S, length, n) array filled by
+    doubling: the block from row 2^k on is the block before it times
+    P^(2^k).  Past the largest finite power the blocks repeat its exponent,
+    so a zero entry is never multiplied by an infinite one."""
     out = np.empty((*starts.shape[:-1], length, starts.shape[-1]))
     out[..., 0, :] = starts
     i = 1
     while i < length:
-        k = min(i.bit_length(), len(powers)) - 1
+        k = min(i.bit_length(), len(powers_t)) - 1
         s, m = 1 << k, min(1 << k, length - i)
-        _matmul(out[..., i - s:i - s + m, :], powers[k].T, out=out[..., i:i + m, :])
+        _matmul(out[..., i - s:i - s + m, :], powers_t[k], out=out[..., i:i + m, :])
         i += m
     return out
 
@@ -380,7 +386,8 @@ def _power_chain(powers, n_steps):
 
 
 class _Group:
-    """The flow segments of one mode, step size h and step count N.
+    """The flow segments of one mode and step count N, each with its own
+    step size h.
 
     ``evaluate`` computes their forced responses for the runs still going
     when the first of them is reached, into the array that becomes their
@@ -388,32 +395,34 @@ class _Group:
     ``build`` adds the free responses P^i x_start once every start is known.
     """
 
-    def __init__(self, mode, n_steps, h):
-        self.mode, self.n_steps, self.h = mode, n_steps, h
-        self.indices, self.t_starts, self.t_ends = [], [], []  # of the segments, by slot
+    def __init__(self, mode, n_steps):
+        self.mode, self.n_steps = mode, n_steps
+        self.indices, self.t_starts, self.t_ends, self.hs = [], [], [], []  # by slot
         self.states = None
 
-    def add(self, k, t_start, t_end):
-        """Take segment k, on [t_start, t_end], as the next slot."""
+    def add(self, k, t_start, t_end, h):
+        """Take segment k, on [t_start, t_end] in steps of h, as the next slot."""
         self.indices.append(k)
         self.t_starts.append(t_start)
         self.t_ends.append(t_end)
+        self.hs.append(h)
         return self, len(self.indices) - 1
 
-    def evaluate(self, model, runs, inputs, step_maps):
+    def evaluate(self, table, runs, inputs):
         """The grids of every slot and the forced responses of ``runs`` on
-        them.  ``step_maps`` caches the step maps, with their doubling
-        powers, by (mode, exact h), so groups that share them reuse one."""
-        if (self.mode, self.h) not in step_maps:
-            step_map = _step_map(model.A[self.mode], model.B[self.mode], self.h)
-            step_maps[self.mode, self.h] = step_map, [step_map[0]]
-        step_map, self.powers = step_maps[self.mode, self.h]
-        _doubling_powers(self.powers, self.n_steps + 1)
-        self.chain = _power_chain(self.powers, self.n_steps)
-        self.times = _grid(self.t_starts, self.t_ends, self.n_steps, self.h)
+        them.  ``table`` holds the stacked step maps and doubling powers of
+        the mode's distinct step sizes and the row of each size; each slot
+        takes its own, transposed."""
+        maps, powers, row_of = table
+        which = np.array([row_of[h] for h in self.hs])
+        powers = [Pk[which] for Pk in powers[:self.n_steps.bit_length()]]
+        self.chain_t = [M.swapaxes(1, 2) for M in _power_chain(powers, self.n_steps)]
+        self.powers_t = [Pk.swapaxes(1, 2) for Pk in powers]
+        self.times = _grid(self.t_starts, self.t_ends, self.n_steps, np.array(self.hs))
         self.runs = runs
         self.row = {r: i for i, r in enumerate(runs.tolist())}
-        self.states = _forced_responses(step_map, self.powers, self.times, inputs)
+        maps_t = [M[which].swapaxes(1, 2) for M in maps]
+        self.states = _forced_responses(maps_t, self.powers_t, self.times, inputs)
         self.starts = np.zeros((len(runs), len(self.indices), self.states.shape[-1]))
 
     def flow(self, slot, runs, xs):
@@ -422,8 +431,8 @@ class _Group:
         and chain matrix, stored as the slot's last sample."""
         rows = slice(None) if len(runs) == len(self.runs) else np.searchsorted(self.runs, runs)
         self.starts[rows, slot] = xs
-        for M in self.chain:
-            xs = _matmul(xs[:, None, :], M.T)[:, 0]
+        for M_t in self.chain_t:
+            xs = _matmul(xs[:, None, :], M_t[slot])[:, 0]
         xs = xs + self.states[rows, slot, -1]
         self.states[rows, slot, -1] = xs
         return xs
@@ -433,9 +442,9 @@ class _Group:
         (``flow`` stored it); returns (run, segment, e) for each slot of a
         run with a sample out of range, the first such sample at e - 1."""
         n = self.n_steps
-        for block in _blocks(len(self.indices), self.states[:, 0].size):
-            self.states[:, block, :n] += _free_responses(self.powers, self.starts[:, block], n)
-        # Entries below FINITE_LIMIT / (2 sqrt(n)) keep every norm in range.
+        self.states[:, :, :n] += _free_responses(self.powers_t, self.starts, n)
+        # Entries below FINITE_LIMIT / (2 sqrt(n)) keep every norm in range;
+        # the test takes no memory, where the norms of a whole group would.
         if max(self.states.max(), -self.states.min()) < FINITE_LIMIT / (
                 2 * math.sqrt(self.states.shape[-1])):
             return []
@@ -485,13 +494,15 @@ def _simulate_run(model, sig, x, inp, step) -> Trajectory:
 
 def _simulate_linear(model, sig, x0s, inputs, step, step_maps) -> list[Trajectory]:
     """`simulate_batch` of a LinearSystemModel, with ``step_maps`` the cache
-    of `_Group.evaluate`.
+    of `_step_maps`.
 
-    A group's forced responses are computed when the loop over the segments
-    first reaches it; the loop itself only carries each run from segment
-    start to segment end, P^N x + Y_N, and across the jump.  A run whose end
-    or jump state leaves the range stops there, and the loop stops once no
-    run still going comes before the first that stopped.  The free
+    A group's forced responses are computed, on all its segments, when the
+    loop over the segments first reaches it; the loop itself only carries
+    each run from segment start to segment end, P^N x + Y_N, and across the
+    jump.  A run whose end or jump state leaves the range stops there, and
+    the loop stops once no run still going comes before the first that
+    stopped: no group is sampled that the loop first reaches after that,
+    but the later segments of a group reached before it have been.  The free
     responses and the range check of every sample follow, group by group: a
     run whose states leave the range inside a segment and return to it by
     the segment's end fails there, as it would step by step.
@@ -500,13 +511,20 @@ def _simulate_linear(model, sig, x0s, inputs, step, step_maps) -> list[Trajector
     for k, (a, b, mode) in enumerate(sig.segments()):
         if b > a:  # else the single sample of a last instant on the horizon
             n_steps, h = _step_count(a, b, step)
-            slots.append(groups.setdefault((mode, n_steps, h), _Group(mode, n_steps, h))
-                         .add(k, a, b))
+            slots.append(groups.setdefault((mode, n_steps), _Group(mode, n_steps))
+                         .add(k, a, b, h))
+    tables = {}  # mode -> (step maps, doubling powers, row of each step size)
+    for mode in dict.fromkeys(group.mode for group in groups.values()):
+        members = [group for group in groups.values() if group.mode == mode]
+        row_of = {h: i for i, h in enumerate(dict.fromkeys(h for g in members for h in g.hs))}
+        maps = _step_maps(model, mode, list(row_of), step_maps)
+        powers = _doubling_powers([maps[0]], max(g.n_steps for g in members) + 1)
+        tables[mode] = maps, powers, row_of
     runs, xs = np.arange(len(x0s)), np.array(x0s)
     stopped = {}  # run -> (segment, time of its jump out of range or None)
     for k, (group, slot) in enumerate(slots):
         if group.states is None:
-            group.evaluate(model, runs, [inputs[r] for r in runs], step_maps)
+            group.evaluate(tables[group.mode], runs, [inputs[r] for r in runs])
         xs = group.flow(slot, runs, xs)
         ok = ended = _in_range(xs)
         if k < len(sig.instants):
@@ -572,7 +590,12 @@ def simulate_batch(
     A linear model steps all runs together, one step map per (mode, h) per
     batch; a general SystemModel is stepped run by run.  If runs leave the
     finite range, this raises the NonFiniteError (message and partial
-    trajectory) that the first of them in run order raises alone.
+    trajectory) that the first of them in run order raises alone.  A linear
+    model samples each run's input once per group of segments with equal
+    mode and step count, on all of the group's segments when it first
+    reaches one of them, so a run that fails early may have been sampled on
+    later segments of that group; a general one samples step by step up to
+    the failure.
     """
     if step <= 0:
         raise ValueError("step must be > 0")

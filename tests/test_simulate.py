@@ -336,6 +336,28 @@ class TestBatch:
         assert same_trajectory(batch.value.partial, alone.value.partial)
         assert max(latest) == 0.5
 
+    def test_a_failure_has_sampled_the_rest_of_its_group(self):
+        # As above with two segments of 0.5 s: one (mode, N) group, whose
+        # input is sampled on both segments when the loop first reaches it.
+        # The run fails in the first segment all the same, with the error of
+        # the segment-by-segment oracle, which samples only up to 0.5.
+        model = iss.LinearSystemModel(A={"a": [[30.0]]}, B={"a": [[1.0]]},
+                                      J={"a": [[1.0]]}, H={"a": [[0.0]]})
+        sig = iss.SwitchingSignal(0.0, (0.5,), ("a", "a"), 1.0)
+        errors, latest = [], []
+        for simulate_runs in (iss.simulate_batch, simulate_per_segment):
+            inp, calls = recording_input()
+            with pytest.raises(NonFiniteError) as exc:
+                simulate_runs(model, sig, [[1e6]], [inp], 1e-3)
+            errors.append(exc.value)
+            latest.append(max(calls))
+        assert str(errors[0]) == str(errors[1])
+        partial, ref = errors[0].partial, errors[1].partial
+        assert len(partial.segments) == len(ref.segments) == 1
+        assert np.array_equal(partial.samples[0], ref.samples[0])
+        assert np.allclose(partial.samples[1], ref.samples[1], rtol=1e-12, atol=0)
+        assert latest == [1.0, 0.5]
+
     def test_jump_blow_up(self):
         sig = iss.SwitchingSignal(0.0, (0.5,), ("a", "a"), 1.0)
         model = iss.LinearSystemModel(A={"a": [[0.0]]}, B={"a": [[1.0]]},
@@ -546,7 +568,7 @@ def recording_input():
 
 
 class TestGroupedScan:
-    """The scans per (mode, h, N) group against the per-segment oracle."""
+    """The scans per (mode, N) group against the per-segment oracle."""
 
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("n", [1, 4])
@@ -654,7 +676,7 @@ class TestGroupedScan:
         assert np.max(deviation) <= 1e4 * np.finfo(float).eps * oracle[1].sup_norm()
 
     def test_one_sample_call_per_run_and_group(self):
-        # K = 40: 41 segments in 5 (mode, h, N) groups.
+        # K = 40: 41 segments in 5 (mode, N) groups.
         sig = long_switching_signal()
         groups = {(p, math.ceil((b - a) / LONG_STEP)) for a, b, p in sig.segments()}
         assert len(sig.segments()) == 41 and len(groups) == 5
@@ -664,6 +686,33 @@ class TestGroupedScan:
         assert len(a_calls) == len(b_calls) == 5
         simulate_per_segment(model, sig, [[1.0]], [a], LONG_STEP)
         assert len(a_calls) == 5 + 41
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_step_sizes_within_a_group(self, n):
+        # The K = 40 durations shortened by up to 1 %: the instants are no
+        # longer exact sums and every segment has its own step size h, but
+        # the step counts, and so the 5 groups, stay.  Each segment is the
+        # oracle's within N eps of the scale, and the same bits as when it
+        # is simulated alone from its start.
+        sig = long_switching_signal()
+        durations = np.diff([sig.t0, *sig.instants, sig.horizon])
+        durations *= 1 - 0.01 * np.random.default_rng(5).uniform(size=len(durations))
+        sig = iss.SwitchingSignal(0.0, tuple(np.cumsum(durations)[:-1].tolist()), sig.modes,
+                                  float(np.sum(durations)))
+        steps = [(b - a) / math.ceil((b - a) / LONG_STEP) for a, b, _ in sig.segments()]
+        assert len(set(steps)) == 41
+        model, (inp, calls) = switching_model(n), recording_input()
+        x0 = np.full(n, 2.0)
+        (traj,) = iss.simulate_batch(model, sig, [x0], [inp], LONG_STEP)
+        assert len(calls) == 5
+        (ref,) = simulate_per_segment(model, sig, [x0], [inp], LONG_STEP)
+        assert np.array_equal(traj.samples[0], ref.samples[0])
+        deviation = np.linalg.norm(traj.samples[1] - ref.samples[1], axis=1)
+        assert np.max(deviation) <= len(deviation) * np.finfo(float).eps * ref.sup_norm()
+        for seg in traj.segments:
+            times, states = one_segment(model, seg.mode, seg.times[0], seg.times[-1],
+                                        seg.states[0], inp, LONG_STEP, {})
+            assert np.array_equal(times, seg.times) and np.array_equal(states, seg.states)
 
 
 class TestInputArrays:
