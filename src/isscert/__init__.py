@@ -3,7 +3,7 @@
 from .bounds import IssBound, build_bound, decay_interpolant, iss_check
 from .certify import (
     Certificate,
-    ViolationReport,
+    Reports,
     check_decreasing_certificate,
     check_dwell_conditions,
     check_trajectory,
@@ -38,9 +38,9 @@ from .lmi import (
     QuadraticCertificate,
     check_blocks,
     check_rate_conditions,
+    eigenvalues,
     flow_blocks,
     is_negative_semidefinite,
-    jacobi_eigenvalues,
     jump_blocks,
     synthesize,
 )

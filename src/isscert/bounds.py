@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .certify import Certificate, ViolationReport, _report
+from .certify import Certificate, Reports
 from .errors import DegenerateGammaError, ImageNotFullError
 from .rates import PhiTransform, RateFunction, _result
 from .simulate import InputSignal, Trajectory
@@ -137,7 +137,7 @@ def build_bound(
 
 def iss_check(
     bound: IssBound, traj: Trajectory, x0, input: InputSignal
-) -> tuple[list[ViolationReport], float]:
+) -> tuple[Reports, float]:
     """Check the ISS estimate at every trajectory sample; also return the
     largest margin ||x(t)|| - (beta(||x0||, t - t0) + gamma(||u||inf)).
 
@@ -152,6 +152,5 @@ def iss_check(
     rhs = np.broadcast_to(bound.beta(r0, times - traj.t0) + g, times.shape)
     # fmax skips NaN margins, as a running max() over floats does.
     max_margin = float(np.fmax.reduce(lhs - rhs, initial=-math.inf))
-    out = [_report("iss", times[i], modes[i], lhs[i], rhs[i])
-           for i in np.flatnonzero(lhs > rhs * (1 + ISS_REL_TOL) + 1e-12)]
-    return out, max_margin
+    i = np.flatnonzero(lhs > rhs * (1 + ISS_REL_TOL) + 1e-12)
+    return Reports("iss", times[i], modes[i], lhs[i], rhs[i]), max_margin

@@ -8,16 +8,19 @@ the same two rules to W.  Also: the dwell conditions at every switching
 instant, the signal's dwell/leave slack, the declared partition checked to
 cover every mode and against the sign of each flow rate, the
 decreasing-certificate test and the dissipation-to-implication conversion.
-The tolerances of these checks (SANDWICH_TOL, JUMP_TOL and DWELL_TOL, which
-``lmi`` uses for its dwell inequality too) and the default Dini coefficient
-are defined here; ``bounds`` defines ISS_REL_TOL and ``lmi`` its eigenvalue
-tolerances SYMMETRY_TOL and PSD_TOL.
+Every check returns its failed inequalities as one ``Reports``: columns of
+kind, time, mode, lhs and rhs, selected from the checked arrays by one
+boolean index each, not one object per failure.  The tolerances of these
+checks (SANDWICH_TOL, JUMP_TOL and DWELL_TOL, which ``lmi`` uses for its
+dwell inequality too) and the default Dini coefficient are defined here;
+``bounds`` defines ISS_REL_TOL and ``lmi`` its eigenvalue tolerances
+SYMMETRY_TOL and PSD_TOL.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Mapping, Sequence
 
@@ -66,21 +69,51 @@ class Certificate:
         return {p: PhiTransform(r) for p, r in self.phi.items()}
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    """One failed inequality: margin = lhs - rhs in the <= orientation."""
+@dataclass(frozen=True, eq=False)
+class Reports:
+    """Failed inequalities as columns, one entry per report; margin =
+    lhs - rhs in the <= orientation.  Scalars broadcast against the arrays,
+    and ``Reports()`` is empty.  ``len`` counts the reports, an index or mask
+    selects, and ``+`` concatenates and adds the ``counts`` of samples a rule
+    evaluated or skipped (``flow_evaluated``; ``flow_skipped`` below the
+    threshold)."""
 
-    kind: str
-    time: float
-    mode: str
-    lhs: float
-    rhs: float
-    margin: float
+    kind: np.ndarray = ()
+    time: np.ndarray = ()
+    mode: np.ndarray = ()
+    lhs: np.ndarray = ()
+    rhs: np.ndarray = ()
+    counts: Mapping[str, int] = field(default_factory=dict)
 
+    def __post_init__(self):
+        columns = [np.asarray(c, dtype)
+                   for c, dtype in zip(self._columns(), (str, float, str, float, float))]
+        n = max((len(c) for c in columns if c.ndim), default=1)
+        for name, column in zip(("kind", "time", "mode", "lhs", "rhs"), columns):
+            # np.full raises on a column of another length.
+            object.__setattr__(self, name, column if column.shape == (n,) else np.full(n, column))
 
-def _report(kind, time, mode, lhs, rhs) -> ViolationReport:
-    return ViolationReport(kind, float(time), str(mode), float(lhs), float(rhs),
-                           float(lhs - rhs))
+    def _columns(self):
+        return self.kind, self.time, self.mode, self.lhs, self.rhs
+
+    @property
+    def margin(self) -> np.ndarray:
+        return self.lhs - self.rhs
+
+    def rows(self) -> list[tuple]:
+        """(kind, time, mode, lhs, rhs, margin) of each report, as Python values."""
+        return list(zip(*(c.tolist() for c in (*self._columns(), self.margin))))
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __add__(self, other: Reports) -> Reports:
+        counts = {k: self.counts.get(k, 0) + other.counts.get(k, 0)
+                  for k in {**self.counts, **other.counts}}
+        return Reports(*map(np.concatenate, zip(self._columns(), other._columns())), counts)
+
+    def __getitem__(self, at) -> Reports:
+        return Reports(*(c[at] for c in self._columns()), self.counts)
 
 
 def _constant_sign(rate: RateFunction) -> int:
@@ -111,7 +144,7 @@ def _by_mode(f, modes, *xs) -> np.ndarray:
     return out
 
 
-def _flow_reports(traj, values, allowed, threshold, dini_coeff) -> list[ViolationReport]:
+def _flow_reports(traj, values, allowed, threshold, dini_coeff) -> Reports:
     """The flow rule along ``traj``: where v >= threshold, the forward
     difference (v[i+1] - v[i]) / h within a segment may exceed
     allowed(mode, v[i]) by at most dini_coeff h."""
@@ -119,15 +152,18 @@ def _flow_reports(traj, values, allowed, threshold, dini_coeff) -> list[Violatio
     h = np.diff(times)
     within = np.ones(len(h), dtype=bool)
     within[starts[1:] - 1] = False  # the difference across a jump
-    i = np.flatnonzero(within & ~(h <= 0) & ~(values[:-1] < threshold))
+    within &= ~(h <= 0)
+    below = within & (values[:-1] < threshold)
+    i = np.flatnonzero(within & ~below)
     h = h[i]
     slope = (values[i + 1] - values[i]) / h
     rhs = _by_mode(allowed, modes[i], values[i]) + dini_coeff * h
-    return [_report("flow", times[i[n]], modes[i[n]], slope[n], rhs[n])
-            for n in np.flatnonzero(slope > rhs)]
+    n = np.flatnonzero(slope > rhs)
+    return Reports("flow", times[i[n]], modes[i[n]], slope[n], rhs[n],
+                   {"flow_evaluated": len(i), "flow_skipped": int(np.count_nonzero(below))})
 
 
-def _jump_reports(traj, pre, post, threshold, bound, cap) -> list[ViolationReport]:
+def _jump_reports(traj, pre, post, threshold, bound, cap) -> Reports:
     """The jump rule at each jump of ``traj``, from ``pre`` (the value ending a
     segment of mode p) to ``post``: post <= bound(p, pre) where
     pre >= threshold, post <= cap below it, up to JUMP_TOL (1 + |rhs|)."""
@@ -136,9 +172,9 @@ def _jump_reports(traj, pre, post, threshold, bound, cap) -> list[ViolationRepor
     above = pre >= threshold
     rhs = np.full(len(pre), float(cap))
     rhs[above] = _by_mode(bound, modes[above], pre[above])
-    failed = np.flatnonzero(post > rhs + JUMP_TOL * (1 + np.abs(rhs)))
-    return [_report("jump" if above[j] else "small-input-jump", times[j], modes[j],
-                    post[j], rhs[j]) for j in failed]
+    j = np.flatnonzero(post > rhs + JUMP_TOL * (1 + np.abs(rhs)))
+    return Reports(np.where(above[j], "jump", "small-input-jump"), times[j], modes[j],
+                   post[j], rhs[j])
 
 
 def check_trajectory(
@@ -147,11 +183,13 @@ def check_trajectory(
     input: InputSignal,
     form: str = "implication",
     dini_coeff: float = DEFAULT_DINI_COEFF,
-) -> list[ViolationReport]:
+) -> Reports:
     """Sandwich, flow and jump reports of one certificate form (see
-    :data:`FORMS`), in that order, from one evaluation of V per sample.  The
-    implication form gates at chi(||u||inf) and caps jumps below it by
-    alpha3; the dissipation form adds chi to both bounds, gating nothing."""
+    :data:`FORMS`), in that order, from one evaluation of V per sample; a
+    sample that breaks both sides of the sandwich gives its lower side
+    first.  The implication form gates at chi(||u||inf) and caps jumps below
+    it by alpha3; the dissipation form adds chi to both bounds, gating
+    nothing."""
     if form not in FORMS:
         raise ValueError(f"unknown certificate form {form!r}; choose one of {FORMS}")
     chi = cert.chi(input.sup_norm)
@@ -163,20 +201,17 @@ def check_trajectory(
     bound = lambda p, v: cert.psi[p](v) + slack  # noqa: E731
     times, states, modes, starts = traj.samples
     values = _values(cert, traj)
-    out = []
     norms = np.linalg.norm(states, axis=1)
-    lo, hi = cert.alpha1(norms), cert.alpha2(norms)
-    below, above = lo > values + SANDWICH_TOL, values > hi + SANDWICH_TOL
-    for i in np.flatnonzero(below | above):
-        if below[i]:
-            out.append(_report("sandwich", times[i], modes[i], lo[i], values[i]))
-        if above[i]:
-            out.append(_report("sandwich", times[i], modes[i], values[i], hi[i]))
-    out += _flow_reports(traj, values, allowed, threshold, dini_coeff)
-    # Segment k starts at the post-jump state of the jump ending k - 1.
-    out += _jump_reports(traj, values[starts[1:] - 1], values[starts[1:]],
-                         threshold, bound, cap)
-    return out
+    # Column 0 is the lower side of the sandwich, column 1 the upper; the
+    # failures come out in row-major order.
+    lhs = np.array((cert.alpha1(norms), values)).T
+    rhs = np.array((values, cert.alpha2(norms))).T
+    i, side = np.nonzero(lhs > rhs + SANDWICH_TOL)
+    return (Reports("sandwich", times[i], modes[i], lhs[i, side], rhs[i, side])
+            + _flow_reports(traj, values, allowed, threshold, dini_coeff)
+            # Segment k starts at the post-jump state of the jump ending k - 1.
+            + _jump_reports(traj, values[starts[1:] - 1], values[starts[1:]],
+                            threshold, bound, cap))
 
 
 def closed_form_dwell(eta_before: float, eta_after: float, mu: float,
@@ -196,7 +231,7 @@ def closed_form_dwell(eta_before: float, eta_after: float, mu: float,
 
 def check_dwell_conditions(
     cert: Certificate, sig: SwitchingSignal, a_grid: Sequence[float]
-) -> list[ViolationReport]:
+) -> Reports:
     """Transform dwell conditions at every switching instant over a grid of
     Lyapunov levels.
 
@@ -217,15 +252,15 @@ def check_dwell_conditions(
         first = (q, p) not in grid_reports
         if first:
             grid_reports[(q, p)] = _dwell_grid(cert, transforms, q, p, a)
-        out += [_report(kind, t_i, q, lhs, rhs) for kind, lhs, rhs in grid_reports[(q, p)]]
+        out += [(kind, t_i, q, lhs, rhs) for kind, lhs, rhs in grid_reports[(q, p)]]
         if first and (cert.phi[q].kind == "linear" and cert.phi[p].kind == "linear"
                       and cert.psi[q].kind == "linear"):
             lhs, rhs = closed_form_dwell(
                 cert.phi[q].eta, cert.phi[p].eta, abs(cert.psi[q].eta),
                 cert.dwell.tau[q], cert.dwell.delta, q in cert.partition.stable)
             if lhs > rhs + DWELL_TOL:
-                out.append(_report("dwell-closed-form", t_i, q, lhs, rhs))
-    return out
+                out.append(("dwell-closed-form", t_i, q, lhs, rhs))
+    return Reports(*zip(*out))  # the columns of the rows
 
 
 def _dwell_grid(cert, transforms, q, p, a) -> list[tuple[str, float, float]]:

@@ -81,17 +81,18 @@ def cmd_certify(cfg, out: Path, seed: int) -> int:
     cert, form = jsonio.parse_run_certificate(cfg, sig, model.dims[0])
     dini_coeff, a_grid = jsonio.parse_checks(cfg)
     traj = simulate(model, sig, x0, inp, step)
-    reports = check_trajectory(cert, traj, inp, form, dini_coeff=dini_coeff)
-    reports += check_dwell_conditions(cert, sig, a_grid)
+    reports = (check_trajectory(cert, traj, inp, form, dini_coeff=dini_coeff)
+               + check_dwell_conditions(cert, sig, a_grid))
     slack_s, slack_u, mdadt_ok, mdalt_ok = dwell_slack_verdict(cert, sig)
-    violations = [r for r in reports if r.kind != "dwell-inconclusive"]
+    violations = int(np.count_nonzero(reports.kind != "dwell-inconclusive"))
     jsonio.write_reports_csv(out / "reports.csv", reports)
     jsonio.write_json(out / "summary.json", {
-        "violations": len(violations),
+        "violations": violations,
         "mdadt_slack": slack_s,
         "mdalt_slack": slack_u,
         "mdadt_ok": mdadt_ok,
         "mdalt_ok": mdalt_ok,
+        **reports.counts,
     })
     return EXIT_OK if not violations and mdadt_ok and mdalt_ok else EXIT_VIOLATIONS
 
@@ -102,8 +103,8 @@ def cmd_construct(cfg, out: Path, seed: int) -> int:
     dini_coeff, a_grid = jsonio.parse_checks(cfg)
     dec = build_decreasing(cert, sig, a_grid=a_grid)
     traj = simulate(model, sig, x0, inp, step)
-    reports, rows = decrease_check(dec, traj, inp, dini_coeff=dini_coeff)
-    jsonio.write_csv(out / "construct.csv", ["t", "V", "W", "h"], rows)
+    reports, columns = decrease_check(dec, traj, inp, dini_coeff=dini_coeff)
+    jsonio.write_csv(out / "construct.csv", ["t", "V", "W", "h"], columns)
     jsonio.write_reports_csv(out / "reports.csv", reports)
     return EXIT_OK if not reports else EXIT_VIOLATIONS
 
@@ -156,8 +157,8 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
         bound = build_bound(cert, cert.dwell, lower, upper,
                             short_horizon_envelope=lambda r: level)
     jsonio.write_csv(out / "bound.csv", ["r", "s", "beta(r,s)"],
-                     ((r, s, b) for r in r_list
-                      for s, b in zip(s_grid, bound.beta(r, s_grid).tolist())))
+                     [np.repeat(r_list, len(s_grid)), np.tile(s_grid, len(r_list)),
+                      np.ravel([bound.beta(r, s_grid) for r in r_list])])
     total_violations, max_margin = _monte_carlo(model, sig, bound, runs, x0_range, u_bound,
                                                 step, seed)
     jsonio.write_json(out / "verdict.json", {
@@ -194,10 +195,11 @@ def cmd_lmi(cfg, out: Path, seed: int) -> int:
     # A synthesized certificate carries the verdicts of its own block check.
     flow, jump = qc.blocks if qc.blocks is not None else check_blocks(model, qc, q_set)
     flow = {p: {"ok": ok, "max_eig": top} for p, (ok, top) in flow.items()}
-    jump = {f"{p}->{q}": {"ok": ok, "max_eig": top} for (p, q), (ok, top) in jump.items()}
+    jump = {f"{p}<-{q}": {"ok": ok, "max_eig": top} for (p, q), (ok, top) in jump.items()}
     rates = [
-        {"kind": r.kind, "where": r.mode, "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin}
-        for r in check_rate_conditions(qc, partition, dwell, q_set)
+        {"kind": kind, "where": where, "lhs": lhs, "rhs": rhs, "margin": margin}
+        for kind, _, where, lhs, rhs, margin
+        in check_rate_conditions(qc, partition, dwell, q_set).rows()
     ]
     jsonio.write_json(out / "verdict.json", {"flow": flow, "jump": jump, "rates": rates})
     all_ok = all(v["ok"] for v in flow.values()) and all(v["ok"] for v in jump.values()) \

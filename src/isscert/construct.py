@@ -17,7 +17,7 @@ import numpy as np
 from .certify import (
     DEFAULT_DINI_COEFF,
     Certificate,
-    ViolationReport,
+    Reports,
     _by_mode,
     _flow_reports,
     _jump_reports,
@@ -129,13 +129,12 @@ def build_decreasing(
                 f"transform of mode {p} does not cover R "
                 f"(image [{tr.image_inf()}, {tr.image_sup()}])"
             )
-    reports = [r for r in check_dwell_conditions(cert, sig, list(a_grid))
-               if r.kind != "dwell-inconclusive"]
+    reports = check_dwell_conditions(cert, sig, list(a_grid))
+    reports = reports[reports.kind != "dwell-inconclusive"]
     if reports:
         raise DwellPreconditionError(
-            f"dwell conditions fail at {len(reports)} grid point(s); "
-            f"first: {reports[0]}"
-        )
+            f"dwell conditions fail at {len(reports)} grid point(s); first: "
+            "{} at t={} out of mode {}: {} > {}".format(*reports.rows()[0]))
     slack_s, slack_u, fits_s, fits_u = dwell_slack_verdict(cert, sig)
     if not fits_s:
         raise DwellPreconditionError(
@@ -151,8 +150,9 @@ def decrease_check(
     traj: Trajectory,
     input: InputSignal,
     dini_coeff: float = DEFAULT_DINI_COEFF,
-) -> tuple[list[ViolationReport], list[tuple[float, float, float, float]]]:
-    """Monotonicity reports for W along a trajectory and its (t, V, W, h) rows.
+) -> tuple[Reports, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Monotonicity reports for W along a trajectory and its (t, V, W, h)
+    columns.
 
     V is evaluated once per mode over ``Trajectory.samples``, h as the right
     limits there and the left limits h(t_i-) at the last sample before each
@@ -187,4 +187,4 @@ def decrease_check(
     reports = (_flow_reports(traj, ws, decay, threshold, dini_coeff)
                + _jump_reports(traj, ws[pre], w_post, threshold, lambda p, w: w, cap))
     ws[post] = w_post
-    return reports, list(zip(times.tolist(), values.tolist(), ws.tolist(), hs.tolist()))
+    return reports, (times, values, ws, hs)

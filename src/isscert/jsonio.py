@@ -9,7 +9,8 @@ bare string among them), a per-mode map that misses a mode, a matrix that
 is not finite, 2-D and of the shape the system fixes, and a number that is
 NaN, infinite or an integer beyond the floats.  Every scalar goes through
 one reader, ``_number``.
-CSV floats are printed with 17 significant digits so round-trips are
+Every CSV file goes through ``write_csv``, which takes columns, not rows;
+its floats are printed with 17 significant digits so round-trips are
 lossless.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -411,28 +411,27 @@ def parse_lmi(cfg: dict):
     raise ConfigError(f"unknown lmi mode {mode!r}", field="lmi.mode")
 
 
-def write_csv(path, header, rows):
-    """A CSV file of the column names in ``header`` and one line per row, all
-    through one template from the first row: ``%s`` for strings, ``%.17g`` else."""
-    rows = iter(rows)
-    first = next(rows, None)
+def write_csv(path, header, columns):
+    """A CSV file of the column names in ``header`` and one line per entry of
+    the equally long ``columns``, all through one template that each
+    column's dtype picks: ``%s`` for strings, ``%.17g`` else."""
+    columns = [np.asarray(c) for c in columns]
+    template = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in columns)
     lines = [",".join(header)]
-    if first is not None:
-        template = ",".join("%s" if isinstance(c, str) else "%.17g" for c in first)
-        lines += [template % tuple(row) for row in chain([first], rows)]
+    lines += [template % row for row in zip(*(c.tolist() for c in columns))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_trajectory_csv(path, traj, n: int):
     times, states, modes, _ = traj.samples
     write_csv(path, ["t", "mode", *(f"x{i + 1}" for i in range(n)), "jump_flag"],
-              zip(times.tolist(), modes.tolist(), *states.T.tolist(),
-                  traj.jump_flags().tolist()))
+              [times, modes, *states.T, traj.jump_flags()])
 
 
 def write_reports_csv(path, reports):
     write_csv(path, ["kind", "time", "mode", "lhs", "rhs", "margin"],
-              ((r.kind, r.time, r.mode, r.lhs, r.rhs, r.margin) for r in reports))
+              [reports.kind, reports.time, reports.mode, reports.lhs, reports.rhs,
+               reports.margin])
 
 
 def write_json(path, obj):

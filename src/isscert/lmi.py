@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .certify import DWELL_TOL, ViolationReport, _report
+from .certify import DWELL_TOL, Reports
 from .errors import AsymmetricError
 from .simulate import LinearSystemModel
 from .switching import DwellSpec, ModeChangeSet, ModePartition
@@ -44,7 +44,7 @@ def _asymmetric(S: np.ndarray) -> np.ndarray:
         SYMMETRY_TOL * np.maximum(1.0, largest)
 
 
-def jacobi_eigenvalues(S) -> np.ndarray:
+def eigenvalues(S) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
     stack, in one LAPACK ``eigvalsh`` call."""
     A = np.asarray(S, dtype=float)
@@ -55,11 +55,15 @@ def jacobi_eigenvalues(S) -> np.ndarray:
     return np.linalg.eigvalsh((A + _t(A)) / 2)
 
 
+# The name under which bench/tracing.py groups the eigenvalue calls.
+jacobi_eigenvalues = eigenvalues
+
+
 def is_negative_semidefinite(S, tol: float = PSD_TOL):
     """Largest eigenvalue test for S <= 0 with slack ``tol`` times S's
     spectral norm: (ok, max eigenvalue) of a matrix, or the two as arrays
     over a stack."""
-    eigs = jacobi_eigenvalues(S)
+    eigs = eigenvalues(S)
     top = eigs[..., -1]
     ok = top <= tol * np.maximum(np.abs(eigs[..., 0]), np.abs(top))
     if eigs.ndim == 1:
@@ -78,7 +82,7 @@ def _definite(name: str, mats: Mapping) -> tuple[dict, np.ndarray]:
         raise ValueError(f"{name} must hold square matrices")
     asym = np.flatnonzero(_asymmetric(stack))
     k = int(asym[0]) if asym.size else len(modes)
-    eigs = jacobi_eigenvalues(stack[:k])
+    eigs = eigenvalues(stack[:k])
     bad = np.flatnonzero(eigs[:, 0] <= 0)
     if bad.size:
         raise ValueError(f"{name}[{modes[bad[0]]}] must be positive definite")
@@ -177,7 +181,7 @@ def check_rate_conditions(
     partition: ModePartition,
     dwell: DwellSpec,
     q_set: ModeChangeSet,
-) -> list[ViolationReport]:
+) -> Reports:
     """Sign and closed-form dwell conditions over all admissible mode pairs.
 
     For every admissible change (p follows q): stable q needs eta_q < 0 and
@@ -194,21 +198,21 @@ def check_rate_conditions(
         log_ratio = _safe_div(math.log(mu_q), abs(eta_p))
         if q in partition.stable:
             if eta_q >= 0:
-                out.append(_report("rate-sign", math.nan, q, eta_q, 0.0))
+                out.append(("rate-sign", math.nan, q, eta_q, 0.0))
                 continue
             lhs = log_ratio
             rhs = tau_q * (1 - dwell.delta)
             if lhs > rhs + DWELL_TOL:
-                out.append(_report("rate-dwell", math.nan, f"{p}<-{q}", lhs, rhs))
+                out.append(("rate-dwell", math.nan, f"{p}<-{q}", lhs, rhs))
         else:
             if eta_q < 0:
-                out.append(_report("rate-sign", math.nan, q, 0.0, eta_q))
+                out.append(("rate-sign", math.nan, q, 0.0, eta_q))
                 continue
             lhs = tau_q * (1 + dwell.delta)
             rhs = -log_ratio
             if lhs > rhs + DWELL_TOL:
-                out.append(_report("rate-dwell", math.nan, f"{p}<-{q}", lhs, rhs))
-    return out
+                out.append(("rate-dwell", math.nan, f"{p}<-{q}", lhs, rhs))
+    return Reports(*zip(*out))  # the columns of the rows
 
 
 @dataclass(frozen=True)
@@ -277,8 +281,8 @@ def synthesize(
 
     if stable.any():
         As = A[stable]
-        sym_top = jacobi_eigenvalues((As + _t(As)) / 2)[:, -1]
-        edge = -(1 - 1e-9) / jacobi_eigenvalues(M[stable])[:, -1]
+        sym_top = eigenvalues((As + _t(As)) / 2)[:, -1]
+        edge = -(1 - 1e-9) / eigenvalues(M[stable])[:, -1]
         lo = np.minimum(2 * sym_top, -1e-6)
         eta[stable] = np.where(lo >= edge, lo, 0.99 * edge)
     R = np.broadcast_to(-np.eye(n), M.shape).copy()
@@ -326,7 +330,7 @@ def synthesize(
     qc = QuadraticCertificate(M, Q, eta, mu, blocks=(flow, jump))
     reports = check_rate_conditions(qc, partition, dwell, q_set)
     if reports:
-        r = reports[0]
+        kind, _, where, lhs, rhs, _ = reports.rows()[0]
         return Infeasible("rate condition infeasible",
-                          {"kind": r.kind, "where": r.mode, "lhs": r.lhs, "rhs": r.rhs})
+                          {"kind": kind, "where": where, "lhs": lhs, "rhs": rhs})
     return qc

@@ -216,7 +216,9 @@ class Trajectory:
 
     def jump_flags(self) -> np.ndarray:
         """1 at each later segment's first sample (post-jump, at t_i), else 0."""
-        return np.isin(np.arange(len(self.samples[0])), self.samples[3][1:]).astype(int)
+        flags = np.zeros(len(self.samples[0]), dtype=int)
+        flags[self.samples[3][1:]] = 1
+        return flags
 
 
 def _step_count(t_start, t_end, step):

@@ -86,9 +86,9 @@ def mismatches(got, want) -> list:
     return [(i, got.flat[i], want.flat[i]) for i in np.flatnonzero(~ok)][:5]
 
 
-def of_kind(reports, *kinds) -> list:
-    """The reports of ``kinds``, in their order."""
-    return [r for r in reports if r.kind in kinds]
+def of_kind(reports, *kinds):
+    """The reports of ``kinds``, in their order, as ``Reports``."""
+    return reports[np.isin(reports.kind, kinds)]
 
 
 def jumps(traj) -> list:

@@ -21,15 +21,17 @@
   loop over ``Trajectory.samples`` with one ``beta`` call per sample.  These
   are the earlier library implementations, kept as oracles for the
   elementwise ``beta`` and the array ``iss_check`` in ``isscert.bounds``.
-* The CSV writer one cell at a time: ``write_csv_per_cell`` formats each
-  number through its own ``f"{float(x):.17g}"`` call, the earlier library
-  implementation kept as the oracle for the row template of
-  ``isscert.jsonio.write_csv``.
+* The CSV writer one cell at a time: ``write_csv_per_cell`` walks the
+  columns a row at a time and formats each number through its own
+  ``f"{float(x):.17g}"`` call, the earlier library implementation kept as
+  the oracle for the dtype-picked template of ``isscert.jsonio.write_csv``.
 * The trajectory checks per sample: ``trajectory_reports``, a loop over the
   segments with one rate-function call per sample, and ``decrease_rows``,
-  one ``compose`` call per sample.  These are the earlier
+  one ``compose`` call per sample, each report one
+  (kind, time, mode, lhs, rhs, margin) tuple.  These are the earlier
   library implementations, kept as oracles for the whole-trajectory arrays
-  of ``isscert.certify`` and ``isscert.construct.decrease_check``.
+  and the columnar ``Reports`` of ``isscert.certify`` and
+  ``isscert.construct.decrease_check``.
 * The sampled runs one ``simulate`` call at a time: ``reachability_per_run``
   and ``monte_carlo_per_run``, each drawing a run's x0 and input, simulating
   that run alone and using it before the next draw.  These are the earlier
@@ -70,7 +72,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from isscert.bounds import ISS_REL_TOL, iss_check
-from isscert.certify import FORMS, JUMP_TOL, SANDWICH_TOL, _report
+from isscert.certify import FORMS, JUMP_TOL, SANDWICH_TOL
 from isscert.errors import DegenerateGammaError, DomainError, NonFiniteError, OutOfImageError
 from isscert.lmi import (
     Infeasible,
@@ -302,7 +304,7 @@ def iss_rows(bound, traj, x0, input):
         lhs = float(np.linalg.norm(x))
         max_margin = max(max_margin, lhs - rhs)
         if lhs > rhs * (1 + ISS_REL_TOL) + 1e-12:
-            out.append(_report("iss", t, mode, lhs, rhs))
+            out.append(_row("iss", t, mode, lhs, rhs))
     return out, max_margin
 
 
@@ -456,6 +458,12 @@ def _segment_values(cert, traj):
             for seg in traj.segments]
 
 
+def _row(kind, time, mode, lhs, rhs):
+    """One report as (kind, time, mode, lhs, rhs, margin), the earlier
+    library's one object per failed inequality, as ``Reports.rows`` gives it."""
+    return kind, float(time), str(mode), float(lhs), float(rhs), float(lhs - rhs)
+
+
 def _flow_reports(mode, ts, vs, allowed, threshold, dini_coeff):
     """The flow rule on one segment: where v >= threshold, the forward difference
     (v[i+1] - v[i]) / h may exceed allowed(mode, v[i]) by at most dini_coeff h."""
@@ -467,7 +475,7 @@ def _flow_reports(mode, ts, vs, allowed, threshold, dini_coeff):
         slope = (vs[i + 1] - vs[i]) / h
         rhs = allowed(mode, vs[i]) + dini_coeff * h
         if slope > rhs:
-            out.append(_report("flow", ts[i], mode, slope, rhs))
+            out.append(_row("flow", ts[i], mode, slope, rhs))
     return out
 
 
@@ -475,7 +483,7 @@ def _jump_report(time, mode, pre, post, threshold, bound, cap):
     """The jump rule at a jump out of ``mode``: post <= bound(mode, pre) where
     pre >= threshold, post <= cap below it, up to JUMP_TOL (1 + |rhs|)."""
     kind, rhs = ("jump", bound(mode, pre)) if pre >= threshold else ("small-input-jump", cap)
-    return [_report(kind, time, mode, post, rhs)] if post > rhs + JUMP_TOL * (1 + abs(rhs)) else []
+    return [_row(kind, time, mode, post, rhs)] if post > rhs + JUMP_TOL * (1 + abs(rhs)) else []
 
 
 def trajectory_reports(cert, traj, input, form, dini_coeff):
@@ -496,9 +504,9 @@ def trajectory_reports(cert, traj, input, form, dini_coeff):
             nx = float(np.linalg.norm(x))
             lo, hi = cert.alpha1(nx), cert.alpha2(nx)
             if lo > v + SANDWICH_TOL:
-                sandwich.append(_report("sandwich", t, seg.mode, lo, v))
+                sandwich.append(_row("sandwich", t, seg.mode, lo, v))
             if v > hi + SANDWICH_TOL:
-                sandwich.append(_report("sandwich", t, seg.mode, v, hi))
+                sandwich.append(_row("sandwich", t, seg.mode, v, hi))
         flows += _flow_reports(seg.mode, ts, vs, allowed, threshold, dini_coeff)
         if k:
             # Segment k starts at the post-jump state of the jump ending k - 1.
@@ -532,11 +540,11 @@ def decrease_rows(dec, traj, input, dini_coeff):
     return flows + jumps, rows
 
 
-def write_csv_per_cell(path, header, rows):
-    """``jsonio.write_csv`` with one format call per cell."""
+def write_csv_per_cell(path, header, columns):
+    """``jsonio.write_csv`` with one format call per cell, a row at a time."""
     lines = [",".join(header)]
     lines += [",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row)
-              for row in rows]
+              for row in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -775,7 +783,7 @@ def synthesize_per_mode(model, partition, q_set, dwell):
             return Infeasible("jump block infeasible", {"pair": pair, "max_eig": top})
     reports = check_rate_conditions(qc, partition, dwell, q_set)
     if reports:
-        r = reports[0]
+        kind, _, where, lhs, rhs, _ = reports.rows()[0]
         return Infeasible("rate condition infeasible",
-                          {"kind": r.kind, "where": r.mode, "lhs": r.lhs, "rhs": r.rhs})
+                          {"kind": kind, "where": where, "lhs": lhs, "rhs": rhs})
     return qc

@@ -296,7 +296,7 @@ def test_acceptance_6_lmi_chain():
         n = 2 if i % 2 == 0 else 3
         S = rng.uniform(-5, 5, (n, n))
         S = (S + S.T) / 2
-        mine = iss.jacobi_eigenvalues(S)
+        mine = iss.eigenvalues(S)
         ref = np.sort(np.real(np.roots(np.poly(S))))
         if not np.allclose(mine, ref, atol=1e-8):
             ok, detail = False, f"eigen instance {i}"
@@ -383,11 +383,10 @@ def test_acceptance_7_decreasing_dwell_free():
         if not iss.check_decreasing_certificate(cert):
             ok, detail = False, f"trial {trial}: decreasing check refused"
             break
-        reports = [r for r in iss.check_dwell_conditions(
-            cert, sig, [0.01, 0.1, 1.0, 10.0, 1e3])
-            if r.kind != "dwell-inconclusive"]
+        reports = iss.check_dwell_conditions(cert, sig, [0.01, 0.1, 1.0, 10.0, 1e3])
+        reports = reports[reports.kind != "dwell-inconclusive"]
         if reports:
-            ok, detail = False, f"trial {trial}: {reports[0]}"
+            ok, detail = False, f"trial {trial}: {reports.rows()[0]}"
             break
     _verdict(7, ok, detail)
 

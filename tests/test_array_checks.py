@@ -6,9 +6,10 @@ The case is two-dimensional with power and tabulated rates and comparison
 functions, a constant input whose threshold gates part of the samples, a
 jump map that sends the state to 0 (so V = 0 and W = 0 there), and a last
 switching instant on the horizon (a final segment of one sample).  The
-reports must agree in kind, time, mode and order, and their values within
-``conftest.mismatches``: the norm of one row and the row norms of an array
-may round differently.
+reports must agree in kind, time, mode and order, and the sandwich values
+within ``conftest.mismatches``: the norm of one row and the row norms of an
+array may round differently.  A one-dimensional case, where the norm is
+|x| either way, and the decreasing-function check must agree bit for bit.
 """
 
 import numpy as np
@@ -16,9 +17,10 @@ import pytest
 
 import isscert as iss
 from isscert import certify, construct, rates
+from isscert.certify import FORMS
 from isscert.construct import decrease_check
 
-from conftest import mismatches
+from conftest import JUMP_KINDS, mismatches
 import oracles
 
 SIG = iss.SwitchingSignal(0.0, (0.7, 1.4, 2.0), ("u", "s", "u", "s"), 2.0)
@@ -60,12 +62,19 @@ def trajectory(step=1e-2):
 
 
 def assert_same_reports(got, want):
-    assert [(r.kind, r.time, r.mode) for r in got] == [(r.kind, r.time, r.mode) for r in want]
-    for field in ("lhs", "rhs"):
-        assert mismatches([getattr(r, field) for r in got],
-                          [getattr(r, field) for r in want]) == [], field
-    # The margin cancels lhs against rhs, so it is held to its definition.
-    assert all(r.margin == r.lhs - r.rhs for r in got)
+    rows = got.rows()
+    assert [row[:3] for row in rows] == [row[:3] for row in want]
+    for k, field in ((3, "lhs"), (4, "rhs")):
+        assert mismatches([row[k] for row in rows], [row[k] for row in want]) == [], field
+
+
+def assert_same_bits(got, want):
+    """``Reports`` against the oracle's (kind, time, mode, lhs, rhs, margin)
+    rows: the same rows in the same order, every float bit for bit."""
+    want = list(zip(*want)) or [()] * 6
+    assert got.kind.tolist() == list(want[0]) and got.mode.tolist() == list(want[2])
+    for column, expected in zip((got.time, got.lhs, got.rhs, got.margin), want[1:2] + want[3:]):
+        assert column.tobytes() == np.array(expected, dtype=float).tobytes()
 
 
 class TestAgainstTheSampleLoops:
@@ -87,21 +96,69 @@ class TestAgainstTheSampleLoops:
         cert, traj = certificate(), trajectory()
         got = iss.check_trajectory(cert, traj, INPUT, form, dini_coeff=1.0)
         want = oracles.trajectory_reports(cert, traj, INPUT, form, 1.0)
-        assert {r.kind for r in got} == kinds
+        assert set(got.kind) == kinds
         assert_same_reports(got, want)
 
     def test_decrease_check(self):
         cert, traj = certificate(), trajectory()
         dec = iss.DecreasingCertificate(cert, SIG)
-        reports, rows = decrease_check(dec, traj, INPUT, dini_coeff=1.0)
+        reports, columns = decrease_check(dec, traj, INPUT, dini_coeff=1.0)
         want_reports, want_rows = oracles.decrease_rows(dec, traj, INPUT, 1.0)
-        assert {r.kind for r in reports} >= {"flow", "jump"}
-        assert_same_reports(reports, want_reports)
-        got, want = np.array(rows), np.array(want_rows)
-        assert np.array_equal(got[:, [0, 1, 3]], want[:, [0, 1, 3]])
-        assert mismatches(got[:, 2], want[:, 2]) == []
+        assert set(reports.kind) >= {"flow", "jump"}
+        assert_same_bits(reports, want_reports)
+        got, want = np.column_stack(columns), np.array(want_rows, dtype=float)
+        assert got.tobytes() == want.tobytes()
         zero = got[:, 1] == 0.0
         assert zero.any() and (got[zero, 2] == 0.0).all()
+
+
+class TestColumnsBitForBit:
+    """One dimension, so that the norm of a state is |x| in the library and
+    in the oracle alike.  alpha1 = 2 r^2 lies above V = x^2 at every state
+    and alpha2 = 1.5 r below it where |x| > 1.5, so the first samples fail
+    both sides of the sandwich; chi(0.3) = 0.45 puts the jumps at t = 0.5, 1
+    and 1.5 above the threshold and the one at t = 2 below it."""
+
+    SIG = iss.SwitchingSignal(0.0, (0.5, 1.0, 1.5, 2.0), ("u", "s", "u", "s", "u"), 2.5)
+
+    def case(self):
+        model = iss.LinearSystemModel(
+            A={"s": [[-2.0]], "u": [[0.3]]}, B={"s": [[1.0]], "u": [[0.5]]},
+            J={"s": [[0.4]], "u": [[1.5]]}, H={"s": [[0.0]], "u": [[0.0]]})
+        v = iss.quadratic_v([[1.0]])
+        cert = iss.Certificate(
+            V={"s": v, "u": v},
+            alpha1=iss.power_cf(2.0, 2.0),
+            alpha2=iss.linear_cf(1.5),
+            alpha3=iss.linear_cf(1e-3),
+            chi=iss.linear_cf(1.5),
+            phi={"s": iss.linear_rate(-5.0), "u": iss.power_rate(0.2, 1.5)},
+            psi={"s": iss.linear_rate(0.1), "u": iss.linear_rate(1.1)},
+            partition=iss.ModePartition(frozenset({"s"}), frozenset({"u"})),
+            dwell=iss.DwellSpec({"s": 0.5, "u": 0.5}, 0.5, T_S=1.0, T_U=0.5),
+        )
+        return cert, iss.simulate(model, self.SIG, [2.0], INPUT, 1e-2)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_check_trajectory(self, form):
+        cert, traj = self.case()
+        got = iss.check_trajectory(cert, traj, INPUT, form, dini_coeff=1.0)
+        want = oracles.trajectory_reports(cert, traj, INPUT, form, 1.0)
+        assert_same_bits(got, want)
+        # At x0 = 2: alpha1 = 8 > V = 4 > alpha2 = 3, the lower side first.
+        assert got[got.kind == "sandwich"].rows()[:2] == [("sandwich", 0.0, "u", 8.0, 4.0, 4.0),
+                                                          ("sandwich", 0.0, "u", 4.0, 3.0, 1.0)]
+        assert {"flow", "jump"} <= set(got.kind)
+        if form == "implication":
+            assert set(JUMP_KINDS) <= set(got.kind)
+
+    def test_reports_concatenate_and_select(self):
+        cert, traj = self.case()
+        got = iss.check_trajectory(cert, traj, INPUT, dini_coeff=1.0)
+        flow = got[got.kind == "flow"]
+        assert (got[:3] + flow).rows() == got.rows()[:3] + flow.rows()
+        assert len(got[:0] + got[:0]) == 0 and got[:0].rows() == []
+        assert got.counts == flow.counts
 
 
 class TestRateCallsPerTrajectory:

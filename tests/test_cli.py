@@ -160,6 +160,18 @@ class TestCertify:
         body = (out / "reports.csv").read_text()
         assert "flow" in body
 
+    def test_readme_config_counts_the_flow_samples(self, tmp_path):
+        # chi(0.5) = 32 * 0.25 = 8 while V = x^2 <= 4: the threshold skips
+        # every forward difference, and summary.json says so.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        cfg = json.loads(re.search(r"### Config sketch\s+```json\n(.*?)```", readme, re.S)[1])
+        code, out = run(tmp_path, "certify", cfg)
+        summary = json.loads((out / "summary.json").read_text())
+        model, sig, inp, x0, step = jsonio.parse_run(cfg)
+        traj = simulate(model, sig, x0, inp, step)
+        assert code == 0 and summary["flow_evaluated"] == 0
+        assert summary["flow_skipped"] == len(traj.samples[0]) - len(traj.segments) > 0
+
 
 class TestConstruct:
     def test_ok(self, tmp_path):
@@ -439,12 +451,12 @@ class TestLmi:
         from isscert import lmi
 
         shapes = []
-        solve = lmi.jacobi_eigenvalues
+        solve = lmi.eigenvalues
 
         def recorded(S):
             shapes.append(np.shape(S))
             return solve(S)
-        monkeypatch.setattr(lmi, "jacobi_eigenvalues", recorded)
+        monkeypatch.setattr(lmi, "eigenvalues", recorded)
         cfg = self._base()
         cfg["lmi"]["mode"] = "synth"
         code, out = run(tmp_path, "lmi", cfg)
@@ -453,7 +465,7 @@ class TestLmi:
         assert all(len(shape) == 3 for shape in shapes)
         verdict = json.loads((out / "verdict.json").read_text())
         assert sorted(verdict["flow"]) == ["s", "u"]
-        assert sorted(verdict["jump"]) == ["s->u", "u->s"]
+        assert sorted(verdict["jump"]) == ["s<-u", "u<-s"]
 
 
 class TestArguments:
@@ -748,15 +760,17 @@ class TestWriteCsv:
     def test_matches_the_per_cell_writer(self, tmp_path):
         numbers = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan,
                    1 / 3, -1e300, 0.1, 3, -7, 2**60 + 1, True]
-        rows = [("kind", x, "mode", -x, x / 3) for x in numbers]
-        header = ["a", "b", "c", "d", "e"]
-        jsonio.write_csv(tmp_path / "template.csv", header, rows)
-        oracles.write_csv_per_cell(tmp_path / "per_cell.csv", header, rows)
+        columns = [["kind"] * len(numbers), numbers, ["mode"] * len(numbers),
+                   [-x for x in numbers], [x / 3 for x in numbers],
+                   np.arange(len(numbers)) - 7, np.arange(len(numbers)) % 2 == 0]
+        header = ["a", "b", "c", "d", "e", "int", "bool"]
+        jsonio.write_csv(tmp_path / "template.csv", header, columns)
+        oracles.write_csv_per_cell(tmp_path / "per_cell.csv", header, columns)
         assert (tmp_path / "template.csv").read_bytes() == \
             (tmp_path / "per_cell.csv").read_bytes()
 
     def test_header_only(self, tmp_path):
-        jsonio.write_csv(tmp_path / "empty.csv", ["t", "V"], iter(()))
+        jsonio.write_csv(tmp_path / "empty.csv", ["t", "V"], [np.empty(0), np.empty(0)])
         assert (tmp_path / "empty.csv").read_text() == "t,V\n"
 
 

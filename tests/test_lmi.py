@@ -36,27 +36,27 @@ class TestJacobi:
             n = rng.integers(1, 7)
             S = rng.standard_normal((n, n))
             S = (S + S.T) / 2
-            mine = iss.jacobi_eigenvalues(S)
+            mine = iss.eigenvalues(S)
             ref = np.linalg.eigvalsh(S)
             assert mine == pytest.approx(ref, abs=1e-10)
 
     def test_diagonal(self):
-        assert iss.jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0])) == pytest.approx(
+        assert iss.eigenvalues(np.diag([3.0, -1.0, 2.0])) == pytest.approx(
             [-1.0, 2.0, 3.0])
 
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricError):
-            iss.jacobi_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
+            iss.eigenvalues([[0.0, 1.0], [0.0, 0.0]])
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            iss.jacobi_eigenvalues(np.zeros((2, 3)))
+            iss.eigenvalues(np.zeros((2, 3)))
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(np.float64, (4, 4), elements=st.floats(-10, 10)))
     def test_oracle_property(self, raw):
         S = (raw + raw.T) / 2
-        assert iss.jacobi_eigenvalues(S) == pytest.approx(
+        assert iss.eigenvalues(S) == pytest.approx(
             np.linalg.eigvalsh(S), abs=1e-9)
 
 
@@ -94,7 +94,7 @@ class TestFlowBlock:
         # with eigenvalues {0, -2}.
         model, qc = scalar_system(), scalar_qc(eta=-1.0)
         block = iss.flow_blocks(model, qc.M, qc.Q, qc.eta, ["a"])[0]
-        assert iss.jacobi_eigenvalues(block) == pytest.approx([-2.0, 0.0])
+        assert iss.eigenvalues(block) == pytest.approx([-2.0, 0.0])
         ok, top = verdicts(model, qc)[0]["a"]
         assert ok and top == pytest.approx(0.0, abs=1e-12)
 
@@ -149,29 +149,29 @@ class TestRateConditions:
     def test_stable_pass(self):
         part, dwell, qs = self._spec()
         # ln(0.25)/1 < 0 <= 0.8
-        assert iss.check_rate_conditions(scalar_qc(eta=-1.0, mu=0.25),
-                                         part, dwell, qs) == []
+        assert not iss.check_rate_conditions(scalar_qc(eta=-1.0, mu=0.25),
+                                             part, dwell, qs)
 
     def test_stable_dwell_fail(self):
         part, dwell, qs = self._spec(tau=0.5, delta=0.5)
         # ln(2)/1 ~ 0.693 > 0.25
         reports = iss.check_rate_conditions(scalar_qc(eta=-1.0, mu=2.0),
                                             part, dwell, qs)
-        assert reports and reports[0].kind == "rate-dwell"
+        assert reports and reports.kind[0] == "rate-dwell"
 
     def test_sign_fail(self):
         part, dwell, qs = self._spec()
         reports = iss.check_rate_conditions(scalar_qc(eta=0.5, mu=0.25),
                                             part, dwell, qs)
-        assert reports and reports[0].kind == "rate-sign"
+        assert reports and reports.kind[0] == "rate-sign"
 
     def test_unstable_pass(self):
         part = iss.ModePartition(frozenset(), frozenset({"a"}))
         dwell = iss.DwellSpec({"a": 1.0}, 0.3)
         qs = iss.ModeChangeSet(frozenset({("a", "a")}))
         # -ln(0.2)/1 ~ 1.609 >= 1.3
-        assert iss.check_rate_conditions(scalar_qc(eta=1.0, mu=0.2),
-                                         part, dwell, qs) == []
+        assert not iss.check_rate_conditions(scalar_qc(eta=1.0, mu=0.2),
+                                             part, dwell, qs)
 
     def test_missing_mode(self):
         part, dwell, _ = self._spec()
@@ -255,7 +255,7 @@ class TestSynthesize:
         for pair in (("u", "s"), ("s", "u")):
             ok, _ = verdicts(family_model, qc, pair)[1]
             assert ok
-        assert iss.check_rate_conditions(qc, part, dwell, qs) == []
+        assert not iss.check_rate_conditions(qc, part, dwell, qs)
 
     def test_stable_rate_at_the_closed_form_edge(self, family_model):
         # A_s = -1.25, so M_s = 0.4 and the first guess 2 * A_s = -2.5 lies
@@ -377,12 +377,12 @@ class TestStackedBlocks:
         model, part, dwell, qs = synth_shaped(1, 4)
         qc = iss.synthesize(model, part, qs, dwell)
         shapes = []
-        solve = lmi.jacobi_eigenvalues
+        solve = lmi.eigenvalues
 
         def recorded(S):
             shapes.append(np.shape(S))
             return solve(S)
-        monkeypatch.setattr(lmi, "jacobi_eigenvalues", recorded)
+        monkeypatch.setattr(lmi, "eigenvalues", recorded)
         iss.check_blocks(model, qc, qs)
         assert shapes == [(4 + 12, 5, 5)]
 
@@ -398,8 +398,8 @@ class TestStackedEigenvalues:
         rng = np.random.default_rng(5)
         S = rng.standard_normal((6, 5, 5))
         S = S + np.swapaxes(S, -1, -2)
-        stacked = iss.jacobi_eigenvalues(S)
-        assert all(np.array_equal(stacked[i], iss.jacobi_eigenvalues(S[i])) for i in range(6))
+        stacked = iss.eigenvalues(S)
+        assert all(np.array_equal(stacked[i], iss.eigenvalues(S[i])) for i in range(6))
         ok, top = iss.is_negative_semidefinite(S)
         assert ok.shape == top.shape == (6,)
         assert [(bool(o), float(t)) for o, t in zip(ok, top)] == \
@@ -408,7 +408,7 @@ class TestStackedEigenvalues:
     def test_one_asymmetric_matrix_in_a_stack_rejected(self):
         S = np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(AsymmetricError):
-            iss.jacobi_eigenvalues(S)
+            iss.eigenvalues(S)
 
     def test_first_bad_mode_named(self):
         # M[a] is not positive definite and M[b] is not symmetric: the
@@ -497,4 +497,4 @@ for seed in (1, 2, 3):
             dict.fromkeys(modes, [[1.0]]), dict.fromkeys(modes, [[1.0]]),
             dict.fromkeys(modes, -1.0), dict.fromkeys(modes, 2.0))
         reports = iss.check_rate_conditions(qc, part, dwell, qs)
-        assert [r.mode for r in reports] == [f"{p}<-{q}" for p, q in sorted(qs.pairs)]
+        assert reports.mode.tolist() == [f"{p}<-{q}" for p, q in sorted(qs.pairs)]

@@ -259,7 +259,7 @@ INPUTS = {
 
 
 def report_rows(reports):
-    return [(r.kind, r.time, r.mode) for r in reports]
+    return [row[:3] for row in reports.rows()]
 
 
 def same_trajectory(a, b):
