@@ -74,9 +74,9 @@ class Reports:
     """Failed inequalities as columns, one entry per report; margin =
     lhs - rhs in the <= orientation.  Scalars broadcast against the arrays,
     and ``Reports()`` is empty.  ``len`` counts the reports, an index or mask
-    selects, and ``+`` concatenates and adds the ``counts`` of samples a rule
-    evaluated or skipped (``flow_evaluated``; ``flow_skipped`` below the
-    threshold)."""
+    selects, and ``concat`` (or ``+``) concatenates and adds the ``counts``
+    of samples a rule evaluated or skipped (``flow_evaluated``;
+    ``flow_skipped`` below the threshold)."""
 
     kind: np.ndarray = ()
     time: np.ndarray = ()
@@ -86,8 +86,13 @@ class Reports:
     counts: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        columns = self._columns()
+        if (all(type(c) is np.ndarray and c.ndim == 1 for c in columns)
+                and "".join(c.dtype.char for c in columns) == "UdUdd"
+                and len({len(c) for c in columns}) == 1):
+            return  # already columns of one length
         columns = [np.asarray(c, dtype)
-                   for c, dtype in zip(self._columns(), (str, float, str, float, float))]
+                   for c, dtype in zip(columns, (str, float, str, float, float))]
         n = max((len(c) for c in columns if c.ndim), default=1)
         for name, column in zip(("kind", "time", "mode", "lhs", "rhs"), columns):
             # np.full raises on a column of another length.
@@ -107,10 +112,18 @@ class Reports:
     def __len__(self) -> int:
         return len(self.kind)
 
+    @staticmethod
+    def concat(parts: Sequence[Reports]) -> Reports:
+        """The reports of ``parts`` in order, one concatenation per column,
+        with their ``counts`` added."""
+        counts = {}
+        for part in parts:
+            for key, value in part.counts.items():
+                counts[key] = counts.get(key, 0) + value
+        return Reports(*map(np.concatenate, zip(*(part._columns() for part in parts))), counts)
+
     def __add__(self, other: Reports) -> Reports:
-        counts = {k: self.counts.get(k, 0) + other.counts.get(k, 0)
-                  for k in {**self.counts, **other.counts}}
-        return Reports(*map(np.concatenate, zip(self._columns(), other._columns())), counts)
+        return Reports.concat((self, other))
 
     def __getitem__(self, at) -> Reports:
         return Reports(*(c[at] for c in self._columns()), self.counts)
@@ -207,11 +220,11 @@ def check_trajectory(
     lhs = np.array((cert.alpha1(norms), values)).T
     rhs = np.array((values, cert.alpha2(norms))).T
     i, side = np.nonzero(lhs > rhs + SANDWICH_TOL)
-    return (Reports("sandwich", times[i], modes[i], lhs[i, side], rhs[i, side])
-            + _flow_reports(traj, values, allowed, threshold, dini_coeff)
-            # Segment k starts at the post-jump state of the jump ending k - 1.
-            + _jump_reports(traj, values[starts[1:] - 1], values[starts[1:]],
-                            threshold, bound, cap))
+    return Reports.concat((
+        Reports("sandwich", times[i], modes[i], lhs[i, side], rhs[i, side]),
+        _flow_reports(traj, values, allowed, threshold, dini_coeff),
+        # Segment k starts at the post-jump state of the jump ending k - 1.
+        _jump_reports(traj, values[starts[1:] - 1], values[starts[1:]], threshold, bound, cap)))
 
 
 def closed_form_dwell(eta_before: float, eta_after: float, mu: float,

@@ -184,7 +184,8 @@ def decrease_check(
     for p, q in dict.fromkeys(zip(now.tolist(), prev.tolist())):
         at = (now == p) & (prev == q)
         w_post[at] = dec.compose(values[post][at], p, q, hs[post][at])
-    reports = (_flow_reports(traj, ws, decay, threshold, dini_coeff)
-               + _jump_reports(traj, ws[pre], w_post, threshold, lambda p, w: w, cap))
+    reports = Reports.concat((
+        _flow_reports(traj, ws, decay, threshold, dini_coeff),
+        _jump_reports(traj, ws[pre], w_post, threshold, lambda p, w: w, cap)))
     ws[post] = w_post
     return reports, (times, values, ws, hs)

@@ -10,8 +10,16 @@ is not finite, 2-D and of the shape the system fixes, and a number that is
 NaN, infinite or an integer beyond the floats.  Every scalar goes through
 one reader, ``_number``.
 Every CSV file goes through ``write_csv``, which takes columns, not rows;
-its floats are printed with 17 significant digits so round-trips are
-lossless.
+its floats are printed with 17 significant digits (``%.17g``) so
+round-trips are lossless.  From ``TEMPLATE_CELLS`` cells on,
+``csvtext.write_csv`` prints a file a column at a time: the digits of each
+number come from a longdouble product with a correctly rounded power of
+ten, and a cell whose rounding lies within that product's error bound
+(derived from ``np.finfo(np.longdouble)``; about 2 % of cells on x86-64,
+every cell where longdouble is plain double) or that is not finite goes
+through ``'%.17g'`` on its own.  Smaller files, and text that is not
+ASCII, go through one ``%`` template per row.  The bytes are the same
+either way.
 """
 
 from __future__ import annotations
@@ -40,6 +48,13 @@ from .simulate import (
     zero_input,
 )
 from .switching import DwellSpec, ModeChangeSet, ModePartition, SwitchingSignal
+
+
+# Below this many cells a file goes through the row template: the column
+# formatter of csvtext saves under 1 ms there, less than its one-off cost in
+# a process (about 7 ms to compile the module and build its tables, and
+# about 1 MB of peak memory).
+TEMPLATE_CELLS = 4000
 
 
 def load_config(path) -> dict:
@@ -413,9 +428,16 @@ def parse_lmi(cfg: dict):
 
 def write_csv(path, header, columns):
     """A CSV file of the column names in ``header`` and one line per entry of
-    the equally long ``columns``, all through one template that each
-    column's dtype picks: ``%s`` for strings, ``%.17g`` else."""
+    the equally long ``columns``: ``%s`` for strings, ``%.17g`` else, as
+    each column's dtype picks.  From ``TEMPLATE_CELLS`` cells on,
+    ``csvtext.write_csv`` prints the file a column at a time; below that,
+    and for text that is not ASCII, every row goes through one ``%``
+    template.  Both give the same bytes."""
     columns = [np.asarray(c) for c in columns]
+    if columns and len(columns) * len(columns[0]) >= TEMPLATE_CELLS:
+        from . import csvtext
+        if csvtext.write_csv(path, header, columns):
+            return
     template = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in columns)
     lines = [",".join(header)]
     lines += [template % row for row in zip(*(c.tolist() for c in columns))]

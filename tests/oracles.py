@@ -25,6 +25,10 @@
   columns a row at a time and formats each number through its own
   ``f"{float(x):.17g}"`` call, the earlier library implementation kept as
   the oracle for the dtype-picked template of ``isscert.jsonio.write_csv``.
+  ``write_csv_template`` is that template, every row through one ``%``
+  call: the earlier ``write_csv`` kept verbatim as the reference for the
+  column formatter of ``isscert.csvtext`` and as the baseline that
+  ``tools/time_csv.py`` times it against.
 * The trajectory checks per sample: ``trajectory_reports``, a loop over the
   segments with one rate-function call per sample, and ``decrease_rows``,
   one ``compose`` call per sample, each report one
@@ -545,6 +549,17 @@ def write_csv_per_cell(path, header, columns):
     lines = [",".join(header)]
     lines += [",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row)
               for row in zip(*columns)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_csv_template(path, header, columns):
+    """A CSV file of the column names in ``header`` and one line per entry of
+    the equally long ``columns``, all through one template that each
+    column's dtype picks: ``%s`` for strings, ``%.17g`` else."""
+    columns = [np.asarray(c) for c in columns]
+    template = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in columns)
+    lines = [",".join(header)]
+    lines += [template % row for row in zip(*(c.tolist() for c in columns))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -1,9 +1,10 @@
 """The import path and the public surface.
 
 SciPy stays off the import path: every transform is closed-form, and only
-``lmi.synthesize`` loads ``scipy.linalg``, when it runs.  Those checks run in
-a fresh interpreter, since the test process itself has loaded SciPy for the
-oracles.  Every name ``isscert`` exports has a user: the package itself, the
+``lmi.synthesize`` loads ``scipy.linalg``, when it runs.  Likewise
+``jsonio.write_csv`` loads the column formatter ``csvtext`` on its first
+large file.  Those checks run in a fresh interpreter, since the test
+process itself has loaded SciPy for the oracles.  Every name ``isscert`` exports has a user: the package itself, the
 acceptance gate or the README.  The benchmark's tracer finds every name it
 patches and puts each one back.
 """
@@ -34,6 +35,12 @@ LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
 def test_cli_import_loads_no_scipy():
     loaded = fresh(f"import sys, json, isscert.cli; print(json.dumps({LOADED}))")
     assert not {"scipy.integrate", "scipy.optimize", "scipy.linalg"} & set(loaded)
+
+
+def test_cli_import_leaves_the_csv_formatter_unloaded():
+    """``csvtext`` builds its tables when ``write_csv`` first needs them."""
+    assert fresh("import sys, json, isscert.cli; "
+                 "print(json.dumps('isscert.csvtext' in sys.modules))") is False
 
 
 def test_non_linear_rates_run_without_quadrature(tmp_path):

@@ -1,0 +1,114 @@
+"""``jsonio.write_csv`` against the writers it replaced, byte for byte.
+
+``oracles.write_csv_per_cell`` formats every cell through its own call and
+``oracles.write_csv_template`` is the earlier row template.  From
+``jsonio.TEMPLATE_CELLS`` cells on, ``write_csv`` prints through the column
+formatter of ``isscert.csvtext``; it must print what both print on either
+side of that size, with every cell forced through the ``'%.17g'``
+fallback, and on the columns of a 17 505-row run.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_simulate import ACC9_SIGNAL, acc9_certificate, acc9_model
+
+import isscert as iss
+import oracles
+from isscert import csvtext, jsonio
+
+# Near ties: the longdouble product lands on the wrong side of the rounding
+# midpoint, inside the bound, so only the fallback prints them right.
+NEAR_TIES = [-3.3792541078241947e-221, 3.5084226677098645e-99, -3.021148536989063e+118,
+             2.6157636084191e-214, -2.933800709587983e-152, 6.443070367160406e-208,
+             -5.050185157513975e+143, 3.4318231522677184e+298]
+# True ties: the 18th significant digit is a 5 with nothing after it.
+TIES = [2.0 ** -25, 495398490293704.1, -1483039052054336.2, -881985949877946.4,
+        1533661600446129.2]
+
+
+def edge_values() -> np.ndarray:
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    return np.array([*powers, *np.nextafter(powers, -math.inf), *np.nextafter(powers, math.inf),
+                     1e16, 1e17, 9.9999999999999999e16, 5e-324, 1.7976931348623157e308,
+                     float(2 ** 60 + 1), 0.0, -0.0, *NEAR_TIES, *TIES])
+
+
+def assert_same(path, header, columns):
+    """write_csv prints what the per-cell and the template writers print."""
+    printed = {}
+    for writer in (jsonio.write_csv, oracles.write_csv_per_cell, oracles.write_csv_template):
+        writer(path, header, columns)
+        printed[writer] = path.read_bytes()
+    assert printed[jsonio.write_csv] == printed[oracles.write_csv_per_cell]
+    assert printed[jsonio.write_csv] == printed[oracles.write_csv_template]
+
+
+def test_edge_values(tmp_path):
+    x = edge_values()
+    assert 3 * len(x) >= jsonio.TEMPLATE_CELLS
+    assert_same(tmp_path / "edges.csv", ["x", "minus_x", "x/3"], [x, -x, x / 3])
+    assert b"\n2.9802322387695312e-08,-2.9802322387695312e-08," in \
+        (tmp_path / "edges.csv").read_bytes()
+
+
+def test_every_cell_through_the_fallback(tmp_path, monkeypatch):
+    """A bound of 1/2, as where longdouble is plain double, decides no cell
+    and leaves the bytes as they are."""
+    monkeypatch.setattr(csvtext, "BOUND", csvtext._LD(0.5))
+    x = edge_values()
+    assert csvtext._decimal(x)[2][x != 0].all()
+    assert_same(tmp_path / "fallback.csv", ["x", "minus_x", "x/3"], [x, -x, x / 3])
+
+
+MODES = ["s", "u", "flow", "ş", "模式"]  # the last two are not ASCII
+
+
+@st.composite
+def csv_columns(draw):
+    """float64, str, int64 and bool columns, their rows drawn from a few
+    values each; the row counts straddle jsonio.TEMPLATE_CELLS."""
+    at = -(-jsonio.TEMPLATE_CELLS // 4)
+    rows = draw(st.sampled_from([1, 7, at - 1, at, 2 * at]))
+    pools = [np.array(draw(st.lists(st.floats(), min_size=1, max_size=20)), dtype=float),
+             np.array(draw(st.lists(st.sampled_from(MODES), min_size=1, max_size=4))),
+             np.array(draw(st.lists(st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                               st.integers(-1000, 1000)),
+                                    min_size=1, max_size=20)), dtype=np.int64),
+             np.array(draw(st.lists(st.booleans(), min_size=1, max_size=2)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return [pool[rng.integers(0, len(pool), rows)] for pool in pools]
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_columns())
+def test_matches_the_per_cell_writer(tmp_path_factory, columns):
+    assert_same(tmp_path_factory.mktemp("csv") / "drawn.csv", ["x", "mode", "n", "flag"], columns)
+
+
+def test_a_dense_run_matches_the_template(tmp_path):
+    """trajectory.csv, construct.csv and reports.csv columns of the ACC9
+    system at step 2e-4 (17 505 samples), and a header-only file."""
+    inp = iss.zero_input()
+    traj = iss.simulate(acc9_model(), ACC9_SIGNAL, [2.0], inp, 2e-4)
+    times, states, modes, _ = traj.samples
+    assert len(times) == 17505
+    dec = iss.build_decreasing(acc9_certificate(-1.0), ACC9_SIGNAL, [1.0, 10.0, 100.0])
+    reports = iss.check_trajectory(acc9_certificate(-3.0), traj, inp)
+    assert len(reports) > 1000
+    files = {
+        "trajectory": (["t", "mode", "x1", "jump_flag"],
+                       [times, modes, states[:, 0], traj.jump_flags()]),
+        "construct": (["t", "V", "W", "h"], iss.decrease_check(dec, traj, inp)[1]),
+        "reports": (["kind", "time", "mode", "lhs", "rhs", "margin"],
+                    [reports.kind, reports.time, reports.mode, reports.lhs, reports.rhs,
+                     reports.margin]),
+        "empty": (["t", "V"], [np.empty(0), np.empty(0)]),
+    }
+    for name, (header, columns) in files.items():
+        jsonio.write_csv(tmp_path / f"{name}.csv", header, columns)
+        oracles.write_csv_template(tmp_path / f"{name}.template.csv", header, columns)
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}.template.csv").read_bytes(), name
