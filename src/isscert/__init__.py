@@ -1,6 +1,6 @@
 """Simulation and mechanical ISS certification of impulsive switched systems."""
 
-from .bounds import IssBound, build_bound, decay_interpolant, iss_check
+from .bounds import IssBound, build_bound, decay_interpolant, iss_check, iss_check_batch
 from .certify import (
     Certificate,
     Reports,

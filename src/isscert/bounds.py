@@ -4,10 +4,19 @@ From a certificate's envelope rates and dwell constants this module builds
 the transient bound beta(r, s) (decreasing in elapsed time, increasing in
 the initial value) and the input gain gamma, then checks simulated
 trajectories against ||x(t)|| <= beta(||x0||, t - t0) + gamma(||u||inf).
+
+``beta``, ``beta_tilde``, ``gamma`` and ``decay_interpolant`` are
+elementwise, with the initial level r broadcast against the elapsed time s:
+a column of levels and a row of times give one row of bounds per level.  A
+``short_horizon_envelope`` must be elementwise in its level too.  So the
+check of R runs of N samples makes one ``gamma`` call for all R sup norms
+and ceil(R / max(1, ISS_BLOCK_CELLS // N)) ``beta`` calls, each over a
+block of runs as a (runs, N) array, with O(R N) element work in all.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -21,38 +30,44 @@ from .simulate import InputSignal, Trajectory
 from .switching import DwellSpec
 
 ISS_REL_TOL = 1e-9
+# The samples (runs x samples per run) of one block of the ISS check.  A
+# block's beta call peaks at about four float arrays of this size (0.5 MB),
+# below what simulate_batch has held for the same runs, and each call has a
+# fixed cost of about 0.1 ms, which blocks of half the size pay twice as often.
+ISS_BLOCK_CELLS = 1 << 14
 
 
-def decay_interpolant(u: float, v, C: float, m: float):
+def decay_interpolant(u, v, C: float, m: float):
     """Interpolation between u + C (at v=0) and the floor m as v grows,
-    elementwise in v.
+    elementwise in u and v, broadcast against each other.
 
     Equals m + (u + C - m) * exp(-v / (u + C - m)) and always dominates
-    u + C - v.  The gap u + C - m must be nonnegative; the zero-gap limit
-    is u + C.
+    u + C - v.  The gap u + C - m must be nonnegative; where it is 0 the
+    value is the zero-gap limit u + C, which then equals m.
     """
-    gap = u + C - m
-    if gap < 0:
-        raise DegenerateGammaError(f"negative gap u + C - m = {gap}")
-    if gap == 0.0:
-        return np.full(np.shape(v), u + C)[()]
-    return m + gap * np.exp(-np.asarray(v) / gap)
+    gap = np.asarray(u, dtype=float) + C - m
+    if (gap < 0).any():
+        raise DegenerateGammaError(f"negative gap u + C - m = {float(gap[gap < 0][0])}")
+    # A zero gap divides by 1 instead, and its term gap * exp(...) is 0.
+    return (m + gap * np.exp(-np.asarray(v) / np.where(gap == 0.0, 1.0, gap)))[()]
 
 
 @dataclass(frozen=True)
 class IssBound:
     """Assembled transient bound and input gain with their components.
 
-    ``beta(r, s)`` and ``beta_tilde(r, s)`` are elementwise in the elapsed
-    time s: an array of times gives an array, a number gives a float."""
+    ``beta(r, s)`` and ``beta_tilde(r, s)`` are elementwise in the initial
+    level r and the elapsed time s, broadcast against each other, and
+    ``gamma(s)`` in the input bound s: arrays give an array, numbers give a
+    float."""
 
-    beta: Callable[[float, float], float]
-    gamma: Callable[[float], float]
+    beta: Callable
+    gamma: Callable
     C: float
     delta: float
     case: str  # "finite-m" | "infinite-m"
     m: float
-    beta_tilde: Callable[[float, float], float] = None
+    beta_tilde: Callable = None
     metadata: dict = field(default_factory=dict)
 
 
@@ -66,7 +81,8 @@ def build_bound(
     """Assemble beta and gamma from envelope rates and dwell constants.
 
     ``short_horizon_envelope``, when given, maps an initial Lyapunov level r
-    to a Lyapunov-level bound valid on the initial window s <= C / delta;
+    to a Lyapunov-level bound valid on the initial window s <= C / delta,
+    elementwise in r (a number may stand for every level);
     beta is inflated to at least that envelope there (the transient patch
     that the decay formula alone does not provide).  Its empirical origin
     makes the patched beta depend on the sampling run; this is recorded in
@@ -84,12 +100,13 @@ def build_bound(
     m = tr_lo.image_inf()
     case = "finite-m" if m > -math.inf else "infinite-m"
 
-    # For one initial level r the transform values are scalars; the rest is
-    # NumPy over the elapsed times s.
-    def beta_tilde(r: float, s):
-        s = np.asarray(s, dtype=float)
-        if r <= 0.0:
-            return _result(np.zeros(s.shape))
+    # The transform values are taken at the levels r alone (one per row when r
+    # is a column); the rest is NumPy over r and s broadcast together.  Levels
+    # r <= 0 are evaluated at 1 and masked to 0.
+    def beta_tilde(r, s):
+        r, s = np.asarray(r, dtype=float), np.asarray(s, dtype=float)
+        zero = r <= 0.0
+        r = np.where(zero, 1.0, r)
         if case == "finite-m":
             # Levels at or below an image's lower end clamp to 0: the
             # interpolant tends to m, the lower end of tr_lo's image.
@@ -98,11 +115,11 @@ def build_bound(
         else:
             a = tr_lo.inverse(tr_lo.value(r) + C - delta * s)
             b = tr_hi.inverse(tr_hi.value(r) + C - delta * s)
-        return _result(np.maximum(a, b))
+        return _result(np.where(zero, 0.0, np.maximum(a, b)))
 
     patch_window = C / delta
 
-    def beta(r: float, s):
+    def beta(r, s):
         s = np.asarray(s, dtype=float)
         r2 = cert.alpha2(r)
         level = beta_tilde(r2, s)
@@ -111,13 +128,12 @@ def build_bound(
                              np.maximum(level, short_horizon_envelope(r2)), level)
         return cert.alpha1.inverse(level)
 
-    def gamma(s: float) -> float:
+    def gamma(s):
         # Lyapunov levels: gamma2 = max(alpha3, chi), and gamma3 lifts it by
-        # the transient of a start at the gamma2 level.
-        g2 = max(cert.alpha3(s), cert.chi(s))
-        if g2 <= 0.0:
-            return 0.0
-        return cert.alpha1.inverse(max(g2, cert.alpha2(beta(cert.alpha1.inverse(g2), 0.0))))
+        # the transient of a start at the gamma2 level; gamma2 <= 0 gives 0.
+        g2 = np.maximum(cert.alpha3(s), cert.chi(s))
+        lifted = np.maximum(g2, cert.alpha2(beta(cert.alpha1.inverse(g2), 0.0)))
+        return _result(np.where(g2 <= 0.0, 0.0, cert.alpha1.inverse(lifted)))
 
     return IssBound(
         beta=beta,
@@ -138,19 +154,51 @@ def build_bound(
 def iss_check(
     bound: IssBound, traj: Trajectory, x0, input: InputSignal
 ) -> tuple[Reports, float]:
-    """Check the ISS estimate at every trajectory sample; also return the
-    largest margin ||x(t)|| - (beta(||x0||, t - t0) + gamma(||u||inf)).
+    """``iss_check_batch`` of the one run ``traj`` from ``x0`` under ``input``."""
+    return iss_check_batch(bound, [traj], [x0], [input])
 
-    The samples are compared as arrays, with one beta call per trajectory;
-    the reports come in sample order."""
-    r0 = float(np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))))
-    g = bound.gamma(input.sup_norm)
-    times, states, modes, _ = traj.samples
-    lhs = np.linalg.norm(states, axis=1)
-    # One beta call over every elapsed time (a beta that ignores s may
-    # return a scalar, hence the broadcast).
-    rhs = np.broadcast_to(bound.beta(r0, times - traj.t0) + g, times.shape)
-    # fmax skips NaN margins, as a running max() over floats does.
-    max_margin = float(np.fmax.reduce(lhs - rhs, initial=-math.inf))
-    i = np.flatnonzero(lhs > rhs * (1 + ISS_REL_TOL) + 1e-12)
-    return Reports("iss", times[i], modes[i], lhs[i], rhs[i]), max_margin
+
+def iss_check_batch(bound: IssBound, trajs, x0s, inputs) -> tuple[Reports, float]:
+    """Check the ISS estimate at every sample of runs on one time grid, as
+    ``simulate_batch`` returns them; also return the largest margin
+    ||x(t)|| - (beta(||x0||, t - t0) + gamma(||u||inf)) over all of them.
+
+    The reports come run after run, each run's in sample order.  ``gamma``
+    is called once for every run's sup norm, and ``beta`` once per block of
+    runs with at most ``ISS_BLOCK_CELLS`` samples in all (at least one run),
+    over the block's (runs, samples) array.  ``trajs`` is iterated once and
+    each run is let go of once its norms are taken, so an iterator that
+    drops the runs it yields keeps one run's samples alive beside the
+    block's arrays."""
+    if len(x0s) != len(inputs):
+        raise ValueError("one input per initial state")
+    r0 = np.array([np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))) for x0 in x0s])
+    sup = np.array([inp.sup_norm for inp in inputs], dtype=float)
+    g = np.broadcast_to(bound.gamma(sup), sup.shape)
+    parts, max_margin = [], -math.inf
+    runs = iter(trajs)
+    first = next(runs, None)
+    if first is None:
+        return Reports(), max_margin
+    times, _, modes, _ = first.samples
+    runs = itertools.chain([first], runs)
+    del first
+    n = len(times)
+    elapsed = times - times[0]
+    size = max(1, ISS_BLOCK_CELLS // n)
+    for start in range(0, len(r0), size):
+        at = slice(start, min(start + size, len(r0)))
+        # beta runs before the block's norms are taken, so that its
+        # temporaries are gone by then.  A beta that ignores r or s may return
+        # a smaller array, hence the broadcast.
+        rhs = np.broadcast_to(bound.beta(r0[at, None], elapsed) + g[at, None],
+                              (at.stop - at.start, n))
+        lhs = np.stack([np.linalg.norm(traj.samples[1], axis=1)
+                        for traj in itertools.islice(runs, len(rhs))])
+        # fmax skips NaN margins, as a running max() over floats does.
+        max_margin = max(max_margin, float(np.fmax.reduce(lhs - rhs, axis=None,
+                                                           initial=-math.inf)))
+        run, i = np.divmod(np.flatnonzero(lhs > rhs * (1 + ISS_REL_TOL) + 1e-12), n)
+        parts.append(Reports("iss", times[i], modes[i], lhs[run, i], rhs[run, i]))
+        del lhs, rhs  # before the next block's beta
+    return (parts[0] if len(parts) == 1 else Reports.concat(parts)), max_margin

@@ -69,6 +69,12 @@ class Certificate:
         return {p: PhiTransform(r) for p, r in self.phi.items()}
 
 
+# The columns of ``Reports()``, typed so that an empty one is built as
+# columns; being empty, they are shared.
+_NO_TEXT = np.array([], dtype=str)
+_NO_NUMBERS = np.array([], dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class Reports:
     """Failed inequalities as columns, one entry per report; margin =
@@ -78,11 +84,11 @@ class Reports:
     of samples a rule evaluated or skipped (``flow_evaluated``;
     ``flow_skipped`` below the threshold)."""
 
-    kind: np.ndarray = ()
-    time: np.ndarray = ()
-    mode: np.ndarray = ()
-    lhs: np.ndarray = ()
-    rhs: np.ndarray = ()
+    kind: np.ndarray = field(default_factory=lambda: _NO_TEXT)
+    time: np.ndarray = field(default_factory=lambda: _NO_NUMBERS)
+    mode: np.ndarray = field(default_factory=lambda: _NO_TEXT)
+    lhs: np.ndarray = field(default_factory=lambda: _NO_NUMBERS)
+    rhs: np.ndarray = field(default_factory=lambda: _NO_NUMBERS)
     counts: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -115,7 +121,9 @@ class Reports:
     @staticmethod
     def concat(parts: Sequence[Reports]) -> Reports:
         """The reports of ``parts`` in order, one concatenation per column,
-        with their ``counts`` added."""
+        with their ``counts`` added; no parts give ``Reports()``."""
+        if not parts:
+            return Reports()
         counts = {}
         for part in parts:
             for key, value in part.counts.items():

@@ -6,7 +6,10 @@
 import.
 A number column costs O(rows) NumPy element work, O(1) Python per layout
 class (at most 22) and one ``'%.17g'`` call per fallback cell; a text
-column of ASCII strings is copied as its code points.
+column of ASCII strings is copied as its code points.  An integer or bool
+column within +-2^53 is exact in double and below 10^16, so ``'%.17g'``
+prints each value's plain digits: they come from the digit table, without
+the decimal steps below.
 
 Digits.  For finite x != 0, ``'%.17g'`` prints |x| rounded to 17
 significant digits, ties to even: an integer q in [10^16, 10^17) and a
@@ -60,6 +63,10 @@ _XMIN, _XMAX = -325, 309
 _KMIN, _KMAX = 16 - _XMAX, 16 - _XMIN
 SLOT = 24  # the longest %.17g text: -2.2250738585072014e-308
 _BLOCK_BYTES = 1 << 18
+_EXACT = 2 ** 53  # every integer up to this magnitude is a double, below 10^16
+_TENS = 10 ** np.arange(1, 16, dtype=np.int64)
+# Row L keeps the 16 - L digits after the first L.
+_LEADING = np.where(np.arange(16) >= np.arange(16)[:, None], 255, 0).astype(np.uint8)
 _FIXED = range(-4, 17)  # one class per X printed in fixed notation, then one exponential
 
 
@@ -201,6 +208,23 @@ def _number_cells(x: np.ndarray, out: np.ndarray) -> None:
         out[at] = np.where(cells == ord(" "), 0, cells)
 
 
+def _integer_cells(v: np.ndarray, out: np.ndarray) -> None:
+    """The ``'%.17g'`` text of each integer |v| <= 2^53 in its row of
+    ``out``: exact as a double and below 10^16, so its plain digits after a
+    minus sign, the zeros before its first digit NUL."""
+    a = np.abs(v)
+    leading = 15 - np.searchsorted(_TENS, a, side="right")  # 16 less the digit count
+    words = np.empty((len(v), 4), np.uint32)  # 16 digits, 4 to a word
+    for k in range(3, -1, -1):
+        a, group = np.divmod(a, 10 ** 4)
+        np.take(_DIGITS, group, out=words[:, k])
+    digits = words.view(np.uint8)
+    digits &= np.take(_LEADING, leading, axis=0)
+    out[:, 0] = np.where(v < 0, ord("-"), 0)
+    out[:, 1:17] = digits
+    out[:, 17:] = 0
+
+
 def _text(c: np.ndarray):
     """The code points of a column of ASCII strings without NUL as (n, width),
     else None."""
@@ -235,6 +259,8 @@ def write_csv(path, header, columns) -> bool:
         cell = buf[:, start:start + width]
         if c.ndim == 2:
             cell[:] = c
+        elif c.dtype.kind in "biu" and (not len(c) or -_EXACT <= c.min() and c.max() <= _EXACT):
+            _integer_cells(c.astype(np.int64), cell)
         else:
             _number_cells(c.astype(np.float64, copy=False), cell)
         start += width + 1

@@ -41,8 +41,11 @@ def _result(out):
 
 def _exp(x, f=np.exp):
     """f(x) for f = np.exp or np.expm1, and inf where x exceeds the log of the
-    largest float (NaN included)."""
-    return np.where(x <= _LOG_FLOAT_MAX, f(np.minimum(x, _LOG_FLOAT_MAX)), math.inf)
+    largest float (NaN included), through one temporary of x's shape."""
+    out = np.minimum(x, _LOG_FLOAT_MAX, out=np.empty(np.shape(x)))
+    f(out, out=out)
+    out[~(x <= _LOG_FLOAT_MAX)] = math.inf
+    return out
 
 
 def _interp_table(points, s):
@@ -238,14 +241,15 @@ class PhiTransform:
         """
         y = np.asarray(y, dtype=float)
         r = self.rate
+        if r.kind == "linear":  # the image is all of R; NaN -> inf
+            with np.errstate(all="ignore"):  # overflow to inf
+                return _result(_exp(abs(r.eta) * y))
         lo, hi = self._image
         clamp = (y < lo) & (below == "zero")
         outside = ~((lo <= y) & (y <= hi) | clamp)
-        if r.kind != "linear" and outside.any():  # a linear image is all of R; NaN -> inf
+        if outside.any():
             raise OutOfImageError(float(y[outside][0]), lo, hi)
         with np.errstate(all="ignore"):  # overflow to inf; branches masked below
-            if r.kind == "linear":
-                return _result(_exp(abs(r.eta) * y))
             if r.kind == "power":
                 if r.k == 1.0:
                     out = _exp(abs(r.c) * y)

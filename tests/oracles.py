@@ -20,7 +20,7 @@
   the scalar transform and comparison inverses, and the ISS check as a
   loop over ``Trajectory.samples`` with one ``beta`` call per sample.  These
   are the earlier library implementations, kept as oracles for the
-  elementwise ``beta`` and the array ``iss_check`` in ``isscert.bounds``.
+  elementwise ``beta`` and the batched ``iss_check`` in ``isscert.bounds``.
 * The CSV writer one cell at a time: ``write_csv_per_cell`` walks the
   columns a row at a time and formats each number through its own
   ``f"{float(x):.17g}"`` call, the earlier library implementation kept as

@@ -179,6 +179,12 @@ ELAPSED = np.concatenate([np.linspace(0.0, 6.0, 121), [2.0, np.nextafter(2.0, 3.
 RADII = [0.0, 1e-3, 0.3, 1.0, 4.0, 1e154]
 
 
+def affine_envelope(r):
+    """3 r + 1, elementwise; alpha2(1e154) = 1e308 gives inf."""
+    with np.errstate(over="ignore"):
+        return 3.0 * np.asarray(r) + 1.0
+
+
 class TestBetaArray:
     @pytest.mark.parametrize("alpha1", ALPHA1.values(), ids=ALPHA1.keys())
     @pytest.mark.parametrize("envelopes", ENVELOPES.values(), ids=ENVELOPES.keys())
@@ -211,6 +217,29 @@ class TestBetaArray:
         assert bound.beta(1e154, 0.0) == math.inf
         assert np.array_equal(bound.beta(0.0, ELAPSED),
                               np.where(inside, ALPHA1["linear"].inverse(50.0), 0.0))
+
+    @pytest.mark.parametrize("alpha1", ALPHA1.values(), ids=ALPHA1.keys())
+    @pytest.mark.parametrize("envelopes", ENVELOPES.values(), ids=ENVELOPES.keys())
+    @pytest.mark.parametrize("patched", [False, True], ids=["plain", "patched"])
+    def test_a_column_of_levels_gives_the_one_level_rows(self, alpha1, envelopes, patched):
+        """beta and beta_tilde over a column of levels against the elapsed
+        times, and gamma over an array of input bounds: row (entry) i is the
+        call at level i alone, bit for bit, r = 0 included."""
+        lower, upper, T_S = envelopes
+        cert = stable_cert(alpha1, T_S=T_S)
+        bound = iss.build_bound(cert, cert.dwell, lower, upper,
+                                short_horizon_envelope=affine_envelope if patched else None)
+        radii = np.array(RADII)
+        levels = cert.alpha2(radii)
+        for f, column in ((bound.beta, radii), (bound.beta_tilde, levels)):
+            rows = f(column[:, None], ELAPSED)
+            assert rows.shape == (len(column), len(ELAPSED))
+            for row, r in zip(rows, column.tolist()):
+                assert row.tobytes() == f(r, ELAPSED).tobytes(), r
+        inputs = np.array([0.0, 1e-3, 0.3, 1.0, 4.0, 50.0])
+        gains = bound.gamma(inputs)
+        assert gains.tobytes() == np.array([bound.gamma(u) for u in inputs.tolist()]).tobytes()
+        assert gains[0] == 0.0 and np.all(gains[1:] > 0.0)
 
     def test_scalar_elapsed_gives_float(self):
         cert = stable_cert(ALPHA1["power"], T_S=2.0)

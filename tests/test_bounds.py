@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import isscert as iss
-from isscert.bounds import iss_check
+from isscert import bounds
+from isscert.bounds import iss_check, iss_check_batch
 from isscert.errors import DegenerateGammaError, DomainError, ImageNotFullError
 
 from conftest import FAMILY_ENVELOPES, make_family_certificate, mismatches
@@ -47,6 +49,26 @@ class TestDecayInterpolant:
     def test_negative_gap(self):
         with pytest.raises(DegenerateGammaError):
             iss.decay_interpolant(0.0, 1.0, 0.0, 1.0)
+        with pytest.raises(DegenerateGammaError):
+            iss.decay_interpolant(np.array([[2.0], [0.0]]), [0.0, 1.0], 0.0, 1.0)
+
+    def test_rows_are_the_one_level_calls(self):
+        # A column of levels against a row of v: row i is the call at u[i],
+        # bit for bit, the zero gap (u = m - C = 1) included.
+        u = np.array([1.0, 1.5, 4.0, 1.0 + 1e-12, 30.0])
+        v = np.concatenate([np.linspace(0.0, 20.0, 41), [1e6]])
+        rows = iss.decay_interpolant(u[:, None], v, 2.0, 3.0)
+        assert rows.shape == (len(u), len(v))
+        for row, level in zip(rows, u.tolist()):
+            assert same_bits(row, iss.decay_interpolant(level, v, 2.0, 3.0))
+        assert np.all(rows[0] == 3.0)
+
+
+def same_bits(got, want) -> bool:
+    """Equal arrays of doubles, bit for bit (so -0.0 is not 0.0, and NaN
+    matches the NaN of the same bits)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestBuildBound:
@@ -205,6 +227,85 @@ class TestCertifyIss:
                         gamma=lambda s: 0.0)
         reports = self._same_as_row_loop(tight, traj, x0, inp)
         assert len(reports) == sum(len(seg.times) for seg in traj.segments)
+
+    @pytest.mark.parametrize("runs", [1, 7, 30])
+    def test_batch_is_the_runs_one_by_one(self, family_signal, family_model, runs):
+        """A batch gives each run's reports, run after run, and the largest
+        margin of them all: bit for bit those of one run at a time, and the
+        row loop's within tolerance.  Random starts and inputs, x0 = 0 among
+        them; a bound far below the transient reports samples of every run."""
+        cert, bound = self._family_bound(family_signal)
+        rng = np.random.default_rng(runs)
+        x0s = [rng.uniform(-5.0, 5.0, 1) for _ in range(runs)]
+        x0s[-1] = np.zeros(1)
+        inputs = [iss.sinusoid_input(rng.uniform(0.0, 1.0, 1), rng.uniform(0.5, 5.0))
+                  if rng.uniform() < 0.5 else iss.constant_input(rng.uniform(-1.0, 1.0, 1))
+                  for _ in range(runs)]
+        trajs = iss.simulate_batch(family_model, family_signal, x0s,
+                                   inputs, 1e-2)
+        reference = scalar_beta(cert, cert.dwell, *FAMILY_ENVELOPES)[1]
+        # A beta over (runs, samples) and a gamma that ignores its argument.
+        tight = replace(bound, beta=lambda r, s: 0.2 * r * np.exp(-np.asarray(s)),
+                        gamma=lambda s: 0.0)
+        for b, ref in ((bound, replace(bound, beta=reference)), (tight, tight)):
+            reports, margin = iss_check_batch(b, trajs, x0s, inputs)
+            one_by_one = [iss_check(b, traj, x0, inp)
+                          for traj, x0, inp in zip(trajs, x0s, inputs)]
+            want = iss.Reports.concat([r for r, _ in one_by_one])
+            for got_column, want_column in zip(
+                    (reports.kind, reports.time, reports.mode, reports.lhs, reports.rhs),
+                    (want.kind, want.time, want.mode, want.lhs, want.rhs)):
+                assert np.array_equal(got_column, want_column)
+                assert got_column.tobytes() == want_column.tobytes()
+            assert margin == max(m for _, m in one_by_one)
+            loops = [iss_rows(ref, traj, x0, inp) for traj, x0, inp in zip(trajs, x0s, inputs)]
+            rows = [row for run_rows, _ in loops for row in run_rows]
+            assert [r[:3] for r in reports.rows()] == [r[:3] for r in rows]
+            assert mismatches([r[3:] for r in reports.rows()], [r[3:] for r in rows]) == []
+            assert mismatches(margin, max(m for _, m in loops)) == []
+        assert len(reports) > runs  # the tight bound reports samples of every run
+
+    def test_batch_skips_nan_margins(self, family_signal, family_model):
+        # A bound that is NaN early on: those samples are neither reported nor
+        # counted in the margin, as the row loop's running max() skips them.
+        cert, bound = self._family_bound(family_signal)
+        x0s = [np.array([3.0]), np.zeros(1), np.array([-1.0])]
+        inputs = [iss.zero_input()] * 3
+        trajs = iss.simulate_batch(family_model, family_signal, x0s,
+                                   inputs, 1e-2)
+        nan_early = replace(bound, beta=lambda r, s: np.where(np.asarray(s) < 0.5, math.nan,
+                                                              1e-3 * r + 0 * np.asarray(s)))
+        reports, margin = iss_check_batch(nan_early, trajs, x0s, inputs)
+        want = [iss_rows(nan_early, traj, x0, inp) for traj, x0, inp in zip(trajs, x0s, inputs)]
+        assert math.isfinite(margin) and margin == max(m for _, m in want)
+        assert reports.rows() == [row for rows, _ in want for row in rows]
+        assert np.all(reports.time >= 0.5)
+
+    def test_batch_peak_memory_is_one_block(self, family_signal, family_model):
+        """Runs handed over one at a time and dropped: the check's traced
+        peak stays within a few arrays of one block, far below what caching
+        every run's samples, or one (runs, samples) array, would take."""
+        cert, bound = self._family_bound(family_signal)
+        runs = 60
+        x0s = [np.array([1.0 + 0.05 * j]) for j in range(runs)]
+        inputs = [iss.sinusoid_input([0.5], 2.0)] * runs
+        trajs = iss.simulate_batch(family_model, family_signal, x0s,
+                                   inputs, 1e-3)
+        n = len(trajs[0].samples[0])
+        trajs[0].__dict__.pop("samples")
+        assert runs * n > 10 * bounds.ISS_BLOCK_CELLS
+        trajs.reverse()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reports, margin = iss_check_batch(bound, (trajs.pop() for _ in x0s), x0s, inputs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert not reports and math.isfinite(margin)
+        block = 8 * bounds.ISS_BLOCK_CELLS  # bytes of one block's float array
+        assert peak < 8 * block, (peak, block)
+        assert peak < 8 * runs * n  # one (runs, samples) array of doubles
 
     def test_fabricated_violation(self, family_signal, family_model):
         cert, bound = self._family_bound(family_signal)

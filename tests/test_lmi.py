@@ -29,7 +29,7 @@ def verdicts(model, qc, pair=("a", "a")):
     return flow, jump[pair]
 
 
-class TestJacobi:
+class TestEigenvalues:
     def test_oracle_random(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

@@ -64,19 +64,30 @@ def test_every_cell_through_the_fallback(tmp_path, monkeypatch):
 
 
 MODES = ["s", "u", "flow", "ş", "模式"]  # the last two are not ASCII
+# Integers on both sides of 2^53 (exact as doubles up to there, so printed
+# from their digits) and of 10^16, negative ones included.
+EDGE_INTS = [v for e in (2 ** 53, 10 ** 16) for w in (e - 1, e, e + 1) for v in (w, -w)]
+
+
+def ints(low: int, high: int):
+    """int64 values in [low, high], small ones and the edges among them."""
+    return st.one_of(st.integers(low, high), st.integers(-1000, 1000),
+                     st.sampled_from([v for v in EDGE_INTS if low <= v <= high]))
 
 
 @st.composite
 def csv_columns(draw):
-    """float64, str, int64 and bool columns, their rows drawn from a few
-    values each; the row counts straddle jsonio.TEMPLATE_CELLS."""
-    at = -(-jsonio.TEMPLATE_CELLS // 4)
+    """float64, str, two int64 (one of any values, one within 2^53) and bool
+    columns, their rows drawn from a few values each; the row counts
+    straddle jsonio.TEMPLATE_CELLS."""
+    at = -(-jsonio.TEMPLATE_CELLS // 5)
     rows = draw(st.sampled_from([1, 7, at - 1, at, 2 * at]))
     pools = [np.array(draw(st.lists(st.floats(), min_size=1, max_size=20)), dtype=float),
              np.array(draw(st.lists(st.sampled_from(MODES), min_size=1, max_size=4))),
-             np.array(draw(st.lists(st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
-                                               st.integers(-1000, 1000)),
-                                    min_size=1, max_size=20)), dtype=np.int64),
+             np.array(draw(st.lists(ints(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=20)),
+                      dtype=np.int64),
+             np.array(draw(st.lists(ints(-2 ** 53, 2 ** 53), min_size=1, max_size=20)),
+                      dtype=np.int64),
              np.array(draw(st.lists(st.booleans(), min_size=1, max_size=2)))]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return [pool[rng.integers(0, len(pool), rows)] for pool in pools]
@@ -85,7 +96,29 @@ def csv_columns(draw):
 @settings(max_examples=60, deadline=None)
 @given(csv_columns())
 def test_matches_the_per_cell_writer(tmp_path_factory, columns):
-    assert_same(tmp_path_factory.mktemp("csv") / "drawn.csv", ["x", "mode", "n", "flag"], columns)
+    assert_same(tmp_path_factory.mktemp("csv") / "drawn.csv", ["x", "mode", "n", "k", "flag"],
+                columns)
+
+
+def test_integer_columns_print_their_digits(tmp_path, monkeypatch):
+    """Integer and bool columns within 2^53 skip the float formatter; one
+    value beyond sends its column through it.  The bytes are the template's
+    either way."""
+    formatted = []
+    number_cells = csvtext._number_cells
+    monkeypatch.setattr(csvtext, "_number_cells",
+                        lambda x, out: formatted.append(len(x)) or number_cells(x, out))
+    rows = jsonio.TEMPLATE_CELLS
+    exact = np.resize(np.array([v for v in EDGE_INTS if abs(v) <= 2 ** 53]
+                               + [0, 7, -12, 10 ** 15, 1234567890123456], dtype=np.int64), rows)
+    flags = np.resize([True, False, False], rows)
+    small = np.resize(np.array([0, 1, 2, 60000], dtype=np.uint64), rows)
+    assert_same(tmp_path / "exact.csv", ["n", "flag", "u"], [exact, flags, small])
+    assert formatted == []
+    wide = exact.copy()
+    wide[5] = 2 ** 53 + 1
+    assert_same(tmp_path / "wide.csv", ["n", "flag"], [wide, flags])
+    assert formatted == [rows]
 
 
 def test_a_dense_run_matches_the_template(tmp_path):
