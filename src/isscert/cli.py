@@ -18,6 +18,7 @@ transform image is bounded above when the dwell slack C is positive),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -221,16 +222,19 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="isscert",
-        description="Simulate impulsive switched systems and certify input-to-state stability.",
-    )
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="isscert", description="Simulate impulsive switched "
+                                     "systems and certify input-to-state stability.")
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = jsonio.load_config(args.config)
         out = jsonio.output_dir(args.out)

@@ -10,8 +10,8 @@ blocks of all Q admissible mode changes are built as one
 eigenvalue call over the stack (``check_blocks``), so a check costs O(1)
 NumPy/LAPACK calls whatever P and Q are; the flops are those of P + Q
 separate blocks.  A best-effort heuristic search for feasible certificates
-is provided, staged the same way over the stacked modes; its failure does
-not certify infeasibility.
+is provided, every stage of it batched the same way over the stacked modes
+and mode changes, NumPy alone; its failure does not certify infeasibility.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .switching import DwellSpec, ModeChangeSet, ModePartition
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-9
+GRAM_TOL = math.sqrt(np.finfo(float).eps)
+GRAM_STEPS = 8 * math.ceil(math.log2(-math.log2(np.finfo(float).eps)))
 
 
 def _t(S: np.ndarray) -> np.ndarray:
@@ -42,6 +44,28 @@ def _asymmetric(S: np.ndarray) -> np.ndarray:
     largest = np.abs(S).max(axis=(-2, -1), initial=0.0)
     return np.abs(S - _t(S)).max(axis=(-2, -1), initial=0.0) > \
         SYMMETRY_TOL * np.maximum(1.0, largest)
+
+
+def _lyapunov_gram(A: np.ndarray) -> np.ndarray:
+    """M with A'M + MA = -I for each Hurwitz A of a stack, by the scaled Newton
+    sign iteration (Roberts 1980; Benner and Quintana-Orti 1999): from C = I,
+    A, C <- (cA + A^-1/c)/2, (cC + A^-T C A^-1/c)/2 with c = |det A|^(-1/n).
+    A matrix stops, with the bits it has alone, once a step moves A and C by
+    at most GRAM_TOL = sqrt(eps) relative, which leaves an error of order eps,
+    or after GRAM_STEPS, 8 times the log2(52) steps from 1/2 to eps; M = C/2."""
+    n, live = A.shape[-1], np.arange(len(A))
+    M, C = np.empty_like(A), np.broadcast_to(np.eye(n), A.shape)
+    for _ in range(GRAM_STEPS):
+        inv = np.linalg.inv(A)
+        c = np.exp(np.linalg.slogdet(A)[1] / -n)[:, None, None]
+        step = [(c * A + inv / c) / 2, (c * C + _t(inv) @ C @ (inv / c)) / 2]
+        change = np.maximum(*[np.abs(a - b).max(axis=(1, 2)) / np.abs(a).max(axis=(1, 2))
+                              for a, b in zip(step, (A, C))])
+        M[live] = step[1]
+        live, A, C = (x[~(change <= GRAM_TOL)] for x in (live, *step))
+        if not live.size:
+            break
+    return (M + _t(M)) / 4
 
 
 def eigenvalues(S) -> np.ndarray:
@@ -240,19 +264,10 @@ def synthesize(
     Returns a QuadraticCertificate, whose ``blocks`` are the verdicts of its
     final block check, or Infeasible with diagnostics (also for a Lyapunov
     solution of condition number above 1e12); a negative answer is not a
-    proof of infeasibility.  Each stage (spectral abscissae, symmetric-part
-    and M eigenvalues, Schur levels, the block check) runs once over the
-    stacked modes; an Infeasible names the first failing mode in sorted
-    order, as a mode-by-mode search would.
+    proof of infeasibility.  Every stage runs once over the stacked modes or
+    mode changes, NumPy alone; an Infeasible names the first failing mode in
+    sorted order, as a mode-by-mode search would.
     """
-    # The only SciPy use in the package, imported here so that no other
-    # command pays for loading it.
-    from scipy.linalg import eigh, solve_continuous_lyapunov
-
-    def lyapunov_gram(A_shifted: np.ndarray) -> np.ndarray:
-        M = solve_continuous_lyapunov(A_shifted.T, -np.eye(A_shifted.shape[0]))
-        return (M + M.T) / 2
-
     modes = sorted(model.A)
     n, m = model.dims
     stable = np.array([p in partition.stable for p in modes])
@@ -262,31 +277,25 @@ def synthesize(
     k = int(not_hurwitz[0]) if not_hurwitz.size else len(modes)
     # Unstable modes are shifted to a spectral abscissa of at most -1/2.
     eta = np.where(stable, 0.0, np.maximum(0.0, 2 * abscissa + 1.0))
-    M = [lyapunov_gram(A[i] if stable[i] else A[i] - (eta[i] / 2) * np.eye(n))
-         for i in range(k)]
+    M = _lyapunov_gram(A[:k] - (eta[:k, None, None] / 2) * np.eye(n))
     # An ill-conditioned mode before the first non-Hurwitz one is the
     # failure a mode-by-mode search meets first.
-    if M:
-        condition = np.linalg.cond(np.stack(M))
-        ill = np.flatnonzero(condition > 1e12)
-        if ill.size:
-            p = modes[ill[0]]
-            return Infeasible(f"ill-conditioned Lyapunov solution for mode {p}",
-                              {"mode": p, "condition": float(condition[ill[0]])})
+    condition = np.linalg.cond(M)
+    ill = np.flatnonzero(condition > 1e12)
+    if ill.size:
+        p = modes[ill[0]]
+        return Infeasible(f"ill-conditioned Lyapunov solution for mode {p}",
+                          {"mode": p, "condition": float(condition[ill[0]])})
     if k < len(modes):
         p = modes[k]
         return Infeasible(f"mode {p} declared stable but not Hurwitz",
                           {"mode": p, "spectral_abscissa": float(abscissa[k])})
-    M = np.stack(M)
 
-    if stable.any():
-        As = A[stable]
-        sym_top = eigenvalues((As + _t(As)) / 2)[:, -1]
-        edge = -(1 - 1e-9) / eigenvalues(M[stable])[:, -1]
-        lo = np.minimum(2 * sym_top, -1e-6)
-        eta[stable] = np.where(lo >= edge, lo, 0.99 * edge)
-    R = np.broadcast_to(-np.eye(n), M.shape).copy()
-    R[stable] -= eta[stable, None, None] * M[stable]
+    sym_top = eigenvalues((A + _t(A))[stable] / 2)[:, -1]
+    edge = -(1 - 1e-9) / eigenvalues(M[stable])[:, -1]
+    lo = np.minimum(2 * sym_top, -1e-6)
+    eta[stable] = np.where(lo >= edge, lo, 0.99 * edge)
+    R = -np.eye(n) - np.where(stable, eta, 0.0)[:, None, None] * M
 
     # Smallest diagonal Q making each flow block feasible given R < 0.
     S = M @ _stack(model.B, modes)
@@ -309,16 +318,13 @@ def synthesize(
     for q in modes:
         raise_q = max(top for top, o in zip(top_b.tolist(), old) if o == q)
         if raise_q >= 0:
-            # Inflate Q_q once, so that the input block of every link of q
-            # is strictly negative; this only loosens the already-feasible
-            # flow block.
+            # Inflate Q_q once, so that the input block of every link of q is
+            # strictly negative; this only loosens the already-feasible flow block.
             Q[q] = Q[q] + (raise_q + 1e-6) * np.eye(m)
     S = JtM @ J - (JtM @ H) @ np.linalg.solve(HMH - _stack(Q, old), HtM @ J)
-    S = (S + _t(S)) / 2
-    mu = dict.fromkeys(modes, 0.0)
-    for i, (p, q) in enumerate(links):
-        mu[q] = max(mu[q], float(eigh(S[i], M[q], eigvals_only=True)[-1]))
-    mu = {q: max(best, 1e-12) for q, best in mu.items()}
+    Li = np.linalg.inv(np.linalg.cholesky(_stack(M, old)))
+    tops = np.linalg.eigvalsh(Li @ ((S + _t(S)) / 2) @ _t(Li))[:, -1].tolist()
+    mu = {q: max(1e-12, *(t for t, o in zip(tops, old) if o == q)) for q in modes}
 
     flow, jump = _decide(model, M, Q, eta, mu, sorted(q_set.pairs))
     for p, (ok, top) in flow.items():

@@ -57,9 +57,13 @@
   one mode's or one mode change's block with 2-D products, decided one
   ``is_negative_semidefinite`` call each, and ``synthesize_per_mode`` runs
   the search mode by mode and link by link with one SciPy ``eigh`` call per
-  matrix.  These are the earlier library implementations, kept as oracles
-  for the stacked blocks of ``isscert.lmi.check_blocks`` and the staged
-  ``synthesize``; the jump-factor loop visits each mode's successors in
+  symmetric matrix, one ``isscert.lmi._lyapunov_gram`` call on a stack of
+  one matrix per mode, and one Cholesky reduction per link.  These are the
+  earlier library implementations, kept as oracles for the stacked blocks
+  of ``isscert.lmi.check_blocks`` and the staged ``synthesize``; the
+  Lyapunov solver and the reduction are the library's own, so that the
+  oracle checks the stacking, and ``test_lmi.TestGramAccuracy`` checks
+  both against SciPy.  The jump-factor loop visits each mode's successors in
   sorted order and inflates Q_q once, by the largest top eigenvalue over
   them, as the library now does (the earlier loop inflated once per
   successor in the iteration order of a frozenset).
@@ -81,6 +85,7 @@ from isscert.errors import DegenerateGammaError, DomainError, NonFiniteError, Ou
 from isscert.lmi import (
     Infeasible,
     QuadraticCertificate,
+    _lyapunov_gram,
     check_rate_conditions,
     is_negative_semidefinite,
 )
@@ -731,11 +736,10 @@ def block_verdicts(model, qc, pairs):
 
 
 def synthesize_per_mode(model, partition, q_set, dwell):
-    from scipy.linalg import eigh, solve_continuous_lyapunov
+    from scipy.linalg import eigh
 
     def lyapunov_gram(A_shifted):
-        M = solve_continuous_lyapunov(A_shifted.T, -np.eye(A_shifted.shape[0]))
-        return (M + M.T) / 2
+        return _lyapunov_gram(A_shifted[None])[0]  # a stack of one
 
     def schur_q(M, B, R):
         S = M @ B
@@ -785,7 +789,9 @@ def synthesize_per_mode(model, partition, q_set, dwell):
             bottom = H.T @ M[p] @ H - Q[q]
             S = J.T @ M[p] @ J - (J.T @ M[p] @ H) @ np.linalg.solve(bottom, H.T @ M[p] @ J)
             S = (S + S.T) / 2
-            best = max(best, float(eigh(S, M[q], eigvals_only=True)[-1]))
+            # The Cholesky reduction M_q = LL' of the pencil (S, M_q).
+            Li = np.linalg.inv(np.linalg.cholesky(M[q]))
+            best = max(best, float(np.linalg.eigvalsh(Li @ S @ Li.T)[-1]))
         mu[q] = max(best, 1e-12)
 
     qc = QuadraticCertificate(M, Q, eta, mu)

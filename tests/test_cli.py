@@ -508,6 +508,17 @@ class TestArguments:
         assert e.value.code == 2
         assert "usage: isscert" in capsys.readouterr().err
 
+    def test_one_parser_for_every_call(self, tmp_path, capsys):
+        # The parser is built once a process: a usage error after a
+        # successful call still exits 2, and the next call still parses.
+        assert run(tmp_path, "simulate", base_config())[0] == cli.EXIT_OK
+        with pytest.raises(SystemExit) as e:
+            main(["simulate", "--config", "cfg.json", "--seed", "x"])
+        assert e.value.code == 2
+        assert "usage: isscert" in capsys.readouterr().err
+        assert run(tmp_path, "simulate", base_config(), name="again.json")[0] == cli.EXIT_OK
+        assert cli._parser.cache_info().currsize == 1
+
 
 def test_every_failure_has_a_documented_exit_code():
     """Each entry of ``cli.FAILURES`` has a row for its code in README's

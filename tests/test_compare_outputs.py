@@ -54,7 +54,23 @@ class TestJsonDifferences:
     def test_numeric_leaves_by_key_path(self):
         a = json.dumps({"max_margin": 2.0, "flow": {"s": {"max_eig": -1.0}}, "runs": [1, 2]})
         b = json.dumps({"max_margin": 2.0, "flow": {"s": {"max_eig": -1.5}}, "runs": [1, 4]})
-        assert json_differences(a, b) == "flow.s.max_eig: max rel 0.333; runs[1]: max rel 0.5"
+        assert json_differences(a, b) == \
+            "flow.s.max_eig: max rel 0.333; runs[*]: max rel 0.5 (1 of 2 leaves)"
+
+    def test_a_changed_matrix_takes_one_line(self):
+        a = {"M": {"s1": [[1.0, 2.0], [2.0, 5.0]], "s2": [[1.0]]}, "eta": {"s1": -1.0}}
+        b = {"M": {"s1": [[1.0, 2.5], [2.5, 5.0 + 5e-11]], "s2": [[1.0]]}, "eta": {"s1": -1.0}}
+        assert json_differences(json.dumps(a), json.dumps(b)) == \
+            "M.s1[*][*]: max rel 0.2 (3 of 4 leaves)"
+
+    def test_other_leaves_under_one_path_are_counted(self):
+        a = json.dumps({"rates": [{"kind": "rate-sign"}, {"kind": "rate-dwell"}]})
+        b = json.dumps({"rates": [{"kind": "rate-dwell"}, {"kind": "rate-sign"}]})
+        assert json_differences(a, b) == \
+            "rates[*].kind: 'rate-sign' -> 'rate-dwell' (2 of 2 leaves)"
+
+    def test_list_length_differs(self):
+        assert json_differences('{"a": [1, 2]}', '{"a": [1, 2, 3]}') == "keys differ: a[*]"
 
     def test_other_leaves_give_old_and_new(self):
         a = json.dumps({"verdict": "ok", "patched": True})

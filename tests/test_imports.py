@@ -1,10 +1,12 @@
 """The import path and the public surface.
 
-SciPy stays off the import path: every transform is closed-form, and only
-``lmi.synthesize`` loads ``scipy.linalg``, when it runs.  Likewise
-``jsonio.write_csv`` loads the column formatter ``csvtext`` on its first
-large file.  Those checks run in a fresh interpreter, since the test
-process itself has loaded SciPy for the oracles.  Every name ``isscert`` exports has a user: the package itself, the
+NumPy is the only run-time dependency: every transform is closed-form and
+the ``lmi`` synthesis solves its Lyapunov equations and generalized
+eigenvalue problems with NumPy, so no command loads any SciPy module, not
+even when it runs.  ``jsonio.write_csv`` loads the column formatter
+``csvtext`` on its first large file.  Those checks run in a fresh
+interpreter, since the test process itself has loaded SciPy for the
+oracles.  Every name ``isscert`` exports has a user: the package itself, the
 acceptance gate or the README.  The benchmark's tracer finds every name it
 patches and puts each one back.
 """
@@ -18,7 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_cli import base_config, family_certificate_json
+from test_cli import TestLmi, base_config, family_certificate_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,8 +35,13 @@ LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
 
 
 def test_cli_import_loads_no_scipy():
-    loaded = fresh(f"import sys, json, isscert.cli; print(json.dumps({LOADED}))")
-    assert not {"scipy.integrate", "scipy.optimize", "scipy.linalg"} & set(loaded)
+    assert fresh(f"import sys, json, isscert.cli; print(json.dumps({LOADED}))") == []
+
+
+def test_cli_import_builds_no_parser():
+    """``main`` builds the parser at its first call, not at import."""
+    assert fresh("import json, isscert.cli as cli; "
+                 "print(json.dumps(cli._parser.cache_info().currsize))") == 0
 
 
 def test_cli_import_leaves_the_csv_formatter_unloaded():
@@ -64,7 +71,30 @@ codes = [main([c, "--config", {str(path)!r}, "--out", {str(tmp_path)!r} + "/" + 
 print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
 """)
     assert result["codes"] == [0, 0, 0]
-    assert not {"scipy.integrate", "scipy.optimize"} & set(result["loaded"])
+    assert result["loaded"] == []
+
+
+def test_lmi_synth_and_verify_load_no_scipy(tmp_path):
+    """``isscert lmi`` synthesizes a certificate, then verifies it, in one
+    fresh process."""
+    synth = TestLmi()._base()
+    synth["lmi"]["mode"] = "synth"
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(synth))
+    result = fresh(f"""
+import json, sys
+from isscert.cli import main
+synth = json.loads(open({str(path)!r}).read())
+codes = [main(["lmi", "--config", {str(path)!r}, "--out", {str(tmp_path / "synth")!r}])]
+cert = json.loads(open({str(tmp_path / "synth" / "certificate.json")!r}).read())
+cert.pop("lambda_max")
+synth["lmi"].update(mode="verify", certificate=cert)
+open({str(tmp_path / "verify.json")!r}, "w").write(json.dumps(synth))
+codes.append(main(["lmi", "--config", {str(tmp_path / "verify.json")!r},
+                   "--out", {str(tmp_path / "verify")!r}]))
+print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
+""")
+    assert result == {"codes": [0, 0], "loaded": []}
 
 
 def test_every_export_has_a_user():

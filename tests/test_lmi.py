@@ -498,3 +498,107 @@ for seed in (1, 2, 3):
             dict.fromkeys(modes, -1.0), dict.fromkeys(modes, 2.0))
         reports = iss.check_rate_conditions(qc, part, dwell, qs)
         assert reports.mode.tolist() == [f"{p}<-{q}" for p, q in sorted(qs.pairs)]
+
+
+def gram_cases():
+    """Hurwitz matrices for the Lyapunov Gram: random ones for n = 1 to 32,
+    non-normal triangular ones, Jordan blocks, a diagonal whose Gram has
+    condition number 5e12, lightly damped oscillators, and a non-normal
+    matrix scaled so far from 1 that A^-T C A^-1 alone would overflow."""
+    rng = np.random.default_rng(20)
+    cases = {}
+    for n in range(1, 33):
+        for i in range(2):
+            X = rng.standard_normal((n, n))
+            shift = np.max(np.linalg.eigvals(X).real) + rng.uniform(0.05, 2.0)
+            cases[f"random{n}-{i}"] = X - shift * np.eye(n)
+    for n in (2, 4, 8, 16):
+        cases[f"non-normal{n}"] = np.triu(5 * rng.standard_normal((n, n)), 1) \
+            - np.diag(rng.uniform(0.1, 2.0, n))
+        cases[f"jordan{n}"] = -np.eye(n) + np.eye(n, k=1)
+    cases["diagonal-5e12"] = np.diag([-1.0, -1e-13])
+    for damping in (1e-3, 1e-6):
+        cases[f"damped-{damping:g}"] = np.array([[-damping, 1.0], [-1.0, -damping]])
+    for scale in (1e-160, 1e150):
+        cases[f"scaled-{scale:g}"] = scale * np.array([[-1.0, 5.0], [0.0, -2.0]])
+    return cases
+
+
+def fro(X):
+    """The Frobenius norm, taken on X over its largest entry so that no
+    square overflows or underflows."""
+    top = np.abs(X).max()
+    return top * np.linalg.norm(X / top) if top else 0.0
+
+
+GRAM_CASES = gram_cases()
+
+
+class TestGramAccuracy:
+    """The NumPy Lyapunov Gram and jump factors against SciPy's solvers."""
+
+    @pytest.mark.parametrize("name", list(GRAM_CASES))
+    def test_gram_matches_scipy(self, name):
+        from scipy.linalg import solve_continuous_lyapunov
+
+        from isscert.lmi import _lyapunov_gram
+
+        A = GRAM_CASES[name]
+        n = len(A)
+        M = _lyapunov_gram(A[None])[0]
+        ref = solve_continuous_lyapunov(A.T, -np.eye(n))
+        ref = (ref + ref.T) / 2
+        assert np.array_equal(M, M.T)
+        assert fro(M - ref) <= 1e-9 * fro(ref)
+        assert fro(A.T @ M + M @ A + np.eye(n)) <= 1e-10 * 2 * fro(A) * fro(M)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_stack_gives_the_bits_of_each_matrix(self, n, monkeypatch):
+        # Matrices that converge in different numbers of steps share a stack;
+        # the stack takes one inverse a step, as many as its slowest matrix.
+        from isscert import lmi
+
+        stack = np.stack([A for A in GRAM_CASES.values() if len(A) == n])
+        calls = []
+        inv = np.linalg.inv
+
+        def counted(X):
+            calls.append(len(X))
+            return inv(X)
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        steps, alone = [], []
+        for A in stack:
+            alone.append(lmi._lyapunov_gram(A[None])[0])
+            steps.append(len(calls))
+            calls.clear()
+        assert len(set(steps)) > 1 and max(steps) <= 12
+        together = lmi._lyapunov_gram(stack)
+        assert len(calls) == max(steps) and calls[0] == len(stack)
+        assert all(np.array_equal(together[i], M) for i, M in enumerate(alone))
+
+    @pytest.mark.parametrize("inflate", [1.0, 3.0])
+    @pytest.mark.parametrize("seed,n", [(1, 4), (2, 4), (3, 16), (4, 16)])
+    def test_jump_factors_match_eigh(self, seed, n, inflate, monkeypatch):
+        # mu_q is the largest generalized eigenvalue of (S, M_q) over the
+        # links of q, S the Schur complement of the jump block's input part.
+        # The rate conditions, checked after the jump factors, are passed
+        # over, so that inflated jump inputs (mu > 1 for an unstable mode)
+        # still return the certificate.
+        from scipy.linalg import eigh
+
+        from isscert import lmi
+
+        monkeypatch.setattr(lmi, "check_rate_conditions", lambda *args: iss.Reports())
+        model, part, dwell, qs = synth_shaped(seed, n)
+        model = iss.LinearSystemModel(A=model.A, B=model.B, J=model.J,
+                                      H={p: inflate * h for p, h in model.H.items()})
+        qc = iss.synthesize(model, part, qs, dwell)
+        for q in sorted(model.A):
+            J, H, Mq, Qq = model.J[q], model.H[q], qc.M[q], qc.Q[q]
+            tops = []
+            for p in sorted(p for p, old in qs.pairs if old == q):
+                Mp = qc.M[p]
+                S = J.T @ Mp @ J - (J.T @ Mp @ H) @ np.linalg.solve(H.T @ Mp @ H - Qq,
+                                                                    H.T @ Mp @ J)
+                tops.append(eigh((S + S.T) / 2, Mq, eigvals_only=True)[-1])
+            assert abs(qc.mu[q] - max(1e-12, *tops)) <= 1e-12 * max(np.abs(tops))

@@ -16,9 +16,11 @@ to the config it ran.
 The report lists differing exit codes, files present on one side only, and
 every file whose bytes differ; for a differing CSV file it gives the largest
 relative difference |a - b| / max(|a|, |b|) of each numeric column, and for
-a differing JSON file the relative difference of each numeric leaf (named by
-its key path, e.g. ``max_margin`` or ``flow.s.max_eig``).  The exit code is
-0 when every exit code and every file is identical, else 1.
+a differing JSON file the largest relative difference of the numeric leaves
+under each key path (e.g. ``max_margin`` or ``flow.s.max_eig``).  A path
+stands for every index of a list, as in ``M.s1[*][*]``, so that a changed
+matrix takes one line, with the number of its leaves that moved.  The exit
+code is 0 when every exit code and every file is identical, else 1.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -130,21 +133,40 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _collapse(path: str) -> str:
+    """A key path with every list index written ``[*]``."""
+    return re.sub(r"\[\d+\]", "[*]", path)
+
+
+def _share(count: int, total: int) -> str:
+    """How many of a path's leaves differ, when the path stands for several."""
+    return f" ({count} of {total} leaves)" if total > 1 else ""
+
+
 def json_differences(a: str, b: str) -> str:
-    """Relative difference of each numeric leaf of two JSON texts that
-    differs, and the old and new value of each other leaf that does."""
+    """Per key path of two JSON texts, list indices collapsed: the largest
+    relative difference of its numeric leaves that differ, and the first old
+    and new value of its other leaves that do, each with the count of such
+    leaves when the path stands for more than one."""
     leaves_a, leaves_b = dict(_leaves(json.loads(a))), dict(_leaves(json.loads(b)))
     if leaves_a.keys() != leaves_b.keys():
-        return "keys differ: " + ", ".join(sorted(leaves_a.keys() ^ leaves_b.keys()))
-    parts = []
+        return "keys differ: " + ", ".join(sorted({_collapse(k)
+                                                   for k in leaves_a.keys() ^ leaves_b.keys()}))
+    paths = {}
     for key, x in leaves_a.items():
-        y = leaves_b[key]
-        if _is_number(x) and _is_number(y):
-            rel = _rel(float(x), float(y))
-            if rel:
-                parts.append(f"{key}: max rel {rel:.3g}")
-        elif x != y or type(x) is not type(y):  # 1 == True in Python
-            parts.append(f"{key}: {x!r} -> {y!r}")
+        paths.setdefault(_collapse(key), []).append((x, leaves_b[key]))
+    parts = []
+    for path, pairs in paths.items():
+        numeric = [_is_number(x) and _is_number(y) for x, y in pairs]
+        rels = [r for (x, y), num in zip(pairs, numeric) if num and (r := _rel(float(x), float(y)))]
+        # 1 == True in Python, so the types are compared too.
+        others = [(x, y) for (x, y), num in zip(pairs, numeric)
+                  if not num and (x != y or type(x) is not type(y))]
+        if rels:
+            parts.append(f"{path}: max rel {max(rels):.3g}{_share(len(rels), len(pairs))}")
+        if others:
+            (x, y), share = others[0], _share(len(others), len(pairs))
+            parts.append(f"{path}: {x!r} -> {y!r}{share}")
     return "; ".join(parts) or "identical values, different bytes"
 
 
