@@ -13,33 +13,46 @@ the decimal steps below.
 
 Digits.  For finite x != 0, ``'%.17g'`` prints |x| rounded to 17
 significant digits, ties to even: an integer q in [10^16, 10^17) and a
-decimal exponent X with q 10^(X-16) that rounding.  With u the unit
-roundoff of ``np.longdouble`` (``np.finfo(np.longdouble).eps / 2``), an
-IEEE format that rounds to nearest:
+decimal exponent X with q 10^(X-16) that rounding.  All arithmetic is
+float64, which rounds to nearest with unit roundoff u = 2^-53:
 
-* X starts as floor(log10|x|) in float64, which can be one decade off next
-  to a power of ten.  y = |x| T[16 - X] in longdouble, where T[k] is 10^k
-  rounded to nearest from exact integers; y >= 10^17 or y < 10^16 moves X by
-  one decade and y is computed again.
-* |x| is exact in longdouble, and T[k] and the product each round once, so
-  y is within y* (2u + u^2) of y* = |x| 10^(16-X).  As y < 10^17, y* <
-  10^17 (1 + 3u) and |y - y*| < B = 10^17 2u (1 + 4u), rounded up.
-* y < 2^63, so y truncates exactly to an int64 and its fraction f = y -
-  trunc(y) is exact.  The rounding midpoint nearest to y lies |f - 1/2|
-  away, so when |f - 1/2| > B every point within B of y, y* among them,
-  rounds to the same integer: q = trunc(y) + (f > 1/2).  A true tie
-  has f within B of 1/2 and is never decided here.
-* floor(log10) is off by at most one decade, so after the correction
-  10^16 <= y < 10^17 and q lies in [10^16, 10^17].  q = 10^17 (y* just
-  below 10^17) is the carry into the next decade: q = 10^16 with X + 1.
-  A y* just below 10^16 while y >= 10^16 rounds to 10^16 at X, which is
-  also the rounding at X - 1 after its carry.
+* Table.  For each k, hi is 10^k and lo is 10^k - hi, each rounded to
+  nearest from exact integers (int true division rounds correctly), so
+  10^k = hi + lo + d with |lo| <= u hi and |d| <= u |lo| <= u^2 hi.  hi =
+  hh + hl exactly, hh and hl of at most 26 bits each (Veltkamp's split of
+  its significand).  For 10^-290 <= |x| < 10^290 every entry used is a
+  normal double or zero; every other x falls back (below).
+* X starts as floor(log10 a) of a = |x| in float64, which can be one decade
+  off next to a power of ten; k = 16 - X and y* = a 10^k.
+* Dekker's product.  a = ah + al, ah the top 26 bits of a's significand and
+  al the other 27, so ah hh, al hh, ah hl and al hl are exact, and with
+  p = fl(a hi) each step of e = ((ah hh - p) + al hh + ah hl) + al hl is
+  exact as well: a hi = p + e.
+* y = p + c with c = fl(e + fl(a lo)) misses y* by at most
+  |a d| + u a |lo| + u |e + fl(a lo)| <= u (|e| + 3u a hi (1 + u)).
+  For y* below 1.0000001 10^17, p < 2^57, so |e| <= ulp(p)/2 <= 8 and the
+  miss is below B = u (8 + 3.01 10^17 u), about 4.6e-15, rounded up;
+  below 10^18 it is below 10 B.
+* p < 2^63 truncates exactly to an int64, and for y* > 2^53 + 20 it is an
+  integer, so floor(y) = p + floor(c) and the fraction f = c - floor(c)
+  is exact.  A floor below 10^16 or at 10^17 or more moves X by one
+  decade and y is computed again, once: floor(log10) is off by at most
+  one decade, so y* then lies within 10 B of [10^16, 10^17].
+* The rounding midpoint nearest to y lies |f - 1/2| away, so when
+  |f - 1/2| > B every point within B of y, y* among them, rounds to the
+  same integer: q = floor(y) + (f > 1/2).  A true tie has f within B of
+  1/2 and is never decided here.
+* q lies in [10^16, 10^17].  q = 10^17 (y* within 1/2 of 10^17) is the
+  carry into the next decade: q = 10^16 with X + 1.  A y* just below
+  10^16 rounds to 10^16 at X, which is also the rounding at X - 1 after
+  its carry.
 
-Every cell with |f - 1/2| <= B, and every NaN or infinity, falls back to
-``'%.17g' % x`` on its own, so the output is exact by construction.  On
-x86-64 (64-bit longdouble mantissa) B is about 0.011 and about 2 % of
-cells fall back; where longdouble is plain double, B is about 22 >= 1/2
-and every cell does.
+Every cell with |f - 1/2| <= B, every NaN or infinity and every |x|
+outside [10^-290, 10^290) falls back to ``'%.17g' % x`` on its own, so
+the output is exact by construction.  Within the range only true ties
+(the 18th significant digit a 5 with nothing after it, as in 2^-25) and
+values within B of one fall back; float64 rounds the same on every IEEE
+platform, so which cells fall back does not depend on the machine.
 
 Layout.  The ``%g`` rules: fixed notation with 16 - X decimals for
 -4 <= X < 17, else d.ddd followed by e, a sign and at least two exponent
@@ -54,15 +67,16 @@ from __future__ import annotations
 
 import numpy as np
 
-_LD = np.longdouble
-_U = np.finfo(_LD).eps / 2
-BOUND = np.nextafter(_LD(1e17) * (2 * _U) * (1 + 4 * _U), _LD(np.inf))
-# X of a finite double lies in [-324, 308]; the decade correction can step
-# one beyond.  T[k] covers k = 16 - X.
-_XMIN, _XMAX = -325, 309
+BOUND = np.nextafter(2.0 ** -53 * (8 + 3.01e17 * 2.0 ** -53), 1.0)  # B, rounded up
+# |x| decided by the product; X of such an x lies in [-290, 289], and the
+# first guess and the decade correction can step one beyond.  The table
+# covers k = 16 - X.
+_LOW, _HIGH = 1e-290, 1e290
+_XMIN, _XMAX = -291, 290
 _KMIN, _KMAX = 16 - _XMAX, 16 - _XMIN
+_TOP_26 = np.uint64(2 ** 64 - 2 ** 27)  # sign, exponent and the significand's top 26 bits
 SLOT = 24  # the longest %.17g text: -2.2250738585072014e-308
-_BLOCK_BYTES = 1 << 18
+_BLOCK_BYTES = 1 << 16
 _EXACT = 2 ** 53  # every integer up to this magnitude is a double, below 10^16
 _TENS = 10 ** np.arange(1, 16, dtype=np.int64)
 # Row L keeps the 16 - L digits after the first L.
@@ -70,26 +84,20 @@ _LEADING = np.where(np.arange(16) >= np.arange(16)[:, None], 255, 0).astype(np.u
 _FIXED = range(-4, 17)  # one class per X printed in fixed notation, then one exponential
 
 
-def _powers_of_ten() -> np.ndarray:
-    """T[k - _KMIN] = 10^k rounded to nearest, ties to even, in longdouble."""
-    bits = np.finfo(_LD).nmant + 1
-    mantissas, exponents = [], []
+def _powers_of_ten():
+    """hi, lo and hh of 10^k for k = _KMIN .. _KMAX: hi = 10^k and lo =
+    10^k - hi rounded to nearest, hh the high half of hi = hh + hl."""
+    hi, lo = [], []
     for k in range(_KMIN, _KMAX + 1):
         num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        e = num.bit_length() - den.bit_length() - bits
-        num, den = (num, den << e) if e >= 0 else (num << -e, den)
-        if num >= den << bits:
-            e += 1
-            den <<= 1
-        m, r = divmod(num, den)  # 2^(bits-1) <= m < 2^bits
-        m += 2 * r > den or (2 * r == den and m & 1)
-        mantissas.append(m)
-        exponents.append(e)
-    # 32 bits at a time: every partial sum is exact in longdouble.
-    t = np.zeros(len(mantissas), _LD)
-    for shift in reversed(range(0, bits, 32)):
-        t = t * _LD(2 ** 32) + np.array([m >> shift & 0xFFFFFFFF for m in mantissas], _LD)
-    return np.ldexp(t, np.array(exponents))
+        h = num / den
+        n, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * d - n * den) / (den * d))
+    hi = np.array(hi)
+    m, e = np.frexp(hi)
+    t = m * (2.0 ** 27 + 1)
+    return hi, np.array(lo), np.ldexp(t - (t - m), e)
 
 
 def _digit_words() -> np.ndarray:
@@ -113,7 +121,7 @@ def _exponent_bytes() -> np.ndarray:
                     axis=1).astype(np.uint8)
 
 
-_POW10 = _powers_of_ten()
+_HI, _LO, _HH = _powers_of_ten()
 _EXPONENTS = _exponent_bytes()
 _DIGITS = _digit_words()
 
@@ -126,53 +134,88 @@ def _digit_bytes(q: np.ndarray) -> np.ndarray:
     hi = hi.astype(np.int32)  # the first 9
     words = np.empty((len(q), 5), np.uint32)
     trailing = np.full(len(q), 10000, np.int32)
-    for k, rest in ((4, lo), (3, lo), (2, hi), (1, hi), (0, hi)):
-        group = rest % 10 ** 4
-        rest //= 10 ** 4
-        np.take(_DIGITS, group + trailing, out=words[:, k], mode="wrap")
-        trailing *= group == 0
+    rest, quot = lo, np.empty_like(lo)
+    for k in range(4, -1, -1):
+        if k == 2:
+            rest = hi
+        np.floor_divide(rest, 10 ** 4, out=quot)
+        rest -= quot * 10 ** 4  # the last 4 digits of rest
+        np.take(_DIGITS, rest + trailing, out=words[:, k], mode="wrap")
+        trailing *= rest == 0
+        rest, quot = quot, rest
     return words.view(np.uint8)[:, 3:]  # the first group is one digit
+
+
+def _scaled(a: np.ndarray, i: np.ndarray):
+    """(floor(y) as int64, y - floor(y)) of y = p + c, Dekker's product of
+    each a with 10^k from row i = k - _KMIN of the table."""
+    hl = np.take(_HI, i)
+    p = hl * a
+    e = np.take(_HH, i)
+    hl -= e  # hi - hh, exact
+    ah = (a.view(np.uint64) & _TOP_26).view(np.float64)
+    a -= ah  # al, until a is needed again
+    t = e * a
+    e *= ah
+    e -= p
+    e += t  # (ah hh - p) + al hh
+    np.multiply(hl, ah, out=t)
+    e += t
+    hl *= a
+    e += hl  # + ah hl + al hl: a hi - p, exact
+    a += ah
+    del ah, hl
+    np.take(_LO, i, out=t, mode="clip")
+    t *= a
+    c = np.add(e, t, out=e)
+    floor = np.floor(c, out=t)
+    q = p.astype(np.int64)
+    del p
+    q += floor.astype(np.int64)
+    return q, np.subtract(c, floor, out=c)
 
 
 def _decimal(x: np.ndarray):
     """(q, X, fallback): the 17 significant digits q and exponent X of each
     x (q = X = 0 for zero), and where ``'%.17g'`` must print x instead."""
-    ok = np.isfinite(x) & (x != 0)
-    a = np.where(ok, np.abs(x), 1.0)
-    X = np.floor(np.log10(a)).astype(np.int16)
-    y = np.take(_POW10, 16 - _KMIN - X)
-    y *= a
-    high, low = y >= 1e17, y < 1e16
+    a = np.abs(x)
+    skip = ~((a >= _LOW) & (a < _HIGH))  # zero, not finite or out of range
+    a[skip] = 1.0  # q = 10^16, X = 0
+    i = np.log10(a)
+    np.floor(i, out=i)
+    i = np.subtract(16 - _KMIN, i, out=i).astype(np.intp)  # k - _KMIN, k = 16 - X
+    q, f = _scaled(a, i)
+    high, low = q >= 10 ** 17, q < 10 ** 16
     off = np.flatnonzero(high | low)
     if len(off):
-        X[off] += np.where(high[off], 1, -1)
-        y[off] = np.take(_POW10, 16 - _KMIN - X[off]) * a[off]
-    q = y.astype(np.int64)
-    f = np.subtract(y, q, out=y)  # the fraction, in place of y
+        i[off] += np.where(high[off], -1, 1)
+        q[off], f[off] = _scaled(a[off], i[off])
     q += f > 0.5
-    fallback = (f >= 0.5 - BOUND) & (f <= 0.5 + BOUND)
+    f -= 0.5
+    fallback = np.abs(f, out=f) <= BOUND
+    X = (16 - _KMIN - i).astype(np.int16)
     carry = q == 10 ** 17
     q[carry] = 10 ** 16
     X += carry
-    fallback = np.where(ok, fallback, x != 0)
-    q[~ok] = 0
-    X[~ok] = 0
+    if skip.any():
+        q[skip] = 0
+        fallback[skip] = x[skip] != 0
     return q, X, fallback
 
 
 def _number_cells(x: np.ndarray, out: np.ndarray) -> None:
     """The ``'%.17g'`` text of each x in its row of ``out`` ((n, SLOT)
-    bytes), NUL where nothing is printed."""
+    bytes, each row contiguous), NUL where nothing is printed."""
     n = len(x)
     q, X, fallback = _decimal(x)
     fixed = (X >= _FIXED.start) & (X < _FIXED.stop)
     layout = np.where(fixed, X - _FIXED.start, len(_FIXED)).astype(np.int8)
     order = np.argsort(layout, kind="stable")
-    ends = np.cumsum(np.bincount(layout, minlength=len(_FIXED) + 1)).tolist()
+    ends = np.searchsorted(np.take(layout, order), range(1, len(_FIXED) + 2)).tolist()
     q, X = np.take(q, order), np.take(X, order)
     digits = _digit_bytes(q)
     slot = np.zeros((n, SLOT), np.uint8)
-    np.multiply(np.signbit(np.take(x, order)), ord("-"), out=slot[:, 0], casting="unsafe")
+    np.multiply(np.take(np.signbit(x).view(np.uint8), order), ord("-"), out=slot[:, 0])
     start = 0
     for cls, end in enumerate(ends):
         rows, start = slice(start, end), end
@@ -198,9 +241,8 @@ def _number_cells(x: np.ndarray, out: np.ndarray) -> None:
             slot[rows, 3:2 - e] = ord("0")
             slot[rows, 2 - e:19 - e] = digits[rows]
     del digits, q
-    inverse = np.empty(n, np.intp)
-    inverse[order] = np.arange(n)
-    np.take(slot, inverse, axis=0, out=out, mode="wrap")
+    whole = np.dtype((np.void, SLOT))  # a slot as one element
+    out.view(whole)[order, 0] = slot.view(whole)[:, 0]
     at = np.flatnonzero(fallback)
     if len(at):
         text = ("%-24.17g" * len(at) % tuple(x[at].tolist())).encode()
@@ -215,9 +257,12 @@ def _integer_cells(v: np.ndarray, out: np.ndarray) -> None:
     a = np.abs(v)
     leading = 15 - np.searchsorted(_TENS, a, side="right")  # 16 less the digit count
     words = np.empty((len(v), 4), np.uint32)  # 16 digits, 4 to a word
+    quot = np.empty_like(a)
     for k in range(3, -1, -1):
-        a, group = np.divmod(a, 10 ** 4)
-        np.take(_DIGITS, group, out=words[:, k])
+        np.floor_divide(a, 10 ** 4, out=quot)
+        a -= quot * 10 ** 4  # the last 4 digits of a
+        np.take(_DIGITS, a, out=words[:, k], mode="wrap")
+        a, quot = quot, a
     digits = words.view(np.uint8)
     digits &= np.take(_LEADING, leading, axis=0)
     out[:, 0] = np.where(v < 0, ord("-"), 0)
@@ -266,12 +311,11 @@ def write_csv(path, header, columns) -> bool:
         start += width + 1
         buf[:, start - 1] = ord(",")
     buf[:, -1] = ord("\n")
-    # Dropping the NULs needs a mask as large as what it reads, so it goes
-    # a block of rows at a time.
+    # Dropping the NULs copies what it reads, so it goes a block of rows at
+    # a time: the copies stay small and in cache.
     rows = max(1, _BLOCK_BYTES // buf.shape[1])
     with open(path, "wb") as f:
         f.write(head.encode())
         for start in range(0, len(buf), rows):
-            block = buf[start:start + rows].ravel()
-            f.write(block[block != 0])
+            f.write(buf[start:start + rows].tobytes().translate(None, b"\0"))
     return True

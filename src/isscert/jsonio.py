@@ -13,13 +13,14 @@ Every CSV file goes through ``write_csv``, which takes columns, not rows;
 its floats are printed with 17 significant digits (``%.17g``) so
 round-trips are lossless.  From ``TEMPLATE_CELLS`` cells on,
 ``csvtext.write_csv`` prints a file a column at a time: the digits of each
-number come from a longdouble product with a correctly rounded power of
-ten, and a cell whose rounding lies within that product's error bound
-(derived from ``np.finfo(np.longdouble)``; about 2 % of cells on x86-64,
-every cell where longdouble is plain double) or that is not finite goes
-through ``'%.17g'`` on its own.  Smaller files, and text that is not
-ASCII, go through one ``%`` template per row.  The bytes are the same
-either way.
+number come from a float64 double-double product (Dekker's) with a
+correctly rounded power of ten, and a cell that is not finite, lies
+beyond 10^+-290, or whose rounding lies within that product's error bound
+of about 5e-15 (a true tie, such as 2^-25) goes through ``'%.17g'`` on its
+own.  Smaller files, and text that is not ASCII, go through one ``%``
+template per row.  The bytes are the same either way.  ``write_json``
+writes strict JSON: a float that is not finite becomes the string that
+``'%.17g'`` prints for it.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ from .switching import DwellSpec, ModeChangeSet, ModePartition, SwitchingSignal
 
 # Below this many cells a file goes through the row template: the column
 # formatter of csvtext saves under 1 ms there, less than its one-off cost in
-# a process (about 7 ms to compile the module and build its tables, and
-# about 1 MB of peak memory).
+# a fresh process (about 9 ms to compile the module and build its tables,
+# of which the power-of-ten table takes about 2 ms, and about 1 MB of peak
+# memory).
 TEMPLATE_CELLS = 4000
 
 
@@ -457,4 +459,23 @@ def write_reports_csv(path, reports):
 
 
 def write_json(path, obj):
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """``obj`` as strict JSON: a float that is not finite, for which JSON has
+    no literal, is written as the string ``'%.17g'`` prints for it in the
+    CSV files (``"inf"``, ``"-inf"`` or ``"nan"``)."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_floats(obj), indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n")
+
+
+def _finite_floats(obj):
+    """``obj`` with every float that is not finite replaced by its ``'%.17g'``
+    text."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "%.17g" % obj
+    if isinstance(obj, dict):
+        return {k: _finite_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_floats(v) for v in obj]
+    return obj

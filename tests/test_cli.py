@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,9 @@ from isscert import cli, jsonio
 from isscert.cli import main
 from isscert.errors import NonFiniteError
 from isscert.simulate import simulate, zero_input
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import generate  # noqa: E402
 
 
 def family_system():
@@ -424,6 +428,28 @@ class TestLmi:
         }
         code, out = run(tmp_path, "lmi", cfg)
         assert code == 3
+
+    def test_verify_writes_strict_json(self, tmp_path):
+        # The benchmark's seed-1 n = 4 system and its synthesized certificate,
+        # with eta = 0 on both unstable modes and mu_s1 = 2: ln(mu_s1)/|eta_u|
+        # is infinite in two rate-dwell rows, written as the string "inf".
+        inv = {i.label: i for i in generate.build("lmi_synth", 1).invocations}
+        code, out = run(tmp_path, "lmi", inv["synth_n4"].config, name="synth.json")
+        assert code == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        cfg = copy.deepcopy(inv["verify_n4"].config)
+        cfg["lmi"]["certificate"] = {k: cert[k] for k in ("M", "Q", "eta", "mu")}
+        cfg["lmi"]["certificate"]["eta"].update(u1=0.0, u2=0.0)
+        cfg["lmi"]["certificate"]["mu"]["s1"] = 2.0
+        code, out = run(tmp_path, "lmi", cfg, name="verify.json")
+        assert code == cli.EXIT_VIOLATIONS
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        verdict = json.loads((out / "verdict.json").read_text(), parse_constant=reject)
+        assert [(r["where"], r["lhs"], r["margin"]) for r in verdict["rates"]
+                if r["kind"] == "rate-dwell" and r["lhs"] == "inf"] == \
+            [("u1<-s1", "inf", "inf"), ("u2<-s1", "inf", "inf")]
 
     def test_unknown_mode(self, tmp_path):
         cfg = self._base()

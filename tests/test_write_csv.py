@@ -5,7 +5,8 @@
 ``jsonio.TEMPLATE_CELLS`` cells on, ``write_csv`` prints through the column
 formatter of ``isscert.csvtext``; it must print what both print on either
 side of that size, with every cell forced through the ``'%.17g'``
-fallback, and on the columns of a 17 505-row run.
+fallback, and on the columns of a 17 505-row run.  The digits of
+``csvtext._decimal`` are checked against the exact ones of ``'%.16e'``.
 """
 
 import math
@@ -19,8 +20,9 @@ import isscert as iss
 import oracles
 from isscert import csvtext, jsonio
 
-# Near ties: the longdouble product lands on the wrong side of the rounding
-# midpoint, inside the bound, so only the fallback prints them right.
+# Near ties: the digits after the 17th lie within 6e-4 of a rounding midpoint
+# (in units of the 17th digit), where a product of 64 bits can round the
+# wrong way.  The last one lies beyond csvtext's table and falls back.
 NEAR_TIES = [-3.3792541078241947e-221, 3.5084226677098645e-99, -3.021148536989063e+118,
              2.6157636084191e-214, -2.933800709587983e-152, 6.443070367160406e-208,
              -5.050185157513975e+143, 3.4318231522677184e+298]
@@ -55,12 +57,71 @@ def test_edge_values(tmp_path):
 
 
 def test_every_cell_through_the_fallback(tmp_path, monkeypatch):
-    """A bound of 1/2, as where longdouble is plain double, decides no cell
-    and leaves the bytes as they are."""
-    monkeypatch.setattr(csvtext, "BOUND", csvtext._LD(0.5))
+    """A bound of 1/2 decides no cell and leaves the bytes as they are."""
+    monkeypatch.setattr(csvtext, "BOUND", 0.5)
     x = edge_values()
     assert csvtext._decimal(x)[2][x != 0].all()
     assert_same(tmp_path / "fallback.csv", ["x", "minus_x", "x/3"], [x, -x, x / 3])
+
+
+def exact_digits(x: float):
+    """(q, X, margin) of x != 0: the 17 digits and the exponent ``'%.16e'``
+    prints, and, from integers alone, the distance from |x| 10^(16 - D), D
+    the decade of |x| itself, to the nearest rounding midpoint (0 for a
+    tie)."""
+    mantissa, exponent = ("%.16e" % abs(x)).split("e")
+    n, d = abs(x).as_integer_ratio()
+    D = int(exponent)
+    if n * 10 ** max(0, -D) < d * 10 ** max(0, D):  # the rounding carried into 10^D
+        D -= 1
+    k = 16 - D
+    num, den = (n * 10 ** k, d) if k >= 0 else (n, d * 10 ** -k)
+    return int(mantissa.replace(".", "")), int(exponent), abs(2 * (num % den) - den) / (2 * den)
+
+
+def assert_decimal(x: np.ndarray):
+    """Every cell csvtext._decimal decides has the exact digits.  A cell it
+    leaves to '%.17g' is not finite, beyond the table's range or within
+    twice the bound of a rounding midpoint, and every tie is left to it;
+    zero is neither (q = X = 0)."""
+    q, X, fallback = csvtext._decimal(x)
+    for v, qv, Xv, left in zip(x.tolist(), q.tolist(), X.tolist(), fallback.tolist()):
+        if v == 0:
+            assert (qv, Xv, left) == (0, 0, False)
+        elif not math.isfinite(v) or not csvtext._LOW <= abs(v) < csvtext._HIGH:
+            assert left, v
+        else:
+            q_exact, X_exact, margin = exact_digits(v)
+            assert (left and margin <= 2 * csvtext.BOUND) or \
+                (not left and (qv, Xv) == (q_exact, X_exact)), v
+            assert left or margin > 0, v
+
+
+RANGE_ENDS = [v for end in (csvtext._LOW, csvtext._HIGH)
+              for v in (np.nextafter(end, 0), end, np.nextafter(end, math.inf))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-2.3e-308, 2.3e-308),  # subnormals and +-0
+                          st.sampled_from(RANGE_ENDS + NEAR_TIES + TIES).map(float),
+                          st.floats(1e-3, 1e20)),  # where the ties are
+                min_size=1, max_size=40),
+       st.booleans())
+def test_decimal_matches_the_exact_digits(values, negate):
+    x = np.array(values)
+    assert_decimal(-x if negate else x)
+
+
+def test_no_fallback_within_the_range():
+    """10^5 doubles of random significands from 10^-290 to 10^6 and from
+    10^17 to 10^290: a random significand has far more fraction bits there
+    than a tie can have, and the product decides every cell."""
+    rng = np.random.default_rng(22)
+    exponents = np.concatenate([rng.integers(-290, 6, 80000), rng.integers(17, 290, 20000)])
+    x = rng.uniform(1, 10, len(exponents)) * 10.0 ** exponents * rng.choice([-1, 1], len(exponents))
+    assert not csvtext._decimal(x)[2].any()
+    assert_decimal(x[::10])
 
 
 MODES = ["s", "u", "flow", "ş", "模式"]  # the last two are not ASCII
