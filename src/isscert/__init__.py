@@ -1,6 +1,13 @@
 """Simulation and mechanical ISS certification of impulsive switched systems."""
 
-from .bounds import IssBound, build_bound, decay_interpolant, iss_check, iss_check_batch
+from .bounds import (
+    IssBound,
+    build_bound,
+    decay_interpolant,
+    iss_check,
+    iss_check_batch,
+    window_gains,
+)
 from .certify import (
     Certificate,
     Reports,
@@ -62,7 +69,6 @@ from .simulate import (
     SystemModel,
     Trajectory,
     constant_input,
-    reachability_bound,
     simulate,
     simulate_batch,
     sinusoid_input,

@@ -7,8 +7,9 @@ trajectories against ||x(t)|| <= beta(||x0||, t - t0) + gamma(||u||inf).
 
 ``beta``, ``beta_tilde``, ``gamma`` and ``decay_interpolant`` are
 elementwise, with the initial level r broadcast against the elapsed time s:
-a column of levels and a row of times give one row of bounds per level.  A
-``short_horizon_envelope`` must be elementwise in its level too.  So the
+a column of levels and a row of times give one row of bounds per level.
+For C > 0, ``window_gains`` proves the patch a r + b d on the first C / delta
+seconds from logarithmic norms (Dahlquist 1958; Soderlind, BIT 2006).  So the
 check of R runs of N samples makes one ``gamma`` call for all R sup norms
 and ceil(R / max(1, ISS_BLOCK_CELLS // N)) ``beta`` calls, each over a
 block of runs as a (runs, N) array, with O(R N) element work in all.
@@ -24,10 +25,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .certify import Certificate, Reports
-from .errors import DegenerateGammaError, ImageNotFullError
+from .errors import DegenerateGammaError, ImageNotFullError, StructuralError
 from .rates import PhiTransform, RateFunction, _result
-from .simulate import InputSignal, Trajectory
-from .switching import DwellSpec
+from .simulate import InputSignal, LinearSystemModel, Trajectory
+from .switching import DwellSpec, SwitchingSignal
 
 ISS_REL_TOL = 1e-9
 # The samples (runs x samples per run) of one block of the ISS check.  A
@@ -76,17 +77,16 @@ def build_bound(
     dwell: DwellSpec,
     lower: RateFunction,
     upper: RateFunction,
-    short_horizon_envelope: Optional[Callable[[float], float]] = None,
+    gains: Optional[tuple[float, float]] = None,
 ) -> IssBound:
     """Assemble beta and gamma from envelope rates and dwell constants.
 
-    ``short_horizon_envelope``, when given, maps an initial Lyapunov level r
-    to a Lyapunov-level bound valid on the initial window s <= C / delta,
-    elementwise in r (a number may stand for every level);
-    beta is inflated to at least that envelope there (the transient patch
-    that the decay formula alone does not provide).  Its empirical origin
-    makes the patched beta depend on the sampling run; this is recorded in
-    the metadata.  With C > 0 beta lifts transform levels by C, so an
+    ``gains``, when given, are the (a, b) of ``window_gains`` on the initial
+    window s <= C / delta: beta(r, s) is lifted to at least a r there and
+    gamma(d) to at least b d everywhere, so beta + gamma covers the patch
+    a r + b d (the transient that the decay formula alone does not
+    provide).  The gains depend on the signal from t0 on; the metadata
+    records them.  With C > 0 beta lifts transform levels by C, so an
     envelope whose transform image is bounded above raises ImageNotFull.
     """
     delta = dwell.delta
@@ -120,20 +120,21 @@ def build_bound(
     patch_window = C / delta
 
     def beta(r, s):
-        s = np.asarray(s, dtype=float)
-        r2 = cert.alpha2(r)
-        level = beta_tilde(r2, s)
-        if short_horizon_envelope is not None:
-            level = np.where(s <= patch_window,
-                             np.maximum(level, short_horizon_envelope(r2)), level)
-        return cert.alpha1.inverse(level)
+        out = cert.alpha1.inverse(beta_tilde(cert.alpha2(r), s))
+        if gains is None:
+            return out
+        return _result(np.where(np.asarray(s) <= patch_window,
+                                np.maximum(out, gains[0] * np.asarray(r, dtype=float)), out))
 
     def gamma(s):
         # Lyapunov levels: gamma2 = max(alpha3, chi), and gamma3 lifts it by
         # the transient of a start at the gamma2 level; gamma2 <= 0 gives 0.
         g2 = np.maximum(cert.alpha3(s), cert.chi(s))
         lifted = np.maximum(g2, cert.alpha2(beta(cert.alpha1.inverse(g2), 0.0)))
-        return _result(np.where(g2 <= 0.0, 0.0, cert.alpha1.inverse(lifted)))
+        out = np.where(g2 <= 0.0, 0.0, cert.alpha1.inverse(lifted))
+        if gains is not None:
+            out = np.maximum(out, gains[1] * np.asarray(s, dtype=float))
+        return _result(out)
 
     return IssBound(
         beta=beta,
@@ -144,11 +145,60 @@ def build_bound(
         m=m,
         beta_tilde=beta_tilde,
         metadata={
-            "patched": short_horizon_envelope is not None,
+            "patched": gains is not None,
             "patch_window": patch_window,
-            "t0_independent": short_horizon_envelope is None,
+            "patch": None if gains is None else {"a": gains[0], "b": gains[1],
+                                                 "window": patch_window},
+            "t0_independent": gains is None,
         },
     )
+
+
+def window_gains(model: LinearSystemModel, sig: SwitchingSignal,
+                 window: float) -> tuple[float, float]:
+    """Gains (a, b) with ||x(t)|| <= a ||x0|| + b ||u||inf for every solution
+    of the linear ``model`` under ``sig`` and every t in [t0, t0 + min(window,
+    horizon - t0)], jumps at instants in the window included.
+
+    With mu_p = lambda_max((A_p + A_p^T) / 2), the logarithmic norm of A_p,
+    a flow of length L in mode p maps a bound g ||x0|| + h D to
+    e^(mu_p L) g ||x0|| + (e^(mu_p L) h + ||B_p|| (e^(mu_p L) - 1) / mu_p) D,
+    and a jump out of p to ||J_p|| g ||x0|| + (||J_p|| h + ||H_p||) D.  Both
+    terms are monotone along a flow, so a and b are the largest g and h at
+    segment ends.  The bound holds for the exact flow; RK4 runs follow it to
+    within their discretisation error.  Gains beyond the floats would make
+    beta vacuous, so they raise StructuralError.
+    """
+    modes = list(model.A)
+    A, B, J, H = (np.array([mats[p] for p in modes])
+                  for mats in (model.A, model.B, model.J, model.H))
+    end = sig.t0 + min(window, sig.horizon - sig.t0)
+    ends = [(1.0, 0.0)]  # (g, h) at t0 and after each flow and jump
+    with np.errstate(over="ignore", invalid="ignore"):
+        # One eigvalsh call, where an SVD would page in 0.7 MB more of LAPACK:
+        # mu_p tops the symmetric part of A_p, and ||M||^2 tops M M^T.
+        tops = np.linalg.eigvalsh(np.concatenate(
+            [(A + A.swapaxes(1, 2)) / 2, *(M @ M.swapaxes(1, 2) for M in (B, J, H))]))[:, -1]
+        tops = tops.reshape(4, -1).tolist()
+        mu, B_norm, J_norm, H_norm = (dict(zip(modes, row)) for row in
+                                      [tops[0], *np.sqrt(np.maximum(tops[1:], 0.0)).tolist()])
+        for k, (t_start, t_end, p) in enumerate(sig.segments()):
+            if t_start > end:
+                break
+            g, h = ends[-1]
+            length = min(t_end, end) - t_start
+            x = mu[p] * length  # where it is 0, (e^x - 1) / mu_p is the length
+            growth, forced = float(np.exp(x)), float(np.expm1(x)) / mu[p] if x else length
+            ends.append((growth * g, growth * h + B_norm[p] * forced))
+            if k < len(sig.instants) and sig.instants[k] <= end:
+                g, h = ends[-1]
+                ends.append((J_norm[p] * g, J_norm[p] * h + H_norm[p]))
+    gs, hs = zip(*ends)
+    # A NaN (0 * inf after an overflow) fails isfinite, where max() would skip it.
+    if not all(map(math.isfinite, gs + hs)):
+        raise StructuralError(f"the short-horizon patch cannot be formed: its gains leave "
+                              f"the floats over the first {end - sig.t0} s")
+    return max(gs), max(hs)
 
 
 def iss_check(

@@ -11,8 +11,8 @@ directory), 2 non-finite state (and argparse's usage errors), 3 violations
 (including a signal that breaks the dwell preconditions of
 ``construct``), 4 structural precondition failure (including bound
 envelopes that do not enclose the certificate's flow rates, or whose
-transform image is bounded above when the dwell slack C is positive),
-5 heuristic search infeasible.
+transform image is bounded above when the dwell slack C is positive, and
+patch gains beyond the floats), 5 heuristic search infeasible.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .bounds import build_bound, iss_check_batch
+from .bounds import build_bound, iss_check_batch, window_gains
 from .certify import check_dwell_conditions, check_trajectory, dwell_slack_verdict
 from .construct import build_decreasing, decrease_check
 from .errors import (
@@ -40,7 +40,6 @@ from .rates import envelope_check
 from .simulate import (
     _unit_vector,
     constant_input,
-    reachability_bound,
     simulate,
     simulate_batch,
     sinusoid_input,
@@ -140,20 +139,15 @@ def _monte_carlo(model, sig, bound, runs: int, x0_range: float, u_bound: float, 
 def cmd_bound(cfg, out: Path, seed: int) -> int:
     model, sig, inp, x0, step = jsonio.parse_run(cfg)
     cert, _ = jsonio.parse_run_certificate(cfg, sig, model.dims[0])
-    lower, upper, runs, x0_range, u_bound, patch_samples, r_list, s_grid = \
-        jsonio.parse_bound(cfg, cert, sig)
+    lower, upper, runs, x0_range, u_bound, r_list, s_grid = jsonio.parse_bound(cfg, cert, sig)
     if not envelope_check(cert.phi, lower, upper):
         raise StructuralError("bound.envelopes do not enclose |phi_p| for every mode")
     # Built once without the patch first, so that envelopes the bound
-    # refuses are refused before the reachability runs.
+    # refuses are refused before the patch is formed.
     bound = build_bound(cert, cert.dwell, lower, upper)
     if bound.C > 0:
-        k_hat = reachability_bound(model, sig, x0_range, u_bound,
-                                   bound.metadata["patch_window"], patch_samples,
-                                   step=step, seed=seed)
-        level = cert.alpha2(k_hat)
-        bound = build_bound(cert, cert.dwell, lower, upper,
-                            short_horizon_envelope=lambda r: level)
+        gains = window_gains(model, sig, bound.metadata["patch_window"])
+        bound = build_bound(cert, cert.dwell, lower, upper, gains=gains)
     jsonio.write_csv(out / "bound.csv", ["r", "s", "beta(r,s)"],
                      [np.repeat(r_list, len(s_grid)), np.tile(s_grid, len(r_list)),
                       np.ravel(bound.beta(np.asarray(r_list)[:, None], s_grid))])
@@ -165,6 +159,7 @@ def cmd_bound(cfg, out: Path, seed: int) -> int:
         "case": bound.case,
         "C": bound.C,
         "patched": bound.metadata["patched"],
+        "patch": bound.metadata["patch"],
         "t0_independent": bound.metadata["t0_independent"],
     })
     return EXIT_OK if total_violations == 0 else EXIT_VIOLATIONS

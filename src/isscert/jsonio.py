@@ -388,8 +388,9 @@ def parse_checks(cfg: dict) -> tuple[float, list[float]]:
 
 def parse_bound(cfg: dict, cert: Certificate, sig: SwitchingSignal):
     """The ``bound`` section: (lower envelope, upper envelope, runs, x0_range,
-    u_bound, patch_samples, r_list, s_grid), with every r_list level's
-    alpha2 finite and s_grid 51 points over the signal unless given."""
+    u_bound, r_list, s_grid), with every r_list level's alpha2 finite and
+    s_grid 51 points over the signal unless given; ``patch_samples`` (>= 1)
+    is checked but ignored, since the patch is proved, not sampled."""
     bcfg = _require(cfg, "bound", "config")
     env = _require(bcfg, "envelopes", "bound")
     lower, upper = (parse_rate(_require(env, key, "bound.envelopes"), f"bound.envelopes.{key}")
@@ -397,14 +398,14 @@ def parse_bound(cfg: dict, cert: Certificate, sig: SwitchingSignal):
     runs = _number_at(bcfg, "runs", "bound", 100, cast=int, low=1)
     x0_range = _number_at(bcfg, "x0_range", "bound", 1.0, low=0.0)
     u_bound = _number_at(bcfg, "u_bound", "bound", 0.0, low=0.0)
-    patch_samples = _number_at(bcfg, "patch_samples", "bound", 20, cast=int, low=1)
+    _number_at(bcfg, "patch_samples", "bound", 20, cast=int, low=1)
     r_list = _numbers(bcfg.get("r_list", [1.0]), "bound.r_list", low=0.0)
     for r in r_list:
         if not math.isfinite(cert.alpha2(r)):
             raise ConfigError(f"alpha2({r!r}) exceeds the floats", field="bound.r_list")
     s_grid = _numbers(bcfg.get("s_grid", np.linspace(0.0, sig.horizon - sig.t0, 51).tolist()),
                       "bound.s_grid", low=0.0)
-    return lower, upper, runs, x0_range, u_bound, patch_samples, r_list, s_grid
+    return lower, upper, runs, x0_range, u_bound, r_list, s_grid
 
 
 def parse_lmi(cfg: dict):

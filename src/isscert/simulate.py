@@ -628,56 +628,3 @@ def _unit_vector(rng, m: int) -> np.ndarray:
     v = rng.standard_normal(m)
     nv = np.linalg.norm(v)
     return v / nv if nv > 0 else np.eye(m)[0]
-
-
-def _sample_inputs(D: float, m: int, horizon_mid: float, rng) -> list[InputSignal]:
-    """Cheap family of bounded inputs: constants, sinusoids, one-switch steps."""
-    if D == 0.0:
-        return [zero_input(m)]
-    out = []
-    out.append(constant_input(D * _unit_vector(rng, m)))
-    out.append(sinusoid_input(D * _unit_vector(rng, m), omega=rng.uniform(0.5, 5.0),
-                              phase=rng.uniform(0, 2 * math.pi)))
-    out.append(step_input(D * _unit_vector(rng, m),
-                          D * _unit_vector(rng, m) * rng.uniform(-1, 1), horizon_mid))
-    return out
-
-
-def _restrict(sig: SwitchingSignal, tau: float) -> SwitchingSignal:
-    end = min(sig.horizon, sig.t0 + tau)
-    instants = tuple(t for t in sig.instants if t <= end)
-    modes = sig.modes[: len(instants) + 1]
-    return SwitchingSignal(sig.t0, instants, modes, end)
-
-
-def reachability_bound(
-    model: SystemModel | LinearSystemModel,
-    sig: SwitchingSignal,
-    C: float,
-    D: float,
-    tau: float,
-    samples: int,
-    step: float = 1e-2,
-    seed: int = 0,
-) -> float:
-    """Monte-Carlo lower estimate of the reachable-state norm bound.
-
-    Max over sampled initial states in the C-ball and sampled inputs bounded
-    by D of the trajectory sup norm on [t0, t0 + tau], with the sampled runs
-    simulated as one batch.  An estimate, not a certificate.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if C == 0.0 and D == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    sub = _restrict(sig, tau)
-    mid = sub.t0 + (sub.horizon - sub.t0) / 2
-    x0s, inputs = [], []
-    for _ in range(samples):
-        x0 = _unit_vector(rng, model.state_dim) * C * rng.uniform(0, 1) ** (
-            1 / max(1, model.state_dim))
-        for inp in _sample_inputs(D, model.input_dim, mid, rng):
-            x0s.append(x0)
-            inputs.append(inp)
-    return max(traj.sup_norm() for traj in simulate_batch(model, sub, x0s, inputs, step))

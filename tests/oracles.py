@@ -36,12 +36,18 @@
   library implementations, kept as oracles for the whole-trajectory arrays
   and the columnar ``Reports`` of ``isscert.certify`` and
   ``isscert.construct.decrease_check``.
-* The sampled runs one ``simulate`` call at a time: ``reachability_per_run``
-  and ``monte_carlo_per_run``, each drawing a run's x0 and input, simulating
-  that run alone and using it before the next draw.  These are the earlier
-  loops of ``isscert.simulate.reachability_bound`` and
-  ``isscert.cli.cmd_bound``, kept as oracles for the one ``simulate_batch``
-  call that each now makes.
+* The Monte-Carlo runs one ``simulate`` call at a time:
+  ``monte_carlo_per_run`` draws a run's x0 and input, simulates that run
+  alone and checks it before the next draw.  It is the earlier loop of
+  ``isscert.cli.cmd_bound``, kept as the oracle for the one
+  ``simulate_batch`` call that it now makes.
+* The reachable norm by sampling: ``reachability_runs`` simulates sampled
+  starts in the C-ball under inputs bounded by D (constants, sinusoids and
+  one-switch steps) on the signal cut at t0 + tau, and
+  ``reachability_bound`` is the largest sup norm among them, a Monte-Carlo
+  lower estimate.  This is the short-horizon patch that ``bound`` once
+  used, kept as the oracle that the proved gains of
+  ``isscert.bounds.window_gains`` must dominate run by run.
 * The linear RK4 recurrence one step at a time: ``linear_flow_stepwise``
   runs X+ = P X + F_i as one ``np.dot`` per step over the (n, R) states,
   the earlier library loop kept as the oracle for the doubling prefix scan
@@ -95,16 +101,16 @@ from isscert.simulate import (
     Trajectory,
     _doubling_powers,
     _in_range,
-    _restrict,
-    _sample_inputs,
     _step_map,
     _unit_vector,
     constant_input,
     simulate,
+    simulate_batch,
     sinusoid_input,
+    step_input,
     zero_input,
 )
-from isscert.switching import active_time
+from isscert.switching import SwitchingSignal, active_time
 
 
 def _count(
@@ -268,7 +274,7 @@ def decay_interpolant(u: float, v: float, C: float, m: float) -> float:
     return m + gap * math.exp(-v / gap)
 
 
-def scalar_beta(cert, dwell, lower, upper, short_horizon_envelope=None):
+def scalar_beta(cert, dwell, lower, upper, gains=None):
     """(beta_tilde, beta) of ``build_bound`` for one elapsed time s per call."""
     delta = dwell.delta
     C = (1 - delta) * dwell.T_S + (1 + delta) * dwell.T_U
@@ -292,10 +298,10 @@ def scalar_beta(cert, dwell, lower, upper, short_horizon_envelope=None):
     patch_window = C / delta
 
     def beta(r: float, s: float) -> float:
-        level = beta_tilde(cert.alpha2(r), s)
-        if short_horizon_envelope is not None and s <= patch_window:
-            level = max(level, short_horizon_envelope(cert.alpha2(r)))
-        return cf_inverse(cert.alpha1, level)
+        out = cf_inverse(cert.alpha1, beta_tilde(cert.alpha2(r), s))
+        if gains is not None and s <= patch_window:
+            out = max(out, gains[0] * r)
+        return out
 
     return beta_tilde, beta
 
@@ -568,21 +574,54 @@ def write_csv_template(path, header, columns):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def reachability_per_run(model, sig, C, D, tau, samples, step=1e-2, seed=0):
-    """``reachability_bound`` with one ``simulate`` call per sampled run."""
-    if C == 0.0 and D == 0.0:
-        return 0.0
+def _sample_inputs(D, m, horizon_mid, rng):
+    """Cheap family of bounded inputs: constants, sinusoids, one-switch steps."""
+    if D == 0.0:
+        return [zero_input(m)]
+    out = []
+    out.append(constant_input(D * _unit_vector(rng, m)))
+    out.append(sinusoid_input(D * _unit_vector(rng, m), omega=rng.uniform(0.5, 5.0),
+                              phase=rng.uniform(0, 2 * math.pi)))
+    out.append(step_input(D * _unit_vector(rng, m),
+                          D * _unit_vector(rng, m) * rng.uniform(-1, 1), horizon_mid))
+    return out
+
+
+def _restrict(sig, tau):
+    """``sig`` cut at t0 + tau, the instants up to the new horizon kept."""
+    end = min(sig.horizon, sig.t0 + tau)
+    instants = tuple(t for t in sig.instants if t <= end)
+    modes = sig.modes[: len(instants) + 1]
+    return SwitchingSignal(sig.t0, instants, modes, end)
+
+
+def reachability_runs(model, sig, C, D, tau, samples, step=1e-2, seed=0):
+    """(x0s, inputs, trajectories) of ``samples`` starts in the C-ball, each
+    under every input of `_sample_inputs`, simulated as one batch on ``sig``
+    cut at t0 + tau."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     sub = _restrict(sig, tau)
     mid = sub.t0 + (sub.horizon - sub.t0) / 2
-    best = 0.0
+    x0s, inputs = [], []
     for _ in range(samples):
         x0 = _unit_vector(rng, model.state_dim) * C * rng.uniform(0, 1) ** (
             1 / max(1, model.state_dim))
         for inp in _sample_inputs(D, model.input_dim, mid, rng):
-            traj = simulate(model, sub, x0, inp, step)
-            best = max(best, traj.sup_norm())
-    return best
+            x0s.append(x0)
+            inputs.append(inp)
+    return x0s, inputs, simulate_batch(model, sub, x0s, inputs, step)
+
+
+def reachability_bound(model, sig, C, D, tau, samples, step=1e-2, seed=0):
+    """Monte-Carlo lower estimate of the reachable-state norm on [t0, t0 +
+    tau]: the largest sup norm of `reachability_runs`.  An estimate, not a
+    certificate."""
+    if C == 0.0 and D == 0.0:
+        return 0.0
+    _, _, trajs = reachability_runs(model, sig, C, D, tau, samples, step, seed)
+    return max(traj.sup_norm() for traj in trajs)
 
 
 def monte_carlo_per_run(model, sig, bound, runs, x0_range, u_bound, step, seed):

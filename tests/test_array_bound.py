@@ -179,12 +179,6 @@ ELAPSED = np.concatenate([np.linspace(0.0, 6.0, 121), [2.0, np.nextafter(2.0, 3.
 RADII = [0.0, 1e-3, 0.3, 1.0, 4.0, 1e154]
 
 
-def affine_envelope(r):
-    """3 r + 1, elementwise; alpha2(1e154) = 1e308 gives inf."""
-    with np.errstate(over="ignore"):
-        return 3.0 * np.asarray(r) + 1.0
-
-
 class TestBetaArray:
     @pytest.mark.parametrize("alpha1", ALPHA1.values(), ids=ALPHA1.keys())
     @pytest.mark.parametrize("envelopes", ENVELOPES.values(), ids=ENVELOPES.keys())
@@ -192,9 +186,9 @@ class TestBetaArray:
     def test_matches_scalar(self, alpha1, envelopes, patched):
         lower, upper, T_S = envelopes
         cert = stable_cert(alpha1, T_S=T_S)
-        envelope = (lambda r: 3.0 * r + 1.0) if patched else None
-        bound = iss.build_bound(cert, cert.dwell, lower, upper, short_horizon_envelope=envelope)
-        ref_tilde, ref_beta = scalar_beta(cert, cert.dwell, lower, upper, envelope)
+        gains = (3.0, 0.5) if patched else None
+        bound = iss.build_bound(cert, cert.dwell, lower, upper, gains=gains)
+        ref_tilde, ref_beta = scalar_beta(cert, cert.dwell, lower, upper, gains)
         for r in RADII:
             want = [ref_beta(r, s) for s in ELAPSED.tolist()]
             assert mismatches(bound.beta(r, ELAPSED), want) == [], r
@@ -207,16 +201,15 @@ class TestBetaArray:
         # inside the window only, the finite-m clamp to 0, and inf.
         lower, upper, T_S = ENVELOPES["power-sublinear"]
         cert = stable_cert(ALPHA1["linear"], T_S=T_S)
-        bound = iss.build_bound(cert, cert.dwell, lower, upper,
-                                short_horizon_envelope=lambda r: 50.0)
+        bound = iss.build_bound(cert, cert.dwell, lower, upper, gains=(50.0, 0.0))
         assert bound.case == "finite-m"
         out = bound.beta(1.0, ELAPSED)
         inside = ELAPSED <= bound.metadata["patch_window"]
-        assert np.all(out[inside] == ALPHA1["linear"].inverse(50.0))
+        assert np.all(out[inside] == 50.0)
         assert np.all(out[~inside] < 50.0) and out[-1] == 0.0
         assert bound.beta(1e154, 0.0) == math.inf
-        assert np.array_equal(bound.beta(0.0, ELAPSED),
-                              np.where(inside, ALPHA1["linear"].inverse(50.0), 0.0))
+        # The patch a r is 0 at r = 0: a zero start is bounded by 0 throughout.
+        assert np.array_equal(bound.beta(0.0, ELAPSED), np.zeros_like(ELAPSED))
 
     @pytest.mark.parametrize("alpha1", ALPHA1.values(), ids=ALPHA1.keys())
     @pytest.mark.parametrize("envelopes", ENVELOPES.values(), ids=ENVELOPES.keys())
@@ -228,7 +221,7 @@ class TestBetaArray:
         lower, upper, T_S = envelopes
         cert = stable_cert(alpha1, T_S=T_S)
         bound = iss.build_bound(cert, cert.dwell, lower, upper,
-                                short_horizon_envelope=affine_envelope if patched else None)
+                                gains=(3.0, 0.5) if patched else None)
         radii = np.array(RADII)
         levels = cert.alpha2(radii)
         for f, column in ((bound.beta, radii), (bound.beta_tilde, levels)):

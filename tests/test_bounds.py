@@ -7,11 +7,11 @@ import pytest
 
 import isscert as iss
 from isscert import bounds
-from isscert.bounds import iss_check, iss_check_batch
-from isscert.errors import DegenerateGammaError, DomainError, ImageNotFullError
+from isscert.bounds import ISS_REL_TOL, iss_check, iss_check_batch, window_gains
+from isscert.errors import DegenerateGammaError, DomainError, ImageNotFullError, StructuralError
 
 from conftest import FAMILY_ENVELOPES, make_family_certificate, mismatches
-from oracles import iss_rows, scalar_beta
+from oracles import iss_rows, reachability_runs, scalar_beta
 
 
 def single_stable_cert(eta=-1.0, delta=0.5, T_S=0.0):
@@ -138,11 +138,12 @@ class TestBuildBound:
     def test_short_horizon_patch(self):
         cert = single_stable_cert(T_S=2.0)  # C = 1, patch window = 2
         bound = iss.build_bound(cert, cert.dwell, iss.linear_rate(1.0),
-                                iss.linear_rate(1.0),
-                                short_horizon_envelope=lambda r: 50.0)
+                                iss.linear_rate(1.0), gains=(50.0, 7.0))
         assert bound.metadata["patched"] and not bound.metadata["t0_independent"]
-        assert bound.beta(1.0, 1.0) >= 50.0
+        assert bound.metadata["patch"] == {"a": 50.0, "b": 7.0, "window": 2.0}
+        assert bound.beta(1.0, 1.0) >= 50.0 and bound.beta(2.0, 2.0) >= 100.0
         assert bound.beta(1.0, 3.0) < 50.0  # beyond the window the decay rules
+        assert bound.gamma(0.5) >= 3.5 and bound.gamma(0.0) == 0.0
 
 
 class TestGainChain:
@@ -318,3 +319,108 @@ class TestCertifyIss:
         reports = iss_check(tiny, traj, x0, iss.zero_input())[0]
         assert reports and set(reports.kind) == {"iss"}
         self._same_as_row_loop(tiny, traj, x0, iss.zero_input())
+
+
+def random_linear_model(rng, n, m, shifts):
+    """Two modes "p" and "q" with A = N(0, 0.8^2) entries + shift I (a
+    negative shift makes the mode contract, a positive one expand) and
+    nonzero B, J and H."""
+    def normal(rows, cols, scale):
+        return rng.normal(scale=scale, size=(rows, cols))
+    modes = ("p", "q")
+    return iss.LinearSystemModel(
+        A={p: normal(n, n, 0.8) + shift * np.eye(n) for p, shift in zip(modes, shifts)},
+        B={p: normal(n, m, 1.0) for p in modes},
+        J={p: normal(n, n, 0.6) for p in modes},
+        H={p: normal(n, m, 0.3) for p in modes})
+
+
+class TestWindowGains:
+    # Instants at 0.3, 0.7 and 1.2 on a horizon of 1.5: a window of 0.5 ends
+    # inside a segment, one of 1.2 on an instant (its jump included), and
+    # one of 3.0 runs past the horizon.
+    SIGNAL = iss.SwitchingSignal(0.0, (0.3, 0.7, 1.2), ("p", "q", "p", "q"), 1.5)
+
+    @pytest.mark.parametrize("window", [0.5, 1.2, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("shifts", [(-1.5, 0.8), (0.5, -2.0)], ids=["stable-first",
+                                                                        "unstable-first"])
+    def test_dominates_every_sampled_run(self, n, window, shifts):
+        """Every run of the Monte-Carlo oracle stays within a ||x0|| + b D on
+        the window: starts in the ball of radius 2, inputs bounded by 0.7
+        (constants, sinusoids and one-switch steps), step 1e-3."""
+        rng = np.random.default_rng(100 * n + int(10 * window))
+        model = random_linear_model(rng, n, 2 if n > 1 else 1, shifts)
+        a, b = window_gains(model, self.SIGNAL, window)
+        x0s, inputs, trajs = reachability_runs(model, self.SIGNAL, 2.0, 0.7, window, 8,
+                                               step=1e-3, seed=n)
+        assert trajs[0].horizon == min(window, self.SIGNAL.horizon)
+        for x0, inp, traj in zip(x0s, inputs, trajs):
+            rhs = a * np.linalg.norm(x0) + b * inp.sup_norm
+            assert traj.sup_norm() <= rhs * (1 + ISS_REL_TOL)
+
+    @pytest.mark.parametrize("A, T", [(-0.7, 1.3), (0.0, 2.0), (0.9, 1.3), (2.5, 0.4)])
+    def test_scalar_single_mode_closed_form(self, A, T):
+        model = iss.LinearSystemModel(A={"a": [[A]]}, B={"a": [[-0.5]]},
+                                      J={"a": [[3.0]]}, H={"a": [[1.0]]})
+        sig = iss.SwitchingSignal(0.0, (), ("a",), 5.0)
+        a, b = window_gains(model, sig, T)
+        assert a == pytest.approx(max(1.0, math.exp(A * T)), rel=1e-15)
+        forced = T if A == 0.0 else math.expm1(A * T) / A
+        assert b == pytest.approx(0.5 * max(0.0, forced), rel=1e-15)
+
+    def test_log_norm_of_a_shear(self):
+        # x' = [[0, 2], [0, 0]] x has mu = 1 (the symmetric part's top
+        # eigenvalue), though both eigenvalues of A are 0: from (0, 1) the
+        # first coordinate grows as 2 t, so no bound of 1 holds.
+        model = iss.LinearSystemModel(A={"a": [[0.0, 2.0], [0.0, 0.0]]}, B={"a": [[0.0], [0.0]]},
+                                      J={"a": np.eye(2)}, H={"a": [[0.0], [0.0]]})
+        sig = iss.SwitchingSignal(0.0, (), ("a",), 1.0)
+        a, b = window_gains(model, sig, 1.0)
+        assert a == pytest.approx(math.e, rel=1e-15) and b == 0.0
+        traj = iss.simulate(model, sig, [0.0, 1.0], iss.zero_input(), 1e-3)
+        assert 2.0 < traj.sup_norm() <= a
+
+    def test_jump_uses_the_mode_left(self):
+        # Flows that are still (A = 0, B = 0); the one jump at 1 leaves "p".
+        model = iss.LinearSystemModel(A={"p": [[0.0]], "q": [[0.0]]},
+                                      B={"p": [[0.0]], "q": [[0.0]]},
+                                      J={"p": [[3.0]], "q": [[7.0]]},
+                                      H={"p": [[2.0]], "q": [[5.0]]})
+        sig = iss.SwitchingSignal(0.0, (1.0,), ("p", "q"), 2.0)
+        assert window_gains(model, sig, 2.0) == (3.0, 2.0)
+        assert window_gains(model, sig, 1.0) == (3.0, 2.0)  # the jump at the end counts
+        assert window_gains(model, sig, 0.5) == (1.0, 0.0)
+
+    def test_overflow_refused(self):
+        model = iss.LinearSystemModel(A={"p": [[400.0]], "q": [[-1.0]]},
+                                      B={"p": [[1.0]], "q": [[1.0]]},
+                                      J={"p": [[1.0]], "q": [[1.0]]},
+                                      H={"p": [[0.0]], "q": [[0.0]]})
+        # e^400 is a float, e^800 is not: the product of two flows overflows.
+        sig = iss.SwitchingSignal(0.0, (1.0, 1.5), ("p", "q", "p"), 2.5)
+        assert math.isfinite(window_gains(model, sig, 1.0)[0])
+        with pytest.raises(StructuralError, match="short-horizon patch"):
+            window_gains(model, sig, 2.5)
+        # One flow of e^(400 * 2) overflows on its own.
+        with pytest.raises(StructuralError, match="short-horizon patch"):
+            window_gains(model, iss.SwitchingSignal(0.0, (), ("p",), 2.0), 2.0)
+        # ||B||^2 = 1e400 overflows before any flow, without a warning.
+        huge = iss.LinearSystemModel(A=model.A, B={"p": [[1e200]], "q": [[1.0]]},
+                                     J=model.J, H=model.H)
+        with pytest.raises(StructuralError, match="short-horizon patch"):
+            window_gains(huge, sig, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(40.0, 9.0), (1.0, 900.0)])
+    def test_patched_bound_covers_the_gains(self, a, b):
+        # With the gains inside build_bound, beta + gamma >= a r + b d on the
+        # window for every r and d, whatever the decay formula gives there.
+        cert = single_stable_cert(T_S=2.0)  # C = 1, patch window = 2
+        bound = iss.build_bound(cert, cert.dwell, iss.linear_rate(1.0),
+                                iss.linear_rate(1.0), gains=(a, b))
+        r = np.array([0.0, 1e-3, 0.5, 2.0, 30.0])[:, None]
+        d = np.array([0.0, 1e-3, 0.2, 5.0])
+        s = np.linspace(0.0, 2.0, 9)
+        for dj in d.tolist():
+            assert np.all(bound.beta(r, s) + bound.gamma(dj) >= a * r + b * dj)
+

@@ -269,6 +269,7 @@ class TestBound:
         assert verdict["violations"] == 0
         assert verdict["max_margin"] <= 0
         assert verdict["patched"] and not verdict["t0_independent"]
+        assert set(verdict["patch"]) == {"a", "b", "window"}
         lines = (out / "bound.csv").read_text().splitlines()
         assert lines[0] == "r,s,beta(r,s)"
         assert len(lines) == 1 + 2 * 51
@@ -297,20 +298,20 @@ class TestBound:
         assert "bounded above" in capsys.readouterr().err
         assert not (out / "verdict.json").exists()
 
-    def _count_reachability(self, monkeypatch):
+    def _count_patches(self, monkeypatch):
         calls = []
-        reach = cli.reachability_bound
+        gains = cli.window_gains
 
         def counted(*args, **kwargs):
             calls.append((args, kwargs))
-            return reach(*args, **kwargs)
-        monkeypatch.setattr(cli, "reachability_bound", counted)
+            return gains(*args, **kwargs)
+        monkeypatch.setattr(cli, "window_gains", counted)
         return calls
 
-    def test_refusal_runs_no_reachability(self, tmp_path, monkeypatch):
+    def test_refusal_forms_no_patch(self, tmp_path, monkeypatch):
         # The power(1, 2)-envelope config of the test above: the envelopes
-        # are refused before the Monte-Carlo patch is sampled.
-        calls = self._count_reachability(monkeypatch)
+        # are refused before the short-horizon patch is formed.
+        calls = self._count_patches(monkeypatch)
         cfg = self._cfg()
         cfg["certificate"]["phi"] = {"s": {"kind": "power", "c": -1.0, "k": 2.0},
                                      "u": {"kind": "power", "c": 1.0, "k": 2.0}}
@@ -320,25 +321,28 @@ class TestBound:
         code, _ = run(tmp_path, "bound", cfg, seed=0)
         assert code == 4 and calls == []
 
-    def test_accepted_bound_samples_the_patch_once(self, tmp_path, monkeypatch):
-        calls = self._count_reachability(monkeypatch)
+    def test_accepted_bound_forms_the_patch_once(self, tmp_path, monkeypatch):
+        calls = self._count_patches(monkeypatch)
         cfg = self._cfg()
-        code, _ = run(tmp_path, "bound", cfg, seed=0)
+        code, out = run(tmp_path, "bound", cfg, seed=0)
         assert code == 0
         dwell = cfg["certificate"]["dwell"]
         delta = dwell["delta"]
         window = ((1 - delta) * dwell["T_S"] + (1 + delta) * dwell["T_U"]) / delta
         assert len(calls) == 1
         (model, sig, *rest), kwargs = calls[0]
-        assert rest == [3.0, 1.0, window, 5] and kwargs == {"step": 1e-3, "seed": 0}
+        assert rest == [window] and kwargs == {}
         assert sig.instants == tuple(cfg["signal"]["instants"])
+        a, b = cli.window_gains(model, sig, window)
+        patch = json.loads((out / "verdict.json").read_text())["patch"]
+        assert patch == {"a": a, "b": b, "window": window}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_batch_writes_the_per_run_bytes(self, tmp_path, monkeypatch, seed):
-        # The acceptance-9 bound config with 20 Monte-Carlo runs and 2
-        # reachability samples: the batched runs give the bytes of the
-        # earlier one-run-at-a-time loops, so every run draws the same
-        # numbers in the same order and gets the same states.
+        # The acceptance-9 bound config with 20 Monte-Carlo runs: the
+        # batched runs give the bytes of the earlier one-run-at-a-time
+        # loop, so every run draws the same numbers in the same order and
+        # gets the same states.
         cfg = acceptance9_config()
         cfg["step"] = 1e-3
         cfg["input"] = {"kind": "sinusoid", "amplitude": [0.5], "omega": 2.0}
@@ -346,12 +350,87 @@ class TestBound:
                                       "upper": {"kind": "linear", "eta": 1.0}},
                         "runs": 20, "x0_range": 2.0, "u_bound": 1.0, "patch_samples": 2}
         code, out = run(tmp_path, "bound", cfg, name="batch.json", seed=seed)
-        monkeypatch.setattr(cli, "reachability_bound", oracles.reachability_per_run)
         monkeypatch.setattr(cli, "_monte_carlo", oracles.monte_carlo_per_run)
         ref_code, ref = run(tmp_path, "bound", cfg, name="per-run.json", seed=seed)
         assert code == ref_code == 0
         for name in ("bound.csv", "verdict.json"):
             assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_cube_corners_stay_under_the_patch(self, tmp_path, monkeypatch):
+        # n = 2: the Monte-Carlo starts fill the cube [-1, 1]^2, whose
+        # corners lie at sqrt(2).  The unstable mode grows at 3 while its
+        # certificate rate says 1, and the horizon 1 lies inside the patch
+        # window C / delta = 5.5, so only the patch bounds these runs.  A
+        # patch sampled on the unit ball (as bound once estimated it) fell
+        # below the corner runs; the proved a r bounds every start.
+        eye, col = [[1.0, 0.0], [0.0, 1.0]], [[0.5], [0.5]]
+        cfg = self._cfg()
+        cfg["system"] = {"kind": "linear",
+                         "A": {"s": [[-1.25, 0.0], [0.0, -1.25]], "u": [[3.0, 0.0], [0.0, 3.0]]},
+                         "B": {"s": col, "u": col},
+                         "J": {"s": [[0.1, 0.0], [0.0, 0.1]], "u": [[0.1, 0.0], [0.0, 0.1]]},
+                         "H": {"s": [[0.0], [0.0]], "u": [[0.0], [0.0]]}}
+        cfg["signal"] = {"t0": 0.0, "instants": [0.5], "modes": ["u", "s"], "horizon": 1.0}
+        cfg["x0"], cfg["step"] = [1.0, 1.0], 0.01
+        for p in ("s", "u"):
+            cfg["certificate"]["V"][p]["M"] = eye
+        cfg["bound"].update(runs=60, x0_range=1.0, u_bound=0.0)
+        checked = []
+        check = cli.iss_check_batch
+
+        def recorded(bound, trajs, x0s, inputs):
+            checked.append((bound, list(trajs), x0s, inputs))
+            return check(bound, checked[-1][1], x0s, inputs)
+        monkeypatch.setattr(cli, "iss_check_batch", recorded)
+        code, out = run(tmp_path, "bound", cfg, seed=0)
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert code == 0 and verdict["violations"] == 0 and verdict["max_margin"] <= 0
+        (bound, trajs, x0s, inputs), = checked
+        r0 = np.linalg.norm(x0s, axis=1)
+        assert r0.max() > 1.35  # near a corner, beyond the unit ball
+        window = verdict["patch"]["window"]
+        for r, traj, inp in zip(r0.tolist(), trajs, inputs):
+            times, states, _, _ = traj.samples
+            inside = times - times[0] <= window
+            rhs = bound.beta(r, times[inside] - times[0]) + bound.gamma(inp.sup_norm)
+            assert np.all(np.linalg.norm(states[inside], axis=1) <= rhs)
+
+    def test_readme_config_patch(self, tmp_path):
+        # The README config: A_s = -1.25, A_u = 0.4, B = 0.5, J = 0.1, H = 0
+        # on instants 1 and 1.25 with horizon 3, all inside the window
+        # C / delta = 5.5.  a = 1 (every flow and jump shrinks a start but
+        # the u flow, whose e^0.1 never undoes the jump's 0.1), and b is the
+        # forced response at the horizon.  The earlier prototype's b = 0.4
+        # was the stable mode's limit 0.5 / 1.25; a start at |x0| = 2 under
+        # |u| <= 1 is bounded by 2 a + b = 2.357, above every Monte-Carlo
+        # estimate (1.90-1.95 at seeds 0-2), which the old patch used as its
+        # bound.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        cfg = json.loads(re.search(r"### Config sketch\s+```json\n(.*?)```", readme, re.S)[1])
+        code, out = run(tmp_path, "bound", cfg, seed=0)
+        patch = json.loads((out / "verdict.json").read_text())["patch"]
+        h = 0.4 * -math.expm1(-1.25)
+        h = 0.1 * h * math.exp(0.1) + 1.25 * math.expm1(0.1)
+        h = 0.1 * h * math.exp(-2.1875) + 0.4 * -math.expm1(-2.1875)
+        assert code == 0 and patch["window"] == pytest.approx(5.5)
+        assert patch["a"] == 1.0 and patch["b"] == pytest.approx(h, rel=1e-14)
+        assert patch["b"] == pytest.approx(0.35695010935773, rel=1e-12) and patch["b"] < 0.4
+        model, sig, *_ = jsonio.parse_run(cfg)
+        for seed in range(3):
+            k_hat = oracles.reachability_bound(model, sig, 2.0, 1.0, patch["window"], 20,
+                                               step=1e-3, seed=seed)
+            assert 1.9 < k_hat < 2 * patch["a"] + patch["b"]
+
+    def test_patch_overflow_exits_4(self, tmp_path, capsys):
+        # e^(3000 * 0.25) leaves the floats: a patch of inf would make beta
+        # vacuous, so bound refuses before it writes anything.
+        cfg = self._cfg()
+        cfg["system"]["A"]["u"] = [[3000.0]]
+        code, out = run(tmp_path, "bound", cfg, seed=0)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("structural precondition failed: the short-horizon patch")
+        assert not (out / "bound.csv").exists() and not (out / "verdict.json").exists()
 
     def test_r_list_beyond_floats(self, tmp_path, capsys):
         cfg = self._cfg()
@@ -361,9 +440,10 @@ class TestBound:
         assert code == 1 and err.startswith("config error: bound.r_list")
         assert "Traceback" not in err and not (out / "bound.csv").exists()
 
-    def test_reachability_blow_up_is_non_finite(self, tmp_path, capsys):
+    def test_monte_carlo_blow_up_is_non_finite(self, tmp_path, capsys):
         # Initial states of norm up to 1e200 exceed the simulator's finite
-        # limit in the first reachability run, before any Monte-Carlo run.
+        # limit in the first Monte-Carlo run; the patch's gains do not
+        # depend on x0_range, so they are formed and stay finite.
         cfg = self._cfg()
         cfg["bound"]["x0_range"] = 1e200
         code, out = run(tmp_path, "bound", cfg, seed=0)

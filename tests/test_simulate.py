@@ -11,7 +11,7 @@ import isscert as iss
 from isscert.errors import NonFiniteError, StepTooLargeError
 from isscert.simulate import _doubling_powers, _simulate_linear, _step_map
 from conftest import jumps
-from oracles import linear_flow_stepwise, simulate_per_segment
+from oracles import linear_flow_stepwise, reachability_bound, simulate_per_segment
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from generate import LONG_STEP, _alternating_signal  # noqa: E402
@@ -181,19 +181,22 @@ class TestGuards:
 
 
 class TestSampling:
+    """The Monte-Carlo reachability estimate, now the oracle of
+    ``bounds.window_gains``."""
+
     def test_reachability_zero_data(self):
-        assert iss.reachability_bound(scalar_model(), single_mode(), 0.0, 0.0, 1.0, 5) == 0.0
+        assert reachability_bound(scalar_model(), single_mode(), 0.0, 0.0, 1.0, 5) == 0.0
 
     def test_reachability_contraction(self):
         # Stable zero-input flow never exceeds the initial ball.
-        bound = iss.reachability_bound(scalar_model(a=-1.0), single_mode(), 2.0, 0.0,
-                                       1.0, 20, step=1e-2, seed=1)
+        bound = reachability_bound(scalar_model(a=-1.0), single_mode(), 2.0, 0.0,
+                                   1.0, 20, step=1e-2, seed=1)
         assert bound <= 2.0 * (1 + 1e-9)
 
     def test_reachability_expansion(self):
         model = scalar_model(a=1.0)
-        bound = iss.reachability_bound(model, single_mode(), 1.0, 0.0, 1.0, 60,
-                                       step=1e-2, seed=2)
+        bound = reachability_bound(model, single_mode(), 1.0, 0.0, 1.0, 60,
+                                   step=1e-2, seed=2)
         assert bound >= math.e * 0.8  # sampled x0 norms fill most of the ball
 
 
@@ -475,9 +478,9 @@ class TestLinearPropagator:
     def test_sampling_estimators_accept_linear_model(self):
         model = iss.LinearSystemModel(A={"a": [[1.0]]}, B={"a": [[1.0]]},
                                       J={"a": [[1.0]]}, H={"a": [[0.0]]})
-        lin = iss.reachability_bound(model, single_mode(), 1.0, 0.5, 1.0, 5, step=1e-2, seed=4)
-        ref = iss.reachability_bound(model.to_system_model(), single_mode(), 1.0, 0.5, 1.0, 5,
-                                     step=1e-2, seed=4)
+        lin = reachability_bound(model, single_mode(), 1.0, 0.5, 1.0, 5, step=1e-2, seed=4)
+        ref = reachability_bound(model.to_system_model(), single_mode(), 1.0, 0.5, 1.0, 5,
+                                 step=1e-2, seed=4)
         assert lin == pytest.approx(ref, rel=1e-12)
 
 
