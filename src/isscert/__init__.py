@@ -14,8 +14,8 @@ from .certify import (
     check_decreasing_certificate,
     check_dwell_conditions,
     check_trajectory,
-    closed_form_dwell,
     dissipation_to_implication,
+    linear_dwell_conditions,
     norm_power_v,
     quadratic_v,
 )
@@ -44,7 +44,6 @@ from .lmi import (
     Infeasible,
     QuadraticCertificate,
     check_blocks,
-    check_rate_conditions,
     eigenvalues,
     flow_blocks,
     is_negative_semidefinite,

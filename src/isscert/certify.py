@@ -1,20 +1,22 @@
 """Candidate Lyapunov certificate checks along trajectories.
 
-``check_trajectory`` evaluates V once per mode and applies one flow rule (a
-forward-difference slope against a bound, gated at a threshold) and one jump
-rule (a bound above the threshold, a cap below it, relative tolerance JUMP_TOL
-(1 + |rhs|)) in the implication or the dissipation form; ``construct`` applies
-the same two rules to W.  Also: the dwell conditions at every switching
+``check_trajectory`` evaluates V once per mode and applies the sandwich
+bounds and one flow rule (a forward-difference slope against a bound, gated
+at a threshold) and one jump rule (a bound above the threshold, a cap below
+it) in the implication or the dissipation form; ``construct`` applies the
+same two rules to W.  Also: the dwell conditions at every switching
 instant, the signal's dwell/leave slack, the declared partition checked to
 cover every mode and against the sign of each flow rate, the
 decreasing-certificate test and the dissipation-to-implication conversion.
 Every check returns its failed inequalities as one ``Reports``: columns of
 kind, time, mode, lhs and rhs, selected from the checked arrays by one
-boolean index each, not one object per failure.  The tolerances of these
-checks (SANDWICH_TOL, JUMP_TOL and DWELL_TOL, which ``lmi`` uses for its
-dwell inequality too) and the default Dini coefficient are defined here;
-``bounds`` defines ISS_REL_TOL and ``lmi`` its eigenvalue tolerances
-SYMMETRY_TOL and PSD_TOL.
+boolean index each, not one object per failure.  ``linear_dwell_conditions``
+is the one dwell condition of linear rates, for the certificates checked
+here and the quadratic ones of ``lmi`` alike; its docstring derives it from
+the flow and jump rules.  The tolerances of these checks are defined here:
+SANDWICH_TOL and JUMP_TOL relative, as tol (1 + |rhs|), and DWELL_TOL
+absolute; so is the default Dini coefficient.  ``bounds`` defines
+ISS_REL_TOL and ``lmi`` its eigenvalue tolerances SYMMETRY_TOL and PSD_TOL.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ SANDWICH_TOL = 1e-9
 JUMP_TOL = 1e-9
 DWELL_TOL = 1e-9
 DEFAULT_DINI_COEFF = 10.0
+# The Lyapunov levels of the sampled dwell condition unless a grid is given.
+DEFAULT_A_GRID = (1.0, 10.0, 100.0)
 FORMS = ("implication", "dissipation")
 
 
@@ -227,7 +231,7 @@ def check_trajectory(
     # failures come out in row-major order.
     lhs = np.array((cert.alpha1(norms), values)).T
     rhs = np.array((values, cert.alpha2(norms))).T
-    i, side = np.nonzero(lhs > rhs + SANDWICH_TOL)
+    i, side = np.nonzero(lhs > rhs + SANDWICH_TOL * (1 + np.abs(rhs)))
     return Reports.concat((
         Reports("sandwich", times[i], modes[i], lhs[i, side], rhs[i, side]),
         _flow_reports(traj, values, allowed, threshold, dini_coeff),
@@ -235,52 +239,83 @@ def check_trajectory(
         _jump_reports(traj, values[starts[1:] - 1], values[starts[1:]], threshold, bound, cap)))
 
 
-def closed_form_dwell(eta_before: float, eta_after: float, mu: float,
-                      tau: float, delta: float, stable: bool) -> tuple[float, float]:
-    """Linear-rate dwell condition as (lhs, rhs) of the oriented inequality.
+def linear_dwell_conditions(eta: Mapping[str, float], mu: Mapping[str, float],
+                            partition: ModePartition, tau: Mapping[str, float], delta: float,
+                            left: Mapping[str, float]) -> Reports:
+    """The dwell condition of linear rates (phi_p(v) = eta_p v, psi_q(v) =
+    mu_q v): a "rate-sign" report for each mode of ``eta`` whose rate has
+    the wrong sign for its class, then a "dwell-linear" report for each
+    mode of ``left`` (mapped to the time its report carries) that breaks
 
-    Stable exits require lhs <= rhs with lhs = ln(mu_tilde)/|eta_before|
-    where mu_tilde = mu * exp(|eta_before| - |eta_after|); unstable exits
-    require -ln(mu_tilde)/|eta_before| >= tau(1 + delta), returned oriented
-    as (rhs, lhs) so that "first <= second" always means satisfied.
+        ln mu_q <= c_q = eta_S tau_q (1 - delta)     (q stable),
+        ln mu_q <= c_q = -eta_U tau_q (1 + delta)    (q unstable),
+
+    up to DWELL_TOL.  ``eta`` covers every mode that can be active; eta_S is
+    the smallest |eta_q| over its stable modes, eta_U the largest eta_p over
+    its unstable ones.
+
+    Derivation, in w = ln V: a flow in mode p moves w at rate at most eta_p,
+    a jump out of q adds at most ln mu_q <= c_q.  On a window from s to t
+    (before any jump at t), with T_stab and T_unst the time either class is
+    active and N_q the activations of q inside it, the flows add at most
+    -eta_S T_stab + eta_U T_unst.  Each jump out of q closes a visit of q
+    opened inside the window or the one open at s, and the one open at t
+    is not closed, so the jumps add at most sum_q N_q c_q + c_sigma(s) -
+    c_sigma(t-).  The class balances sum_S tau_q N_q - T_stab <= T_S and
+    T_unst - sum_U tau_p N_p <= T_U then give, for delta <= 1 (beyond 1,
+    with min(delta, 1) in the stable terms),
+
+        w(t) - w(s) <= eta_S (1 - delta) T_S + eta_U (1 + delta) T_U
+                       - delta (eta_S T_stab + eta_U T_unst) + c_sigma(s) - c_sigma(t-):
+
+    decay whatever the signal, beyond a constant (eta C, with C = (1 - delta)
+    T_S + (1 + delta) T_U, when eta_S = eta_U = eta) and one jump at each end
+    of the window.  With every |eta| equal the rule is ln(mu_q)/|eta| <=
+    tau_q (1 - delta), the transform condition at every level.
     """
-    mu_tilde = mu * math.exp(abs(eta_before) - abs(eta_after))
-    if stable:
-        return math.log(mu_tilde) / abs(eta_before), tau * (1 - delta)
-    return tau * (1 + delta), -math.log(mu_tilde) / abs(eta_before)
+    stable = partition.stable
+    eta_s = min((-eta[p] for p in eta if p in stable), default=0.0)
+    eta_u = max((eta[p] for p in eta if p not in stable), default=0.0)
+    out = [("rate-sign", left.get(p, math.nan), p, *((eta[p], 0.0) if p in stable
+                                                      else (0.0, eta[p])))
+           for p in sorted(eta) if (eta[p] < 0) != (p in stable)]
+    for q, t in left.items():
+        lhs = math.log(mu[q])
+        rhs = eta_s * tau[q] * (1 - delta) if q in stable else -eta_u * tau[q] * (1 + delta)
+        if lhs > rhs + DWELL_TOL:
+            out.append(("dwell-linear", t, q, lhs, rhs))
+    return Reports(*zip(*out))  # the columns of the rows
 
 
-def check_dwell_conditions(
-    cert: Certificate, sig: SwitchingSignal, a_grid: Sequence[float]
-) -> Reports:
-    """Transform dwell conditions at every switching instant over a grid of
-    Lyapunov levels.
-
-    For a switch out of a stable mode q into p the sampled condition is
-    Phi_p(psi_q(a)) - Phi_q(a) <= tau_q (1 - delta); out of an unstable mode
-    the mirrored condition with (1 + delta) must hold from below.  Linear
-    rates additionally get the closed-form reduction.  Grid points where the
-    transform difference is not finite (or a level leaves a transform's
-    domain) produce kind "dwell-inconclusive" entries rather than violations.
+def check_dwell_conditions(cert: Certificate, sig: SwitchingSignal,
+                           a_grid: Sequence[float]) -> Reports:
+    """The dwell conditions of the switches of ``sig``.  If every rate is
+    linear: ``linear_dwell_conditions`` over the signal's modes, one report
+    per mode left, at the first instant it is left (``a_grid`` is only
+    validated).  Else the transform condition sampled at the levels a of
+    ``a_grid`` at every switch q -> p: Phi_p(psi_q(a)) - Phi_q(a) <= tau_q
+    (1 - delta) out of a stable q, mirrored with (1 + delta) from below out
+    of an unstable one; a level where the difference is not finite (or
+    leaves a transform's domain) is "dwell-inconclusive", not a violation.
     """
     if not a_grid or any(a <= 0 for a in a_grid):
         raise ValueError("a_grid must be a nonempty collection of positive levels")
+    if all(r.kind == "linear" for r in (*cert.phi.values(), *cert.psi.values())):
+        left = {}
+        for t_i, q in zip(sig.instants, sig.modes):
+            left.setdefault(q, t_i)
+        return linear_dwell_conditions(
+            {p: cert.phi[p].eta for p in sig.mode_set},
+            {q: abs(cert.psi[q].eta) for q in left}, cert.partition, cert.dwell.tau,
+            cert.dwell.delta, left)
     transforms = cert.transforms()
     a = np.asarray(a_grid, dtype=float)
     grid_reports = {}  # (q, p) -> (kind, lhs, rhs) of a switch q -> p, in grid order
     out = []
     for t_i, q, p in zip(sig.instants, sig.modes, sig.modes[1:]):
-        first = (q, p) not in grid_reports
-        if first:
+        if (q, p) not in grid_reports:
             grid_reports[(q, p)] = _dwell_grid(cert, transforms, q, p, a)
         out += [(kind, t_i, q, lhs, rhs) for kind, lhs, rhs in grid_reports[(q, p)]]
-        if first and (cert.phi[q].kind == "linear" and cert.phi[p].kind == "linear"
-                      and cert.psi[q].kind == "linear"):
-            lhs, rhs = closed_form_dwell(
-                cert.phi[q].eta, cert.phi[p].eta, abs(cert.psi[q].eta),
-                cert.dwell.tau[q], cert.dwell.delta, q in cert.partition.stable)
-            if lhs > rhs + DWELL_TOL:
-                out.append(("dwell-closed-form", t_i, q, lhs, rhs))
     return Reports(*zip(*out))  # the columns of the rows
 
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import jsonio
 from .bounds import build_bound, iss_check_batch, window_gains
-from .certify import check_dwell_conditions, check_trajectory, dwell_slack_verdict
+from .certify import (check_dwell_conditions, check_trajectory, dwell_slack_verdict,
+                      linear_dwell_conditions)
 from .construct import build_decreasing, decrease_check
 from .errors import (
     ConfigError,
@@ -35,7 +36,7 @@ from .errors import (
     StepTooLargeError,
     StructuralError,
 )
-from .lmi import Infeasible, check_blocks, check_rate_conditions, synthesize
+from .lmi import Infeasible, check_blocks, synthesize
 from .rates import envelope_check
 from .simulate import (
     _unit_vector,
@@ -189,10 +190,11 @@ def cmd_lmi(cfg, out: Path, seed: int) -> int:
     flow, jump = qc.blocks if qc.blocks is not None else check_blocks(model, qc, q_set)
     flow = {p: {"ok": ok, "max_eig": top} for p, (ok, top) in flow.items()}
     jump = {f"{p}<-{q}": {"ok": ok, "max_eig": top} for (p, q), (ok, top) in jump.items()}
+    left = dict.fromkeys(sorted({q for _, q in q_set.pairs}), np.nan)
     rates = [
         {"kind": kind, "where": where, "lhs": lhs, "rhs": rhs, "margin": margin}
-        for kind, _, where, lhs, rhs, margin
-        in check_rate_conditions(qc, partition, dwell, q_set).rows()
+        for kind, _, where, lhs, rhs, margin in linear_dwell_conditions(
+            qc.eta, qc.mu, partition, dwell.tau, dwell.delta, left).rows()
     ]
     jsonio.write_json(out / "verdict.json", {"flow": flow, "jump": jump, "rates": rates})
     all_ok = all(v["ok"] for v in flow.values()) and all(v["ok"] for v in jump.values()) \

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .certify import (
+    DEFAULT_A_GRID,
     DEFAULT_DINI_COEFF,
     Certificate,
     Reports,
@@ -111,14 +112,15 @@ class DecreasingCertificate:
 def build_decreasing(
     cert: Certificate,
     sig: SwitchingSignal,
-    a_grid: Sequence[float] = (1.0,),
+    a_grid: Sequence[float] = DEFAULT_A_GRID,
 ) -> DecreasingCertificate:
     """Assemble the decreasing certificate, enforcing the preconditions.
 
     Requires every mode's transform to have image all of R (raises
-    ImageNotFullError otherwise), the dwell conditions to hold on ``a_grid``,
-    and the signal's dwell/leave slack to fit within the declared constants
-    (raises DwellPreconditionError otherwise).
+    ImageNotFullError otherwise), the dwell conditions of
+    ``check_dwell_conditions`` to hold (sampled on ``a_grid`` unless every
+    rate is linear), and the signal's dwell/leave slack to fit within the
+    declared constants (raises DwellPreconditionError otherwise).
     Values below a transform's attained image are errors here; the
     clamp-to-zero convention belongs to decay-bound assembly only.
     """
@@ -133,7 +135,7 @@ def build_decreasing(
     reports = reports[reports.kind != "dwell-inconclusive"]
     if reports:
         raise DwellPreconditionError(
-            f"dwell conditions fail at {len(reports)} grid point(s); first: "
+            f"{len(reports)} dwell condition(s) fail; first: "
             "{} at t={} out of mode {}: {} > {}".format(*reports.rows()[0]))
     slack_s, slack_u, fits_s, fits_u = dwell_slack_verdict(cert, sig)
     if not fits_s:

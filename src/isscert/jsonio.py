@@ -31,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import DEFAULT_DINI_COEFF, FORMS, Certificate, norm_power_v, quadratic_v
+from .certify import (DEFAULT_A_GRID, DEFAULT_DINI_COEFF, FORMS, Certificate, norm_power_v,
+                      quadratic_v)
 from .errors import AsymmetricError, ConfigError
 from .lmi import QuadraticCertificate
 from .rates import (
@@ -382,7 +383,7 @@ def parse_checks(cfg: dict) -> tuple[float, list[float]]:
     tolerances = _mapping(cfg.get("tolerances", {}), "tolerances")
     return (_number(tolerances.get("dini_coeff", DEFAULT_DINI_COEFF), "tolerances.dini_coeff",
                     low=0.0),
-            _numbers(cfg.get("dwell_a_grid", [1.0, 10.0, 100.0]), "dwell_a_grid", low=0.0,
+            _numbers(cfg.get("dwell_a_grid", list(DEFAULT_A_GRID)), "dwell_a_grid", low=0.0,
                      strict=True))
 
 

@@ -9,9 +9,12 @@ blocks of all Q admissible mode changes are built as one
 (P + Q, n + m, n + m) stack by batched products and decided by one
 eigenvalue call over the stack (``check_blocks``), so a check costs O(1)
 NumPy/LAPACK calls whatever P and Q are; the flops are those of P + Q
-separate blocks.  A best-effort heuristic search for feasible certificates
-is provided, every stage of it batched the same way over the stacked modes
-and mode changes, NumPy alone; its failure does not certify infeasibility.
+separate blocks.  The rates' signs and the dwell condition are
+``certify.linear_dwell_conditions`` over every mode of the system, one
+report per mode that an admissible change leaves.  A best-effort heuristic
+search for feasible certificates is provided, every stage of it batched the
+same way over the stacked modes and mode changes, NumPy alone; its failure
+does not certify infeasibility.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .certify import DWELL_TOL, Reports
+from .certify import linear_dwell_conditions
 from .errors import AsymmetricError
 from .simulate import LinearSystemModel
 from .switching import DwellSpec, ModeChangeSet, ModePartition
@@ -194,51 +197,6 @@ def check_blocks(model: LinearSystemModel, qc: QuadraticCertificate,
     return _decide(model, qc.M, qc.Q, qc.eta, qc.mu, sorted(q_set.pairs))
 
 
-def _safe_div(a: float, b: float) -> float:
-    if b != 0.0:
-        return a / b
-    return 0.0 if a == 0.0 else math.copysign(math.inf, a)
-
-
-def check_rate_conditions(
-    qc: QuadraticCertificate,
-    partition: ModePartition,
-    dwell: DwellSpec,
-    q_set: ModeChangeSet,
-) -> Reports:
-    """Sign and closed-form dwell conditions over all admissible mode pairs.
-
-    For every admissible change (p follows q): stable q needs eta_q < 0 and
-    ln(mu_q)/|eta_p| <= tau_q (1 - delta); unstable q needs eta_q >= 0 and
-    -ln(mu_q)/|eta_p| >= tau_q (1 + delta).  Reports come in sorted pair
-    order.
-    """
-    out = []
-    for p, q in sorted(q_set.pairs):
-        if q not in qc.eta or p not in qc.eta or q not in qc.mu:
-            raise ValueError(f"certificate lacks entries for pair ({p}, {q})")
-        eta_q, eta_p, mu_q = qc.eta[q], qc.eta[p], qc.mu[q]
-        tau_q = dwell.tau[q]
-        log_ratio = _safe_div(math.log(mu_q), abs(eta_p))
-        if q in partition.stable:
-            if eta_q >= 0:
-                out.append(("rate-sign", math.nan, q, eta_q, 0.0))
-                continue
-            lhs = log_ratio
-            rhs = tau_q * (1 - dwell.delta)
-            if lhs > rhs + DWELL_TOL:
-                out.append(("rate-dwell", math.nan, f"{p}<-{q}", lhs, rhs))
-        else:
-            if eta_q < 0:
-                out.append(("rate-sign", math.nan, q, 0.0, eta_q))
-                continue
-            lhs = tau_q * (1 + dwell.delta)
-            rhs = -log_ratio
-            if lhs > rhs + DWELL_TOL:
-                out.append(("rate-dwell", math.nan, f"{p}<-{q}", lhs, rhs))
-    return Reports(*zip(*out))  # the columns of the rows
-
-
 @dataclass(frozen=True)
 class Infeasible:
     """Negative search outcome carrying the binding constraint."""
@@ -333,10 +291,10 @@ def synthesize(
     for pair, (ok, top) in jump.items():
         if not ok:
             return Infeasible("jump block infeasible", {"pair": pair, "max_eig": top})
-    qc = QuadraticCertificate(M, Q, eta, mu, blocks=(flow, jump))
-    reports = check_rate_conditions(qc, partition, dwell, q_set)
+    left = dict.fromkeys(sorted({q for _, q in q_set.pairs}), math.nan)
+    reports = linear_dwell_conditions(eta, mu, partition, dwell.tau, dwell.delta, left)
     if reports:
         kind, _, where, lhs, rhs, _ = reports.rows()[0]
         return Infeasible("rate condition infeasible",
                           {"kind": kind, "where": where, "lhs": lhs, "rhs": rhs})
-    return qc
+    return QuadraticCertificate(M, Q, eta, mu, blocks=(flow, jump))

@@ -73,6 +73,14 @@
   sorted order and inflates Q_q once, by the largest top eigenvalue over
   them, as the library now does (the earlier loop inflated once per
   successor in the iteration order of a frozenset).
+* The linear dwell condition against its worst case:
+  ``periodic_dwell_bound`` runs the scalar comparison system of linear
+  rates (w = ln V moves at rate eta_p in mode p and jumps by ln mu_q out of
+  q) on a periodic signal at the dwell boundary, exactly, as a sum of
+  eta d and ln mu terms, and gives the bound that
+  ``isscert.certify.linear_dwell_conditions`` claims for every signal that
+  fits the dwell constants; ``periodic_cases`` draws the rates, jump
+  factors, dwell data and signals.
 """
 
 import bisect
@@ -82,17 +90,17 @@ from pathlib import Path
 
 import mpmath as mp
 import numpy as np
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from isscert.bounds import ISS_REL_TOL, iss_check
-from isscert.certify import FORMS, JUMP_TOL, SANDWICH_TOL
+from isscert.certify import FORMS, JUMP_TOL, SANDWICH_TOL, linear_dwell_conditions
 from isscert.errors import DegenerateGammaError, DomainError, NonFiniteError, OutOfImageError
 from isscert.lmi import (
     Infeasible,
     QuadraticCertificate,
     _lyapunov_gram,
-    check_rate_conditions,
     is_negative_semidefinite,
 )
 from isscert.simulate import (
@@ -110,7 +118,8 @@ from isscert.simulate import (
     step_input,
     zero_input,
 )
-from isscert.switching import SwitchingSignal, active_time
+from isscert import switching
+from isscert.switching import ModePartition, SwitchingSignal, active_time
 
 
 def _count(
@@ -518,9 +527,9 @@ def trajectory_reports(cert, traj, input, form, dini_coeff):
         for t, x, v in zip(ts, seg.states, vs):
             nx = float(np.linalg.norm(x))
             lo, hi = cert.alpha1(nx), cert.alpha2(nx)
-            if lo > v + SANDWICH_TOL:
+            if lo > v + SANDWICH_TOL * (1 + abs(v)):
                 sandwich.append(_row("sandwich", t, seg.mode, lo, v))
-            if v > hi + SANDWICH_TOL:
+            if v > hi + SANDWICH_TOL * (1 + abs(hi)):
                 sandwich.append(_row("sandwich", t, seg.mode, v, hi))
         flows += _flow_reports(seg.mode, ts, vs, allowed, threshold, dini_coeff)
         if k:
@@ -841,9 +850,85 @@ def synthesize_per_mode(model, partition, q_set, dwell):
     for pair, (ok, top) in jump.items():
         if not ok:
             return Infeasible("jump block infeasible", {"pair": pair, "max_eig": top})
-    reports = check_rate_conditions(qc, partition, dwell, q_set)
+    left = dict.fromkeys(sorted({q for _, q in q_set.pairs}), math.nan)
+    reports = linear_dwell_conditions(qc.eta, qc.mu, partition, dwell.tau, dwell.delta, left)
     if reports:
         kind, _, where, lhs, rhs, _ = reports.rows()[0]
         return Infeasible("rate condition infeasible",
                           {"kind": kind, "where": where, "lhs": lhs, "rhs": rhs})
     return qc
+
+
+def _dwell_edges(eta, stable, tau, delta):
+    """(eta_S, eta_U, c): the smallest |eta| over the stable modes, the
+    largest eta over the unstable ones, and each mode's largest ln mu
+    under the linear dwell condition."""
+    eta_s = min((-eta[p] for p in eta if stable[p]), default=0.0)
+    eta_u = max((eta[p] for p in eta if not stable[p]), default=0.0)
+    return eta_s, eta_u, {p: eta_s * tau[p] * (1 - delta) if stable[p]
+                          else -eta_u * tau[p] * (1 + delta) for p in eta}
+
+
+@st.composite
+def periodic_cases(draw):
+    """Two or three modes, each stable (eta in [-5, -0.05]) or unstable (eta
+    in [0, 5]), with tau in [0.01, 1], delta in [0.05, 0.95] and ln mu_q from
+    1 below to 1 above the largest value c_q the linear dwell condition
+    allows, in units of max(eta_S, eta_U, 0.05) tau_q.  The signal visits
+    every mode once a cycle, for 1 to 40 cycles.  A cycle gives each class
+    the sum of its tau, stretched (stable) or shrunk (unstable) by up to
+    90 %, which is the dwell boundary at a stretch of 0, and shares it out
+    among the class's modes in drawn proportions, so that one mode may
+    spend another's dwell budget."""
+    modes = [f"m{i}" for i in range(draw(st.integers(2, 3)))]
+    stable = {p: draw(st.booleans()) for p in modes}
+    eta = {p: -draw(st.floats(0.05, 5.0)) if stable[p] else draw(st.floats(0.0, 5.0))
+           for p in modes}
+    tau = {p: draw(st.floats(0.01, 1.0)) for p in modes}
+    delta = draw(st.floats(0.05, 0.95))
+    eta_s, eta_u, c = _dwell_edges(eta, stable, tau, delta)
+    unit = max(eta_s, eta_u, 0.05)
+    # Half the draws sit on the far side of c_q or of the dwell boundary.
+    excess = st.floats(0.0, 1.0) | st.floats(-1.0, 0.0)
+    stretch = st.just(0.0) | st.floats(0.0, 0.9)
+    return {"eta": eta,
+            "log_mu": {p: c[p] + draw(excess) * unit * tau[p] for p in modes},
+            "tau": tau, "share": {p: draw(st.floats(0.05, 1.0)) for p in modes},
+            "stretch": {"stable": draw(stretch), "unstable": draw(stretch)},
+            "stable": stable, "delta": delta, "cycles": draw(st.integers(1, 40))}
+
+
+def periodic_dwell_bound(case):
+    """(signal, partition, w, bound) of a ``periodic_cases`` case.  w[k] is
+    ln V(t-) - ln V(t0) of the scalar comparison system at the end t of the
+    k-th visit, before its jump.  bound[k] is the linear dwell condition's
+    bound on the window [t0, t): eta_S (1 - delta) T_S + eta_U (1 + delta)
+    T_U - delta (eta_S T_stab + eta_U T_unst) + c_sigma(t0) - c_sigma(t-),
+    with T_S and T_U the signal's dwell and leave slack."""
+    eta, stable, tau, delta = case["eta"], case["stable"], case["tau"], case["delta"]
+    dwell = {}
+    for kind, members in (("stable", [p for p in eta if stable[p]]),
+                          ("unstable", [p for p in eta if not stable[p]])):
+        stretch = case["stretch"][kind] if kind == "stable" else -case["stretch"][kind]
+        budget = sum(tau[p] for p in members) * (1 + stretch)
+        weight = sum(case["share"][p] for p in members)
+        dwell.update({p: budget * case["share"][p] / weight for p in members})
+    modes = list(eta) * case["cycles"]
+    dwells = [dwell[p] for p in modes]
+    ends = np.cumsum(dwells)
+    sig = SwitchingSignal(0.0, tuple(ends[:-1]), tuple(modes), float(ends[-1]))
+    part = ModePartition(frozenset(p for p in eta if stable[p]),
+                         frozenset(p for p in eta if not stable[p]))
+    eta_s, eta_u, c = _dwell_edges(eta, stable, tau, delta)
+    # The library's O(K) slack suprema; the enumerations above are their oracles.
+    constant = (eta_s * (1 - delta) * switching.mdadt_slack(sig, part, tau)
+                + eta_u * (1 + delta) * switching.mdalt_slack(sig, part, tau))
+    w, bound, level, t_stab, t_unst = [], [], 0.0, 0.0, 0.0
+    for k, (p, d) in enumerate(zip(modes, dwells)):
+        if k:
+            level += case["log_mu"][modes[k - 1]]
+        level += eta[p] * d
+        t_stab, t_unst = (t_stab + d, t_unst) if stable[p] else (t_stab, t_unst + d)
+        w.append(level)
+        bound.append(constant - delta * (eta_s * t_stab + eta_u * t_unst) + c[modes[0]] - c[p])
+    return sig, part, np.array(w), np.array(bound)

@@ -276,11 +276,11 @@ def test_acceptance_5_form_conversion():
             detail = f"trial {trial}: {len(flow)} flow / {len(jump)} jump"
             break
         # Converted dwell margin at delta' = delta / 2, evaluated directly.
-        first, second = iss.closed_form_dwell(
-            conv.phi["a"].eta, conv.phi["a"].eta, abs(conv.psi["a"].eta),
-            tau, conv.dwell.delta, stable=True)
-        if first > second + 1e-9:
-            ok, detail = False, f"trial {trial}: dwell margin {first} > {second}"
+        dwell = iss.linear_dwell_conditions({"a": conv.phi["a"].eta}, {"a": conv.psi["a"].eta},
+                                            conv.partition, {"a": tau}, conv.dwell.delta,
+                                            {"a": 0.0})
+        if dwell:
+            ok, detail = False, f"trial {trial}: dwell margin {dwell.rows()[0]}"
             break
     ok = ok and checked >= 80  # the construction passes by design
     _verdict(5, ok, detail or f"{checked} cases checked")
@@ -349,7 +349,8 @@ def test_acceptance_6_lmi_chain():
         else:
             flow, jump = iss.check_blocks(scalar, res, qs1)
             ok = (flow["a"][0] and jump[("a", "a")][0]
-                  and not iss.check_rate_conditions(res, part1, dwell1, qs1))
+                  and not iss.linear_dwell_conditions(res.eta, res.mu, part1, dwell1.tau,
+                                                      dwell1.delta, {"a": 0.0}))
             if not ok:
                 detail = "scalar certificate fails a check"
     _verdict(6, ok, detail)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isscert as iss
@@ -126,25 +126,110 @@ class TestDissipation:
                        "flow", "jump")
 
 
-class TestClosedFormDwell:
+# Item 1 of the linear dwell condition: two stable modes, q: eta = -0.1 and
+# x+ = sqrt(e) x, p: eta = -10 and x+ = x, tau = (0.2, 0.01), delta = 0.2.
+# The periodic signal q for 0.2, p for 0.01 grows V by e^0.88 a cycle.
+ITEM_1 = {"eta": {"q": -0.1, "p": -10.0}, "log_mu": {"q": 1.0, "p": 0.0},
+          "tau": {"q": 0.2, "p": 0.01}, "share": {"q": 0.2, "p": 0.01},
+          "stretch": {"stable": 0.0, "unstable": 0.0},
+          "stable": {"q": True, "p": True}, "delta": 0.2, "cycles": 30}
+# Two more signals on which a weaker rule lets V grow: the jump sits on the
+# fast stable mode q (ln mu_q = |eta_q| tau_q (1 - delta), its own rate's
+# edge) while the slow mode p spends q's dwell budget; and the unstable time
+# goes to the faster-growing mode u2 while both jump by the slower u1's edge.
+REGRESSIONS = (ITEM_1, {
+    "eta": {"q": -5.0, "p": -0.1}, "log_mu": {"q": 0.8, "p": 0.0},
+    "tau": {"q": 0.2, "p": 0.01}, "share": {"q": 0.01, "p": 0.2},
+    "stretch": {"stable": 0.0, "unstable": 0.0},
+    "stable": {"q": True, "p": True}, "delta": 0.2, "cycles": 10,
+}, {
+    "eta": {"s": -1.0, "u1": 0.1, "u2": 2.0}, "log_mu": {"s": 0.8, "u1": -0.06, "u2": -0.06},
+    "tau": {"s": 1.0, "u1": 0.5, "u2": 0.5}, "share": {"s": 1.0, "u1": 0.05, "u2": 1.0},
+    "stretch": {"stable": 0.0, "unstable": 0.0},
+    "stable": {"s": True, "u1": False, "u2": False}, "delta": 0.2, "cycles": 10,
+})
+
+
+def linear_rows(eta, mu, tau, delta, stable=None):
+    """``linear_dwell_conditions`` with every mode left at t = 0 and the
+    stable modes those of negative eta unless given."""
+    stable = {p for p in eta if eta[p] < 0} if stable is None else set(stable)
+    part = iss.ModePartition(frozenset(stable), frozenset(eta) - stable)
+    return iss.linear_dwell_conditions(eta, mu, part, tau, delta, dict.fromkeys(eta, 0.0))
+
+
+class TestLinearDwell:
+    """The rule is compared in the multiplied scale: lhs = ln mu_q and rhs =
+    eta_S tau_q (1 - delta), or -eta_U tau_p (1 + delta) out of an unstable
+    mode.  With every |eta| equal that is the earlier closed form
+    ln(mu)/|eta| <= tau (1 - delta) times |eta|."""
+
     def test_stable_frozen(self):
-        # mu_tilde = 2 with equal rates |eta| = 2: lhs = ln(2)/2 ~ 0.3466.
-        first, second = iss.closed_form_dwell(-2.0, -2.0, 2.0, 0.5, 0.2, stable=True)
-        assert first == pytest.approx(math.log(2.0) / 2.0)
-        assert second == pytest.approx(0.4)
-        assert first <= second
+        # |eta| = 2: ln(2)/2 ~ 0.3466 <= 0.4, so ln 2 <= 0.8; at tau = 0.4,
+        # ln(2)/2 > 0.32 and the report reads ln 2 > 2 * 0.32.
+        assert not linear_rows({"a": -2.0}, {"a": 2.0}, {"a": 0.5}, 0.2)
+        reports = linear_rows({"a": -2.0}, {"a": 2.0}, {"a": 0.4}, 0.2)
+        assert reports.rows() == [("dwell-linear", 0.0, "a", math.log(2.0), 2.0 * 0.4 * 0.8,
+                                   math.log(2.0) - 2.0 * 0.4 * 0.8)]
 
     def test_unstable_frozen(self):
-        # mu_tilde = 0.2 with |eta| = 1: -ln(0.2) ~ 1.609 >= tau(1+delta) = 1.3.
-        first, second = iss.closed_form_dwell(1.0, 1.0, 0.2, 1.0, 0.3, stable=False)
-        assert first == pytest.approx(1.3)
-        assert second == pytest.approx(-math.log(0.2))
-        assert first <= second
+        # |eta| = 1: -ln(0.2) ~ 1.609 >= tau (1 + delta) = 1.3, so
+        # ln 0.2 <= -1.3; at tau = 1.3 the report reads ln 0.2 > -1.69.
+        assert not linear_rows({"a": 1.0}, {"a": 0.2}, {"a": 1.0}, 0.3)
+        reports = linear_rows({"a": 1.0}, {"a": 0.2}, {"a": 1.3}, 0.3)
+        assert reports.kind.tolist() == ["dwell-linear"]
+        assert reports.lhs[0] == math.log(0.2) and reports.rhs[0] == pytest.approx(-1.69)
 
-    def test_rate_mismatch_shifts_mu(self):
-        # mu_tilde = mu * exp(|eta_before| - |eta_after|).
-        first, _ = iss.closed_form_dwell(-2.0, -1.0, 1.0, 1.0, 0.1, stable=True)
-        assert first == pytest.approx(math.log(math.exp(1.0)) / 2.0)
+    def test_contracting_jump_passes_whatever_the_rates(self):
+        # eta_q = -2, eta_p = -1, mu_q = 0.5, tau_q = 0.1: a jump that halves
+        # V needs no dwell.  The earlier closed form read
+        # ln(0.5 e^(2 - 1))/2 ~ 0.153 > 0.08 here, a false alarm.
+        assert not linear_rows({"q": -2.0, "p": -1.0}, {"q": 0.5, "p": 1.0},
+                               {"q": 0.1, "p": 0.1}, 0.2)
+
+    def test_item_1_refused_out_of_q(self):
+        # eta_S = 0.1, the slower stable rate: ln e = 1 > 0.1 * 0.2 * 0.8.
+        mu = {p: math.exp(v) for p, v in ITEM_1["log_mu"].items()}
+        reports = linear_rows(ITEM_1["eta"], mu, ITEM_1["tau"], ITEM_1["delta"])
+        assert reports.rows() == [("dwell-linear", 0.0, "q", 1.0, 0.1 * 0.2 * 0.8,
+                                   1.0 - 0.1 * 0.2 * 0.8)]
+
+    def test_the_smallest_stable_and_largest_unstable_rate_bind(self):
+        # eta_S = 1 (not 3) and eta_U = 2 (not 0.5), whichever mode is left.
+        eta = {"s1": -3.0, "s2": -1.0, "u1": 0.5, "u2": 2.0}
+        tau = dict.fromkeys(eta, 1.0)
+        edge = {"s1": 0.5, "s2": 0.5, "u1": -3.0, "u2": -3.0}  # 1 * 0.5 and -2 * 1.5
+        mu = {p: math.exp(v) for p, v in edge.items()}
+        assert not linear_rows(eta, mu, tau, 0.5)
+        mu = {p: math.exp(v + 1e-6) for p, v in edge.items()}
+        assert linear_rows(eta, mu, tau, 0.5).mode.tolist() == ["s1", "s2", "u1", "u2"]
+
+    def test_sign_reports_come_first(self):
+        reports = linear_rows({"a": 0.5, "b": -1.0}, {"a": 1.0, "b": 1.0},
+                              {"a": 1.0, "b": 1.0}, 0.2, stable={"a", "b"})
+        assert [row[:5] for row in reports.rows()][0] == ("rate-sign", 0.0, "a", 0.5, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracles.periodic_cases())
+    @example(REGRESSIONS[0])
+    @example(REGRESSIONS[1])
+    @example(REGRESSIONS[2])
+    def test_a_pass_bounds_every_periodic_signal(self, case):
+        """Against the scalar comparison system: wherever the rule passes,
+        ln V at the end of every visit of the periodic signal stays within
+        eta_S (1 - delta) T_S + eta_U (1 + delta) T_U - delta (eta_S T_stab
+        + eta_U T_unst) + c_sigma(t0) - c_sigma(t-), with T_S and T_U the
+        signal's own dwell and leave slack."""
+        sig, part, w, bound = oracles.periodic_dwell_bound(case)
+        mu = {p: math.exp(v) for p, v in case["log_mu"].items()}
+        reports = iss.linear_dwell_conditions(case["eta"], mu, part, case["tau"],
+                                              case["delta"], dict.fromkeys(sig.modes[:-1], math.nan))
+        broken = w > bound + 1e-9 * len(w) * (1 + np.abs(bound))
+        assert not broken.any() or reports
+        if case in REGRESSIONS:
+            assert broken.any() and reports
+        if case == ITEM_1:
+            assert w[-1] > 0.87 * ITEM_1["cycles"]
 
 
 class TestDwellConditions:
@@ -159,8 +244,7 @@ class TestDwellConditions:
         from dataclasses import replace
         reports = iss.check_dwell_conditions(replace(cert, dwell=bad),
                                              family_signal, [1.0])
-        kinds = set(reports.kind)
-        assert "dwell-condition" in kinds or "dwell-closed-form" in kinds
+        assert set(reports.kind) == {"dwell-linear"}
 
     def test_non_finite_difference_is_inconclusive(self, family_signal, family_certificate):
         # Phi_s of power(-1, 40) is -inf below about 1.2e-8 (beyond the
@@ -265,15 +349,13 @@ class TestConversion:
         st.floats(0.0, 1.0),
     )
     def test_converted_dwell_margin(self, eta_mag, tau, delta, frac):
-        """If the original closed-form dwell condition holds with margin
-        delta, the converted rates satisfy it with margin delta/2."""
+        """If the original linear dwell condition holds with margin delta,
+        the converted rates satisfy it with margin delta/2."""
         mu_t = math.exp(frac * eta_mag * tau * (1 - delta))
         cert = scalar_cert(eta=-eta_mag, psi_eta=mu_t, tau=tau, delta=delta)
         conv = iss.dissipation_to_implication(cert)
-        first, second = iss.closed_form_dwell(
-            conv.phi["a"].eta, conv.phi["a"].eta, abs(conv.psi["a"].eta),
-            tau, conv.dwell.delta, stable=True)
-        assert first <= second + 1e-9
+        assert not linear_rows({"a": conv.phi["a"].eta}, {"a": conv.psi["a"].eta},
+                               {"a": tau}, conv.dwell.delta)
 
 
 class TestLyapunovHelpers:

@@ -177,6 +177,47 @@ class TestCertify:
         assert summary["flow_skipped"] == len(traj.samples[0]) - len(traj.segments) > 0
 
 
+def rotation_config(x0, alpha2_c=1.0):
+    """One stable mode x' = [[-0.1, 1], [-1, -0.1]] x, zero input, with
+    V = x'x, whose sandwich power(1, 2) holds with equality."""
+    square = {"kind": "power", "c": 1.0, "k": 2.0}
+    zeros = {"a": [[0.0], [0.0]]}
+    return {
+        "system": {"kind": "linear", "A": {"a": [[-0.1, 1.0], [-1.0, -0.1]]}, "B": zeros,
+                   "J": {"a": [[1.0, 0.0], [0.0, 1.0]]}, "H": zeros},
+        "signal": {"t0": 0.0, "instants": [], "modes": ["a"], "horizon": 2.0},
+        "x0": x0,
+        "step": 1e-3,
+        "certificate": {
+            "V": {"a": {"kind": "quadratic", "M": [[1.0, 0.0], [0.0, 1.0]]}},
+            "alpha1": square, "alpha2": {**square, "c": alpha2_c}, "alpha3": square,
+            "chi": square, "phi": {"a": {"kind": "linear", "eta": -0.1}},
+            "psi": {"a": {"kind": "linear", "eta": 1.0}},
+            "partition": {"stable": ["a"], "unstable": []},
+            "dwell": {"tau": {"a": 1.0}, "delta": 0.2}},
+    }
+
+
+class TestSandwichTolerance:
+    """||x||^2 (a norm, then a power) and x'x differ by an ulp or two, which
+    the sandwich rule must not flag however large V is."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2, 1e4, 1e5])
+    def test_an_equality_sandwich_passes_at_every_scale(self, tmp_path, scale):
+        code, out = run(tmp_path, "certify", rotation_config([3 * scale, 4 * scale]))
+        assert code == cli.EXIT_OK
+        assert (out / "reports.csv").read_text().splitlines()[1:] == []
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_a_planted_break_is_caught(self, tmp_path, scale):
+        # alpha2 = (1 - 1e-7) ||x||^2 lies below V = x'x at every sample.
+        code, out = run(tmp_path, "certify", rotation_config([3 * scale, 4 * scale], 1 - 1e-7))
+        assert code == cli.EXIT_VIOLATIONS
+        summary = json.loads((out / "summary.json").read_text())
+        kinds = {row.split(",")[0] for row in (out / "reports.csv").read_text().splitlines()[1:]}
+        assert kinds == {"sandwich"} and summary["violations"] == 2001
+
+
 class TestConstruct:
     def test_ok(self, tmp_path):
         cfg = base_config()
@@ -510,26 +551,27 @@ class TestLmi:
         assert code == 3
 
     def test_verify_writes_strict_json(self, tmp_path):
-        # The benchmark's seed-1 n = 4 system and its synthesized certificate,
-        # with eta = 0 on both unstable modes and mu_s1 = 2: ln(mu_s1)/|eta_u|
-        # is infinite in two rate-dwell rows, written as the string "inf".
-        inv = {i.label: i for i in generate.build("lmi_synth", 1).invocations}
-        code, out = run(tmp_path, "lmi", inv["synth_n4"].config, name="synth.json")
-        assert code == 0
-        cert = json.loads((out / "certificate.json").read_text())
-        cfg = copy.deepcopy(inv["verify_n4"].config)
-        cfg["lmi"]["certificate"] = {k: cert[k] for k in ("M", "Q", "eta", "mu")}
-        cfg["lmi"]["certificate"]["eta"].update(u1=0.0, u2=0.0)
-        cfg["lmi"]["certificate"]["mu"]["s1"] = 2.0
-        code, out = run(tmp_path, "lmi", cfg, name="verify.json")
+        # Every block holds, but eta_u tau_u (1 + delta) = 1e10 * 1e300 * 1.2
+        # is beyond the floats: the rhs of the dwell condition out of u is
+        # -inf and its margin inf, written as the strings "-inf" and "inf".
+        cfg = self._base()
+        cfg["lmi"]["mode"] = "verify"
+        cfg["lmi"]["dwell"]["tau"]["u"] = 1e300
+        cfg["lmi"]["certificate"] = {
+            "M": {"s": [[1.0]], "u": [[1.0]]},
+            "Q": {"s": [[1.0]], "u": [[1.0]]},
+            "eta": {"s": -1.0, "u": 1e10},
+            "mu": {"s": 0.02, "u": 0.02},
+        }
+        code, out = run(tmp_path, "lmi", cfg)
         assert code == cli.EXIT_VIOLATIONS
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
         verdict = json.loads((out / "verdict.json").read_text(), parse_constant=reject)
-        assert [(r["where"], r["lhs"], r["margin"]) for r in verdict["rates"]
-                if r["kind"] == "rate-dwell" and r["lhs"] == "inf"] == \
-            [("u1<-s1", "inf", "inf"), ("u2<-s1", "inf", "inf")]
+        assert all(v["ok"] for v in (*verdict["flow"].values(), *verdict["jump"].values()))
+        assert verdict["rates"] == [{"kind": "dwell-linear", "where": "u", "lhs": math.log(0.02),
+                                     "rhs": "-inf", "margin": "inf"}]
 
     def test_unknown_mode(self, tmp_path):
         cfg = self._base()
@@ -572,6 +614,82 @@ class TestLmi:
         verdict = json.loads((out / "verdict.json").read_text())
         assert sorted(verdict["flow"]) == ["s", "u"]
         assert sorted(verdict["jump"]) == ["s<-u", "u<-s"]
+
+
+def two_stable_modes(eta, mu, tau, cycles, x0):
+    """Modes q and p, V = x^2 exact for both: x' = (eta/2) x, x+ = sqrt(mu) x,
+    zero input, on the periodic signal q for tau_q, then p for tau_p, with
+    the certify and lmi verify sections of that certificate."""
+    modes = ("q", "p") * cycles
+    ends = np.cumsum([tau[p] for p in modes]).tolist()
+    scalar = lambda f: {p: [[f(p)]] for p in ("q", "p")}  # noqa: E731
+    linear = lambda values: {p: {"kind": "linear", "eta": values[p]} for p in values}  # noqa: E731
+    square = {"kind": "power", "c": 1.0, "k": 2.0}
+    partition = {"stable": ["q", "p"], "unstable": []}
+    return {
+        "system": {"kind": "linear", "A": scalar(lambda p: eta[p] / 2), "B": scalar(lambda p: 0.0),
+                   "J": scalar(lambda p: math.sqrt(mu[p])), "H": scalar(lambda p: 0.0)},
+        "signal": {"t0": 0.0, "instants": ends[:-1], "modes": list(modes), "horizon": ends[-1]},
+        "x0": [x0],
+        "step": 1e-3,
+        "certificate": {
+            "V": {p: {"kind": "quadratic", "M": [[1.0]]} for p in ("q", "p")},
+            "alpha1": square, "alpha2": square, "alpha3": square, "chi": square,
+            "phi": linear(eta), "psi": linear(mu), "partition": partition,
+            "dwell": {"tau": tau, "delta": 0.2, "T_S": max(tau.values()), "T_U": 0.0}},
+        "lmi": {"mode": "verify", "partition": partition,
+                "dwell": {"tau": tau, "delta": 0.2}, "pairs": [["p", "q"], ["q", "p"]],
+                "certificate": {"M": scalar(lambda p: 1.0), "Q": scalar(lambda p: 1.0),
+                                "eta": eta, "mu": mu}},
+    }
+
+
+class TestLinearDwell:
+    """The two cases of the linear dwell condition through the CLI, with
+    ``simulate`` as the oracle that the verdict is right."""
+
+    def final_norm(self, tmp_path, cfg):
+        code, out = run(tmp_path, "simulate", cfg, name="simulate.json")
+        assert code == 0
+        return abs(float((out / "trajectory.csv").read_text().splitlines()[-1].split(",")[2]))
+
+    def test_slow_stable_mode_with_a_growing_jump_is_refused(self, tmp_path):
+        # eta_q = -0.1 and mu_q = e, eta_p = -10 and mu_p = 1, tau = (0.2,
+        # 0.01): each cycle multiplies V by e^(-0.02 + 1 - 0.1) = e^0.88, yet
+        # every block holds with equality.  The dwell condition out of q
+        # reads ln e = 1 > eta_S tau_q (1 - delta) = 0.1 * 0.2 * 0.8.
+        # x0 = 1e-3 keeps V below 0.2, where the flow rule's Dini slack
+        # covers the forward difference on p, so that only q's row is left.
+        cfg = two_stable_modes({"q": -0.1, "p": -10.0}, {"q": math.e, "p": 1.0},
+                               {"q": 0.2, "p": 0.01}, 10, 1e-3)
+        code, out = run(tmp_path, "lmi", cfg)
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert code == cli.EXIT_VIOLATIONS
+        assert all(v["ok"] for v in (*verdict["flow"].values(), *verdict["jump"].values()))
+        assert [(r["kind"], r["where"], r["lhs"]) for r in verdict["rates"]] == \
+            [("dwell-linear", "q", 1.0)]
+        assert verdict["rates"][0]["rhs"] == pytest.approx(0.016, rel=1e-12)
+        code, out = run(tmp_path, "certify", cfg)
+        assert code == cli.EXIT_VIOLATIONS
+        rows = (out / "reports.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [["dwell-linear", "0.20000000000000001", "q"]]
+        # The refusal is right: 30 cycles from x0 = 1 grow ||x|| by e^(0.44 * 30).
+        cfg.update(two_stable_modes({"q": -0.1, "p": -10.0}, {"q": math.e, "p": 1.0},
+                                    {"q": 0.2, "p": 0.01}, 30, 1.0))
+        assert self.final_norm(tmp_path, cfg) == pytest.approx(math.exp(0.44 * 30), rel=1e-3)
+
+    def test_contracting_jump_out_of_the_faster_mode_passes(self, tmp_path):
+        # eta_q = -2, eta_p = -1, mu_q = 0.5, tau_q = 0.1: the earlier closed
+        # form read ln(0.5 e^(2 - 1))/2 ~ 0.153 > 0.08, a false alarm.
+        cfg = two_stable_modes({"q": -2.0, "p": -1.0}, {"q": 0.5, "p": 1.0},
+                               {"q": 0.1, "p": 0.1}, 10, 1.0)
+        code, out = run(tmp_path, "lmi", cfg)
+        assert code == cli.EXIT_OK
+        assert json.loads((out / "verdict.json").read_text())["rates"] == []
+        code, out = run(tmp_path, "certify", cfg)
+        assert code == cli.EXIT_OK
+        assert (out / "reports.csv").read_text().splitlines()[1:] == []
+        assert self.final_norm(tmp_path, cfg) < math.exp(-0.25 * 20 * 0.1)
 
 
 class TestArguments:

@@ -64,10 +64,10 @@ class TestJsonDifferences:
             "M.s1[*][*]: max rel 0.2 (3 of 4 leaves)"
 
     def test_other_leaves_under_one_path_are_counted(self):
-        a = json.dumps({"rates": [{"kind": "rate-sign"}, {"kind": "rate-dwell"}]})
-        b = json.dumps({"rates": [{"kind": "rate-dwell"}, {"kind": "rate-sign"}]})
+        a = json.dumps({"rates": [{"kind": "rate-sign"}, {"kind": "dwell-linear"}]})
+        b = json.dumps({"rates": [{"kind": "dwell-linear"}, {"kind": "rate-sign"}]})
         assert json_differences(a, b) == \
-            "rates[*].kind: 'rate-sign' -> 'rate-dwell' (2 of 2 leaves)"
+            "rates[*].kind: 'rate-sign' -> 'dwell-linear' (2 of 2 leaves)"
 
     def test_list_length_differs(self):
         assert json_differences('{"a": [1, 2]}', '{"a": [1, 2, 3]}') == "keys differ: a[*]"

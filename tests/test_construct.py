@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import isscert as iss
+from isscert import jsonio
 from isscert.construct import CorrectionLedger, decrease_check
 from isscert.errors import ImageNotFullError
 
@@ -113,8 +115,12 @@ class TestBuildPreconditions:
         from dataclasses import replace
         bad = replace(cert, psi={"s": iss.linear_rate(50.0),
                                  "u": iss.linear_rate(50.0)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dwell-linear at t=1.0 out of mode s"):
             iss.build_decreasing(bad, family_signal, a_grid=[1.0])
+
+    def test_the_default_grid_is_the_config_default(self):
+        default = inspect.signature(iss.build_decreasing).parameters["a_grid"].default
+        assert list(default) == jsonio.parse_checks({})[1] == [1.0, 10.0, 100.0]
 
     def test_slack_exceeded(self, family_signal):
         cert = make_family_certificate(family_signal)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,7 +142,17 @@ class TestValidation:
         assert qc.lambda_max == pytest.approx(3.0)
 
 
+def rate_rows(qc, part, dwell, qs):
+    """The linear dwell condition as ``isscert lmi`` applies it: over every
+    mode of the certificate, one report per mode that a pair of ``qs`` leaves."""
+    left = dict.fromkeys(sorted({q for _, q in qs.pairs}), math.nan)
+    return iss.linear_dwell_conditions(qc.eta, qc.mu, part, dwell.tau, dwell.delta, left)
+
+
 class TestRateConditions:
+    """Rows in the multiplied scale (lhs ln mu_q): with one mode, the earlier
+    ln(mu_q)/|eta_p| times |eta| = 1, so the frozen numbers stand."""
+
     def _spec(self, tau=1.0, delta=0.2):
         return (iss.ModePartition(frozenset({"a"}), frozenset()),
                 iss.DwellSpec({"a": tau}, delta),
@@ -149,20 +161,18 @@ class TestRateConditions:
     def test_stable_pass(self):
         part, dwell, qs = self._spec()
         # ln(0.25)/1 < 0 <= 0.8
-        assert not iss.check_rate_conditions(scalar_qc(eta=-1.0, mu=0.25),
-                                             part, dwell, qs)
+        assert not rate_rows(scalar_qc(eta=-1.0, mu=0.25), part, dwell, qs)
 
     def test_stable_dwell_fail(self):
         part, dwell, qs = self._spec(tau=0.5, delta=0.5)
         # ln(2)/1 ~ 0.693 > 0.25
-        reports = iss.check_rate_conditions(scalar_qc(eta=-1.0, mu=2.0),
-                                            part, dwell, qs)
-        assert reports and reports.kind[0] == "rate-dwell"
+        reports = rate_rows(scalar_qc(eta=-1.0, mu=2.0), part, dwell, qs)
+        assert [row[:1] + row[2:] for row in reports.rows()] == \
+            [("dwell-linear", "a", math.log(2.0), 0.25, math.log(2.0) - 0.25)]
 
     def test_sign_fail(self):
         part, dwell, qs = self._spec()
-        reports = iss.check_rate_conditions(scalar_qc(eta=0.5, mu=0.25),
-                                            part, dwell, qs)
+        reports = rate_rows(scalar_qc(eta=0.5, mu=0.25), part, dwell, qs)
         assert reports and reports.kind[0] == "rate-sign"
 
     def test_unstable_pass(self):
@@ -170,14 +180,13 @@ class TestRateConditions:
         dwell = iss.DwellSpec({"a": 1.0}, 0.3)
         qs = iss.ModeChangeSet(frozenset({("a", "a")}))
         # -ln(0.2)/1 ~ 1.609 >= 1.3
-        assert not iss.check_rate_conditions(scalar_qc(eta=1.0, mu=0.2),
-                                             part, dwell, qs)
+        assert not rate_rows(scalar_qc(eta=1.0, mu=0.2), part, dwell, qs)
 
     def test_missing_mode(self):
         part, dwell, _ = self._spec()
-        qs = iss.ModeChangeSet(frozenset({("b", "a")}))
-        with pytest.raises(ValueError):
-            iss.check_rate_conditions(scalar_qc(), part, dwell, qs)
+        qs = iss.ModeChangeSet(frozenset({("a", "b")}))
+        with pytest.raises(KeyError):
+            rate_rows(scalar_qc(), part, dwell, qs)
 
 
 class TestRescaling:
@@ -255,7 +264,7 @@ class TestSynthesize:
         for pair in (("u", "s"), ("s", "u")):
             ok, _ = verdicts(family_model, qc, pair)[1]
             assert ok
-        assert not iss.check_rate_conditions(qc, part, dwell, qs)
+        assert not rate_rows(qc, part, dwell, qs)
 
     def test_stable_rate_at_the_closed_form_edge(self, family_model):
         # A_s = -1.25, so M_s = 0.4 and the first guess 2 * A_s = -2.5 lies
@@ -487,17 +496,17 @@ for seed in (1, 2, 3):
         assert iss.synthesize(model, part, qs, dwell) == \
             oracles.synthesize_per_mode(model, part, qs, dwell)
 
-    def test_rate_reports_in_sorted_pair_order(self):
-        modes = ("a", "b", "c")
+    def test_rate_reports_in_sorted_mode_order(self):
+        modes = ("c", "a", "b")
         part = iss.ModePartition(frozenset(modes), frozenset())
         dwell = iss.DwellSpec(dict.fromkeys(modes, 0.1), 0.2)
         qs = iss.ModeChangeSet(frozenset((p, q) for p in modes for q in modes if p != q))
-        # ln(2)/1 > 0.08 on every pair.
+        # ln(2) > 1 * 0.08 out of every mode: one report per mode left.
         qc = iss.QuadraticCertificate(
             dict.fromkeys(modes, [[1.0]]), dict.fromkeys(modes, [[1.0]]),
             dict.fromkeys(modes, -1.0), dict.fromkeys(modes, 2.0))
-        reports = iss.check_rate_conditions(qc, part, dwell, qs)
-        assert reports.mode.tolist() == [f"{p}<-{q}" for p, q in sorted(qs.pairs)]
+        reports = rate_rows(qc, part, dwell, qs)
+        assert reports.mode.tolist() == ["a", "b", "c"]
 
 
 def gram_cases():
@@ -581,14 +590,14 @@ class TestGramAccuracy:
     def test_jump_factors_match_eigh(self, seed, n, inflate, monkeypatch):
         # mu_q is the largest generalized eigenvalue of (S, M_q) over the
         # links of q, S the Schur complement of the jump block's input part.
-        # The rate conditions, checked after the jump factors, are passed
+        # The linear dwell condition, checked after the jump factors, is passed
         # over, so that inflated jump inputs (mu > 1 for an unstable mode)
         # still return the certificate.
         from scipy.linalg import eigh
 
         from isscert import lmi
 
-        monkeypatch.setattr(lmi, "check_rate_conditions", lambda *args: iss.Reports())
+        monkeypatch.setattr(lmi, "linear_dwell_conditions", lambda *args: iss.Reports())
         model, part, dwell, qs = synth_shaped(seed, n)
         model = iss.LinearSystemModel(A=model.A, B=model.B, J=model.J,
                                       H={p: inflate * h for p, h in model.H.items()})
