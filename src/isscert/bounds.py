@@ -29,8 +29,8 @@ from .errors import DegenerateGammaError, ImageNotFullError, StructuralError
 from .rates import PhiTransform, RateFunction, _result
 from .simulate import InputSignal, LinearSystemModel, Trajectory
 from .switching import DwellSpec, SwitchingSignal
+from .tolerance import exceeds
 
-ISS_REL_TOL = 1e-9
 # The samples (runs x samples per run) of one block of the ISS check.  A
 # block's beta call peaks at about four float arrays of this size (0.5 MB),
 # below what simulate_batch has held for the same runs, and each call has a
@@ -219,7 +219,7 @@ def iss_check_batch(bound: IssBound, trajs, x0s, inputs) -> tuple[Reports, float
     over the block's (runs, samples) array.  ``trajs`` is iterated once and
     each run is let go of once its norms are taken, so an iterator that
     drops the runs it yields keeps one run's samples alive beside the
-    block's arrays."""
+    block's arrays.  A sample fails where ``exceeds`` puts its norm above."""
     if len(x0s) != len(inputs):
         raise ValueError("one input per initial state")
     r0 = np.array([np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))) for x0 in x0s])
@@ -248,7 +248,7 @@ def iss_check_batch(bound: IssBound, trajs, x0s, inputs) -> tuple[Reports, float
         # fmax skips NaN margins, as a running max() over floats does.
         max_margin = max(max_margin, float(np.fmax.reduce(lhs - rhs, axis=None,
                                                            initial=-math.inf)))
-        run, i = np.divmod(np.flatnonzero(lhs > rhs * (1 + ISS_REL_TOL) + 1e-12), n)
+        run, i = np.divmod(np.flatnonzero(exceeds(lhs, rhs)), n)
         parts.append(Reports("iss", times[i], modes[i], lhs[run, i], rhs[run, i]))
         del lhs, rhs  # before the next block's beta
     return (parts[0] if len(parts) == 1 else Reports.concat(parts)), max_margin

@@ -13,10 +13,8 @@ kind, time, mode, lhs and rhs, selected from the checked arrays by one
 boolean index each, not one object per failure.  ``linear_dwell_conditions``
 is the one dwell condition of linear rates, for the certificates checked
 here and the quadratic ones of ``lmi`` alike; its docstring derives it from
-the flow and jump rules.  The tolerances of these checks are defined here:
-SANDWICH_TOL and JUMP_TOL relative, as tol (1 + |rhs|), and DWELL_TOL
-absolute; so is the default Dini coefficient.  ``bounds`` defines
-ISS_REL_TOL and ``lmi`` its eigenvalue tolerances SYMMETRY_TOL and PSD_TOL.
+the flow and jump rules.  Every check decides through ``tolerance.exceeds``;
+the flow rule's allowance is the default Dini coefficient times the step.
 """
 
 from __future__ import annotations
@@ -32,14 +30,13 @@ from .errors import DegenerateGapError
 from .rates import ComparisonFunction, PhiTransform, RateFunction, _result, scale_cf
 from .simulate import InputSignal, Trajectory
 from .switching import DwellSpec, ModePartition, SwitchingSignal, mdadt_slack, mdalt_slack
+from .tolerance import exceeds
 
-SANDWICH_TOL = 1e-9
-JUMP_TOL = 1e-9
-DWELL_TOL = 1e-9
 DEFAULT_DINI_COEFF = 10.0
 # The Lyapunov levels of the sampled dwell condition unless a grid is given.
 DEFAULT_A_GRID = (1.0, 10.0, 100.0)
 FORMS = ("implication", "dissipation")
+DEGENERATE_GAP = 1e-12  # the rate gaps dissipation_to_implication will not divide by
 
 
 @dataclass(frozen=True)
@@ -191,13 +188,13 @@ def _flow_reports(traj, values, allowed, threshold, dini_coeff) -> Reports:
 def _jump_reports(traj, pre, post, threshold, bound, cap) -> Reports:
     """The jump rule at each jump of ``traj``, from ``pre`` (the value ending a
     segment of mode p) to ``post``: post <= bound(p, pre) where
-    pre >= threshold, post <= cap below it, up to JUMP_TOL (1 + |rhs|)."""
+    pre >= threshold, post <= cap below it, as ``exceeds`` decides."""
     times, _, modes, starts = traj.samples
     times, modes = times[starts[1:]], modes[starts[1:] - 1]
     above = pre >= threshold
     rhs = np.full(len(pre), float(cap))
     rhs[above] = _by_mode(bound, modes[above], pre[above])
-    j = np.flatnonzero(post > rhs + JUMP_TOL * (1 + np.abs(rhs)))
+    j = np.flatnonzero(exceeds(post, rhs))
     return Reports(np.where(above[j], "jump", "small-input-jump"), times[j], modes[j],
                    post[j], rhs[j])
 
@@ -231,7 +228,7 @@ def check_trajectory(
     # failures come out in row-major order.
     lhs = np.array((cert.alpha1(norms), values)).T
     rhs = np.array((values, cert.alpha2(norms))).T
-    i, side = np.nonzero(lhs > rhs + SANDWICH_TOL * (1 + np.abs(rhs)))
+    i, side = np.nonzero(exceeds(lhs, rhs))
     return Reports.concat((
         Reports("sandwich", times[i], modes[i], lhs[i, side], rhs[i, side]),
         _flow_reports(traj, values, allowed, threshold, dini_coeff),
@@ -250,7 +247,7 @@ def linear_dwell_conditions(eta: Mapping[str, float], mu: Mapping[str, float],
         ln mu_q <= c_q = eta_S tau_q (1 - delta)     (q stable),
         ln mu_q <= c_q = -eta_U tau_q (1 + delta)    (q unstable),
 
-    up to DWELL_TOL.  ``eta`` covers every mode that can be active; eta_S is
+    as ``exceeds`` decides.  ``eta`` covers every mode that can be active; eta_S is
     the smallest |eta_q| over its stable modes, eta_U the largest eta_p over
     its unstable ones.
 
@@ -282,7 +279,7 @@ def linear_dwell_conditions(eta: Mapping[str, float], mu: Mapping[str, float],
     for q, t in left.items():
         lhs = math.log(mu[q])
         rhs = eta_s * tau[q] * (1 - delta) if q in stable else -eta_u * tau[q] * (1 + delta)
-        if lhs > rhs + DWELL_TOL:
+        if exceeds(lhs, rhs):
             out.append(("dwell-linear", t, q, lhs, rhs))
     return Reports(*zip(*out))  # the columns of the rows
 
@@ -334,9 +331,9 @@ def _dwell_grid(cert, transforms, q, p, a) -> list[tuple[str, float, float]]:
     for lhs in diff.tolist():
         if not math.isfinite(lhs):
             out.append(("dwell-inconclusive", math.nan, math.nan))
-        elif stable and lhs > tau + DWELL_TOL:
+        elif stable and exceeds(lhs, tau):
             out.append(("dwell-condition", lhs, tau))
-        elif not stable and -lhs < tau - DWELL_TOL:
+        elif not stable and exceeds(tau, -lhs):
             out.append(("dwell-condition", tau, -lhs))
     return out
 
@@ -345,21 +342,27 @@ def dwell_slack_verdict(
     cert: Certificate, sig: SwitchingSignal
 ) -> tuple[float, float, bool, bool]:
     """The signal's dwell/leave slack and whether each fits the declared
-    constants: (mdadt_slack, mdalt_slack, fits T_S, fits T_U)."""
+    constants, relative to its times: (mdadt_slack, mdalt_slack, fits T_S, fits T_U)."""
     slack_s = mdadt_slack(sig, cert.partition, cert.dwell.tau)
     slack_u = mdalt_slack(sig, cert.partition, cert.dwell.tau)
-    return (slack_s, slack_u, slack_s <= cert.dwell.T_S + DWELL_TOL,
-            slack_u <= cert.dwell.T_U + DWELL_TOL)
+    size = max(abs(sig.t0), abs(sig.horizon))
+    return (slack_s, slack_u, not exceeds(slack_s, cert.dwell.T_S, size),
+            not exceeds(slack_u, cert.dwell.T_U, size))
 
 
 def check_decreasing_certificate(cert: Certificate) -> bool:
-    """True iff every flow rate is negative and every jump rate is
-    non-expansive (psi(s) <= s) at 64 log-spaced levels in [1e-6, 1e6]."""
+    """True iff every flow rate is negative and every jump rate has |psi(s)| <= s
+    on (0, inf): a magnitude affine between and beyond points (s_j, y_j), as a
+    linear or k = 1 power rate is on s = 1, 2, has it iff every y_j <= s_j and the
+    last slope is at most 1; a power rate of another k expands at 0 or inf."""
     if any(_constant_sign(rate) > 0 for rate in cert.phi.values()):
         return False
-    grid = np.logspace(-6, 6, 64)
-    return not any(np.any(rate.magnitude(grid) > grid * (1 + 1e-12))
-                   for rate in cert.psi.values())
+    for rate in cert.psi.values():
+        s, y = np.abs(rate.points or [(1.0, rate(1.0)), (2.0, rate(2.0))]).T
+        if (rate.kind == "power" and rate.k != 1.0 or exceeds(y, s).any()
+                or exceeds((y[-1] - y[-2]) / (s[-1] - s[-2]), 1.0)):
+            return False
+    return True
 
 
 def dissipation_to_implication(cert: Certificate) -> Certificate:
@@ -389,7 +392,7 @@ def dissipation_to_implication(cert: Certificate) -> Certificate:
             eta = (1 + delta) / (1 + 0.75 * delta) * eta_t
         mu_t = abs(cert.psi[p].eta)
         mu = math.exp(-delta * cert.dwell.tau[p] * eta / 4) * mu_t
-        if abs(eta - eta_t) < 1e-12 or abs(mu - mu_t) < 1e-12:
+        if abs(eta - eta_t) < DEGENERATE_GAP or abs(mu - mu_t) < DEGENERATE_GAP:
             raise DegenerateGapError(
                 f"mode {p}: converted rates coincide with the originals")
         factor = max(factor, 1.0 / (eta - eta_t), 1.0 / (mu - mu_t))

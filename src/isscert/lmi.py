@@ -2,9 +2,9 @@
 
 The matrix inequalities for quadratic certificates (flow dissipation and
 jump contraction blocks) are decided by checking that each assembled
-symmetric block matrix has no eigenvalue above a small tolerance relative
-to the block's spectral norm; the eigenvalues come from LAPACK through
-``numpy.linalg.eigvalsh``.  The flow blocks of all P modes and the jump
+symmetric block matrix has no eigenvalue that ``tolerance.exceeds`` puts
+above 0 relative to the block's spectral norm; the eigenvalues come from
+LAPACK through ``numpy.linalg.eigvalsh``.  The flow blocks of all P modes and the jump
 blocks of all Q admissible mode changes are built as one
 (P + Q, n + m, n + m) stack by batched products and decided by one
 eigenvalue call over the stack (``check_blocks``), so a check costs O(1)
@@ -29,9 +29,9 @@ from .certify import linear_dwell_conditions
 from .errors import AsymmetricError
 from .simulate import LinearSystemModel
 from .switching import DwellSpec, ModeChangeSet, ModePartition
+from .tolerance import exceeds
 
 SYMMETRY_TOL = 1e-12
-PSD_TOL = 1e-9
 GRAM_TOL = math.sqrt(np.finfo(float).eps)
 GRAM_STEPS = 8 * math.ceil(math.log2(-math.log2(np.finfo(float).eps)))
 
@@ -86,13 +86,13 @@ def eigenvalues(S) -> np.ndarray:
 jacobi_eigenvalues = eigenvalues
 
 
-def is_negative_semidefinite(S, tol: float = PSD_TOL):
-    """Largest eigenvalue test for S <= 0 with slack ``tol`` times S's
-    spectral norm: (ok, max eigenvalue) of a matrix, or the two as arrays
-    over a stack."""
+def is_negative_semidefinite(S):
+    """Largest eigenvalue test for S <= 0, relative to S's spectral norm
+    through ``exceeds``; a NaN eigenvalue fails: (ok, max eigenvalue) of a
+    matrix, or the two as arrays over a stack."""
     eigs = eigenvalues(S)
     top = eigs[..., -1]
-    ok = top <= tol * np.maximum(np.abs(eigs[..., 0]), np.abs(top))
+    ok = ~(exceeds(top, 0.0, np.abs(eigs).max(axis=-1)) | np.isnan(top))
     if eigs.ndim == 1:
         return bool(ok), float(top)
     return ok, top

@@ -28,6 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, OutOfImageError, SignAmbiguousError
+from .tolerance import exceeds
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -296,12 +297,8 @@ def envelope_check(
     """Sampled verification of lower(s) <= |rate_p(s)| <= upper(s) for all p,
     at 256 log-spaced levels s in [1e-6, 1e6]."""
     lo, hi = lower.magnitude(_ENVELOPE_GRID), upper.magnitude(_ENVELOPE_GRID)
-    for r in rates.values():
-        m = r.magnitude(_ENVELOPE_GRID)
-        slack = 1e-12 * np.maximum(1.0, m)
-        if not np.all((lo <= m + slack) & (m <= hi + slack)):
-            return False
-    return True
+    return not any(exceeds(lo, m).any() or exceeds(m, hi).any()
+                   for m in (r.magnitude(_ENVELOPE_GRID) for r in rates.values()))
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ import numpy as np
 
 from .errors import NonFiniteError, StepTooLargeError
 from .switching import SwitchingSignal
+from .tolerance import exceeds
 
 FINITE_LIMIT = 1e12
 
@@ -574,7 +575,7 @@ def simulate(
 
     Raises NonFinite (with the partial trajectory attached) once the state
     norm exceeds 1e12, and StepTooLarge when the step exceeds the shortest
-    inter-switch gap.
+    inter-switch gap, relative to the size of the signal's times.
     """
     return simulate_batch(model, sig, [x0], [input], step)[0]
 
@@ -609,7 +610,7 @@ def simulate_batch(
 
     bounds = [sig.t0, *sig.instants, sig.horizon]
     gaps = [b - a for a, b in zip(bounds, bounds[1:]) if b > a]
-    if gaps and step > min(gaps) + 1e-15:
+    if gaps and exceeds(step, min(gaps), max(abs(sig.t0), abs(sig.horizon))):
         raise StepTooLargeError(
             f"step {step} exceeds shortest inter-switch gap {min(gaps)}"
         )

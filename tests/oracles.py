@@ -81,6 +81,13 @@
   ``isscert.certify.linear_dwell_conditions`` claims for every signal that
   fits the dwell constants; ``periodic_cases`` draws the rates, jump
   factors, dwell data and signals.
+* The decreasing-certificate test on a grid: ``decreasing_on_grid`` samples
+  psi(s) <= s at 64 levels, the earlier library implementation kept as the
+  oracle of the closed form of
+  ``isscert.certify.check_decreasing_certificate``.
+* The tolerance rule for one pair of numbers: ``exceeds_scalar`` is what the
+  per-sample oracles above decide by, written apart from
+  ``isscert.tolerance.exceeds`` and sharing only its ``REL_TOL``.
 """
 
 import bisect
@@ -94,8 +101,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from isscert.bounds import ISS_REL_TOL, iss_check
-from isscert.certify import FORMS, JUMP_TOL, SANDWICH_TOL, linear_dwell_conditions
+from isscert.bounds import iss_check
+from isscert.certify import FORMS, linear_dwell_conditions
 from isscert.errors import DegenerateGammaError, DomainError, NonFiniteError, OutOfImageError
 from isscert.lmi import (
     Infeasible,
@@ -120,6 +127,14 @@ from isscert.simulate import (
 )
 from isscert import switching
 from isscert.switching import ModePartition, SwitchingSignal, active_time
+from isscert.tolerance import REL_TOL
+
+
+def exceeds_scalar(lhs: float, rhs: float) -> bool:
+    """The checks' tolerance rule for one pair of numbers, written apart
+    from ``isscert.tolerance.exceeds``: lhs > rhs + REL_TOL |rhs|, exact
+    where rhs is infinite; NaN never exceeds."""
+    return lhs > (rhs + REL_TOL * abs(rhs) if math.isfinite(rhs) else rhs)
 
 
 def _count(
@@ -327,7 +342,7 @@ def iss_rows(bound, traj, x0, input):
         rhs = bound.beta(r0, t - t0) + g
         lhs = float(np.linalg.norm(x))
         max_margin = max(max_margin, lhs - rhs)
-        if lhs > rhs * (1 + ISS_REL_TOL) + 1e-12:
+        if exceeds_scalar(lhs, rhs):
             out.append(_row("iss", t, mode, lhs, rhs))
     return out, max_margin
 
@@ -505,9 +520,9 @@ def _flow_reports(mode, ts, vs, allowed, threshold, dini_coeff):
 
 def _jump_report(time, mode, pre, post, threshold, bound, cap):
     """The jump rule at a jump out of ``mode``: post <= bound(mode, pre) where
-    pre >= threshold, post <= cap below it, up to JUMP_TOL (1 + |rhs|)."""
+    pre >= threshold, post <= cap below it, as ``exceeds_scalar`` decides."""
     kind, rhs = ("jump", bound(mode, pre)) if pre >= threshold else ("small-input-jump", cap)
-    return [_row(kind, time, mode, post, rhs)] if post > rhs + JUMP_TOL * (1 + abs(rhs)) else []
+    return [_row(kind, time, mode, post, rhs)] if exceeds_scalar(post, rhs) else []
 
 
 def trajectory_reports(cert, traj, input, form, dini_coeff):
@@ -527,9 +542,9 @@ def trajectory_reports(cert, traj, input, form, dini_coeff):
         for t, x, v in zip(ts, seg.states, vs):
             nx = float(np.linalg.norm(x))
             lo, hi = cert.alpha1(nx), cert.alpha2(nx)
-            if lo > v + SANDWICH_TOL * (1 + abs(v)):
+            if exceeds_scalar(lo, v):
                 sandwich.append(_row("sandwich", t, seg.mode, lo, v))
-            if v > hi + SANDWICH_TOL * (1 + abs(hi)):
+            if exceeds_scalar(v, hi):
                 sandwich.append(_row("sandwich", t, seg.mode, v, hi))
         flows += _flow_reports(seg.mode, ts, vs, allowed, threshold, dini_coeff)
         if k:
@@ -932,3 +947,15 @@ def periodic_dwell_bound(case):
         w.append(level)
         bound.append(constant - delta * (eta_s * t_stab + eta_u * t_unst) + c[modes[0]] - c[p])
     return sig, part, np.array(w), np.array(bound)
+
+
+def decreasing_on_grid(cert) -> bool:
+    """``isscert.certify.check_decreasing_certificate`` as it was sampled:
+    every flow rate negative at s = 1 and every jump rate non-expansive,
+    |psi(s)| <= s, at 64 log-spaced levels in [1e-6, 1e6], one level at a
+    time.  A necessary condition of the closed form, which decides all of
+    (0, inf)."""
+    if any(rate(1.0) > 0 for rate in cert.phi.values()):
+        return False
+    return not any(exceeds_scalar(rate.magnitude(s), s)
+                   for rate in cert.psi.values() for s in np.logspace(-6, 6, 64).tolist())

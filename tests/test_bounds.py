@@ -7,8 +7,9 @@ import pytest
 
 import isscert as iss
 from isscert import bounds
-from isscert.bounds import ISS_REL_TOL, iss_check, iss_check_batch, window_gains
+from isscert.bounds import iss_check, iss_check_batch, window_gains
 from isscert.errors import DegenerateGammaError, DomainError, ImageNotFullError, StructuralError
+from isscert.tolerance import REL_TOL
 
 from conftest import FAMILY_ENVELOPES, make_family_certificate, mismatches
 from oracles import iss_rows, reachability_runs, scalar_beta
@@ -357,7 +358,7 @@ class TestWindowGains:
         assert trajs[0].horizon == min(window, self.SIGNAL.horizon)
         for x0, inp, traj in zip(x0s, inputs, trajs):
             rhs = a * np.linalg.norm(x0) + b * inp.sup_norm
-            assert traj.sup_norm() <= rhs * (1 + ISS_REL_TOL)
+            assert traj.sup_norm() <= rhs * (1 + REL_TOL)
 
     @pytest.mark.parametrize("A, T", [(-0.7, 1.3), (0.0, 2.0), (0.9, 1.3), (2.5, 0.4)])
     def test_scalar_single_mode_closed_form(self, A, T):

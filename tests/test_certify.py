@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isscert as iss
-from isscert.certify import DEFAULT_DINI_COEFF, FORMS
+from isscert.certify import DEFAULT_DINI_COEFF, FORMS, dwell_slack_verdict
 from isscert.construct import decrease_check
 from isscert.errors import DegenerateGapError, SignAmbiguousError
 from isscert.simulate import Segment, Trajectory
@@ -315,6 +316,39 @@ class TestDecreasingCheck:
         cert = scalar_cert(eta=-1.0, psi_eta=1.5)
         assert not iss.check_decreasing_certificate(cert)
 
+    def test_an_expansion_beyond_any_grid_fails(self):
+        # 0.99 s^1.0001 > s only past 1.0101^10000, about 4e43.
+        cert = replace(scalar_cert(), psi={"a": iss.power_rate(0.99, 1.0001)})
+        assert oracles.decreasing_on_grid(cert)
+        assert not iss.check_decreasing_certificate(cert)
+
+    @pytest.mark.parametrize("psi, ok", [
+        (iss.linear_rate(-1.0), True),
+        (iss.linear_rate(1 + 1e-8), False),
+        (iss.power_rate(1.0, 1.0), True),
+        (iss.power_rate(-1 - 1e-8, 1.0), False),
+        (iss.power_rate(0.5, 2.0), False),  # expands above s = 2
+        (iss.power_rate(0.5, 0.5), False),  # expands below s = 1/4
+        (iss.tabulated_rate([(1.0, 0.5), (2.0, 1.5)]), True),  # last slope 1
+        (iss.tabulated_rate([(1.0, 1 + 1e-8), (2.0, 1.5)]), False),  # above s at s = 1
+        (iss.tabulated_rate([(1.0, 0.5), (2.0, 1.5), (3.0, 2.5 + 1e-8)]), False),  # slope
+    ])
+    def test_closed_form_per_rate_kind(self, psi, ok):
+        cert = replace(scalar_cert(), psi={"a": psi})
+        assert iss.check_decreasing_certificate(cert) == ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.floats(0.01, 2.0).map(iss.linear_rate),
+        st.builds(iss.power_rate, st.floats(0.01, 2.0), st.sampled_from([0.5, 1.0, 1.0001, 2.0])),
+        # Increments (ds, slope) of a table, through the origin below the first point.
+        st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.3, 1.2)), min_size=2, max_size=5)
+        .map(lambda steps: iss.tabulated_rate(zip(
+            np.cumsum([ds for ds, _ in steps]), np.cumsum([ds * m for ds, m in steps]))))))
+    def test_a_pass_passes_the_grid(self, psi):
+        cert = replace(scalar_cert(), psi={"a": psi})
+        assert not iss.check_decreasing_certificate(cert) or oracles.decreasing_on_grid(cert)
+
 
 class TestConversion:
     def test_frozen_rate(self):
@@ -463,7 +497,7 @@ def jump_trajectory(v_pre, v_post):
 
 
 class TestRelativeJumpTolerance:
-    """Jumps are flagged above rhs + JUMP_TOL (1 + |rhs|) in both the
+    """Jumps are flagged above rhs (1 + REL_TOL) in both the
     certificate checks and the decreasing-function check: at rhs = 1e3 a
     relative excess of 1e-10 passes and one of 1e-6 is flagged."""
 
@@ -504,3 +538,94 @@ class TestRelativeJumpTolerance:
         jumps = of_kind(reports, "jump")
         assert bool(jumps) == flagged
         assert jumps.rhs == pytest.approx([self.RHS] * len(jumps), rel=1e-3)
+
+
+class TestHomogeneity:
+    """On the rotation x' = [[-0.1, 1], [-1, -0.1]] x with the jump x+ = x/2
+    at t = 1, V = x'x and power-2 comparison functions, every rule is
+    homogeneous in x0, so each kind has the same rows from c (0.3, 0.4)
+    whatever c is: none for the true certificate, and all of them for a
+    break of 1e-6 relative planted in psi or in alpha2."""
+
+    MODEL = iss.LinearSystemModel(A={"a": [[-0.1, 1.0], [-1.0, -0.1]]}, B={"a": [[0.0], [0.0]]},
+                                  J={"a": [[0.5, 0.0], [0.0, 0.5]]}, H={"a": [[0.0], [0.0]]})
+    SIGNAL = iss.SwitchingSignal(0.0, (1.0,), ("a", "a"), 2.0)
+
+    def certificate(self, psi_eta=0.25, alpha2_c=1.0):
+        square = iss.power_cf(1.0, 2.0)
+        return iss.Certificate(
+            V={"a": iss.quadratic_v(np.eye(2))},
+            alpha1=square,
+            alpha2=iss.power_cf(alpha2_c, 2.0),
+            alpha3=square,
+            chi=square,
+            phi={"a": iss.linear_rate(-0.1)},
+            psi={"a": iss.linear_rate(psi_eta)},
+            partition=iss.ModePartition(frozenset({"a"}), frozenset()),
+            dwell=iss.DwellSpec({"a": 1.0}, 0.2),
+        )
+
+    @pytest.mark.parametrize("c", [10.0**k for k in range(-4, 6)])
+    @pytest.mark.parametrize("planted, rows", [
+        ({}, {}),
+        ({"psi_eta": 0.25 * (1 - 1e-6)}, {"jump": 1}),
+        ({"alpha2_c": 1 - 1e-6}, {"sandwich": 2002}),
+    ], ids=["true", "psi", "alpha2"])
+    def test_rows_per_kind_do_not_depend_on_the_scale(self, c, planted, rows):
+        traj = iss.simulate(self.MODEL, self.SIGNAL, [0.3 * c, 0.4 * c], iss.zero_input(), 1e-3)
+        reports = iss.check_trajectory(self.certificate(**planted), traj, iss.zero_input())
+        assert Counter(reports.kind.tolist()) == rows
+
+
+class TestLooserDwellSlack:
+    """The dwell rule and the slack verdict compare relative to their own
+    size, looser than the former absolute 1e-9 above 1, and still catch a
+    break of 1e-8 relative there."""
+
+    @pytest.mark.parametrize("excess, flagged", [(0.0, False), (1e-8, True)])
+    def test_linear_rule(self, excess, flagged):
+        # ln mu = 10 (1 + excess) against eta_S tau (1 - delta) = 10.
+        reports = iss.linear_dwell_conditions({"a": -10.0}, {"a": math.exp(10.0 * (1 + excess))},
+                                              iss.ModePartition(frozenset({"a"}), frozenset()),
+                                              {"a": 1.0}, 0.0, {"a": 1.0})
+        assert bool(reports) == flagged
+
+    @pytest.mark.parametrize("stable", [True, False])
+    @pytest.mark.parametrize("excess, flagged", [(0.0, False), (1e-8, True)])
+    def test_sampled_rule(self, stable, excess, flagged):
+        # Phi = ln(v) / 2 (a power rate with k = 1), so Phi(psi(a)) - Phi(a)
+        # = ln(mu) / 2 at every level: out of a stable mode it may reach
+        # tau (1 - delta) = 10, out of an unstable one it must stay at most
+        # -tau (1 + delta) = -30; the excess moves it past by 1e-8 relative.
+        sign = -1.0 if stable else 1.0
+        limit = 10.0 if stable else 30.0
+        modes = frozenset({"a"})
+        cert = iss.Certificate(
+            V={"a": iss.quadratic_v([[1.0]])},
+            alpha1=iss.power_cf(1.0, 2.0),
+            alpha2=iss.power_cf(1.0, 2.0),
+            alpha3=iss.power_cf(1.0, 2.0),
+            chi=iss.power_cf(1.0, 2.0),
+            phi={"a": iss.power_rate(2.0 * sign, 1.0)},
+            psi={"a": iss.linear_rate(math.exp(-2 * sign * limit * (1 - sign * excess)))},
+            partition=iss.ModePartition(modes if stable else frozenset(),
+                                    frozenset() if stable else modes),
+            dwell=iss.DwellSpec({"a": 20.0}, 0.5),
+        )
+        sig = iss.SwitchingSignal(0.0, (1.0,), ("a", "a"), 2.0)
+        reports = iss.check_dwell_conditions(cert, sig, [1.0])
+        assert set(reports.kind) == ({"dwell-condition"} if flagged else set())
+
+    @pytest.mark.parametrize("excess, fits", [(0.0, True), (1e-10, True), (1e-8, False)])
+    def test_slack_verdict_scales_with_the_times(self, excess, fits):
+        # Slack beyond T_S by 1e-10 of the largest |t| fits, though it is
+        # more than 1e-9 of T_S; by 1e-8 of it, it does not.
+        sig = iss.SwitchingSignal(1000.0, (1000.5,), ("a", "b"), 1001.0)
+        part = iss.ModePartition(frozenset({"a", "b"}), frozenset())
+        tau = {"a": 2.0, "b": 2.0}
+        slack = iss.mdadt_slack(sig, part, tau)
+        cert = replace(scalar_cert(), V={p: iss.quadratic_v([[1.0]]) for p in "ab"},
+                       phi={p: iss.linear_rate(-1.0) for p in "ab"},
+                       psi={p: iss.linear_rate(0.5) for p in "ab"}, partition=part,
+                       dwell=iss.DwellSpec(tau, 0.5, slack - excess * 1001.0, 0.0))
+        assert dwell_slack_verdict(cert, sig)[2] == fits

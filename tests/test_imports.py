@@ -147,3 +147,42 @@ def test_bench_tracer_restores_what_it_patches():
     finally:
         tracer.uninstall()
     assert tracer._patches == [] and bindings() == before
+
+
+# Module-level names ending in _TOL that are not check tolerances.
+NOT_CHECK_TOLERANCES = {("lmi", "SYMMETRY_TOL"), ("lmi", "GRAM_TOL")}
+
+
+def _small_literals(node):
+    """The float literals 0 < |x| < 1e-6 of an operand: the operand itself or
+    one reached through arithmetic (unary and binary operators)."""
+    if isinstance(node, ast.Constant) and type(node.value) is float:
+        return [node.value] if 0 < abs(node.value) < 1e-6 else []
+    if isinstance(node, ast.UnaryOp):
+        return _small_literals(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _small_literals(node.left) + _small_literals(node.right)
+    return []
+
+
+def test_tolerances_are_defined_only_in_the_tolerance_module():
+    """Outside ``tolerance.py`` no comparison adds a small epsilon of its own
+    and no module defines a ``*_TOL`` constant other than the two of
+    ``lmi`` that are not check tolerances, so every check keeps deciding
+    through ``tolerance.exceeds``."""
+    found = []
+    for path in sorted((ROOT / "src" / "isscert").glob("*.py")):
+        if path.name == "tolerance.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                small = [x for operand in (node.left, *node.comparators)
+                         for x in _small_literals(operand)]
+                found += [f"{path.name}:{node.lineno}: compares with {x}" for x in small]
+        names = [target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name)]
+        found += [f"{path.name}: defines {name}" for name in names
+                  if name.endswith("_TOL") and (path.stem, name) not in NOT_CHECK_TOLERANCES]
+    assert found == []

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 import isscert as iss
 import oracles
 from isscert.errors import AsymmetricError
-from isscert.lmi import PSD_TOL
+from isscert.tolerance import REL_TOL
 
 
 def scalar_system(a=-1.0, b=1.0, j=0.5, h=0.0):
@@ -74,7 +74,7 @@ class TestSemidefiniteTolerance:
             ok, top = iss.is_negative_semidefinite((S + S.T) / 2)
             assert ok
             tops.append(top)
-        assert max(tops) > PSD_TOL
+        assert max(tops) > REL_TOL
 
     def test_exact_tiny_eigenvalue_accepted(self):
         ok, top = iss.is_negative_semidefinite(np.diag([-1e8, 5e-9]))
@@ -88,6 +88,13 @@ class TestSemidefiniteTolerance:
 
     def test_zero_block_accepted(self):
         assert iss.is_negative_semidefinite(np.zeros((2, 2))) == (True, 0.0)
+
+    def test_nan_top_eigenvalue_rejected(self):
+        # An infinite entry leaves LAPACK with NaN eigenvalues, which never
+        # exceed anything, and still fail.
+        with np.errstate(invalid="ignore"):
+            ok, top = iss.is_negative_semidefinite(np.diag([math.inf, -1.0]))
+        assert not ok and math.isnan(top)
 
 
 class TestFlowBlock:

@@ -92,6 +92,12 @@ class TestEnvelopeCheck:
         rates = {"a": iss.linear_rate(-1.0), "b": iss.linear_rate(2.0)}
         assert not iss.envelope_check(rates, iss.linear_rate(1.5), iss.linear_rate(2.0))
 
+    @pytest.mark.parametrize("excess", [1e-8, -1e-8])
+    def test_a_relative_break_of_1e_8_is_caught(self, excess):
+        # |rate| = 3 (1 + excess) s leaves the envelope [3 s, 3 s].
+        rate = iss.linear_rate(-3.0 * (1 + excess))
+        assert not iss.envelope_check({"p": rate}, iss.linear_rate(3.0), iss.linear_rate(3.0))
+
 
 class TestEnvelopeTransfer:
     def test_transform_difference_ordering(self):

@@ -158,6 +158,22 @@ class TestGuards:
         with pytest.raises(StepTooLargeError):
             iss.simulate(scalar_model(), sig, [1.0], iss.zero_input(), 0.2)
 
+    @pytest.mark.parametrize("t0", [0.0, 10.0, 1000.0])
+    def test_step_check_is_relative_to_the_signal_times(self, t0):
+        # At t0 = 1000 the gap 1000.3 - 1000.2 rounds to 0.0999999999999;
+        # a step of 0.1 still fits it, one step per segment.
+        sig = iss.SwitchingSignal(t0, (t0 + 0.1, t0 + 0.2, t0 + 0.3), ("a",) * 4, t0 + 0.4)
+        traj = iss.simulate(scalar_model(), sig, [1.0], iss.zero_input(), 0.1)
+        assert [len(seg.times) for seg in traj.segments] == [2] * 4
+        with pytest.raises(StepTooLargeError):
+            iss.simulate(scalar_model(), sig, [1.0], iss.zero_input(), 0.2)
+
+    def test_a_step_past_the_time_scaled_slack_is_refused(self):
+        # The slack is 1e-9 of the largest |t|: 1e-6 here, and 1e-5 is past it.
+        sig = iss.SwitchingSignal(1000.0, (1000.5,), ("a", "a"), 1001.0)
+        with pytest.raises(StepTooLargeError):
+            iss.simulate(scalar_model(), sig, [1.0], iss.zero_input(), 0.5 + 1e-5)
+
     def test_non_finite_partial(self):
         model = iss.SystemModel(
             flows={"a": lambda t, x, u: x**2},
