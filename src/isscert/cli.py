@@ -174,15 +174,15 @@ def cmd_lmi(cfg, out: Path, seed: int) -> int:
             jsonio.write_json(out / "verdict.json", {
                 "infeasible": True,
                 "reason": result.reason,
-                "details": {k: _jsonable(v) for k, v in result.details.items()},
+                "details": result.details,
             })
             return EXIT_INFEASIBLE
         qc = result
         jsonio.write_json(out / "certificate.json", {
-            "M": {p: m.tolist() for p, m in qc.M.items()},
-            "Q": {p: m.tolist() for p, m in qc.Q.items()},
-            "eta": dict(qc.eta),
-            "mu": dict(qc.mu),
+            "M": qc.M,
+            "Q": qc.Q,
+            "eta": qc.eta,
+            "mu": qc.mu,
             "lambda_max": qc.lambda_max,
         })
 
@@ -200,14 +200,6 @@ def cmd_lmi(cfg, out: Path, seed: int) -> int:
     all_ok = all(v["ok"] for v in flow.values()) and all(v["ok"] for v in jump.values()) \
         and not rates
     return EXIT_OK if all_ok else EXIT_VIOLATIONS
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, tuple):
-        return list(v)
-    return v
 
 
 _COMMANDS = {

@@ -18,15 +18,20 @@ correctly rounded power of ten, and a cell that is not finite, lies
 beyond 10^+-290, or whose rounding lies within that product's error bound
 of about 5e-15 (a true tie, such as 2^-25) goes through ``'%.17g'`` on its
 own.  Smaller files, and text that is not ASCII, go through one ``%``
-template per row.  The bytes are the same either way.  ``write_json``
-writes strict JSON: a float that is not finite becomes the string that
-``'%.17g'`` prints for it.
+template per row.  The bytes are the same either way.  Every JSON file
+goes through ``write_json``, whose bytes are exactly those of
+``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, but strict: a
+float that is not finite is written as the string that ``'%.17g'`` prints
+for it.  It takes NumPy arrays as their ``tolist()`` and prints each row of
+a finite float64 matrix with one C-level join of ``float.__repr__`` texts,
+without ``json``'s pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -461,23 +466,60 @@ def write_reports_csv(path, reports):
 
 
 def write_json(path, obj):
-    """``obj`` as strict JSON: a float that is not finite, for which JSON has
-    no literal, is written as the string ``'%.17g'`` prints for it in the
-    CSV files (``"inf"``, ``"-inf"`` or ``"nan"``)."""
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_finite_floats(obj), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n")
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` prints it,
+    plus a newline, but strict: a float that is not finite, for which JSON
+    has no literal, is written as the string ``'%.17g'`` prints for it in
+    the CSV files (``"inf"``, ``"-inf"`` or ``"nan"``).  A NumPy array is
+    written as its ``tolist()``."""
+    Path(path).write_text(_json_text(obj, "") + "\n")
 
 
-def _finite_floats(obj):
-    """``obj`` with every float that is not finite replaced by its ``'%.17g'``
-    text."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "%.17g" % obj
-    if isinstance(obj, dict):
-        return {k: _finite_floats(v) for k, v in obj.items()}
+def _json_text(obj, pad: str) -> str:
+    """``obj`` printed at indent ``pad``, type by type in ``json``'s order:
+    strings and keys (which must be strings) through ``json``'s own ASCII
+    escaper, ints through ``int.__repr__`` and floats through
+    ``float.__repr__``, as ``json.dumps`` prints them."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        # Only inf, -inf and nan have an "n", and their '%.17g' is their repr.
+        return text if "n" not in text else f'"{text}"'
+    inner = pad + "  "
     if isinstance(obj, (list, tuple)):
-        return [_finite_floats(v) for v in obj]
-    return obj
+        return _bracket("[]", [_json_text(v, inner) for v in obj], pad)
+    if isinstance(obj, dict):
+        # The escaper raises TypeError on a key that is not a string.
+        return _bracket("{}", [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                               for k, v in sorted(obj.items())], pad)
+    if isinstance(obj, np.ndarray):
+        return _array_text(obj, pad)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _bracket(ends: str, items: list[str], pad: str) -> str:
+    """The printed ``items`` between the two characters of ``ends``, one a
+    line at indent ``pad`` plus two spaces."""
+    if not items:
+        return ends
+    inner = pad + "  "
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+
+
+def _array_text(a: np.ndarray, pad: str) -> str:
+    """A finite float64 matrix printed a row at a time, each row one C-level
+    join of ``float.__repr__`` texts.  Any other array is printed as its
+    ``tolist()``."""
+    if a.dtype != np.float64 or a.ndim != 2 or not np.isfinite(a).all():
+        return _json_text(a.tolist(), pad)
+    inner = pad + "  "
+    rows = [_bracket("[]", list(map(float.__repr__, row)), inner) for row in a.tolist()]
+    return _bracket("[]", rows, pad)

@@ -73,13 +73,17 @@ def _lyapunov_gram(A: np.ndarray) -> np.ndarray:
 
 def eigenvalues(S) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
-    stack, in one LAPACK ``eigvalsh`` call."""
+    stack, in one LAPACK ``eigvalsh`` call; every eigenvalue of a matrix with
+    an entry that is not finite is NaN (LAPACK gives 0 and -0 for
+    diag(NaN, -1))."""
     A = np.asarray(S, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix must be square")
     if _asymmetric(A).any():
         raise AsymmetricError("matrix is not symmetric within tolerance")
-    return np.linalg.eigvalsh((A + _t(A)) / 2)
+    eigs = np.linalg.eigvalsh((A + _t(A)) / 2)
+    eigs[~np.isfinite(A).all(axis=(-2, -1))] = np.nan
+    return eigs
 
 
 # The name under which bench/tracing.py groups the eigenvalue calls.
@@ -101,7 +105,7 @@ def is_negative_semidefinite(S):
 def _definite(name: str, mats: Mapping) -> tuple[dict, np.ndarray]:
     """``mats`` as float arrays and the ascending eigenvalues of their stack;
     the first mode, in order, that is not symmetric or not positive definite
-    raises."""
+    (a NaN eigenvalue included) raises."""
     mats = {p: np.asarray(mat, dtype=float) for p, mat in mats.items()}
     modes = list(mats)
     stack = np.stack(list(mats.values()))
@@ -110,7 +114,7 @@ def _definite(name: str, mats: Mapping) -> tuple[dict, np.ndarray]:
     asym = np.flatnonzero(_asymmetric(stack))
     k = int(asym[0]) if asym.size else len(modes)
     eigs = eigenvalues(stack[:k])
-    bad = np.flatnonzero(eigs[:, 0] <= 0)
+    bad = np.flatnonzero(~(eigs[:, 0] > 0))
     if bad.size:
         raise ValueError(f"{name}[{modes[bad[0]]}] must be positive definite")
     if k < len(modes):

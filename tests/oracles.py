@@ -29,6 +29,14 @@
   call: the earlier ``write_csv`` kept verbatim as the reference for the
   column formatter of ``isscert.csvtext`` and as the baseline that
   ``tools/time_csv.py`` times it against.
+* The JSON writer through the standard library: ``json_dumps`` is
+  ``json.dumps(obj, indent=2, sort_keys=True)`` after ``finite_floats``
+  has replaced every float that is not finite by its ``'%.17g'`` string
+  and every NumPy array by its ``tolist()``: the earlier
+  ``isscert.jsonio.write_json`` (which converted no arrays; its callers
+  did), kept as the oracle for the joined rows of the writer that
+  replaced it and as the baseline that ``tools/time_json.py`` times it
+  against.
 * The trajectory checks per sample: ``trajectory_reports``, a loop over the
   segments with one rate-function call per sample, and ``decrease_rows``,
   one ``compose`` call per sample, each report one
@@ -91,6 +99,7 @@
 """
 
 import bisect
+import json
 import math
 import sys
 from pathlib import Path
@@ -596,6 +605,30 @@ def write_csv_template(path, header, columns):
     lines = [",".join(header)]
     lines += [template % row for row in zip(*(c.tolist() for c in columns))]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def finite_floats(obj):
+    """``obj`` with every float that is not finite replaced by its ``'%.17g'``
+    text and every array by its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return finite_floats(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "%.17g" % obj
+    if isinstance(obj, dict):
+        return {k: finite_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [finite_floats(v) for v in obj]
+    return obj
+
+
+def json_dumps(obj) -> str:
+    """The text of the earlier ``jsonio.write_json``, without its newline."""
+    return json.dumps(finite_floats(obj), indent=2, sort_keys=True)
+
+
+def write_json_dumps(path, obj):
+    """The earlier ``jsonio.write_json``: ``json_dumps`` and a newline."""
+    Path(path).write_text(json_dumps(obj) + "\n")
 
 
 def _sample_inputs(D, m, horizon_mid, rng):

@@ -522,8 +522,21 @@ class TestLmi:
         cfg["lmi"]["mode"] = "synth"
         code, out = run(tmp_path, "lmi", cfg)
         assert code == 5
-        verdict = json.loads((out / "verdict.json").read_text())
-        assert verdict["infeasible"]
+        assert (out / "verdict.json").read_text() == (
+            '{\n  "details": {\n    "mode": "s",\n    "spectral_abscissa": 0.0\n  },\n'
+            '  "infeasible": true,\n  "reason": "mode s declared stable but not Hurwitz"\n}\n')
+
+    def test_synth_infeasible_pair_written_as_a_list(self, tmp_path, monkeypatch):
+        from isscert import lmi
+        monkeypatch.setattr(cli, "synthesize", lambda *args: lmi.Infeasible(
+            "jump block infeasible", {"pair": ("u", "s"), "max_eig": 0.5}))
+        cfg = self._base()
+        cfg["lmi"]["mode"] = "synth"
+        code, out = run(tmp_path, "lmi", cfg)
+        assert code == cli.EXIT_INFEASIBLE
+        assert (out / "verdict.json").read_text() == (
+            '{\n  "details": {\n    "max_eig": 0.5,\n    "pair": [\n      "u",\n      "s"\n'
+            '    ]\n  },\n  "infeasible": true,\n  "reason": "jump block infeasible"\n}\n')
 
     def test_verify_roundtrip(self, tmp_path):
         cfg = self._base()
@@ -588,9 +601,11 @@ class TestLmi:
         cfg["lmi"]["mode"] = "synth"
         code, out = run(tmp_path, "lmi", cfg)
         assert code == cli.EXIT_INFEASIBLE
-        verdict = json.loads((out / "verdict.json").read_text())
+        text = (out / "verdict.json").read_text()
+        verdict = json.loads(text)
         assert verdict["infeasible"] and verdict["details"]["mode"] == "s"
         assert verdict["details"]["condition"] > 1e12
+        assert text == oracles.json_dumps(verdict) + "\n"
 
 
     def test_synth_decides_its_blocks_once(self, tmp_path, monkeypatch):

@@ -96,6 +96,20 @@ class TestSemidefiniteTolerance:
             ok, top = iss.is_negative_semidefinite(np.diag([math.inf, -1.0]))
         assert not ok and math.isnan(top)
 
+    def test_nan_entry_rejected(self):
+        # LAPACK's eigvalsh gives 0 and -0 for diag(NaN, -1), which would pass.
+        ok, top = iss.is_negative_semidefinite(np.diag([math.nan, -1.0]))
+        assert not ok and math.isnan(top)
+        assert np.isnan(iss.eigenvalues(np.diag([math.nan, -1.0]))).all()
+
+    def test_only_the_non_finite_matrix_of_a_stack_fails(self):
+        S = np.stack([-np.eye(2), np.diag([math.nan, -1.0]), np.diag([-1.0, -2.0]),
+                      np.diag([-1.0, math.inf])])
+        with np.errstate(invalid="ignore"):
+            ok, top = iss.is_negative_semidefinite(S)
+        assert ok.tolist() == [True, False, True, False]
+        assert top[[0, 2]].tolist() == [-1.0, -1.0] and np.isnan(top[[1, 3]]).all()
+
 
 class TestFlowBlock:
     def test_scalar_feasible(self):
@@ -131,6 +145,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             iss.QuadraticCertificate(M={"a": [[0.0]]}, Q={"a": [[1.0]]},
                                      eta={"a": -1.0}, mu={"a": 1.0})
+
+    @pytest.mark.parametrize("name", ["M", "Q"])
+    def test_nan_entry_is_not_positive_definite(self, name):
+        # Its eigenvalues are NaN, which a test for <= 0 would let through.
+        good = {"a": np.eye(2), "b": np.eye(2)}
+        bad = {"a": np.eye(2), "b": np.diag([math.nan, 1.0])}
+        one = {"a": 1.0, "b": 1.0}
+        mats = {"M": bad, "Q": good} if name == "M" else {"M": good, "Q": bad}
+        with pytest.raises(ValueError, match=rf"{name}\[b\] must be positive definite"):
+            iss.QuadraticCertificate(mats["M"], mats["Q"], one, one)
 
     def test_symmetric_required(self):
         with pytest.raises(AsymmetricError):
