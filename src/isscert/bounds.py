@@ -216,10 +216,13 @@ def iss_check_batch(bound: IssBound, trajs, x0s, inputs) -> tuple[Reports, float
     The reports come run after run, each run's in sample order.  ``gamma``
     is called once for every run's sup norm, and ``beta`` once per block of
     runs with at most ``ISS_BLOCK_CELLS`` samples in all (at least one run),
-    over the block's (runs, samples) array.  ``trajs`` is iterated once and
-    each run is let go of once its norms are taken, so an iterator that
-    drops the runs it yields keeps one run's samples alive beside the
-    block's arrays.  A sample fails where ``exceeds`` puts its norm above."""
+    over the block's (runs, samples) array.  The times and modes are the
+    first run's ``samples``; every run's norms are taken segment by segment
+    into its row of the block, without building its ``samples``.  ``trajs``
+    is iterated once and each run is let go of once its norms are taken, so
+    an iterator that drops the runs it yields keeps only the block's arrays
+    and the first run's times and modes alive.  A sample fails where
+    ``exceeds`` puts its norm above."""
     if len(x0s) != len(inputs):
         raise ValueError("one input per initial state")
     r0 = np.array([np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))) for x0 in x0s])
@@ -243,8 +246,10 @@ def iss_check_batch(bound: IssBound, trajs, x0s, inputs) -> tuple[Reports, float
         # a smaller array, hence the broadcast.
         rhs = np.broadcast_to(bound.beta(r0[at, None], elapsed) + g[at, None],
                               (at.stop - at.start, n))
-        lhs = np.stack([np.linalg.norm(traj.samples[1], axis=1)
-                        for traj in itertools.islice(runs, len(rhs))])
+        lhs = np.empty(rhs.shape)
+        for row, traj in zip(lhs, itertools.islice(runs, len(rhs))):
+            np.concatenate([np.linalg.norm(seg.states, axis=1) for seg in traj.segments],
+                           out=row)
         # fmax skips NaN margins, as a running max() over floats does.
         max_margin = max(max_margin, float(np.fmax.reduce(lhs - rhs, axis=None,
                                                            initial=-math.inf)))

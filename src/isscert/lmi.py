@@ -43,10 +43,12 @@ def _t(S: np.ndarray) -> np.ndarray:
 
 def _asymmetric(S: np.ndarray) -> np.ndarray:
     """Per matrix of a stack: asymmetry above ``SYMMETRY_TOL`` relative to
-    its largest entry (at least 1)."""
+    its largest entry (at least 1).  An infinite entry gives NaN (inf - inf)
+    without a warning, hence no asymmetry: `eigenvalues` marks the matrix."""
     largest = np.abs(S).max(axis=(-2, -1), initial=0.0)
-    return np.abs(S - _t(S)).max(axis=(-2, -1), initial=0.0) > \
-        SYMMETRY_TOL * np.maximum(1.0, largest)
+    with np.errstate(invalid="ignore"):
+        asymmetry = np.abs(S - _t(S)).max(axis=(-2, -1), initial=0.0)
+    return asymmetry > SYMMETRY_TOL * np.maximum(1.0, largest)
 
 
 def _lyapunov_gram(A: np.ndarray) -> np.ndarray:
@@ -81,7 +83,8 @@ def eigenvalues(S) -> np.ndarray:
         raise ValueError("matrix must be square")
     if _asymmetric(A).any():
         raise AsymmetricError("matrix is not symmetric within tolerance")
-    eigs = np.linalg.eigvalsh((A + _t(A)) / 2)
+    with np.errstate(invalid="ignore"):  # inf + -inf: the matrix is marked below
+        eigs = np.linalg.eigvalsh((A + _t(A)) / 2)
     eigs[~np.isfinite(A).all(axis=(-2, -1))] = np.nan
     return eigs
 

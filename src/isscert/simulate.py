@@ -19,8 +19,13 @@ forced response Y from a zero start does not depend on x_start.  When the
 loop over the segments first reaches a group, each run samples its input
 once over all the group's segments, and Y_{i+1} = P Y_i + F_i is solved
 for every run and segment at once as a doubling prefix scan (Kogge &
-Stone 1973; Blelloch 1990): log2 N whole-array passes, runs and segments
-on the leading axes.  The loop itself only carries the runs from each
+Stone 1973; Blelloch 1990): log2 N whole-array passes over a group's
+(R, S, N + 1, n) array.  At n = 1 that array is laid out (S, N + 1, R) in
+memory, the runs innermost, so each pass is S contiguous loops over the
+samples of all runs.  At n > 1 each run's (N + 1, n) block stays
+contiguous for its own (N, n) @ (n, n) products: the runs-innermost
+layout is slower there, and one product over all runs would make a run's
+bits depend on R.  The loop itself only carries the runs from each
 segment's start to its end, P^N x_start + Y_N, and across the jump,
 J x + H u: a few (n, n) products per segment for all runs together.
 Last, each group adds its free responses P^i x_start (log2 N doubling
@@ -31,13 +36,13 @@ temporaries of one group at a time.  G is
 at most the number of distinct (mode, N), so it stops growing with K once
 the step counts repeat; when every segment has its own N, G = K + 1 and
 the group overhead is paid per segment.  Each run's and segment's
-products have the same shapes whatever R and S are, so a run's states are
-the same bits in a batch as alone, and a segment's the same as when it is
-simulated alone from its start (unless a power of P overflows sooner for
-another step size of its mode than for its own: the powers stop at the
-first overflow in the mode, which moves the scan's chunks).  ``simulate``
-is the batch of one run.  A
-general SystemModel is stepped through its flow callables, run by run.
+products have the same shapes whatever R and S are, and are elementwise
+at n = 1, so a run's states are the same bits in a batch as alone, and a
+segment's the same as when it is simulated alone from its start (unless
+a power of P overflows sooner for another step size of its mode than for
+its own: the powers stop at the first overflow in the mode, which moves
+the scan's chunks).  ``simulate`` is the batch of one run.  A general
+SystemModel is stepped through its flow callables, run by run.
 """
 
 from __future__ import annotations
@@ -311,27 +316,39 @@ def _doubling_powers(powers, n_steps):
     return powers
 
 
+def _group_array(runs, n_segments, length, n):
+    """An uninitialised (runs, n_segments, length, n) array, the runs axis
+    innermost in memory at n = 1 and each run's block contiguous at n > 1,
+    for the reasons the module docstring gives."""
+    if n == 1:
+        return np.empty((n_segments, length, runs, 1)).transpose(2, 0, 1, 3)
+    return np.empty((runs, n_segments, length, n))
+
+
 def _forced_responses(maps_t, powers_t, times, inputs):
     """The forced responses from a zero start of S segments that share one
     step count N, for every run: the (R, S, N + 1, n) solutions of Y_0 = 0,
-    Y_{i+1} = P Y_i + F_i on the S grids ``times``, with the runs and the
-    segments on the leading axes.  States are rows, so the products take
-    transposes: ``maps_t`` holds P^T, G0^T, Gm^T and G1^T and ``powers_t``
-    those of `_doubling_powers`, each stacked over the segments.  Run j's
-    forcing comes from one ``sample`` call of its own input; the recurrence
-    is solved by one `_scan`."""
+    Y_{i+1} = P Y_i + F_i on the S grids ``times``, in a `_group_array`
+    (the runs innermost in memory at n = 1).  States are rows, so the
+    products take transposes: ``maps_t`` holds P^T, G0^T, Gm^T and G1^T and
+    ``powers_t`` those of `_doubling_powers`, each stacked over the
+    segments.  Run j's forcing comes from one ``sample`` call of its own
+    input, summed in one contiguous buffer and stored once (at n = 1 its
+    slot of Y is strided); the recurrence is solved by one `_scan`."""
     P_t, G0_t, Gm_t, G1_t = maps_t
     (n_segments, n_times), n = times.shape, P_t.shape[-1]
     n_steps = n_times - 1
     # Each grid, then its midpoints t_i + (t_{i+1} - t_i) / 2.
     u_at = np.concatenate([times, times[:, :-1] + (times[:, 1:] - times[:, :-1]) / 2], axis=1)
-    Y = np.empty((len(inputs), n_segments, n_times, n))
+    Y = _group_array(len(inputs), n_segments, n_times, n)
     Y[:, :, 0] = 0.0
+    F = np.empty((n_segments, n_steps, n))
     for j, inp in enumerate(inputs):
         u = inp.sample(u_at.ravel()).reshape(n_segments, 2 * n_steps + 1, -1)
-        F = _matmul(u[:, :n_steps], G0_t, out=Y[j, :, 1:])
+        _matmul(u[:, :n_steps], G0_t, out=F)
         F += _matmul(u[:, n_times:], Gm_t)
         F += _matmul(u[:, 1:n_times], G1_t)
+        Y[j, :, 1:] = F
     _scan(Y, P_t, powers_t)
     return Y
 
@@ -342,11 +359,12 @@ def _scan(Y, P_t, powers_t):
     doubling prefix scan (Kogge & Stone 1973): the pass for s = 1, 2, 4,
     ... adds P^s Y_{i-s} to every Y_i with i > s, one stacked product that
     is the same (N - s, n) @ (n, n) for every leading index, whatever the
-    leading shape.  ``P_t`` and ``powers_t`` stack the transposes of each
-    segment's P and `_doubling_powers`.  The scan runs in chunks of twice
-    the largest finite power, each with the P Y of the chunk before folded
-    into its first row, so an overflowing power never meets a zero state as
-    0 * inf."""
+    leading shape; ``products`` keeps ``Y``'s memory order, so at n = 1 a
+    pass is one contiguous loop per segment.  ``P_t`` and ``powers_t`` stack
+    the transposes of each segment's P and `_doubling_powers`.  The scan
+    runs in chunks of twice the largest finite power, each with the P Y of
+    the chunk before folded into its first row, so an overflowing power
+    never meets a zero state as 0 * inf."""
     n_steps = Y.shape[-2] - 1
     span = 2 ** len(powers_t)
     products = np.empty_like(Y[..., 1:min(n_steps, span) + 1, :])
@@ -360,13 +378,15 @@ def _scan(Y, P_t, powers_t):
 
 
 def _free_responses(powers_t, starts, length):
-    """P^i x for i < ``length`` and every start x in the (..., S, n) array
+    """P^i x for i < ``length`` and every start x in the (R, S, n) array
     ``starts``, with ``powers_t`` the transposes of `_doubling_powers`
-    stacked over the S segments, as a (..., S, length, n) array filled by
-    doubling: the block from row 2^k on is the block before it times
-    P^(2^k).  Past the largest finite power the blocks repeat its exponent,
-    so a zero entry is never multiplied by an infinite one."""
-    out = np.empty((*starts.shape[:-1], length, starts.shape[-1]))
+    stacked over the S segments, as an (R, S, length, n) `_group_array`,
+    laid out as the forced responses it is added to, filled by doubling:
+    the block from row 2^k on is the block before it times P^(2^k).  Past
+    the largest finite power the blocks repeat its exponent, so a zero
+    entry is never multiplied by an infinite one."""
+    runs, n_segments, n = starts.shape
+    out = _group_array(runs, n_segments, length, n)
     out[..., 0, :] = starts
     i = 1
     while i < length:

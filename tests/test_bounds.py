@@ -267,6 +267,25 @@ class TestCertifyIss:
             assert mismatches(margin, max(m for _, m in loops)) == []
         assert len(reports) > runs  # the tight bound reports samples of every run
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_batch_norms_are_those_of_the_samples(self, family_signal, n):
+        # The check takes each run's norms segment by segment: bit for bit
+        # the norms of its samples, at every n.
+        cert, bound = self._family_bound(family_signal)
+        rng = np.random.default_rng(n)
+        model = iss.LinearSystemModel(
+            A={p: rng.standard_normal((n, n)) / np.sqrt(n) - 2 * np.eye(n) for p in "su"},
+            B={p: rng.standard_normal((n, 1)) for p in "su"},
+            J={p: 0.5 * np.eye(n) for p in "su"}, H={p: rng.standard_normal((n, 1)) for p in "su"})
+        x0s = [rng.uniform(-2.0, 2.0, n) for _ in range(5)]
+        inputs = [iss.sinusoid_input([rng.uniform()], rng.uniform(0.5, 5.0)) for _ in x0s]
+        trajs = iss.simulate_batch(model, family_signal, x0s, inputs, 1e-2)
+        tight = replace(bound, beta=lambda r, s: 1e-9 * r * np.exp(-np.asarray(s)),
+                        gamma=lambda s: 0.0)
+        reports, _ = iss_check_batch(tight, trajs, x0s, inputs)
+        norms = np.concatenate([np.linalg.norm(traj.samples[1], axis=1) for traj in trajs])
+        assert reports.lhs.tobytes() == norms.tobytes()
+
     def test_batch_skips_nan_margins(self, family_signal, family_model):
         # A bound that is NaN early on: those samples are neither reported nor
         # counted in the margin, as the row loop's running max() skips them.

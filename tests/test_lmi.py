@@ -91,9 +91,11 @@ class TestSemidefiniteTolerance:
 
     def test_nan_top_eigenvalue_rejected(self):
         # An infinite entry leaves LAPACK with NaN eigenvalues, which never
-        # exceed anything, and still fail.
-        with np.errstate(invalid="ignore"):
-            ok, top = iss.is_negative_semidefinite(np.diag([math.inf, -1.0]))
+        # exceed anything, and still fail, without a warning (the suite makes
+        # a RuntimeWarning an error).
+        ok, top = iss.is_negative_semidefinite(np.diag([math.inf, -1.0]))
+        assert not ok and math.isnan(top)
+        ok, top = iss.is_negative_semidefinite(np.array([[-1.0, math.inf], [-math.inf, -1.0]]))
         assert not ok and math.isnan(top)
 
     def test_nan_entry_rejected(self):
@@ -103,10 +105,10 @@ class TestSemidefiniteTolerance:
         assert np.isnan(iss.eigenvalues(np.diag([math.nan, -1.0]))).all()
 
     def test_only_the_non_finite_matrix_of_a_stack_fails(self):
+        # inf - inf in the asymmetry is NaN, without a warning.
         S = np.stack([-np.eye(2), np.diag([math.nan, -1.0]), np.diag([-1.0, -2.0]),
                       np.diag([-1.0, math.inf])])
-        with np.errstate(invalid="ignore"):
-            ok, top = iss.is_negative_semidefinite(S)
+        ok, top = iss.is_negative_semidefinite(S)
         assert ok.tolist() == [True, False, True, False]
         assert top[[0, 2]].tolist() == [-1.0, -1.0] and np.isnan(top[[1, 3]]).all()
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 import isscert as iss
+from isscert import cli
 from isscert.errors import NonFiniteError, StepTooLargeError
 from isscert.simulate import _doubling_powers, _simulate_linear, _step_map
 from conftest import jumps
@@ -319,6 +320,22 @@ class TestBatch:
         batch = iss.simulate_batch(model, PLANAR_SIGNAL, x0s, inputs, 1e-3)
         for traj, x0, inp in zip(batch, x0s, inputs):
             assert same_trajectory(traj, iss.simulate(model, PLANAR_SIGNAL, x0, inp, 1e-3))
+
+    def test_scalar_bits_do_not_depend_on_batch_size(self, monkeypatch):
+        # At n = 1 the runs are innermost in the group arrays and every
+        # product is elementwise, so a run of the mc_bound batch (20 runs, the
+        # constant and sinusoid inputs that bound's Monte-Carlo draws) is
+        # still its solo run bit for bit.
+        drawn = {}
+        monkeypatch.setattr(cli, "simulate_batch", lambda model, sig, x0s, inputs, step:
+                            drawn.update(x0s=x0s, inputs=inputs) or [])
+        monkeypatch.setattr(cli, "iss_check_batch", lambda *args: ((), 0.0))
+        cli._monte_carlo(acc9_model(), ACC9_SIGNAL, None, 20, 2.0, 1.0, 1e-3, seed=1)
+        x0s, inputs = drawn["x0s"], drawn["inputs"]
+        assert {np.array_equal(inp(0.1), inp(0.7)) for inp in inputs} == {True, False}
+        batch = iss.simulate_batch(acc9_model(), ACC9_SIGNAL, x0s, inputs, 1e-3)
+        for traj, x0, inp in zip(batch, x0s, inputs):
+            assert same_trajectory(traj, iss.simulate(acc9_model(), ACC9_SIGNAL, x0, inp, 1e-3))
 
     def test_first_failing_run_in_run_order(self):
         # x' = 30 x: the run from 1e3 crosses the limit first in time (near
