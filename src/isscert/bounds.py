@@ -218,11 +218,10 @@ def iss_check_batch(bound: IssBound, trajs, x0s, inputs) -> tuple[Reports, float
     runs with at most ``ISS_BLOCK_CELLS`` samples in all (at least one run),
     over the block's (runs, samples) array.  The times and modes are the
     first run's ``samples``; every run's norms are taken segment by segment
-    into its row of the block, without building its ``samples``.  ``trajs``
-    is iterated once and each run is let go of once its norms are taken, so
-    an iterator that drops the runs it yields keeps only the block's arrays
-    and the first run's times and modes alive.  A sample fails where
-    ``exceeds`` puts its norm above."""
+    into its row of the block, without building its ``samples``, so beside
+    the runs the check keeps only the block's arrays and the first run's
+    samples.  ``trajs`` is iterated once.  A sample fails where ``exceeds``
+    puts its norm above."""
     if len(x0s) != len(inputs):
         raise ValueError("one input per initial state")
     r0 = np.array([np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))) for x0 in x0s])

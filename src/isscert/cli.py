@@ -130,10 +130,7 @@ def _monte_carlo(model, sig, bound, runs: int, x0_range: float, u_bound: float, 
         else:
             inputs.append(zero_input(m))
     trajs = simulate_batch(model, sig, x0s, inputs, step)
-    # Popped as the check reaches them, so that only the run it reads has its
-    # samples cached.
-    trajs.reverse()
-    reports, max_margin = iss_check_batch(bound, (trajs.pop() for _ in x0s), x0s, inputs)
+    reports, max_margin = iss_check_batch(bound, trajs, x0s, inputs)
     return len(reports), max_margin
 
 

@@ -15,23 +15,25 @@ segment keeps its own step size h, so instants that are not exact sums
 group.  The map and its powers P, P^2, P^4, ... are built once per mode
 for all its distinct h in one stacked call, and each segment takes its
 own.  Within a segment the states are x_i = P^i x_start + Y_i, where the
-forced response Y from a zero start does not depend on x_start.  When the
-loop over the segments first reaches a group, each run samples its input
-once over all the group's segments, and Y_{i+1} = P Y_i + F_i is solved
-for every run and segment at once as a doubling prefix scan (Kogge &
-Stone 1973; Blelloch 1990): log2 N whole-array passes over a group's
-(R, S, N + 1, n) array.  At n = 1 that array is laid out (S, N + 1, R) in
-memory, the runs innermost, so each pass is S contiguous loops over the
-samples of all runs.  At n > 1 each run's (N + 1, n) block stays
-contiguous for its own (N, n) @ (n, n) products: the runs-innermost
-layout is slower there, and one product over all runs would make a run's
-bits depend on R.  The loop itself only carries the runs from each
+forced response Y from a zero start does not depend on x_start.  Before
+the loop over the segments, each run samples its input once over all of a
+group's segments, and Y_{i+1} = P Y_i + F_i is solved for every run and
+segment at once as a doubling prefix scan (Kogge & Stone 1973; Blelloch
+1990): log2 N whole-array passes over a group's (R, S, N + 1, n) array.
+At n = 1 that array is laid out (S, N + 1, R) in memory, the runs
+innermost, so each pass is S contiguous loops over the samples of all
+runs.  At n > 1 each run's (N + 1, n) block stays contiguous for its own
+(N, n) @ (n, n) products: the runs-innermost layout is slower there, and
+one product over all runs would make a run's bits depend on R.  The loop
+carries every run to the horizon, with no range test: from each
 segment's start to its end, P^N x_start + Y_N, and across the jump,
-J x + H u: a few (n, n) products per segment for all runs together.
-Last, each group adds its free responses P^i x_start (log2 N doubling
-passes) and checks every sample's range.  So a batch costs O(G log N)
-numpy calls plus O(K) small ones, O(N n^2 R log N) flops over the N
-samples of the signal, and O(N n R) memory: beside the states, the
+J x + H u, a few (n, n) products per segment for all runs together.
+After it, each group adds its free responses P^i x_start (log2 N
+doubling passes) and checks every sample's range, and the post-jump
+states are checked together; a run fails at its first state out of
+range, and what it carries past that is discarded.  So a batch costs
+O(G log N) numpy calls plus O(K) small ones, O(N n^2 R log N) flops over
+the N samples of the signal, and O(N n R) memory: beside the states, the
 temporaries of one group at a time.  G is
 at most the number of distinct (mode, N), so it stops growing with K once
 the step counts repeat; when every segment has its own N, G = K + 1 and
@@ -284,19 +286,6 @@ def _step_map(A, B, h):
     return np.split(step_map, [n, n + m, n + 2 * m], axis=-1)
 
 
-def _step_maps(model, mode, hs, cache):
-    """[P, G0, Gm, G1] of ``mode`` for each step size in ``hs``, each stacked
-    in the order of ``hs``.  ``cache`` holds each size's map by (mode,
-    exact h); the missing ones are built by one stacked `_step_map`."""
-    new = [h for h in hs if (mode, h) not in cache]
-    if new:
-        maps = _step_map(model.A[mode], model.B[mode], np.array(new)[:, None, None])
-        cache.update(((mode, h), parts) for h, *parts in zip(new, *maps))
-        if len(new) == len(hs):
-            return maps
-    return [np.stack(parts) for parts in zip(*(cache[mode, h] for h in hs))]
-
-
 def _matmul(a, b, out=None):
     """a @ b, as an elementwise product when the contracted axis has length
     1 (n = 1 or m = 1): the same values, without matmul's cost on such
@@ -412,16 +401,15 @@ class _Group:
     """The flow segments of one mode and step count N, each with its own
     step size h.
 
-    ``evaluate`` computes their forced responses for the runs still going
-    when the first of them is reached, into the array that becomes their
-    states; ``flow`` carries runs from a segment's start to its end; and
-    ``build`` adds the free responses P^i x_start once every start is known.
+    ``evaluate`` computes their forced responses for every run, into the
+    array that becomes their states; ``flow`` carries the runs from a
+    segment's start to its end; and ``build`` adds the free responses
+    P^i x_start once every start is known.
     """
 
     def __init__(self, mode, n_steps):
         self.mode, self.n_steps = mode, n_steps
         self.indices, self.t_starts, self.t_ends, self.hs = [], [], [], []  # by slot
-        self.states = None
 
     def add(self, k, t_start, t_end, h):
         """Take segment k, on [t_start, t_end] in steps of h, as the next slot."""
@@ -431,8 +419,8 @@ class _Group:
         self.hs.append(h)
         return self, len(self.indices) - 1
 
-    def evaluate(self, table, runs, inputs):
-        """The grids of every slot and the forced responses of ``runs`` on
+    def evaluate(self, table, inputs):
+        """The grids of every slot and the forced responses of every run on
         them.  ``table`` holds the stacked step maps and doubling powers of
         the mode's distinct step sizes and the row of each size; each slot
         takes its own, transposed."""
@@ -442,22 +430,19 @@ class _Group:
         self.chain_t = [M.swapaxes(1, 2) for M in _power_chain(powers, self.n_steps)]
         self.powers_t = [Pk.swapaxes(1, 2) for Pk in powers]
         self.times = _grid(self.t_starts, self.t_ends, self.n_steps, np.array(self.hs))
-        self.runs = runs
-        self.row = {r: i for i, r in enumerate(runs.tolist())}
         maps_t = [M[which].swapaxes(1, 2) for M in maps]
         self.states = _forced_responses(maps_t, self.powers_t, self.times, inputs)
-        self.starts = np.zeros((len(runs), len(self.indices), self.states.shape[-1]))
+        self.starts = np.empty((len(inputs), len(self.indices), self.states.shape[-1]))
 
-    def flow(self, slot, runs, xs):
-        """The states ending slot ``slot`` for ``runs`` from the states
-        ``xs`` starting it: P^N x + Y_N, one (1, n) @ (n, n) product per run
-        and chain matrix, stored as the slot's last sample."""
-        rows = slice(None) if len(runs) == len(self.runs) else np.searchsorted(self.runs, runs)
-        self.starts[rows, slot] = xs
+    def flow(self, slot, xs):
+        """The states ending slot ``slot`` from the states ``xs`` starting
+        it: P^N x + Y_N, one (1, n) @ (n, n) product per run and chain
+        matrix, stored as the slot's last sample."""
+        self.starts[:, slot] = xs
         for M_t in self.chain_t:
             xs = _matmul(xs[:, None, :], M_t[slot])[:, 0]
-        xs = xs + self.states[rows, slot, -1]
-        self.states[rows, slot, -1] = xs
+        xs = xs + self.states[:, slot, -1]
+        self.states[:, slot, -1] = xs
         return xs
 
     def build(self):
@@ -473,12 +458,12 @@ class _Group:
             return []
         bad = ~_in_range(self.states[..., 1:, :])
         rows, slots = np.nonzero(bad.any(axis=-1))
-        return [(int(self.runs[i]), self.indices[s], int(np.argmax(bad[i, s])) + 2)
-                for i, s in zip(rows, slots)]
+        return [(int(r), self.indices[s], int(np.argmax(bad[r, s])) + 2)
+                for r, s in zip(rows, slots)]
 
     def segment(self, run, slot, end=None):
         """Slot ``slot`` of run ``run`` up to sample ``end``."""
-        return Segment(self.mode, self.times[slot, :end], self.states[self.row[run], slot, :end])
+        return Segment(self.mode, self.times[slot, :end], self.states[run, slot, :end])
 
 
 def _non_finite(segments, inp, step, jump_time=None) -> NonFiniteError:
@@ -515,20 +500,17 @@ def _simulate_run(model, sig, x, inp, step) -> Trajectory:
     return Trajectory(tuple(segments), inp, step)
 
 
-def _simulate_linear(model, sig, x0s, inputs, step, step_maps) -> list[Trajectory]:
-    """`simulate_batch` of a LinearSystemModel, with ``step_maps`` the cache
-    of `_step_maps`.
+def _simulate_linear(model, sig, x0s, inputs, step) -> list[Trajectory]:
+    """`simulate_batch` of a LinearSystemModel.
 
-    A group's forced responses are computed, on all its segments, when the
-    loop over the segments first reaches it; the loop itself only carries
-    each run from segment start to segment end, P^N x + Y_N, and across the
-    jump.  A run whose end or jump state leaves the range stops there, and
-    the loop stops once no run still going comes before the first that
-    stopped: no group is sampled that the loop first reaches after that,
-    but the later segments of a group reached before it have been.  The free
-    responses and the range check of every sample follow, group by group: a
-    run whose states leave the range inside a segment and return to it by
-    the segment's end fails there, as it would step by step.
+    Every group's forced responses are computed, for every run, before the
+    loop over the segments; the loop carries every run to the horizon, from
+    segment start to segment end, P^N x + Y_N, and across the jump.  The
+    free responses and the range check of every sample follow, group by
+    group, and the range check of every post-jump state.  A run fails at
+    its first state out of range, a sample of segment k before the jump
+    that ends k, so a run whose states leave the range inside a segment and
+    return to it by the segment's end fails there, as it would step by step.
     """
     groups, slots = {}, []
     for k, (a, b, mode) in enumerate(sig.segments()):
@@ -536,48 +518,35 @@ def _simulate_linear(model, sig, x0s, inputs, step, step_maps) -> list[Trajector
             n_steps, h = _step_count(a, b, step)
             slots.append(groups.setdefault((mode, n_steps), _Group(mode, n_steps))
                          .add(k, a, b, h))
-    tables = {}  # mode -> (step maps, doubling powers, row of each step size)
     for mode in dict.fromkeys(group.mode for group in groups.values()):
         members = [group for group in groups.values() if group.mode == mode]
         row_of = {h: i for i, h in enumerate(dict.fromkeys(h for g in members for h in g.hs))}
-        maps = _step_maps(model, mode, list(row_of), step_maps)
+        maps = _step_map(model.A[mode], model.B[mode], np.array(list(row_of))[:, None, None])
         powers = _doubling_powers([maps[0]], max(g.n_steps for g in members) + 1)
-        tables[mode] = maps, powers, row_of
-    runs, xs = np.arange(len(x0s)), np.array(x0s)
-    stopped = {}  # run -> (segment, time of its jump out of range or None)
+        for group in members:
+            group.evaluate((maps, powers, row_of), inputs)
+    xs, jumped = np.array(x0s), []
     for k, (group, slot) in enumerate(slots):
-        if group.states is None:
-            group.evaluate(tables[group.mode], runs, [inputs[r] for r in runs])
-        xs = group.flow(slot, runs, xs)
-        ok = ended = _in_range(xs)
+        xs = group.flow(slot, xs)
         if k < len(sig.instants):
             t_i = sig.instants[k]
             J, H = model.J[group.mode], model.H[group.mode]
             # u(t_i^-) for merely piecewise-continuous inputs: sample half a
             # step before the instant.
-            u = np.array([inputs[r](t_i - step / 2) for r in runs])
+            u = np.array([inp(t_i - step / 2) for inp in inputs])
             xs = _matmul(xs[:, None, :], J.T)[:, 0] + _matmul(u[:, None, :], H.T)[:, 0]
-            ok = ended & _in_range(xs)
-        if not ok.all():
-            stopped.update((r, (k, t_i if e else None))
-                           for r, e in zip(runs[~ok].tolist(), ended[~ok]))
-            runs, xs = runs[ok], xs[ok]
-            if not len(runs) or min(stopped) < runs[0]:
-                break
+            jumped.append(xs)
 
-    flows_failed = {}  # run -> (segment, e) of its first sample out of range
-    for group in groups.values():
-        if group.states is not None:
-            for r, k, e in group.build():
-                if k <= stopped.get(r, (k,))[0] and k < flows_failed.get(r, (k + 1,))[0]:
-                    flows_failed[r] = k, e
-    failed = {*flows_failed, *(r for r, (_, t) in stopped.items() if t is not None)}
-    if failed:
-        r = min(failed)
-        k, e = flows_failed[r] if r in flows_failed else (stopped[r][0], None)
+    # (run, segment, e) of each flow sample out of range, at e - 1, and
+    # (run, segment, None) of each jump out of range.
+    failures = [failure for group in groups.values() for failure in group.build()]
+    out = ~_in_range(np.reshape(jumped, (len(jumped), *xs.shape)))
+    failures += [(r, k, None) for k, r in np.argwhere(out).tolist()]
+    if failures:
+        r, k, e = min(failures, key=lambda f: (f[0], f[1], f[2] is None))
         segments = [group.segment(r, slot, e if j == k else None)
                     for j, (group, slot) in enumerate(slots[:k + 1])]
-        raise _non_finite(segments, inputs[r], step, None if e else stopped[r][1])
+        raise _non_finite(segments, inputs[r], step, sig.instants[k] if e is None else None)
     single = () if len(slots) == len(sig.modes) else (sig.modes[-1], np.array([sig.horizon]))
     return [Trajectory(tuple(group.segment(r, slot) for group, slot in slots)
                        + ((Segment(*single, x[None]),) if single else ()), inp, step)
@@ -615,10 +584,10 @@ def simulate_batch(
     finite range, this raises the NonFiniteError (message and partial
     trajectory) that the first of them in run order raises alone.  A linear
     model samples each run's input once per group of segments with equal
-    mode and step count, on all of the group's segments when it first
-    reaches one of them, so a run that fails early may have been sampled on
-    later segments of that group; a general one samples step by step up to
-    the failure.
+    mode and step count, on all of the group's segments, and carries every
+    run to the horizon before it checks the ranges, so a run that fails
+    early has been sampled on every segment; a general one samples step by
+    step up to the failure.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
@@ -639,7 +608,7 @@ def simulate_batch(
         return []
     if isinstance(model, LinearSystemModel):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _simulate_linear(model, sig, x0s, inputs, step, {})
+            return _simulate_linear(model, sig, x0s, inputs, step)
     return [_simulate_run(model, sig, x0, inp, step) for x0, inp in zip(x0s, inputs)]
 
 

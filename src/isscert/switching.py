@@ -67,11 +67,7 @@ class SwitchingSignal:
     def segments(self) -> list[tuple[float, float, str]]:
         """Half-open activity intervals (start, end, mode) covering [t0, horizon]."""
         bounds = [self.t0, *self.instants, self.horizon]
-        return [
-            (bounds[i], bounds[i + 1], self.modes[i])
-            for i in range(len(self.modes))
-            if bounds[i + 1] >= bounds[i]
-        ]
+        return list(zip(bounds, bounds[1:], self.modes))
 
     def mode_at(self, t: float) -> str:
         """sigma(t); right-continuous in the stored convention sigma(t_i) = p_i."""

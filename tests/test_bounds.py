@@ -303,9 +303,9 @@ class TestCertifyIss:
         assert np.all(reports.time >= 0.5)
 
     def test_batch_peak_memory_is_one_block(self, family_signal, family_model):
-        """Runs handed over one at a time and dropped: the check's traced
-        peak stays within a few arrays of one block, far below what caching
-        every run's samples, or one (runs, samples) array, would take."""
+        """The check's traced peak stays within a few arrays of one block,
+        far below what caching every run's samples, or one (runs, samples)
+        array, would take."""
         cert, bound = self._family_bound(family_signal)
         runs = 60
         x0s = [np.array([1.0 + 0.05 * j]) for j in range(runs)]
@@ -315,11 +315,10 @@ class TestCertifyIss:
         n = len(trajs[0].samples[0])
         trajs[0].__dict__.pop("samples")
         assert runs * n > 10 * bounds.ISS_BLOCK_CELLS
-        trajs.reverse()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            reports, margin = iss_check_batch(bound, (trajs.pop() for _ in x0s), x0s, inputs)
+            reports, margin = iss_check_batch(bound, trajs, x0s, inputs)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -1,6 +1,6 @@
 import math
 import sys
-from collections import Counter
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +22,10 @@ def single_mode(horizon=1.0):
     return iss.SwitchingSignal(0.0, (), ("a",), horizon)
 
 
-def one_segment(model, mode, t_start, t_end, x0, inp, step, step_maps):
-    """The times and states of a linear flow on [t_start, t_end] alone from
-    x0, with ``step_maps`` as the step-map cache."""
+def one_segment(model, mode, t_start, t_end, x0, inp, step):
+    """The times and states of a linear flow on [t_start, t_end] alone from x0."""
     sig = iss.SwitchingSignal(t_start, (), (mode,), t_end)
-    (traj,) = _simulate_linear(model, sig, [np.asarray(x0, dtype=float)], [inp], step, step_maps)
+    (traj,) = _simulate_linear(model, sig, [np.asarray(x0, dtype=float)], [inp], step)
     return traj.segments[0].times, traj.segments[0].states
 
 
@@ -350,11 +349,12 @@ class TestBatch:
         assert str(batch.value) == str(alone.value)
         assert same_trajectory(batch.value.partial, alone.value.partial)
 
-    def test_stops_once_no_earlier_run_is_going(self):
+    def test_failing_batch_samples_every_group(self):
         # x' = 30 x from 1e6 passes the limit near t = 0.46, in the first of
         # two segments.  That run comes first, so its error is the batch's
-        # whatever the run from 1 does later: the second segment is never
-        # stepped.
+        # whatever the run from 1 does later.  Every run is carried to the
+        # horizon before the ranges are checked, so the second segment's
+        # group is sampled all the same, up to t = 2.
         model = iss.LinearSystemModel(A={"a": [[30.0]]}, B={"a": [[1.0]]},
                                       J={"a": [[1.0]]}, H={"a": [[0.0]]})
         latest = []
@@ -370,11 +370,11 @@ class TestBatch:
             iss.simulate_batch(model, sig, [[1e6], [1.0]], [inp, inp], 1e-3)
         assert str(batch.value) == str(alone.value)
         assert same_trajectory(batch.value.partial, alone.value.partial)
-        assert max(latest) == 0.5
+        assert max(latest) == 2.0
 
     def test_a_failure_has_sampled_the_rest_of_its_group(self):
         # As above with two segments of 0.5 s: one (mode, N) group, whose
-        # input is sampled on both segments when the loop first reaches it.
+        # input is sampled on both segments before the loop over them.
         # The run fails in the first segment all the same, with the error of
         # the segment-by-segment oracle, which samples only up to 0.5.
         model = iss.LinearSystemModel(A={"a": [[30.0]]}, B={"a": [[1.0]]},
@@ -404,6 +404,49 @@ class TestBatch:
             iss.simulate_batch(model, sig, [[0.0], [1.0]], [iss.zero_input()] * 2, 1e-2)
         assert str(batch.value) == str(alone.value) == "jump at t=0.5 produced non-finite state"
         assert same_trajectory(batch.value.partial, alone.value.partial)
+
+    @pytest.mark.parametrize("case", ["early_jump", "early_flow", "horizon_jump"])
+    def test_blown_up_run_passes_through_later_groups(self, case):
+        # Diagonal 2 x 2 maps, so a run at inf meets the zero entries of every
+        # later power and jump as 0 * inf = NaN.  The segments of a, b, a, c
+        # form three groups, and the last instant is the horizon, whose
+        # single sample follows the jump of c.  Run 1 fails first in run
+        # order, run 2 no later in time, run 0 never.  Early jump: both at
+        # the jump of a at 0.5, whose 1e200 takes them to inf at the next
+        # jump of a.  Early flow: x' = 5000 x passes 1e12 in the third step
+        # from 1 (the first from 1e6) and nears 1e272 by 0.5, inf after the
+        # jump.  Horizon jump: run 1 at the jump of c on the horizon, run 2
+        # at inf from the second jump of a on.
+        fa, ja, jc, x0s, input_name, error = {
+            "early_jump": (-1.0, 1e200, 1.0, [[0.0, 1.0], [1.0, 1.0], [1e6, 0.0]], "sinusoid",
+                           "jump at t=0.5 produced non-finite state"),
+            "early_flow": (5000.0, 1e100, 1.0, [[0.0, 1.0], [1.0, 1.0], [1e6, 0.0]], "sinusoid",
+                           "state norm exceeded 1e+12 at t=0.03"),
+            "horizon_jump": (-1.0, 1e200, 1e15, [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]], "zero",
+                             "jump at t=2.0 produced non-finite state"),
+        }[case]
+        diag = {"a": ((fa, -1.0), (ja, 0.5)), "b": ((-1.0, -2.0), (1.0, 1.0)),
+                "c": ((-0.5, -1.0), (1.0, jc))}
+        model = iss.LinearSystemModel(
+            A={p: np.diag(a) for p, (a, _) in diag.items()},
+            B={p: [[0.0], [1.0]] for p in diag},
+            J={p: np.diag(j) for p, (_, j) in diag.items()},
+            H={p: np.zeros((2, 1)) for p in diag})
+        sig = iss.SwitchingSignal(0.0, (0.5, 0.75, 1.25, 2.0), ("a", "b", "a", "c", "a"), 2.0)
+        inputs = [INPUTS[input_name]] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError) as alone:
+                iss.simulate(model, sig, x0s[1], inputs[1], 1e-2)
+            with pytest.raises(NonFiniteError) as batch:
+                iss.simulate_batch(model, sig, x0s, inputs, 1e-2)
+        # The oracle squares the 1e200 of a jump unguarded.
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as oracle:
+            simulate_per_segment(model, sig, x0s, inputs, 1e-2)
+        assert str(batch.value) == str(alone.value) == str(oracle.value) == error
+        assert same_trajectory(batch.value.partial, alone.value.partial)
+        assert [len(s.times) for s in batch.value.partial.segments] == \
+            [len(s.times) for s in oracle.value.partial.segments]
 
     def test_guards_raise_as_simulate(self):
         model, inputs = acc9_model(), [iss.zero_input()] * 2
@@ -480,11 +523,11 @@ class TestLinearPropagator:
             assert same_trajectory(batch.value.partial, alone.value.partial)
 
     @pytest.mark.parametrize("input_name", ["zero", "sinusoid"])
-    def test_cached_step_map_is_bit_identical(self, input_name):
+    def test_segment_alone_is_bit_identical(self, input_name):
         # Eight cycles of s for 1.0 and u for 0.25 revisit each mode at the
         # same step h = 0.01, and the last u segment (0.333 in 34 steps)
-        # needs another; every segment rebuilt without the cache must give
-        # the very same states as the cached simulate run.
+        # needs another; every segment rebuilt alone must give the very same
+        # states as the whole simulate run.
         instants, modes, t = [], ["s"], 0.0
         for k in range(15):
             t += 1.0 if k % 2 == 0 else 0.25
@@ -493,16 +536,10 @@ class TestLinearPropagator:
         sig = iss.SwitchingSignal(0.0, tuple(instants), tuple(modes), t + 0.333)
         model, inp = acc9_model(), INPUTS[input_name]
         traj = iss.simulate(model, sig, [2.0], inp, 1e-2)
-        cache = {}
         for seg in traj.segments:
             a, b = float(seg.times[0]), float(seg.times[-1])
-            x0 = seg.states[0]
-            _, uncached = one_segment(model, seg.mode, a, b, x0, inp, 1e-2, {})
-            _, cached = one_segment(model, seg.mode, a, b, x0, inp, 1e-2, cache)
-            assert np.array_equal(uncached, seg.states)
-            assert np.array_equal(cached, seg.states)
-        # One step map per mode and step size: the cache was reused.
-        assert Counter(mode for mode, _ in cache) == {"s": 1, "u": 2}
+            _, alone = one_segment(model, seg.mode, a, b, seg.states[0], inp, 1e-2)
+            assert np.array_equal(alone, seg.states)
 
     def test_dimensions(self):
         model = planar_model()
@@ -526,7 +563,7 @@ class TestPrefixScan:
         # of the trajectory's scale over N = 17 500 steps.
         make_model, _, x0, _ = CASES[case]
         model, inp, x0 = make_model(), INPUTS[input_name], np.array(x0)
-        times, states = one_segment(model, mode, 0.0, 3.5, x0, inp, 2e-4, {})
+        times, states = one_segment(model, mode, 0.0, 3.5, x0, inp, 2e-4)
         n_steps = len(times) - 1
         assert n_steps == 17500
         step_map = _step_map(model.A[mode], model.B[mode], 3.5 / n_steps)
@@ -747,7 +784,7 @@ class TestGroupedScan:
         assert np.max(deviation) <= len(deviation) * np.finfo(float).eps * ref.sup_norm()
         for seg in traj.segments:
             times, states = one_segment(model, seg.mode, seg.times[0], seg.times[-1],
-                                        seg.states[0], inp, LONG_STEP, {})
+                                        seg.states[0], inp, LONG_STEP)
             assert np.array_equal(times, seg.times) and np.array_equal(states, seg.states)
 
 

@@ -9,11 +9,17 @@ The batches come from the ``mc_bound`` workload that ``bench/generate.py``
 builds for the seed: its own batch (20 runs, n = 1, as ``isscert bound``
 draws and checks it), and, on its signal, step and ISS bound, one random
 linear system for each n in 1, 2, 4, 8 with R = 1, 8 and 20 runs, whose
-initial states and inputs ``cli._monte_carlo`` draws.  Each repeat simulates
-a batch and then checks it, so the check never finds its trajectories'
-samples cached.  With ``--against``, the ``isscert`` package under
-``TREE/src`` is imported beside this one and the two run the same batches,
-in alternating order; their runs must also agree bit for bit.  The script
+initial states and inputs ``cli._monte_carlo`` draws, and one failing
+batch: the ``mc_bound`` batch with its first run's input scaled by 1e15
+after the first switching instant, so that run leaves the finite range in
+the segment after its first jump and ``simulate_batch`` raises.  Each
+repeat simulates a batch and then checks it, so the check never finds its
+trajectories' samples cached; the failing batch is only simulated.  With
+``--against``, the ``isscert`` package under ``TREE/src`` is imported
+beside this one and the two run the same batches, in alternating order.
+Every run must equal its solo ``simulate``, and a failing batch must raise
+the error and partial trajectory of its first failing run alone; with
+``--against`` the two trees must also agree, bit for bit.  The script
 prints, per batch and tree, the median and quartiles of each call's wall
 time and the ``tracemalloc`` peak of one simulation and check.  It exits 1
 if any run differs.
@@ -42,6 +48,7 @@ from isscert import cli  # noqa: E402
 
 SIZES = (1, 2, 4, 8)
 RUNS = (1, 8, 20)
+SCALE = 1e15
 
 
 def load_tree(src: Path, name: str):
@@ -97,6 +104,16 @@ def drawn_batch(base: dict, n: int, runs: int, seed: int) -> dict:
     return batch
 
 
+def failing_batch(base: dict) -> dict:
+    """``base`` with its first run's input scaled by ``SCALE`` after the
+    first switching instant."""
+    t1, inp = base["sig"].instants[0], base["inputs"][0]
+    scaled = isscert.InputSignal(
+        lambda t: inp(t) * (SCALE if t > t1 else 1.0), inp.sup_norm * SCALE,
+        lambda ts: inp.sample(ts) * np.where(ts > t1, SCALE, 1.0)[:, None])
+    return dict(base, inputs=[scaled, *base["inputs"][1:]])
+
+
 def same_bits(a, b) -> bool:
     """Whether two trajectories hold the same modes, times and states, bit for bit."""
     return len(a.segments) == len(b.segments) and all(
@@ -105,11 +122,36 @@ def same_bits(a, b) -> bool:
         for x, y in zip(a.segments, b.segments))
 
 
+def same_outcome(a, b) -> bool:
+    """Whether two batch outcomes, lists of runs or NonFiniteErrors, agree
+    bit for bit."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return (type(a).__name__ == type(b).__name__ and str(a) == str(b)
+                and same_bits(a.partial, b.partial))
+    return len(a) == len(b) and all(map(same_bits, a, b))
+
+
+def solo(package, args):
+    """Each run's solo ``simulate``, or the error of the first that raises."""
+    model, sig, x0s, inputs, step, _ = args
+    trajs = []
+    for x0, inp in zip(x0s, inputs):
+        try:
+            trajs.append(package.simulate(model, sig, x0, inp, step))
+        except package.NonFiniteError as error:
+            return error
+    return trajs
+
+
 def run_once(package, args):
-    """Seconds of ``simulate_batch`` and of ``iss_check_batch`` on it, and the runs."""
+    """Seconds of ``simulate_batch`` and of ``iss_check_batch`` on it, and
+    the runs; if the batch raises, None for the check and the error."""
     model, sig, x0s, inputs, step, bound = args
     start = time.perf_counter()
-    trajs = package.simulate_batch(model, sig, x0s, inputs, step)
+    try:
+        trajs = package.simulate_batch(model, sig, x0s, inputs, step)
+    except package.NonFiniteError as error:
+        return time.perf_counter() - start, None, error
     middle = time.perf_counter()
     package.iss_check_batch(bound, iter(trajs), x0s, inputs)
     return middle - start, time.perf_counter() - middle, trajs
@@ -137,6 +179,7 @@ def main(argv=None) -> int:
     batches = {"mc_bound": base}
     batches.update((f"n={n} R={r}", drawn_batch(base, n, r, args.seed))
                    for n in SIZES for r in RUNS)
+    batches["mc_bound failing"] = failing_batch(base)
     print(f"median [quartiles] of {args.repeat} alternating repeats, tracemalloc peak")
     status = 0
     for name, batch in batches.items():
@@ -146,11 +189,9 @@ def main(argv=None) -> int:
             call[tree] = (model, batch["sig"], batch["x0s"], batch["inputs"], batch["step"],
                           batch["bound"])
         runs = {tree: run_once(trees[tree], call[tree])[2] for tree in trees}  # and warm up
-        ok = all(same_bits(traj, trees[tree].simulate(*call[tree][:2], x0, inp, batch["step"]))
-                 for tree in trees
-                 for traj, x0, inp in zip(runs[tree], batch["x0s"], batch["inputs"]))
+        ok = all(same_outcome(runs[tree], solo(trees[tree], call[tree])) for tree in trees)
         if len(runs) == 2:
-            ok &= all(map(same_bits, *runs.values()))
+            ok &= same_outcome(*runs.values())
         seconds = {tree: ([], []) for tree in trees}
         for i in range(args.repeat):
             for tree in (trees if i % 2 == 0 else reversed(trees)):
@@ -163,6 +204,8 @@ def main(argv=None) -> int:
         for tree in trees:
             times = []
             for label, values in zip(("simulate", "check"), seconds[tree]):
+                if None in values:
+                    continue
                 q1, median, q3 = statistics.quantiles(values, n=4)
                 times.append(f"{label} {median * 1e3:7.3f} ms [{q1 * 1e3:.3f}, {q3 * 1e3:.3f}]")
             peak = peak_mb(trees[tree], call[tree])
