@@ -217,10 +217,10 @@ def iss_check_batch(bound: IssBound, trajs, x0s, inputs) -> tuple[Reports, float
     is called once for every run's sup norm, and ``beta`` once per block of
     runs with at most ``ISS_BLOCK_CELLS`` samples in all (at least one run),
     over the block's (runs, samples) array.  The times and modes are the
-    first run's ``samples``; every run's norms are taken segment by segment
-    into its row of the block, without building its ``samples``, so beside
-    the runs the check keeps only the block's arrays and the first run's
-    samples.  ``trajs`` is iterated once.  A sample fails where ``exceeds``
+    first run's, joined from its segments; every run's norms are taken
+    segment by segment into its row of the block.  No run's ``samples`` are
+    built, so beside the runs the check keeps only the block's arrays and
+    one grid.  ``trajs`` is iterated once.  A sample fails where ``exceeds``
     puts its norm above."""
     if len(x0s) != len(inputs):
         raise ValueError("one input per initial state")
@@ -232,9 +232,11 @@ def iss_check_batch(bound: IssBound, trajs, x0s, inputs) -> tuple[Reports, float
     first = next(runs, None)
     if first is None:
         return Reports(), max_margin
-    times, _, modes, _ = first.samples
+    segments = first.segments
+    times = np.concatenate([seg.times for seg in segments])
+    modes = np.repeat([seg.mode for seg in segments], [len(seg.times) for seg in segments])
     runs = itertools.chain([first], runs)
-    del first
+    del first, segments
     n = len(times)
     elapsed = times - times[0]
     size = max(1, ISS_BLOCK_CELLS // n)

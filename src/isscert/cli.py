@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
+import random
 import sys
 from pathlib import Path
 
@@ -38,14 +40,7 @@ from .errors import (
 )
 from .lmi import Infeasible, check_blocks, synthesize
 from .rates import envelope_check
-from .simulate import (
-    _unit_vector,
-    constant_input,
-    simulate,
-    simulate_batch,
-    sinusoid_input,
-    zero_input,
-)
+from .simulate import constant_input, simulate, simulate_batch, sinusoid_input, zero_input
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -110,25 +105,35 @@ def cmd_construct(cfg, out: Path, seed: int) -> int:
     return EXIT_OK if not reports else EXIT_VIOLATIONS
 
 
-def _monte_carlo(model, sig, bound, runs: int, x0_range: float, u_bound: float, step: float,
-                 seed: int) -> tuple[int, float]:
-    """The ISS check on ``runs`` random runs: the number of violations and
-    the largest margin.  Each run's x0 and input are drawn in run order, and
-    the runs are simulated and checked as one batch."""
-    rng = np.random.default_rng(seed)
-    n, m = model.dims
+def _monte_carlo_runs(dims, runs: int, x0_range: float, u_bound: float, seed: int):
+    """The x0s and inputs of ``runs`` random runs, drawn run after run from
+    one ``random.Random(seed)``: x0's n entries, then, when ``u_bound`` > 0,
+    the amplitude, a direction (m Box-Muller normals, normalised; the first
+    basis vector if all are 0), the input kind and a sinusoid's omega.  Only
+    ``random()`` and ``uniform()`` draw, on the MT19937 stream Python pins."""
+    rng = random.Random(seed)
+    n, m = dims
     x0s, inputs = [], []
     for _ in range(runs):
-        x0s.append(rng.uniform(-x0_range, x0_range, n))
+        x0s.append([rng.uniform(-x0_range, x0_range) for _ in range(n)])
         if u_bound > 0:
             amp = rng.uniform(0, u_bound)
-            direction = _unit_vector(rng, m)
-            if rng.uniform() < 0.5:
-                inputs.append(constant_input(amp * direction))
-            else:
-                inputs.append(sinusoid_input(amp * direction, rng.uniform(0.5, 5.0)))
+            z = [math.sqrt(-2 * math.log(1 - rng.random())) * math.cos(2 * math.pi * rng.random())
+                 for _ in range(m)]
+            norm = math.hypot(*z)
+            u = [amp * v / norm for v in z] if norm > 0 else [amp] + [0.0] * (m - 1)
+            inputs.append(constant_input(u) if rng.random() < 0.5
+                          else sinusoid_input(u, rng.uniform(0.5, 5.0)))
         else:
             inputs.append(zero_input(m))
+    return x0s, inputs
+
+
+def _monte_carlo(model, sig, bound, runs: int, x0_range: float, u_bound: float, step: float,
+                 seed: int) -> tuple[int, float]:
+    """The ISS check on the runs of ``_monte_carlo_runs``, simulated and
+    checked as one batch: the number of violations and the largest margin."""
+    x0s, inputs = _monte_carlo_runs(model.dims, runs, x0_range, u_bound, seed)
     trajs = simulate_batch(model, sig, x0s, inputs, step)
     reports, max_margin = iss_check_batch(bound, trajs, x0s, inputs)
     return len(reports), max_margin

@@ -611,10 +611,3 @@ def simulate_batch(
             return _simulate_linear(model, sig, x0s, inputs, step)
     return [_simulate_run(model, sig, x0, inp, step) for x0, inp in zip(x0s, inputs)]
 
-
-def _unit_vector(rng, m: int) -> np.ndarray:
-    """A random direction in R^m: a standard normal draw, normalised (the
-    first basis vector if the draw is zero)."""
-    v = rng.standard_normal(m)
-    nv = np.linalg.norm(v)
-    return v / nv if nv > 0 else np.eye(m)[0]

@@ -45,9 +45,9 @@
   and the columnar ``Reports`` of ``isscert.certify`` and
   ``isscert.construct.decrease_check``.
 * The Monte-Carlo runs one ``simulate`` call at a time:
-  ``monte_carlo_per_run`` draws a run's x0 and input, simulates that run
-  alone and checks it before the next draw.  It is the earlier loop of
-  ``isscert.cli.cmd_bound``, kept as the oracle for the one
+  ``monte_carlo_per_run`` takes the runs that ``cmd_bound`` draws,
+  simulates each run alone and checks it before the next.  It is the
+  earlier loop of ``isscert.cli.cmd_bound``, kept as the oracle for the one
   ``simulate_batch`` call that it now makes.
 * The reachable norm by sampling: ``reachability_runs`` simulates sampled
   starts in the C-ball under inputs bounded by D (constants, sinusoids and
@@ -112,6 +112,7 @@ from scipy.optimize import brentq
 
 from isscert.bounds import iss_check
 from isscert.certify import FORMS, linear_dwell_conditions
+from isscert.cli import _monte_carlo_runs
 from isscert.errors import DegenerateGammaError, DomainError, NonFiniteError, OutOfImageError
 from isscert.lmi import (
     Infeasible,
@@ -126,7 +127,6 @@ from isscert.simulate import (
     _doubling_powers,
     _in_range,
     _step_map,
-    _unit_vector,
     constant_input,
     simulate,
     simulate_batch,
@@ -631,6 +631,15 @@ def write_json_dumps(path, obj):
     Path(path).write_text(json_dumps(obj) + "\n")
 
 
+def _unit_vector(rng, m: int) -> np.ndarray:
+    """A random direction in R^m from the NumPy generator ``rng``: a
+    standard normal draw, normalised (the first basis vector if the draw is
+    zero)."""
+    v = rng.standard_normal(m)
+    nv = np.linalg.norm(v)
+    return v / nv if nv > 0 else np.eye(m)[0]
+
+
 def _sample_inputs(D, m, horizon_mid, rng):
     """Cheap family of bounded inputs: constants, sinusoids, one-switch steps."""
     if D == 0.0:
@@ -682,23 +691,12 @@ def reachability_bound(model, sig, C, D, tau, samples, step=1e-2, seed=0):
 
 
 def monte_carlo_per_run(model, sig, bound, runs, x0_range, u_bound, step, seed):
-    """The Monte-Carlo ISS check of ``cmd_bound`` with each run drawn,
-    simulated alone and checked before the next: (violations, max margin)."""
-    rng = np.random.default_rng(seed)
-    n, m = model.dims
+    """The Monte-Carlo ISS check of ``cmd_bound`` on the runs it draws, each
+    run simulated alone and checked before the next: (violations, max
+    margin)."""
     total_violations = 0
     max_margin = -np.inf
-    for _ in range(runs):
-        run_x0 = rng.uniform(-x0_range, x0_range, n)
-        if u_bound > 0:
-            amp = rng.uniform(0, u_bound)
-            direction = _unit_vector(rng, m)
-            if rng.uniform() < 0.5:
-                run_inp = constant_input(amp * direction)
-            else:
-                run_inp = sinusoid_input(amp * direction, rng.uniform(0.5, 5.0))
-        else:
-            run_inp = zero_input(m)
+    for run_x0, run_inp in zip(*_monte_carlo_runs(model.dims, runs, x0_range, u_bound, seed)):
         traj = simulate(model, sig, run_x0, run_inp, step)
         reports, margin = iss_check(bound, traj, run_x0, run_inp)
         total_violations += len(reports)
@@ -789,8 +787,10 @@ def simulate_per_segment(model, sig, x0s, inputs, step):
                 error = f"state norm exceeded {FINITE_LIMIT:.0e} at t={times[-1]}"
             elif k < len(sig.modes) - 1:
                 t_i = sig.instants[k]
-                x = model.J[mode] @ x + model.H[mode] @ inputs[r](t_i - step / 2)
-                if not _in_range(x):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    x = model.J[mode] @ x + model.H[mode] @ inputs[r](t_i - step / 2)
+                    jumped = _in_range(x)
+                if not jumped:
                     error = f"jump at t={t_i} produced non-finite state"
             if error is None:
                 going.append(r)

@@ -74,6 +74,18 @@ def acceptance9_config():
     return cfg
 
 
+def acceptance9_bound_config():
+    """The acceptance-9 config at step 1e-3 under a sinusoid, with a bound
+    section of 20 Monte-Carlo runs."""
+    cfg = acceptance9_config()
+    cfg["step"] = 1e-3
+    cfg["input"] = {"kind": "sinusoid", "amplitude": [0.5], "omega": 2.0}
+    cfg["bound"] = {"envelopes": {"lower": {"kind": "linear", "eta": 1.0},
+                                  "upper": {"kind": "linear", "eta": 1.0}},
+                    "runs": 20, "x0_range": 2.0, "u_bound": 1.0, "patch_samples": 2}
+    return cfg
+
+
 def run(tmp_path, command, cfg, name="cfg.json", seed=None):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -382,14 +394,8 @@ class TestBound:
     def test_batch_writes_the_per_run_bytes(self, tmp_path, monkeypatch, seed):
         # The acceptance-9 bound config with 20 Monte-Carlo runs: the
         # batched runs give the bytes of the earlier one-run-at-a-time
-        # loop, so every run draws the same numbers in the same order and
-        # gets the same states.
-        cfg = acceptance9_config()
-        cfg["step"] = 1e-3
-        cfg["input"] = {"kind": "sinusoid", "amplitude": [0.5], "omega": 2.0}
-        cfg["bound"] = {"envelopes": {"lower": {"kind": "linear", "eta": 1.0},
-                                      "upper": {"kind": "linear", "eta": 1.0}},
-                        "runs": 20, "x0_range": 2.0, "u_bound": 1.0, "patch_samples": 2}
+        # loop on the same draws, so every run gets the same states.
+        cfg = acceptance9_bound_config()
         code, out = run(tmp_path, "bound", cfg, name="batch.json", seed=seed)
         monkeypatch.setattr(cli, "_monte_carlo", oracles.monte_carlo_per_run)
         ref_code, ref = run(tmp_path, "bound", cfg, name="per-run.json", seed=seed)
@@ -403,7 +409,8 @@ class TestBound:
         # certificate rate says 1, and the horizon 1 lies inside the patch
         # window C / delta = 5.5, so only the patch bounds these runs.  A
         # patch sampled on the unit ball (as bound once estimated it) fell
-        # below the corner runs; the proved a r bounds every start.
+        # below the corner runs; the proved a r bounds every start.  Seed 8
+        # is the first whose starts reach beyond |x0| = 1.35.
         eye, col = [[1.0, 0.0], [0.0, 1.0]], [[0.5], [0.5]]
         cfg = self._cfg()
         cfg["system"] = {"kind": "linear",
@@ -423,7 +430,7 @@ class TestBound:
             checked.append((bound, list(trajs), x0s, inputs))
             return check(bound, checked[-1][1], x0s, inputs)
         monkeypatch.setattr(cli, "iss_check_batch", recorded)
-        code, out = run(tmp_path, "bound", cfg, seed=0)
+        code, out = run(tmp_path, "bound", cfg, seed=8)
         verdict = json.loads((out / "verdict.json").read_text())
         assert code == 0 and verdict["violations"] == 0 and verdict["max_margin"] <= 0
         (bound, trajs, x0s, inputs), = checked

@@ -3,10 +3,10 @@
 NumPy is the only run-time dependency: every transform is closed-form and
 the ``lmi`` synthesis solves its Lyapunov equations and generalized
 eigenvalue problems with NumPy, so no command loads any SciPy module, not
-even when it runs.  ``jsonio.write_csv`` loads the column formatter
-``csvtext`` on its first large file.  Those checks run in a fresh
-interpreter, since the test process itself has loaded SciPy for the
-oracles.  Every name ``isscert`` exports has a user: the package itself, the
+even when it runs, and ``bound`` draws its runs without ``numpy.random``.
+``jsonio.write_csv`` loads the column formatter ``csvtext`` on its first
+large file.  Those checks run in a fresh interpreter, since the test process
+itself has loaded SciPy for the oracles.  Every name ``isscert`` exports has a user: the package itself, the
 acceptance gate or the README.  The benchmark's tracer finds every name it
 patches and puts each one back.
 """
@@ -20,7 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_cli import TestLmi, base_config, family_certificate_json
+from test_cli import TestLmi, acceptance9_bound_config, base_config, family_certificate_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,6 +72,23 @@ print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
 """)
     assert result["codes"] == [0, 0, 0]
     assert result["loaded"] == []
+
+
+def test_bound_loads_no_numpy_random(tmp_path):
+    """``isscert bound`` draws its Monte-Carlo runs from the standard
+    library's ``random``: NumPy's generators and the ``secrets`` and ``hmac``
+    modules they pull in stay unloaded."""
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(acceptance9_bound_config()))
+    result = fresh(f"""
+import json, sys
+from isscert.cli import main
+code = main(["bound", "--config", {str(path)!r}, "--out", {str(tmp_path / "out")!r},
+             "--seed", "1"])
+print(json.dumps({{"code": code, "loaded": sorted(
+    m for m in ("numpy.random", "secrets", "hmac") if m in sys.modules)}}))
+""")
+    assert result == {"code": 0, "loaded": []}
 
 
 def test_lmi_synth_and_verify_load_no_scipy(tmp_path):

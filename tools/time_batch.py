@@ -9,7 +9,7 @@ The batches come from the ``mc_bound`` workload that ``bench/generate.py``
 builds for the seed: its own batch (20 runs, n = 1, as ``isscert bound``
 draws and checks it), and, on its signal, step and ISS bound, one random
 linear system for each n in 1, 2, 4, 8 with R = 1, 8 and 20 runs, whose
-initial states and inputs ``cli._monte_carlo`` draws, and one failing
+initial states and inputs ``cli._monte_carlo_runs`` draws, and one failing
 batch: the ``mc_bound`` batch with its first run's input scaled by 1e15
 after the first switching instant, so that run leaves the finite range in
 the segment after its first jump and ``simulate_batch`` raises.  Each
@@ -84,7 +84,7 @@ def mc_bound_batch(seed: int) -> dict:
 
 def drawn_batch(base: dict, n: int, runs: int, seed: int) -> dict:
     """A random linear system of dimension n on ``base``'s signal,
-    with the x0s and inputs that ``cli._monte_carlo`` draws for it."""
+    with the x0s and inputs that ``cli._monte_carlo_runs`` draws for it."""
     rng = np.random.default_rng([seed, n, runs])
     modes = dict.fromkeys(base["sig"].modes)
     model = isscert.LinearSystemModel(
@@ -92,16 +92,8 @@ def drawn_batch(base: dict, n: int, runs: int, seed: int) -> dict:
         B={p: rng.standard_normal((n, 1)) for p in modes},
         J={p: 0.5 * np.eye(n) for p in modes},
         H={p: rng.standard_normal((n, 1)) for p in modes})
-    batch = dict(base, model=model)
-
-    def record(model, sig, x0s, inputs, step):
-        batch.update(x0s=x0s, inputs=inputs)
-        return []
-
-    with mock.patch.object(cli, "simulate_batch", record), \
-            mock.patch.object(cli, "iss_check_batch", lambda *args: ((), 0.0)):
-        cli._monte_carlo(model, base["sig"], base["bound"], runs, 2.0, 1.0, base["step"], seed)
-    return batch
+    x0s, inputs = cli._monte_carlo_runs(model.dims, runs, 2.0, 1.0, seed)
+    return dict(base, model=model, x0s=x0s, inputs=inputs)
 
 
 def failing_batch(base: dict) -> dict:
