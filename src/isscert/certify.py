@@ -295,7 +295,8 @@ def check_dwell_conditions(cert: Certificate, sig: SwitchingSignal,
     of an unstable one; a level where the difference is not finite (or
     leaves a transform's domain) is "dwell-inconclusive", not a violation.
     """
-    if not a_grid or any(a <= 0 for a in a_grid):
+    a = np.asarray(a_grid, dtype=float)
+    if a.ndim != 1 or not len(a) or (a <= 0).any():
         raise ValueError("a_grid must be a nonempty collection of positive levels")
     if all(r.kind == "linear" for r in (*cert.phi.values(), *cert.psi.values())):
         left = {}
@@ -306,7 +307,6 @@ def check_dwell_conditions(cert: Certificate, sig: SwitchingSignal,
             {q: abs(cert.psi[q].eta) for q in left}, cert.partition, cert.dwell.tau,
             cert.dwell.delta, left)
     transforms = cert.transforms()
-    a = np.asarray(a_grid, dtype=float)
     grid_reports = {}  # (q, p) -> (kind, lhs, rhs) of a switch q -> p, in grid order
     out = []
     for t_i, q, p in zip(sig.instants, sig.modes, sig.modes[1:]):

@@ -131,7 +131,7 @@ def build_decreasing(
                 f"transform of mode {p} does not cover R "
                 f"(image [{tr.image_inf()}, {tr.image_sup()}])"
             )
-    reports = check_dwell_conditions(cert, sig, list(a_grid))
+    reports = check_dwell_conditions(cert, sig, a_grid)
     reports = reports[reports.kind != "dwell-inconclusive"]
     if reports:
         raise DwellPreconditionError(

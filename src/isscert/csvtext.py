@@ -1,15 +1,19 @@
-"""CSV text a column at a time, byte for byte what ``'%.17g' % x`` and
-``'%s' % s`` print.
+"""CSV text a block of rows at a time, each block a column at a time, byte
+for byte what ``'%.17g' % x`` and ``'%s' % s`` print.
 
 ``jsonio.write_csv`` imports this module on its first file of
 ``jsonio.TEMPLATE_CELLS`` cells or more, so nothing here runs at package
 import.
-A number column costs O(rows) NumPy element work, O(1) Python per layout
-class (at most 22) and one ``'%.17g'`` call per fallback cell; a text
-column of ASCII strings is copied as its code points.  An integer or bool
-column within +-2^53 is exact in double and below 10^16, so ``'%.17g'``
-prints each value's plain digits: they come from the digit table, without
-the decimal steps below.
+Every column is checked once, before the file is opened; the rows are then
+formatted into one row buffer of at most ``_ROW_BYTES`` (a block of B rows
+of w bytes each, the blocks of a file as equal as the row count allows) and
+written from it.  Memory is O(B w) whatever the file's N rows: the buffer
+and one column's temporaries for one block.  A number column costs O(N)
+NumPy element work, O(1) Python per block and layout class (at most 22) and
+one ``'%.17g'`` call per fallback cell; a text column of ASCII strings is
+copied as its code points.  An integer or bool column within +-2^53 is
+exact in double and below 10^16, so ``'%.17g'`` prints each value's plain
+digits: they come from the digit table, without the decimal steps below.
 
 Digits.  For finite x != 0, ``'%.17g'`` prints |x| rounded to 17
 significant digits, ties to even: an integer q in [10^16, 10^17) and a
@@ -60,7 +64,7 @@ digits; trailing zeros and a bare point go.  Each cell gets a slot of
 ``SLOT`` bytes in which NUL marks a byte that is not printed; the rows
 are sorted by layout class (one per fixed X, one for exponential) so
 that each class is filled by slice copies at its own offsets, and one
-compaction drops the NULs of the whole file.
+compaction per 64 KiB of rows drops the NULs.
 """
 
 from __future__ import annotations
@@ -76,7 +80,8 @@ _XMIN, _XMAX = -291, 290
 _KMIN, _KMAX = 16 - _XMAX, 16 - _XMIN
 _TOP_26 = np.uint64(2 ** 64 - 2 ** 27)  # sign, exponent and the significand's top 26 bits
 SLOT = 24  # the longest %.17g text: -2.2250738585072014e-308
-_BLOCK_BYTES = 1 << 16
+_BLOCK_BYTES = 1 << 16  # the rows of one translate call
+_ROW_BYTES = 1 << 20  # the row buffer: a block of rows is formatted at a time
 _EXACT = 2 ** 53  # every integer up to this magnitude is a double, below 10^16
 _TENS = 10 ** np.arange(1, 16, dtype=np.int64)
 # Row L keeps the 16 - L digits after the first L.
@@ -206,6 +211,7 @@ def _decimal(x: np.ndarray):
 def _number_cells(x: np.ndarray, out: np.ndarray) -> None:
     """The ``'%.17g'`` text of each x in its row of ``out`` ((n, SLOT)
     bytes, each row contiguous), NUL where nothing is printed."""
+    x = x.astype(np.float64, copy=False)
     n = len(x)
     q, X, fallback = _decimal(x)
     fixed = (X >= _FIXED.start) & (X < _FIXED.stop)
@@ -254,7 +260,8 @@ def _integer_cells(v: np.ndarray, out: np.ndarray) -> None:
     """The ``'%.17g'`` text of each integer |v| <= 2^53 in its row of
     ``out``: exact as a double and below 10^16, so its plain digits after a
     minus sign, the zeros before its first digit NUL."""
-    a = np.abs(v)
+    a = v.astype(np.int64)
+    np.abs(a, out=a)
     leading = 15 - np.searchsorted(_TENS, a, side="right")  # 16 less the digit count
     words = np.empty((len(v), 4), np.uint32)  # 16 digits, 4 to a word
     quot = np.empty_like(a)
@@ -270,13 +277,15 @@ def _integer_cells(v: np.ndarray, out: np.ndarray) -> None:
     out[:, 17:] = 0
 
 
-def _text(c: np.ndarray):
+def _text(c: np.ndarray, blocks):
     """The code points of a column of ASCII strings without NUL as (n, width),
-    else None."""
+    else None; checked a block of rows at a time."""
     points = np.ascontiguousarray(c).view(np.uint32).reshape(len(c), c.dtype.itemsize // 4)
-    if points.size and (points.max() > 127
-                        or np.any((points[:, :-1] == 0) & (points[:, 1:] != 0))):
-        return None
+    for rows in blocks:
+        block = points[rows]
+        if block.size and (block.max() > 127
+                           or np.any((block[:, :-1] == 0) & (block[:, 1:] != 0))):
+            return None
     return points
 
 
@@ -288,34 +297,45 @@ def write_csv(path, header, columns) -> bool:
     head = ",".join(header) + "\n"
     if not head.isascii() or len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
         return False
-    cells = []
-    for c in columns:
+    n = len(columns[0])
+    widths = [c.dtype.itemsize // 4 if c.dtype.kind == "U" else SLOT for c in columns]
+    # The comma after each cell; the last one's is the newline.
+    ends = (np.cumsum(widths) + np.arange(len(widths))).tolist()
+    width = ends[-1] + 1
+    # As few blocks as keep the row buffer within _ROW_BYTES (or one row),
+    # all of step rows but the last, which is short by less than their count.
+    count = max(1, -(-n * width // _ROW_BYTES))
+    step = max(1, -(-n // count))
+    blocks = [slice(start, min(start + step, n)) for start in range(0, n, step)]
+    cells = []  # each column's values, what prints them (None: text is copied) and where
+    for c, end, w in zip(columns, ends, widths):
+        fill = None
         if c.dtype.kind == "U":
-            c = _text(c)
+            c = _text(c, blocks)
             if c is None:
                 return False
         elif c.dtype.kind not in "biuf" or c.dtype.itemsize > 8:
             return False
-        cells.append(c)
-    widths = [c.shape[1] if c.ndim == 2 else SLOT for c in cells]
-    buf = np.empty((len(columns[0]), sum(widths) + len(cells)), np.uint8)
-    start = 0
-    for c, width in zip(cells, widths):
-        cell = buf[:, start:start + width]
-        if c.ndim == 2:
-            cell[:] = c
-        elif c.dtype.kind in "biu" and (not len(c) or -_EXACT <= c.min() and c.max() <= _EXACT):
-            _integer_cells(c.astype(np.int64), cell)
+        elif c.dtype.kind in "biu" and (not n or -_EXACT <= c.min() and c.max() <= _EXACT):
+            fill = _integer_cells
         else:
-            _number_cells(c.astype(np.float64, copy=False), cell)
-        start += width + 1
-        buf[:, start - 1] = ord(",")
+            fill = _number_cells
+        cells.append((c, fill, slice(end - w, end)))
+    buf = np.empty((min(n, step), width), np.uint8)  # one block's rows, reused
+    buf[:, ends] = ord(",")
     buf[:, -1] = ord("\n")
-    # Dropping the NULs copies what it reads, so it goes a block of rows at
+    # Dropping the NULs copies what it reads, so it goes a chunk of rows at
     # a time: the copies stay small and in cache.
-    rows = max(1, _BLOCK_BYTES // buf.shape[1])
+    chunk = max(1, _BLOCK_BYTES // width)
     with open(path, "wb") as f:
         f.write(head.encode())
-        for start in range(0, len(buf), rows):
-            f.write(buf[start:start + rows].tobytes().translate(None, b"\0"))
+        for rows in blocks:
+            out = buf[:rows.stop - rows.start]
+            for c, fill, span in cells:
+                if fill is None:
+                    out[:, span] = c[rows]
+                else:
+                    fill(c[rows], out[:, span])
+            for start in range(0, len(out), chunk):
+                f.write(out[start:start + chunk].tobytes().translate(None, b"\0"))
     return True

@@ -12,19 +12,20 @@ one reader, ``_number``.
 Every CSV file goes through ``write_csv``, which takes columns, not rows;
 its floats are printed with 17 significant digits (``%.17g``) so
 round-trips are lossless.  From ``TEMPLATE_CELLS`` cells on,
-``csvtext.write_csv`` prints a file a column at a time: the digits of each
-number come from a float64 double-double product (Dekker's) with a
-correctly rounded power of ten, and a cell that is not finite, lies
-beyond 10^+-290, or whose rounding lies within that product's error bound
-of about 5e-15 (a true tie, such as 2^-25) goes through ``'%.17g'`` on its
-own.  Smaller files, and text that is not ASCII, go through one ``%``
-template per row.  The bytes are the same either way.  Every JSON file
-goes through ``write_json``, whose bytes are exactly those of
-``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, but strict: a
-float that is not finite is written as the string that ``'%.17g'`` prints
-for it.  It takes NumPy arrays as their ``tolist()`` and prints each row of
-a finite float64 matrix with one C-level join of ``float.__repr__`` texts,
-without ``json``'s pure-Python indenting encoder.
+``csvtext.write_csv`` prints a file a block of rows at a time, each block a
+column at a time: the digits of each number come from a float64
+double-double product (Dekker's) with a correctly rounded power of ten,
+and a cell that is not finite, lies beyond 10^+-290, or whose rounding
+lies within that product's error bound of about 5e-15 (a true tie, such
+as 2^-25) goes through ``'%.17g'`` on its own.  Smaller files, and text
+that is not ASCII, go through one ``%`` template per row.  The bytes are
+the same either way.  Every JSON file goes through ``write_json``, whose
+bytes are exactly those of ``json.dumps(obj, indent=2, sort_keys=True)``
+and a newline, but strict: a float that is not finite is written as the
+string that ``'%.17g'`` prints for it.  It takes NumPy arrays as their
+``tolist()`` and prints each row of a finite float64 matrix with one
+C-level join of ``float.__repr__`` texts, without ``json``'s pure-Python
+indenting encoder.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ from .switching import DwellSpec, ModeChangeSet, ModePartition, SwitchingSignal
 # Below this many cells a file goes through the row template: the column
 # formatter of csvtext saves under 1 ms there, less than its one-off cost in
 # a fresh process (about 9 ms to compile the module and build its tables,
-# of which the power-of-ten table takes about 2 ms, and about 1 MB of peak
-# memory).
+# of which the power-of-ten table takes about 2 ms).  Its traced peak, one
+# block's row buffer (csvtext._ROW_BYTES) and temporaries, stays under
+# about 2 MB however long the file.
 TEMPLATE_CELLS = 4000
 
 
@@ -439,9 +441,9 @@ def write_csv(path, header, columns):
     """A CSV file of the column names in ``header`` and one line per entry of
     the equally long ``columns``: ``%s`` for strings, ``%.17g`` else, as
     each column's dtype picks.  From ``TEMPLATE_CELLS`` cells on,
-    ``csvtext.write_csv`` prints the file a column at a time; below that,
-    and for text that is not ASCII, every row goes through one ``%``
-    template.  Both give the same bytes."""
+    ``csvtext.write_csv`` prints the file a block of rows at a time, each
+    block a column at a time; below that, and for text that is not ASCII,
+    every row goes through one ``%`` template.  Both give the same bytes."""
     columns = [np.asarray(c) for c in columns]
     if columns and len(columns) * len(columns[0]) >= TEMPLATE_CELLS:
         from . import csvtext

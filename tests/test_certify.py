@@ -269,12 +269,19 @@ class TestDwellConditions:
         out_of_s = family_signal.instants[::2]
         assert [row[:2] for row in reports.rows()] == \
             [("dwell-inconclusive", t) for t in out_of_s for _ in range(2)]
+        # The same levels as an array give the same rows.
+        same = iss.check_dwell_conditions(cert, family_signal, np.array([1e-120, 1.0, 1e120]))
+        assert [row[:3] for row in same.rows()] == [row[:3] for row in reports.rows()]
+        np.testing.assert_array_equal([same.lhs, same.rhs], [reports.lhs, reports.rhs])
 
     def test_grid_validation(self, family_signal, family_certificate):
         with pytest.raises(ValueError):
             iss.check_dwell_conditions(family_certificate, family_signal, [])
         with pytest.raises(ValueError):
             iss.check_dwell_conditions(family_certificate, family_signal, [-1.0])
+        for grid in (np.empty(0), np.array([1.0, -1.0]), np.ones((2, 2))):
+            with pytest.raises(ValueError):
+                iss.check_dwell_conditions(family_certificate, family_signal, grid)
 
 
 class TestClassification:

@@ -5,11 +5,13 @@
 ``jsonio.TEMPLATE_CELLS`` cells on, ``write_csv`` prints through the column
 formatter of ``isscert.csvtext``; it must print what both print on either
 side of that size, with every cell forced through the ``'%.17g'``
-fallback, and on the columns of a 17 505-row run.  The digits of
-``csvtext._decimal`` are checked against the exact ones of ``'%.16e'``.
+fallback, on files of several row blocks and on the columns of a 17 505-row
+run.  The digits of ``csvtext._decimal`` are checked against the exact ones
+of ``'%.16e'``, and the writer's memory against the file's length.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -206,3 +208,53 @@ def test_a_dense_run_matches_the_template(tmp_path):
         oracles.write_csv_template(tmp_path / f"{name}.template.csv", header, columns)
         assert (tmp_path / f"{name}.csv").read_bytes() == \
             (tmp_path / f"{name}.template.csv").read_bytes(), name
+
+
+def test_blocks_print_what_the_template_prints(tmp_path, monkeypatch):
+    """Row blocks of at most 16 rows, the last one short: ties, near ties,
+    +-0, NaN, +-inf and the range's ends on either side of every block
+    boundary, next to an integer and a text column, print what the per-cell
+    and the template writers print.  A text column that is not ASCII in the
+    last block only still leaves the file unwritten."""
+    monkeypatch.setattr(jsonio, "TEMPLATE_CELLS", 0)
+    blocks = []
+    integer_cells = csvtext._integer_cells
+    monkeypatch.setattr(csvtext, "_integer_cells",
+                        lambda v, out: blocks.append(len(v)) or integer_cells(v, out))
+    special = np.array([*TIES, *NEAR_TIES, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                        csvtext._LOW, np.nextafter(csvtext._HIGH, 0), 1.7976931348623157e308])
+    small = [v for v in EDGE_INTS if abs(v) <= 2 ** 53]
+    header = ["x", "n", "mode", "y"]
+    width = 3 * csvtext.SLOT + len("flow") + len(header)
+    monkeypatch.setattr(csvtext, "_ROW_BYTES", 16 * width)
+    for rows in (50, 131, 200):
+        x = np.resize(special, rows)
+        columns = [x, np.resize(np.array(small + [0, -7], dtype=np.int64), rows),
+                   np.resize(np.array(["s", "flow", "", "u"]), rows), -np.roll(x, 5)]
+        blocks.clear()
+        assert_same(tmp_path / f"blocks{rows}.csv", header, columns)
+        assert len(blocks) >= 3 and sum(blocks) == rows, blocks
+        assert set(blocks[:-1]) == {blocks[0]} and blocks[-1] < blocks[0] <= 16, blocks
+        columns[2] = columns[2].copy()
+        columns[2][-1] = MODES[-1]
+        assert not csvtext.write_csv(tmp_path / "not_ascii.csv", header, columns)
+        assert not (tmp_path / "not_ascii.csv").exists()
+
+
+def test_memory_stays_within_one_block(tmp_path):
+    """The traced peak of the construct.csv columns (four floats) at 80 000
+    rows stays within 0.5 MB of the peak at 20 000: the writer holds one
+    block of rows, not the whole file (about 170 bytes a row)."""
+    def peak(rows: int) -> int:
+        t = np.arange(rows) * 2e-4
+        columns = [t, 2 * np.exp(-2 * t), -np.exp(-t), 0.8 * np.expm1(-t)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert csvtext.write_csv(tmp_path / "construct.csv", ["t", "V", "W", "h"], columns)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(20000), peak(80000)
+    assert long < short + 0.5e6, (short, long)

@@ -6,7 +6,8 @@ Usage:
     python tools/time_csv.py [--repeat 30] [--seed 0]
 
 For each shape the script builds columns like the benchmark's (seeded,
-synthetic values of the same kinds and magnitudes) and, alternating, writes
+synthetic values of the same kinds and magnitudes, and one long
+``construct.csv`` of 200 000 rows) and, alternating, writes
 them through ``oracles.write_csv_template`` (every row through one ``%``
 template), through ``csvtext.write_csv`` (the column formatter, whatever the
 size) and through ``jsonio.write_csv`` (which picks one of the two by
@@ -47,7 +48,7 @@ def shapes(rng) -> dict:
     def modes(n, names):
         return np.array(names)[(np.arange(n) * len(names)) // n]
 
-    n = 17505
+    n, long = 17505, 200000
     return {
         "bound.csv 51x3": (["r", "s", "beta(r,s)"],
                            [np.ones(51), np.linspace(0.0, 3.5, 51), decay(51)]),
@@ -64,6 +65,10 @@ def shapes(rng) -> dict:
              (np.arange(n) % 3500 == 0).astype(int)]),
         "construct.csv 17505x4": (["t", "V", "W", "h"],
                                   [times(n, 2e-4), decay(n) ** 2, decay(n), decay(n, 0.8)]),
+        # A long signal: the peak of the column formatter stays one block's.
+        "construct.csv 200000x4": (["t", "V", "W", "h"],
+                                   [times(long, 2e-4), decay(long) ** 2, decay(long),
+                                    decay(long, 0.8)]),
     }
 
 
