@@ -4,7 +4,6 @@ from .bounds import (
     IssBound,
     build_bound,
     decay_interpolant,
-    iss_check,
     iss_check_batch,
     window_gains,
 )

@@ -27,7 +27,7 @@ import numpy as np
 from .certify import Certificate, Reports
 from .errors import DegenerateGammaError, ImageNotFullError, StructuralError
 from .rates import PhiTransform, RateFunction, _result
-from .simulate import InputSignal, LinearSystemModel, Trajectory
+from .simulate import LinearSystemModel
 from .switching import DwellSpec, SwitchingSignal
 from .tolerance import exceeds
 
@@ -199,13 +199,6 @@ def window_gains(model: LinearSystemModel, sig: SwitchingSignal,
         raise StructuralError(f"the short-horizon patch cannot be formed: its gains leave "
                               f"the floats over the first {end - sig.t0} s")
     return max(gs), max(hs)
-
-
-def iss_check(
-    bound: IssBound, traj: Trajectory, x0, input: InputSignal
-) -> tuple[Reports, float]:
-    """``iss_check_batch`` of the one run ``traj`` from ``x0`` under ``input``."""
-    return iss_check_batch(bound, [traj], [x0], [input])
 
 
 def iss_check_batch(bound: IssBound, trajs, x0s, inputs) -> tuple[Reports, float]:

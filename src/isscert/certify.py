@@ -9,8 +9,10 @@ instant, the signal's dwell/leave slack, the declared partition checked to
 cover every mode and against the sign of each flow rate, the
 decreasing-certificate test and the dissipation-to-implication conversion.
 Every check returns its failed inequalities as one ``Reports``: columns of
-kind, time, mode, lhs and rhs, selected from the checked arrays by one
-boolean index each, not one object per failure.  ``linear_dwell_conditions``
+kind, time, mode, lhs, rhs and the trajectory sample each belongs to,
+selected from the checked arrays by one boolean index each, not one object
+per failure; ``Reports.intervals`` groups them into the maximal runs of
+failing samples that ``reports.csv`` holds.  ``linear_dwell_conditions``
 is the one dwell condition of linear rates, for the certificates checked
 here and the quadratic ones of ``lmi`` alike; its docstring derives it from
 the flow and jump rules.  Every check decides through ``tolerance.exceeds``;
@@ -74,13 +76,17 @@ class Certificate:
 # columns; being empty, they are shared.
 _NO_TEXT = np.array([], dtype=str)
 _NO_NUMBERS = np.array([], dtype=float)
+_TYPES = (str, float, str, float, float, np.intp)
+_CHARS = "".join(np.dtype(t).char for t in _TYPES)
 
 
 @dataclass(frozen=True, eq=False)
 class Reports:
     """Failed inequalities as columns, one entry per report; margin =
-    lhs - rhs in the <= orientation.  Scalars broadcast against the arrays,
-    and ``Reports()`` is empty.  ``len`` counts the reports, an index or mask
+    lhs - rhs in the <= orientation, and ``sample`` the index of the
+    trajectory sample a report belongs to, -1 where it belongs to none (a
+    jump, a dwell condition).  Scalars broadcast against the arrays, and
+    ``Reports()`` is empty.  ``len`` counts the reports, an index or mask
     selects, and ``concat`` (or ``+``) concatenates and adds the ``counts``
     of samples a rule evaluated or skipped (``flow_evaluated``;
     ``flow_skipped`` below the threshold)."""
@@ -90,23 +96,23 @@ class Reports:
     mode: np.ndarray = field(default_factory=lambda: _NO_TEXT)
     lhs: np.ndarray = field(default_factory=lambda: _NO_NUMBERS)
     rhs: np.ndarray = field(default_factory=lambda: _NO_NUMBERS)
+    sample: np.ndarray = -1
     counts: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         columns = self._columns()
         if (all(type(c) is np.ndarray and c.ndim == 1 for c in columns)
-                and "".join(c.dtype.char for c in columns) == "UdUdd"
+                and "".join(c.dtype.char for c in columns) == _CHARS
                 and len({len(c) for c in columns}) == 1):
             return  # already columns of one length
-        columns = [np.asarray(c, dtype)
-                   for c, dtype in zip(columns, (str, float, str, float, float))]
+        columns = [np.asarray(c, dtype) for c, dtype in zip(columns, _TYPES)]
         n = max((len(c) for c in columns if c.ndim), default=1)
-        for name, column in zip(("kind", "time", "mode", "lhs", "rhs"), columns):
+        for name, column in zip(("kind", "time", "mode", "lhs", "rhs", "sample"), columns):
             # np.full raises on a column of another length.
             object.__setattr__(self, name, column if column.shape == (n,) else np.full(n, column))
 
     def _columns(self):
-        return self.kind, self.time, self.mode, self.lhs, self.rhs
+        return self.kind, self.time, self.mode, self.lhs, self.rhs, self.sample
 
     @property
     def margin(self) -> np.ndarray:
@@ -114,7 +120,33 @@ class Reports:
 
     def rows(self) -> list[tuple]:
         """(kind, time, mode, lhs, rhs, margin) of each report, as Python values."""
-        return list(zip(*(c.tolist() for c in (*self._columns(), self.margin))))
+        return list(zip(*(c.tolist() for c in (*self._columns()[:5], self.margin))))
+
+    def intervals(self) -> dict[str, np.ndarray]:
+        """The reports as maximal runs of failing samples, by the column names
+        of ``reports.csv``: a run is one kind and one mode on samples of
+        consecutive index within a segment (its times increase, where a jump
+        repeats one); a report of no sample is a run of its own.  ``time``
+        and ``t_last`` are the run's first and last time, ``samples`` its
+        length, and ``t_worst``, ``lhs``, ``rhs`` and ``margin`` its worst
+        report's: the largest margin, a NaN above all, first on ties.  O(F)
+        element work in O(1) NumPy calls for F reports."""
+        kind, time, mode, sample = self.kind, self.time, self.mode, self.sample
+        margin, n = self.margin, len(kind)
+        first = worst = ends = sample  # empty: no runs, and none of the calls below
+        if n:
+            new = np.ones(n, dtype=bool)
+            new[1:] = ((kind[1:] != kind[:-1]) | (mode[1:] != mode[:-1])
+                       | (sample[1:] != sample[:-1] + 1) | (sample[:-1] < 0)
+                       | ~(time[1:] > time[:-1]))
+            first = np.flatnonzero(new)
+            top = np.maximum.reduceat(margin, first)[np.cumsum(new) - 1]
+            hit = (margin == top) | np.isnan(margin)
+            worst = np.minimum.reduceat(np.where(hit, np.arange(n), n), first)
+            ends = np.append(first, n)[1:]
+        return {"kind": kind[first], "time": time[first], "mode": mode[first],
+                "t_last": time[ends - 1], "samples": ends - first, "t_worst": time[worst],
+                "lhs": self.lhs[worst], "rhs": self.rhs[worst], "margin": margin[worst]}
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -181,7 +213,7 @@ def _flow_reports(traj, values, allowed, threshold, dini_coeff) -> Reports:
     slope = (values[i + 1] - values[i]) / h
     rhs = _by_mode(allowed, modes[i], values[i]) + dini_coeff * h
     n = np.flatnonzero(slope > rhs)
-    return Reports("flow", times[i[n]], modes[i[n]], slope[n], rhs[n],
+    return Reports("flow", times[i[n]], modes[i[n]], slope[n], rhs[n], i[n],
                    {"flow_evaluated": len(i), "flow_skipped": int(np.count_nonzero(below))})
 
 
@@ -230,7 +262,7 @@ def check_trajectory(
     rhs = np.array((values, cert.alpha2(norms))).T
     i, side = np.nonzero(exceeds(lhs, rhs))
     return Reports.concat((
-        Reports("sandwich", times[i], modes[i], lhs[i, side], rhs[i, side]),
+        Reports("sandwich", times[i], modes[i], lhs[i, side], rhs[i, side], i),
         _flow_reports(traj, values, allowed, threshold, dini_coeff),
         # Segment k starts at the post-jump state of the jump ending k - 1.
         _jump_reports(traj, values[starts[1:] - 1], values[starts[1:]], threshold, bound, cap)))

@@ -81,9 +81,10 @@ def cmd_certify(cfg, out: Path, seed: int) -> int:
                + check_dwell_conditions(cert, sig, a_grid))
     slack_s, slack_u, mdadt_ok, mdalt_ok = dwell_slack_verdict(cert, sig)
     violations = int(np.count_nonzero(reports.kind != "dwell-inconclusive"))
-    jsonio.write_reports_csv(out / "reports.csv", reports)
+    runs = jsonio.write_reports_csv(out / "reports.csv", reports)
     jsonio.write_json(out / "summary.json", {
         "violations": violations,
+        "by_kind": _by_kind(runs),
         "mdadt_slack": slack_s,
         "mdalt_slack": slack_u,
         "mdadt_ok": mdadt_ok,
@@ -91,6 +92,19 @@ def cmd_certify(cfg, out: Path, seed: int) -> int:
         **reports.counts,
     })
     return EXIT_OK if not violations and mdadt_ok and mdalt_ok else EXIT_VIOLATIONS
+
+
+def _by_kind(runs) -> dict:
+    """Per report kind, from the runs of ``Reports.intervals``: its failing
+    ``samples``, its ``intervals`` and its ``worst_margin`` (a NaN above
+    all)."""
+    out = {}
+    for kind in dict.fromkeys(runs["kind"].tolist()):
+        at = runs["kind"] == kind
+        margins = runs["margin"][at]
+        out[kind] = {"samples": int(runs["samples"][at].sum()),
+                     "intervals": len(margins), "worst_margin": float(np.max(margins))}
+    return out
 
 
 def cmd_construct(cfg, out: Path, seed: int) -> int:

@@ -11,7 +11,8 @@ NaN, infinite or an integer beyond the floats.  Every scalar goes through
 one reader, ``_number``.
 Every CSV file goes through ``write_csv``, which takes columns, not rows;
 its floats are printed with 17 significant digits (``%.17g``) so
-round-trips are lossless.  From ``TEMPLATE_CELLS`` cells on,
+round-trips are lossless.  ``reports.csv`` has a row per run of failing
+samples (``write_reports_csv``).  From ``TEMPLATE_CELLS`` cells on,
 ``csvtext.write_csv`` prints a file a block of rows at a time, each block a
 column at a time: the digits of each number come from a float64
 double-double product (Dekker's) with a correctly rounded power of ten,
@@ -461,10 +462,14 @@ def write_trajectory_csv(path, traj, n: int):
               [times, modes, *states.T, traj.jump_flags()])
 
 
-def write_reports_csv(path, reports):
-    write_csv(path, ["kind", "time", "mode", "lhs", "rhs", "margin"],
-              [reports.kind, reports.time, reports.mode, reports.lhs, reports.rhs,
-               reports.margin])
+def write_reports_csv(path, reports) -> dict[str, np.ndarray]:
+    """``reports.csv``: one row per maximal run of failing samples (see
+    ``Reports.intervals``), I rows for F reports in I runs, with the
+    header ``kind,time,mode,t_last,samples,t_worst,lhs,rhs,margin``.
+    Returns the columns written."""
+    intervals = reports.intervals()
+    write_csv(path, list(intervals), list(intervals.values()))
+    return intervals
 
 
 def write_json(path, obj):

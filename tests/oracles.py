@@ -20,7 +20,7 @@
   the scalar transform and comparison inverses, and the ISS check as a
   loop over ``Trajectory.samples`` with one ``beta`` call per sample.  These
   are the earlier library implementations, kept as oracles for the
-  elementwise ``beta`` and the batched ``iss_check`` in ``isscert.bounds``.
+  elementwise ``beta`` and ``iss_check_batch`` in ``isscert.bounds``.
 * The CSV writer one cell at a time: ``write_csv_per_cell`` walks the
   columns a row at a time and formats each number through its own
   ``f"{float(x):.17g}"`` call, the earlier library implementation kept as
@@ -110,7 +110,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from isscert.bounds import iss_check
+from isscert.bounds import iss_check_batch
 from isscert.certify import FORMS, linear_dwell_conditions
 from isscert.cli import _monte_carlo_runs
 from isscert.errors import DegenerateGammaError, DomainError, NonFiniteError, OutOfImageError
@@ -340,7 +340,8 @@ def scalar_beta(cert, dwell, lower, upper, gains=None):
 
 
 def iss_rows(bound, traj, x0, input):
-    """(reports, max_margin) of ``iss_check`` by one ``beta`` call per row."""
+    """(reports, max_margin) of ``iss_check_batch`` on one run, one ``beta``
+    call per row."""
     r0 = float(np.linalg.norm(np.atleast_1d(np.asarray(x0, dtype=float))))
     t0 = traj.t0
     g = bound.gamma(input.sup_norm)
@@ -698,7 +699,7 @@ def monte_carlo_per_run(model, sig, bound, runs, x0_range, u_bound, step, seed):
     max_margin = -np.inf
     for run_x0, run_inp in zip(*_monte_carlo_runs(model.dims, runs, x0_range, u_bound, seed)):
         traj = simulate(model, sig, run_x0, run_inp, step)
-        reports, margin = iss_check(bound, traj, run_x0, run_inp)
+        reports, margin = iss_check_batch(bound, [traj], [run_x0], [run_inp])
         total_violations += len(reports)
         max_margin = max(max_margin, margin)
     return total_violations, max_margin

@@ -189,7 +189,7 @@ def test_acceptance_3_iss_bound(seeded_family_runs):
                             iss.linear_rate(2.0))
     total = 0
     for x0, inp, traj in runs:
-        total += len(iss.iss_check(bound, traj, x0, inp)[0])
+        total += len(iss.iss_check_batch(bound, [traj], [x0], [inp])[0])
     _verdict(3, total == 0, f"{total} sample violations")
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import isscert as iss
 from isscert import bounds
-from isscert.bounds import iss_check, iss_check_batch, window_gains
+from isscert.bounds import iss_check_batch, window_gains
 from isscert.errors import DegenerateGammaError, DomainError, ImageNotFullError, StructuralError
 from isscert.tolerance import REL_TOL
 
@@ -173,7 +173,7 @@ class TestGainChain:
 
 
 class TestCertifyIss:
-    """``iss_check`` against the row loop of ``tests/oracles.py``: the same
+    """``iss_check_batch`` on one run against the row loop of ``tests/oracles.py``: the same
     reports in (kind, time, mode), and lhs, rhs and the largest margin
     within the array forms' tolerance (``conftest.mismatches``)."""
 
@@ -182,7 +182,7 @@ class TestCertifyIss:
         return cert, iss.build_bound(cert, cert.dwell, *FAMILY_ENVELOPES)
 
     def _same_as_row_loop(self, bound, traj, x0, inp, reference_beta=None):
-        reports, margin = iss_check(bound, traj, x0, inp)
+        reports, margin = iss_check_batch(bound, [traj], [x0], [inp])
         ref = bound if reference_beta is None else replace(bound, beta=reference_beta)
         want, want_margin = iss_rows(ref, traj, x0, inp)
         got = reports.rows()
@@ -196,7 +196,7 @@ class TestCertifyIss:
         x0 = [5.0]
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             x0, iss.zero_input(), 1e-3)
-        assert not iss_check(bound, traj, x0, iss.zero_input())[0]
+        assert not iss_check_batch(bound, [traj], [x0], [iss.zero_input()])[0]
         self._same_as_row_loop(bound, traj, x0, iss.zero_input(),
                                scalar_beta(cert, cert.dwell, *FAMILY_ENVELOPES)[1])
 
@@ -206,7 +206,7 @@ class TestCertifyIss:
         inp = iss.sinusoid_input([1.0], omega=1.5)
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             x0, inp, 1e-3)
-        assert not iss_check(bound, traj, x0, inp)[0]
+        assert not iss_check_batch(bound, [traj], [x0], [inp])[0]
         self._same_as_row_loop(bound, traj, x0, inp,
                                scalar_beta(cert, cert.dwell, *FAMILY_ENVELOPES)[1])
 
@@ -251,7 +251,7 @@ class TestCertifyIss:
                         gamma=lambda s: 0.0)
         for b, ref in ((bound, replace(bound, beta=reference)), (tight, tight)):
             reports, margin = iss_check_batch(b, trajs, x0s, inputs)
-            one_by_one = [iss_check(b, traj, x0, inp)
+            one_by_one = [iss_check_batch(b, [traj], [x0], [inp])
                           for traj, x0, inp in zip(trajs, x0s, inputs)]
             want = iss.Reports.concat([r for r, _ in one_by_one])
             for got_column, want_column in zip(
@@ -335,7 +335,7 @@ class TestCertifyIss:
         x0 = [5.0]
         traj = iss.simulate(family_model.to_system_model(), family_signal,
                             x0, iss.zero_input(), 1e-3)
-        reports = iss_check(tiny, traj, x0, iss.zero_input())[0]
+        reports = iss_check_batch(tiny, [traj], [x0], [iss.zero_input()])[0]
         assert reports and set(reports.kind) == {"iss"}
         self._same_as_row_loop(tiny, traj, x0, iss.zero_input())
 

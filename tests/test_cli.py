@@ -164,7 +164,7 @@ class TestCertify:
         assert summary["violations"] == 0
         assert summary["mdadt_ok"] and summary["mdalt_ok"]
         assert (out / "reports.csv").read_text().splitlines()[0] == \
-            "kind,time,mode,lhs,rhs,margin"
+            "kind,time,mode,t_last,samples,t_worst,lhs,rhs,margin"
 
     def test_violations(self, tmp_path):
         cfg = base_config()
@@ -248,7 +248,7 @@ class TestConstruct:
         code, out = run(tmp_path, "construct", acceptance9_config())
         assert code == 0
         assert (out / "reports.csv").read_text().splitlines() == [
-            "kind,time,mode,lhs,rhs,margin"]
+            "kind,time,mode,t_last,samples,t_worst,lhs,rhs,margin"]
 
     def test_rows_match_trajectory(self, tmp_path):
         cfg = acceptance9_config()

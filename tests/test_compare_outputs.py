@@ -50,6 +50,32 @@ class TestCsvDifferences:
         assert csv_differences("x\n1.0\n", "x\n1\n") == "identical values, different bytes"
 
 
+class TestReportsAcrossTheFormatChange:
+    """A reports.csv with a row per failing sample against one with a row
+    per run: compared per (kind, mode), not stopped at the header."""
+
+    PER_SAMPLE = ("kind,time,mode,lhs,rhs,margin\n"
+                  "flow,0,s,2,1,1\nflow,0.5,s,4,1,3\nflow,1,s,3,1,2\n"
+                  "jump,1,s,5,1,4\ndwell-inconclusive,1,s,nan,nan,nan\n")
+    RUNS = ("kind,time,mode,t_last,samples,t_worst,lhs,rhs,margin\n"
+            "flow,0,s,0.5,2,0.5,4,1,3\nflow,1,s,1,1,1,3,1,2\n"
+            "jump,1,s,1,1,1,5,1,4\ndwell-inconclusive,1,s,1,1,1,nan,nan,nan\n")
+
+    def test_the_same_totals_in_either_direction(self):
+        same = ("rows per sample vs per run: the same samples, earliest time and worst "
+                "margin per (kind, mode)")
+        assert csv_differences(self.PER_SAMPLE, self.RUNS) == same
+        assert csv_differences(self.RUNS, self.PER_SAMPLE) == same
+
+    def test_samples_times_and_margins_that_moved(self):
+        runs = self.RUNS.replace("flow,1,s,1,1,1,3,1,2", "flow,1,s,1,2,1,3,1,2")
+        runs = runs.replace("flow,0,s,0.5,2,0.5,4,1,3", "flow,0.25,s,0.5,2,0.5,4,1,3.5")
+        runs = runs.replace("jump,1,s", "jump,1,u")
+        assert csv_differences(self.PER_SAMPLE, runs) == (
+            "only in parent: jump/s; only in change: jump/u; flow/s: samples 3 -> 4; "
+            "flow/s: earliest time max rel 1; flow/s: worst margin max rel 0.143")
+
+
 class TestJsonDifferences:
     def test_numeric_leaves_by_key_path(self):
         a = json.dumps({"max_margin": 2.0, "flow": {"s": {"max_eig": -1.0}}, "runs": [1, 2]})
@@ -86,6 +112,11 @@ class TestJsonDifferences:
 
     def test_keys_differ(self):
         assert json_differences('{"a": 1, "b": 2}', '{"a": 1, "c": 2}') == "keys differ: b, c"
+
+    def test_an_added_empty_object_is_a_key(self):
+        assert json_differences('{"a": 1}', '{"a": 1, "by_kind": {}}') == "keys differ: by_kind"
+        assert json_differences('{"a": {}, "b": []}', '{"a": {}, "b": []}') == \
+            "identical values, different bytes"
 
     def test_equal_values_in_other_bytes(self):
         assert json_differences('{"a": 1.0}', '{"a":1.0}') == "identical values, different bytes"

@@ -15,7 +15,10 @@ to the config it ran.
 
 The report lists differing exit codes, files present on one side only, and
 every file whose bytes differ; for a differing CSV file it gives the largest
-relative difference |a - b| / max(|a|, |b|) of each numeric column, and for
+relative difference |a - b| / max(|a|, |b|) of each numeric column (for a
+``reports.csv`` with a row per failing sample on one side and a row per run
+on the other, the failing samples, earliest time and worst margin of each
+kind and mode), and for
 a differing JSON file the largest relative difference of the numeric leaves
 under each key path (e.g. ``max_margin`` or ``flow.s.max_eig``).  A path
 stands for every index of a list, as in ``M.s1[*][*]``, so that a changed
@@ -94,10 +97,54 @@ def _rel(a: float, b: float) -> float:
     return math.inf if math.isinf(scale) or math.isnan(a) or math.isnan(b) else abs(a - b) / scale
 
 
+def _worst(a: float, b: float) -> float:
+    """The larger margin, a NaN above all (as ``Reports.intervals`` picks)."""
+    return a if math.isnan(a) or a >= b else b
+
+
+def _report_totals(head: list[str], rows: list[list[str]]) -> dict:
+    """(kind, mode) -> [failing samples, earliest time, worst margin] of a
+    ``reports.csv``, one row per sample or one per run (``samples``)."""
+    at = {name: j for j, name in enumerate(head)}
+    totals = {}
+    for row in rows:
+        n = int(row[at["samples"]]) if "samples" in at else 1
+        t, margin = float(row[at["time"]]), float(row[at["margin"]])
+        key = f"{row[at['kind']]}/{row[at['mode']]}"
+        if key in totals:
+            old = totals[key]
+            n, t, margin = old[0] + n, min(old[1], t), _worst(old[2], margin)
+        totals[key] = [n, t, margin]
+    return totals
+
+
+def report_differences(head_a, rows_a, head_b, rows_b) -> str:
+    """Two ``reports.csv`` texts of which one has a row per failing sample
+    and the other a row per run, compared per (kind, mode): the failing
+    samples, the earliest time and the worst margin."""
+    totals_a, totals_b = _report_totals(head_a, rows_a), _report_totals(head_b, rows_b)
+    parts = [f"only in {'parent' if key in totals_a else 'change'}: {key}"
+             for key in sorted(totals_a.keys() ^ totals_b.keys())]
+    for key in sorted(totals_a.keys() & totals_b.keys()):
+        (n_a, t_a, m_a), (n_b, t_b, m_b) = totals_a[key], totals_b[key]
+        if n_a != n_b:
+            parts.append(f"{key}: samples {n_a} -> {n_b}")
+        for name, x, y in (("earliest time", t_a, t_b), ("worst margin", m_a, m_b)):
+            if rel := _rel(x, y):
+                parts.append(f"{key}: {name} max rel {rel:.3g}")
+    return "; ".join(parts) or ("rows per sample vs per run: the same samples, earliest "
+                                "time and worst margin per (kind, mode)")
+
+
 def csv_differences(a: str, b: str) -> str:
-    """Largest relative difference per numeric column of two CSV texts."""
+    """Largest relative difference per numeric column of two CSV texts; for
+    a ``reports.csv`` per sample against one per run, the totals of
+    ``report_differences``."""
     head_a, rows_a = _csv_columns(a)
     head_b, rows_b = _csv_columns(b)
+    if ("samples" in set(head_a) ^ set(head_b)
+            and {"kind", "time", "mode", "margin"} <= set(head_a) & set(head_b)):
+        return report_differences(head_a, rows_a, head_b, rows_b)
     if head_a != head_b or len(rows_a) != len(rows_b):
         return f"header or row count differs ({len(rows_a)} vs {len(rows_b)} rows)"
     parts = []
@@ -118,11 +165,12 @@ def csv_differences(a: str, b: str) -> str:
 
 
 def _leaves(obj, path: str = ""):
-    """(key path, value) of every leaf of a parsed JSON document."""
-    if isinstance(obj, dict):
+    """(key path, value) of every leaf of a parsed JSON document; an empty
+    object or list is a leaf, so that a key added with no content shows."""
+    if isinstance(obj, dict) and obj:
         for key, value in obj.items():
             yield from _leaves(value, f"{path}.{key}" if path else str(key))
-    elif isinstance(obj, list):
+    elif isinstance(obj, list) and obj:
         for i, value in enumerate(obj):
             yield from _leaves(value, f"{path}[{i}]")
     else:

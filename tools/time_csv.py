@@ -1,5 +1,6 @@
 """Time ``jsonio.write_csv`` against the earlier row template on the CSV
-shapes the benchmark writes.
+shapes the benchmark writes, and on a reports.csv of one row per failing
+sample.
 
 Usage:
 
@@ -55,7 +56,11 @@ def shapes(rng) -> dict:
         "long_switching construct.csv 536x4": (
             ["t", "V", "W", "h"],
             [times(536, 0.05), decay(536) ** 2, decay(536), -rng.uniform(0, 1, 536)]),
-        "certify_fast_phi_s reports.csv 5000x6": (
+        # Not a file the benchmark writes: reports.csv has a row per run of
+        # failing samples (one for certify_fast_phi_s).  Its 5 000 failing
+        # samples as rows are a text-and-float shape near the template
+        # threshold.
+        "per-sample reports 5000x6": (
             ["kind", "time", "mode", "lhs", "rhs", "margin"],
             [np.full(5000, "flow"), times(5000, 2e-4), np.full(5000, "s"),
              -6 * decay(5000) ** 2, -7.2 * decay(5000) ** 2, 1.2 * decay(5000) ** 2]),
