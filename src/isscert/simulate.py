@@ -8,43 +8,38 @@ the post-jump state.
 
 For a LinearSystemModel one RK4 step on x' = A x + B u is a fixed affine
 map, x+ = P x + G0 u(t) + Gm u(t + h/2) + G1 u(t + h).  ``simulate_batch``
-runs R initial states and inputs over one signal and step grid.  It sorts
-the K + 1 segments into G groups that share mode and step count N; each
-segment keeps its own step size h, so instants that are not exact sums
-(nominally equal durations whose h differ in the last bits) still share a
-group.  The map and its powers P, P^2, P^4, ... are built once per mode
-for all its distinct h in one stacked call, and each segment takes its
-own.  Within a segment the states are x_i = P^i x_start + Y_i, where the
-forced response Y from a zero start does not depend on x_start.  Before
-the loop over the segments, each run samples its input once over all of a
-group's segments, and Y_{i+1} = P Y_i + F_i is solved for every run and
-segment at once as a doubling prefix scan (Kogge & Stone 1973; Blelloch
-1990): log2 N whole-array passes over a group's (R, S, N + 1, n) array.
-At n = 1 that array is laid out (S, N + 1, R) in memory, the runs
-innermost, so each pass is S contiguous loops over the samples of all
-runs.  At n > 1 each run's (N + 1, n) block stays contiguous for its own
-(N, n) @ (n, n) products: the runs-innermost layout is slower there, and
-one product over all runs would make a run's bits depend on R.  The loop
-carries every run to the horizon, with no range test: from each
-segment's start to its end, P^N x_start + Y_N, and across the jump,
-J x + H u, a few (n, n) products per segment for all runs together.
-After it, each group adds its free responses P^i x_start (log2 N
-doubling passes) and checks every sample's range, and the post-jump
-states are checked together; a run fails at its first state out of
-range, and what it carries past that is discarded.  So a batch costs
-O(G log N) numpy calls plus O(K) small ones, O(N n^2 R log N) flops over
-the N samples of the signal, and O(N n R) memory: beside the states, the
-temporaries of one group at a time.  G is
-at most the number of distinct (mode, N), so it stops growing with K once
-the step counts repeat; when every segment has its own N, G = K + 1 and
-the group overhead is paid per segment.  Each run's and segment's
-products have the same shapes whatever R and S are, and are elementwise
-at n = 1, so a run's states are the same bits in a batch as alone, and a
-segment's the same as when it is simulated alone from its start (unless
-a power of P overflows sooner for another step size of its mode than for
-its own: the powers stop at the first overflow in the mode, which moves
-the scan's chunks).  ``simulate`` is the batch of one run.  A general
-SystemModel is stepped through its flow callables, run by run.
+runs R initial states and inputs over one signal and step grid.  One sort
+puts the K + 1 segments into G groups of equal mode and step count N; each
+segment keeps its own step size h.  The map and its powers P, P^2, P^4,
+... are built once per mode for all its distinct h in one stacked call.
+Within a segment x_i = P^i x_start + Y_i, where the forced response Y does
+not depend on x_start.  Each run samples its input once per group (grids,
+midpoints and the jump times t_k - step/2), and Y_{i+1} = P Y_i + F_i is
+solved for every run and segment of the group as a doubling prefix scan
+(Kogge & Stone 1973; Blelloch 1990): log2 N passes over an (R, S, N + 1, n)
+array, laid out (S, N + 1, R) at n = 1 so each pass runs over all runs
+contiguously; at n > 1 each run's block stays contiguous for its own
+(N, n) @ (n, n) products.  Segment k is then the affine map
+x_{k+1} = J_k (P^N x_k + Y_N) + H_k u(t_k - step/2) of its start, and the
+same doubling scan over the K maps gives every run's starts: log2 K
+passes of stacked (1, n) @ (n, n) products beside the composites of 2, 4,
+8, ... consecutive maps.  Every run goes to the horizon; then each group
+adds its free responses P^i x_start and ends P^N x_start + Y_N and checks
+every sample's range, and the post-jump states are checked together.  A
+run fails at its first state out of range.  So a batch costs
+O(G log N + log K) numpy calls, O(K n^3 log K + N n^2 R log N) flops and
+O(N n R + K n^2) memory.  G stops growing with K once the step counts
+repeat; when every segment has its own N it is K + 1.  Each run's and
+segment's products have the same shapes whatever R and S are (elementwise
+at n = 1), so a run's states are the same bits in a batch as alone, and a
+segment's the same as when simulated alone from its own first state
+(unless a power of P overflows sooner for another step size of its mode:
+the powers stop at the mode's first overflow).  The scan over the segments
+reassociates the starts, so a post-jump state is J x + H u of the pre-jump
+state and input only up to rounding.  A power, segment map or composite
+that overflows is not used, so a zero state never meets an infinite entry
+as 0 * inf.  ``simulate`` is the batch of one run.  A general SystemModel
+is stepped through its flow callables, run by run.
 """
 
 from __future__ import annotations
@@ -231,8 +226,8 @@ class Trajectory:
 
 def _step_count(t_start, t_end, step):
     """The fewest equal RK4 steps of at most ``step`` from t_start to t_end,
-    and their size h."""
-    n_steps = max(1, math.ceil((t_end - t_start) / step - 1e-12))
+    and their size h; elementwise for arrays of starts and ends."""
+    n_steps = np.maximum(np.ceil((t_end - t_start) / step - 1e-12), 1.0)
     return n_steps, (t_end - t_start) / n_steps
 
 
@@ -283,7 +278,8 @@ def _step_map(A, B, h):
     cols = np.eye(n + 3 * m)
     step_map = _rk4_step(lambda t, x, u: A @ x + B @ u, 0.0, cols[:n], h,
                          cols[n:n + m], cols[n + m:n + 2 * m], cols[n + 2 * m:])
-    return np.split(step_map, [n, n + m, n + 2 * m], axis=-1)
+    cuts = (0, n, n + m, n + 2 * m, n + 3 * m)
+    return [step_map[..., a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _matmul(a, b, out=None):
@@ -314,32 +310,37 @@ def _group_array(runs, n_segments, length, n):
     return np.empty((runs, n_segments, length, n))
 
 
-def _forced_responses(maps_t, powers_t, times, inputs):
+def _forced_responses(maps_t, powers_t, times, jump_times, inputs):
     """The forced responses from a zero start of S segments that share one
     step count N, for every run: the (R, S, N + 1, n) solutions of Y_0 = 0,
     Y_{i+1} = P Y_i + F_i on the S grids ``times``, in a `_group_array`
-    (the runs innermost in memory at n = 1).  States are rows, so the
-    products take transposes: ``maps_t`` holds P^T, G0^T, Gm^T and G1^T and
-    ``powers_t`` those of `_doubling_powers`, each stacked over the
-    segments.  Run j's forcing comes from one ``sample`` call of its own
-    input, summed in one contiguous buffer and stored once (at n = 1 its
-    slot of Y is strided); the recurrence is solved by one `_scan`."""
+    (the runs innermost in memory at n = 1), and the (R, S, m) inputs at
+    the S ``jump_times``.  States are rows, so the products take
+    transposes: ``maps_t`` holds P^T, G0^T, Gm^T and G1^T and ``powers_t``
+    those of `_doubling_powers`, each stacked over the segments.  Run j's
+    forcing and jump inputs come from one ``sample`` call of its own input;
+    the forcing is summed in one contiguous buffer and stored once (at
+    n = 1 its slot of Y is strided), and the recurrence is solved by one
+    `_scan`."""
     P_t, G0_t, Gm_t, G1_t = maps_t
     (n_segments, n_times), n = times.shape, P_t.shape[-1]
     n_steps = n_times - 1
-    # Each grid, then its midpoints t_i + (t_{i+1} - t_i) / 2.
-    u_at = np.concatenate([times, times[:, :-1] + (times[:, 1:] - times[:, :-1]) / 2], axis=1)
+    # Each grid, its midpoints t_i + (t_{i+1} - t_i) / 2, then the jump time.
+    u_at = np.concatenate([times, times[:, :-1] + (times[:, 1:] - times[:, :-1]) / 2,
+                           jump_times[:, None]], axis=1)
     Y = _group_array(len(inputs), n_segments, n_times, n)
     Y[:, :, 0] = 0.0
     F = np.empty((n_segments, n_steps, n))
+    jump_inputs = np.empty((len(inputs), n_segments, G0_t.shape[-2]))
     for j, inp in enumerate(inputs):
-        u = inp.sample(u_at.ravel()).reshape(n_segments, 2 * n_steps + 1, -1)
+        u = inp.sample(u_at.ravel()).reshape(n_segments, 2 * n_steps + 2, -1)
         _matmul(u[:, :n_steps], G0_t, out=F)
-        F += _matmul(u[:, n_times:], Gm_t)
+        F += _matmul(u[:, n_times:-1], Gm_t)
         F += _matmul(u[:, 1:n_times], G1_t)
         Y[j, :, 1:] = F
+        jump_inputs[j] = u[:, -1]
     _scan(Y, P_t, powers_t)
-    return Y
+    return Y, jump_inputs
 
 
 def _scan(Y, P_t, powers_t):
@@ -397,60 +398,52 @@ def _power_chain(powers, n_steps):
     return [product] if np.isfinite(product).all() else chain
 
 
+def _through(xs, chain_t):
+    """The rows ``xs`` times each matrix of ``chain_t`` in turn, one
+    (1, n) @ (n, n) product per row and matrix, the matrices stacked over
+    the axis before the rows' last one."""
+    for M_t in chain_t:
+        xs = _matmul(xs[..., None, :], M_t)[..., 0, :]
+    return xs
+
+
 class _Group:
     """The flow segments of one mode and step count N, each with its own
     step size h.
 
     ``evaluate`` computes their forced responses for every run, into the
-    array that becomes their states; ``flow`` carries the runs from a
-    segment's start to its end; and ``build`` adds the free responses
+    array that becomes their states, and ``build`` adds the free responses
     P^i x_start once every start is known.
     """
 
-    def __init__(self, mode, n_steps):
+    def __init__(self, mode, n_steps, indices, t_starts, t_ends):
         self.mode, self.n_steps = mode, n_steps
-        self.indices, self.t_starts, self.t_ends, self.hs = [], [], [], []  # by slot
+        self.indices, self.t_starts, self.t_ends = indices, t_starts, t_ends  # by slot
 
-    def add(self, k, t_start, t_end, h):
-        """Take segment k, on [t_start, t_end] in steps of h, as the next slot."""
-        self.indices.append(k)
-        self.t_starts.append(t_start)
-        self.t_ends.append(t_end)
-        self.hs.append(h)
-        return self, len(self.indices) - 1
-
-    def evaluate(self, table, inputs):
-        """The grids of every slot and the forced responses of every run on
-        them.  ``table`` holds the stacked step maps and doubling powers of
-        the mode's distinct step sizes and the row of each size; each slot
-        takes its own, transposed."""
-        maps, powers, row_of = table
-        which = np.array([row_of[h] for h in self.hs])
+    def evaluate(self, maps, powers, which, hs, step, inputs):
+        """The grids of every slot, the forced responses of every run on
+        them and its inputs half a step before their ends.  ``maps`` and
+        ``powers`` stack the step maps and doubling powers of the mode's
+        distinct step sizes, ``which`` holds the row of each slot's size
+        ``hs``; each slot takes its own, transposed."""
         powers = [Pk[which] for Pk in powers[:self.n_steps.bit_length()]]
         self.chain_t = [M.swapaxes(1, 2) for M in _power_chain(powers, self.n_steps)]
         self.powers_t = [Pk.swapaxes(1, 2) for Pk in powers]
-        self.times = _grid(self.t_starts, self.t_ends, self.n_steps, np.array(self.hs))
+        self.times = _grid(self.t_starts, self.t_ends, self.n_steps, hs)
         maps_t = [M[which].swapaxes(1, 2) for M in maps]
-        self.states = _forced_responses(maps_t, self.powers_t, self.times, inputs)
-        self.starts = np.empty((len(inputs), len(self.indices), self.states.shape[-1]))
+        # u(t_i^-) for merely piecewise-continuous inputs: sample half a
+        # step before the instant.
+        self.states, self.jump_inputs = _forced_responses(
+            maps_t, self.powers_t, self.times, self.t_ends - step / 2, inputs)
 
-    def flow(self, slot, xs):
-        """The states ending slot ``slot`` from the states ``xs`` starting
-        it: P^N x + Y_N, one (1, n) @ (n, n) product per run and chain
-        matrix, stored as the slot's last sample."""
-        self.starts[:, slot] = xs
-        for M_t in self.chain_t:
-            xs = _matmul(xs[:, None, :], M_t[slot])[:, 0]
-        xs = xs + self.states[:, slot, -1]
-        self.states[:, slot, -1] = xs
-        return xs
-
-    def build(self):
-        """Add the free responses to the forced ones, sample N excepted
-        (``flow`` stored it); returns (run, segment, e) for each slot of a
+    def build(self, starts):
+        """Complete the states from the (R, S, n) ``starts`` of the slots:
+        the ends P^N x + Y_N through the power chain, and the free responses
+        of the other samples; returns (run, segment, e) for each slot of a
         run with a sample out of range, the first such sample at e - 1."""
         n = self.n_steps
-        self.states[:, :, :n] += _free_responses(self.powers_t, self.starts, n)
+        self.states[:, :, n] += _through(starts, self.chain_t)
+        self.states[:, :, :n] += _free_responses(self.powers_t, starts, n)
         # Entries below FINITE_LIMIT / (2 sqrt(n)) keep every norm in range;
         # the test takes no memory, where the norms of a whole group would.
         if max(self.states.max(), -self.states.min()) < FINITE_LIMIT / (
@@ -458,12 +451,47 @@ class _Group:
             return []
         bad = ~_in_range(self.states[..., 1:, :])
         rows, slots = np.nonzero(bad.any(axis=-1))
-        return [(int(r), self.indices[s], int(np.argmax(bad[r, s])) + 2)
+        return [(int(r), int(self.indices[s]), int(np.argmax(bad[r, s])) + 2)
                 for r, s in zip(rows, slots)]
 
     def segment(self, run, slot, end=None):
         """Slot ``slot`` of run ``run`` up to sample ``end``."""
         return Segment(self.mode, self.times[slot, :end], self.states[run, slot, :end])
+
+
+def _segment_scan(X, A_t, fold):
+    """Solve X_{k+1} = A_k X_k + c_k in place over the (R, K + 1, n) array
+    ``X`` of X_0 and c_0 .. c_{K-1}, ``A_t`` the transposed A_k stacked.  A
+    map with an entry that is not finite splits the scan: ``fold(k)`` adds
+    A_k X_k to X_{k+1} through segment k's own power chain, and each run of
+    finite maps between such is scanned by `_scan_maps`."""
+    splits = np.flatnonzero(~np.isfinite(A_t).all(axis=(1, 2))).tolist()
+    for a, b in zip([0, *(k + 1 for k in splits)], [*splits, len(A_t)]):
+        if a:
+            fold(a - 1)
+        _scan_maps(X[:, a:b + 1], A_t[a:b])
+
+
+def _scan_maps(X, A_t):
+    """`_segment_scan` over finite maps, by doubling: the pass for s = 1, 2,
+    4, ... adds T^s_{k-s} X_{k-s} to every X_k, k >= s, where
+    T^s_j = A_{j+s-1} ... A_j and T^2s_j = T^s_{j+s} T^s_j; after it X_k
+    holds the terms of its last 2s maps.  The passes stop before a
+    composite that overflows, and X_k += T^s_{k-s} T^s_{k-2s} X_{k-2s}
+    completes the states 2s at a time."""
+    s, T_t = 1, A_t
+    while True:
+        X[:, s:] += _through(X[:, :-s], [T_t])
+        if 2 * s >= X.shape[1]:
+            return
+        composite = _matmul(T_t[:-s], T_t[s:])
+        if not np.isfinite(composite).all():
+            break
+        s, T_t = 2 * s, composite
+    for a in range(2 * s, X.shape[1], 2 * s):
+        c = min(2 * s, X.shape[1] - a)
+        X[:, a:a + c] += _through(X[:, a - 2 * s:a - 2 * s + c],
+                                  [T_t[a - 2 * s:a - 2 * s + c], T_t[a - s:a - s + c]])
 
 
 def _non_finite(segments, inp, step, jump_time=None) -> NonFiniteError:
@@ -501,56 +529,88 @@ def _simulate_run(model, sig, x, inp, step) -> Trajectory:
 
 
 def _simulate_linear(model, sig, x0s, inputs, step) -> list[Trajectory]:
-    """`simulate_batch` of a LinearSystemModel.
-
-    Every group's forced responses are computed, for every run, before the
-    loop over the segments; the loop carries every run to the horizon, from
-    segment start to segment end, P^N x + Y_N, and across the jump.  The
-    free responses and the range check of every sample follow, group by
-    group, and the range check of every post-jump state.  A run fails at
-    its first state out of range, a sample of segment k before the jump
-    that ends k, so a run whose states leave the range inside a segment and
-    return to it by the segment's end fails there, as it would step by step.
+    """`simulate_batch` of a LinearSystemModel: the forced responses of
+    every group, `_segment_scan` for the starts, then each group's states
+    and range checks.  A run fails at its first state out of range, a
+    sample of segment k before the jump that ends k, so a run whose states
+    leave the range inside a segment and return to it by the segment's end
+    fails there, as it would step by step.
     """
-    groups, slots = {}, []
-    for k, (a, b, mode) in enumerate(sig.segments()):
-        if b > a:  # else the single sample of a last instant on the horizon
-            n_steps, h = _step_count(a, b, step)
-            slots.append(groups.setdefault((mode, n_steps), _Group(mode, n_steps))
-                         .add(k, a, b, h))
-    for mode in dict.fromkeys(group.mode for group in groups.values()):
-        members = [group for group in groups.values() if group.mode == mode]
-        row_of = {h: i for i, h in enumerate(dict.fromkeys(h for g in members for h in g.hs))}
-        maps = _step_map(model.A[mode], model.B[mode], np.array(list(row_of))[:, None, None])
-        powers = _doubling_powers([maps[0]], max(g.n_steps for g in members) + 1)
-        for group in members:
-            group.evaluate((maps, powers, row_of), inputs)
-    xs, jumped = np.array(x0s), []
-    for k, (group, slot) in enumerate(slots):
-        xs = group.flow(slot, xs)
-        if k < len(sig.instants):
-            t_i = sig.instants[k]
-            J, H = model.J[group.mode], model.H[group.mode]
-            # u(t_i^-) for merely piecewise-continuous inputs: sample half a
-            # step before the instant.
-            u = np.array([inp(t_i - step / 2) for inp in inputs])
-            xs = _matmul(xs[:, None, :], J.T)[:, 0] + _matmul(u[:, None, :], H.T)[:, 0]
-            jumped.append(xs)
+    bounds = np.array([sig.t0, *sig.instants, sig.horizon])
+    (n, m), n_jumps = model.dims, len(sig.instants)
+    # Every segment flows but a last one of no length (an instant on the
+    # horizon, or t0 = horizon): its single sample is the last jump's state.
+    n_flows = n_jumps + int(bounds[-1] > bounds[-2])
+    t_starts, t_ends = bounds[:n_flows], bounds[1:n_flows + 1]
+    n_steps, hs = _step_count(t_starts, t_ends, step)
+    names = list(dict.fromkeys(sig.modes))
+    codes = [names.index(p) for p in sig.modes]
+    # The slots sorted by mode, then N, then h: runs of one step size, of
+    # one (mode, N) group and of one mode, each opened by a True in ``new``.
+    keys = np.array([hs, n_steps, codes[:n_flows]])
+    order = np.lexsort(keys)
+    keys, t_starts, t_ends = keys[:, order], t_starts[order], t_ends[order]
+    new = np.ones((3, n_flows), bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=new[:, 1:])
+    new[1] |= new[2]
+    new[0] |= new[1]
+    rows, firsts = np.cumsum(new[0]), np.flatnonzero(new[1]).tolist()
+    spans = list(zip(firsts, firsts[1:] + [n_flows]))
+    mode_ends = np.flatnonzero(new[2]).tolist()[1:] + [n_flows]
+    groups, J_t, H_t = [], np.zeros((len(names), n, n)), np.zeros((len(names), m, n))
+    for lo, hi in spans:
+        if new[2, lo]:  # a mode's first group: its step maps and powers
+            code, end, base = int(keys[2, lo]), mode_ends.pop(0), rows[lo]
+            mode = names[code]
+            J_t[code], H_t[code] = model.J[mode].T, model.H[mode].T
+            maps = _step_map(model.A[mode], model.B[mode],
+                             keys[0, lo:end][new[0, lo:end], None, None])
+            powers = _doubling_powers([maps[0]], int(keys[1, end - 1]) + 1)
+        groups.append(_Group(mode, int(keys[1, lo]), order[lo:hi], t_starts[lo:hi],
+                             t_ends[lo:hi]))
+        groups[-1].evaluate(maps, powers, rows[lo:hi] - base, keys[0, lo:hi], step, inputs)
+    slots = [None] * n_flows
+    for group in groups:
+        for slot, k in enumerate(group.indices.tolist()):
+            slots[k] = group, slot
+
+    # X_0 = x0 and X_{k+1} = J_k P^N X_k + c_k, with c_k = J_k Y_N + H_k u_k;
+    # the groups give Y_N, u_k and P^N (NaN where no one finite matrix is
+    # P^N) in sorted order.
+    ends, jump_inputs, M_t = (np.empty((len(inputs), n_flows, n)),
+                              np.empty((len(inputs), n_flows, m)), np.empty((n_flows, n, n)))
+    if groups:
+        ends[:, order] = np.concatenate([g.states[:, :, -1] for g in groups], axis=1)
+        jump_inputs[:, order] = np.concatenate([g.jump_inputs for g in groups], axis=1)
+        M_t[order] = np.concatenate([g.chain_t[0] if len(g.chain_t) == 1 else
+                                     np.full(g.chain_t[0].shape, np.nan) for g in groups])
+    J_t, H_t = J_t[codes[:n_jumps]], H_t[codes[:n_jumps]]
+    X = np.empty((len(inputs), n_jumps + 1, n))
+    X[:, 0] = x0s
+    X[:, 1:] = (_through(ends[:, :n_jumps], [J_t])
+                + _through(jump_inputs[:, :n_jumps], [H_t]))
+
+    def fold(a):
+        group, slot = slots[a]
+        chain_t = [M[slot] for M in group.chain_t]
+        X[:, a + 1] += _through(_through(X[:, a], chain_t), [J_t[a]])
+    _segment_scan(X, _matmul(M_t[:n_jumps], J_t), fold)
 
     # (run, segment, e) of each flow sample out of range, at e - 1, and
     # (run, segment, None) of each jump out of range.
-    failures = [failure for group in groups.values() for failure in group.build()]
-    out = ~_in_range(np.reshape(jumped, (len(jumped), *xs.shape)))
-    failures += [(r, k, None) for k, r in np.argwhere(out).tolist()]
+    starts = X[:, order]
+    failures = [failure for group, (lo, hi) in zip(groups, spans)
+                for failure in group.build(starts[:, lo:hi])]
+    failures += [(r, k, None) for r, k in np.argwhere(~_in_range(X[:, 1:])).tolist()]
     if failures:
         r, k, e = min(failures, key=lambda f: (f[0], f[1], f[2] is None))
         segments = [group.segment(r, slot, e if j == k else None)
                     for j, (group, slot) in enumerate(slots[:k + 1])]
         raise _non_finite(segments, inputs[r], step, sig.instants[k] if e is None else None)
-    single = () if len(slots) == len(sig.modes) else (sig.modes[-1], np.array([sig.horizon]))
+    single = (sig.modes[-1], np.array([sig.horizon])) if n_flows == n_jumps else ()
     return [Trajectory(tuple(group.segment(r, slot) for group, slot in slots)
-                       + ((Segment(*single, x[None]),) if single else ()), inp, step)
-            for r, (inp, x) in enumerate(zip(inputs, xs))]
+                       + ((Segment(*single, X[r, -1:]),) if single else ()), inp, step)
+            for r, inp in enumerate(inputs)]
 
 
 def simulate(
@@ -584,7 +644,8 @@ def simulate_batch(
     finite range, this raises the NonFiniteError (message and partial
     trajectory) that the first of them in run order raises alone.  A linear
     model samples each run's input once per group of segments with equal
-    mode and step count, on all of the group's segments, and carries every
+    mode and step count, on all of the group's segments and the jumps that
+    end them, and carries every
     run to the horizon before it checks the ranges, so a run that fails
     early has been sampled on every segment; a general one samples step by
     step up to the failure.

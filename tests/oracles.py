@@ -61,6 +61,9 @@
   the earlier library loop kept as the oracle for the doubling prefix scan
   of ``isscert.simulate``; in ``np.longdouble`` it is the
   extended-precision reference for the scan's rounding.
+  ``linear_run_stepwise`` chains it through a whole switching signal, with
+  each jump in the same precision: the reference for the scan over the
+  segments.
 * A linear run one segment at a time: ``simulate_per_segment`` is the
   earlier ``simulate_batch`` loop for a ``LinearSystemModel``: every
   segment samples each run's input and runs its own doubling prefix scan
@@ -724,6 +727,29 @@ def linear_flow_stepwise(step_map, times, xs, inputs, dtype=np.float64):
         states[i] = X
     return np.moveaxis(states, 2, 0)
 
+
+def linear_run_stepwise(model, sig, x0s, inputs, step, dtype=np.longdouble):
+    """Every sample of a ``LinearSystemModel`` run through ``sig``, in
+    ``dtype``: each segment by `linear_flow_stepwise` from the state the
+    jump before it left, each jump J x + H u(t_i - step/2) in ``dtype``.
+    Returns the (R, samples, n) states, in the order of
+    ``Trajectory.samples``."""
+    xs = [np.asarray(x0, dtype=dtype) for x0 in x0s]
+    blocks = []
+    for k, (a, b, mode) in enumerate(sig.segments()):
+        if b > a:
+            times, h = _grid_per_segment(a, b, step)
+            states = linear_flow_stepwise(_step_map(model.A[mode], model.B[mode], h), times,
+                                          xs, inputs, dtype)
+        else:
+            states = np.stack(xs)[:, None, :]
+        blocks.append(states)
+        if k < len(sig.instants):
+            J, H = (np.asarray(M, dtype=dtype) for M in (model.J[mode], model.H[mode]))
+            t_jump = np.array([sig.instants[k] - step / 2])
+            xs = [J @ x + H @ inp.sample(t_jump)[0].astype(dtype)
+                  for x, inp in zip(states[:, -1], inputs)]
+    return np.concatenate(blocks, axis=1)
 
 
 def _grid_per_segment(t_start, t_end, step):

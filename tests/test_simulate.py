@@ -12,7 +12,8 @@ from isscert import cli
 from isscert.errors import NonFiniteError, StepTooLargeError
 from isscert.simulate import _doubling_powers, _simulate_linear, _step_map
 from conftest import jumps
-from oracles import linear_flow_stepwise, reachability_bound, simulate_per_segment
+from oracles import (linear_flow_stepwise, linear_run_stepwise, reachability_bound,
+                     simulate_per_segment)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from generate import LONG_STEP, _alternating_signal  # noqa: E402
@@ -661,9 +662,12 @@ class TestGroupedScan:
             scale = ref.sup_norm()
             deviation = np.linalg.norm(states - ref_states, axis=1)
             assert np.max(deviation) <= (len(times) - 1) * eps * scale
+            # The segment scan reassociates the starts, so a post-jump state
+            # is J pre + H u up to rounding: within c N eps of the scale, c = 1.
             for t, before, _, pre, post in jumps(traj):
                 u = inp(t - LONG_STEP / 2)
-                assert np.array_equal(post, model.J[before] @ pre + model.H[before] @ u)
+                jumped = model.J[before] @ pre + model.H[before] @ u
+                assert np.linalg.norm(post - jumped) <= 1 * (len(times) - 1) * eps * scale
 
     @pytest.mark.parametrize("x0s", [[[1.0]], [[0.0], [1.0], [2.0]]])
     def test_blow_up_in_a_later_segment_of_a_group(self, x0s):
@@ -785,6 +789,88 @@ class TestGroupedScan:
             times, states = one_segment(model, seg.mode, seg.times[0], seg.times[-1],
                                         seg.states[0], inp, LONG_STEP)
             assert np.array_equal(times, seg.times) and np.array_equal(states, seg.states)
+
+
+class TestSegmentScan:
+    """The doubling scan over the segments' affine maps."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_long_signal_matches_longdouble_run(self, n):
+        # K = 4 000: twelve passes of the scan.  Every sample stays within
+        # N eps of the scale of the same run stepped in np.longdouble, and
+        # each run of the batch is its solo run bit for bit.
+        sig, model = long_switching_signal(100), switching_model(n)
+        assert len(sig.instants) == 4000
+        rng = np.random.default_rng(n)
+        x0s = [2.0 * rng.standard_normal(n) for _ in range(3)]
+        inputs = [INPUTS[name] for name in ("sinusoid", "step", "constant")]
+        batch = iss.simulate_batch(model, sig, x0s, inputs, LONG_STEP)
+        refs = linear_run_stepwise(model, sig, x0s, inputs, LONG_STEP)
+        eps = np.finfo(float).eps
+        for traj, ref, x0, inp in zip(batch, refs, x0s, inputs):
+            states = traj.samples[1]
+            assert states.shape == ref.shape
+            scale = np.max(np.linalg.norm(ref.astype(float), axis=1))
+            deviation = np.linalg.norm((states - ref).astype(float), axis=1)
+            assert np.max(deviation) <= (len(states) - 1) * eps * scale
+            assert same_trajectory(traj, iss.simulate(model, sig, x0, inp, LONG_STEP))
+
+    @pytest.mark.parametrize("long_segments", [range(25), [], [12]], ids=["all", "none", "one"])
+    def test_zero_start_between_overflowing_maps(self, long_segments):
+        # x1' = 100 x1 in mode a, x1' = -x1 in mode b, whose P^N is finite,
+        # in the order a, a, b, a, a, b, ...  A segment of 30 s: P^3000
+        # itself overflows in mode a.  1 s: each P^100 is finite, but the
+        # composite of eight a segments is not, so the states are completed
+        # from the last finite composites.  One long a segment among short
+        # ones splits the scan in two.  From x1 = 0 under zero forcing x1
+        # stays exactly 0 through the b segments between them, while x2,
+        # slow in a and faster in b, follows the oracle.
+        model = iss.LinearSystemModel(A={"a": np.diag([100.0, -0.05]), "b": np.diag([-1.0, -0.5])},
+                                      B={p: [[0.0], [1.0]] for p in "ab"},
+                                      J={"a": np.eye(2), "b": np.diag([1.0, 0.5])},
+                                      H={p: np.zeros((2, 1)) for p in "ab"})
+        modes = ("a", "a", "b") * 8 + ("a",)
+        durations = np.ones(25)
+        durations[list(long_segments)] = 30.0
+        sig = iss.SwitchingSignal(0.0, tuple(np.cumsum(durations)[:-1]), modes,
+                                  float(np.sum(durations)))
+        x0s, inputs = [[0.0, 0.0], [0.0, 1.0]], [iss.zero_input(), INPUTS["sinusoid"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = iss.simulate_batch(model, sig, x0s, inputs, 1e-2)
+        oracle = simulate_per_segment(model, sig, x0s, inputs, 1e-2)
+        assert not np.any(batch[0].samples[1])
+        assert not np.any(batch[1].samples[1][:, 0])
+        deviation = np.abs(batch[1].samples[1] - oracle[1].samples[1])
+        assert np.max(deviation) <= 1e4 * np.finfo(float).eps * oracle[1].sup_norm()
+
+    @pytest.mark.parametrize("x0s", [[[1.0]], [[0.0], [1.0], [2.0]]])
+    @pytest.mark.parametrize("grow_u, jump, error", [(0.4, 2.0, "jump at t="),
+                                                     (4.0, 1.0, "state norm exceeded")])
+    def test_failure_in_a_later_segment(self, x0s, grow_u, jump, error):
+        # The K = 400 signal with jumps that double the state, or with a
+        # fast-growing mode u: every run passes 1e12 some 40 jumps in, at a
+        # jump or inside a u segment.  The batch raises the first run's error
+        # in run order, message and partial trajectory, as the per-segment
+        # oracle does.
+        sig = long_switching_signal(10)
+        model = iss.LinearSystemModel(A={"s": [[-0.1]], "u": [[grow_u]]},
+                                      B={"s": [[0.5]], "u": [[0.5]]},
+                                      J={"s": [[jump]], "u": [[jump]]},
+                                      H={"s": [[0.3]], "u": [[-0.2]]})
+        inputs = [INPUTS["sinusoid"]] * len(x0s)
+        with pytest.raises(NonFiniteError) as batch:
+            iss.simulate_batch(model, sig, x0s, inputs, LONG_STEP)
+        with pytest.raises(NonFiniteError) as oracle:
+            simulate_per_segment(model, sig, x0s, inputs, LONG_STEP)
+        assert str(batch.value) == str(oracle.value)
+        assert str(batch.value).startswith(error)
+        partial, ref = batch.value.partial, oracle.value.partial
+        assert 20 < len(partial.segments) == len(ref.segments) < 400
+        assert np.array_equal(partial.samples[0], ref.samples[0])
+        scale = np.max(np.abs(ref.samples[1]))
+        deviation = np.abs(partial.samples[1] - ref.samples[1])
+        assert np.max(deviation) <= len(deviation) * np.finfo(float).eps * scale
 
 
 class TestInputArrays:
